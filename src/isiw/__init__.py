@@ -27,6 +27,7 @@ from .intensity import (
 )
 from .kriging import KrigingOutput, krige
 from .likelihood import (
+    NllValue,
     Objective,
     VecchiaPlan,
     exact_nll,
@@ -44,6 +45,7 @@ from .model import (
     ModelParams,
     build_cov_matrix,
     matern_cov,
+    matern_cov_dlogphi,
     microergodic,
 )
 from .pointprocess import SamplerSpec, compute_intensity, sample_conditioned, sample_thomas
@@ -54,10 +56,11 @@ __all__ = [
     "BandwidthSpec", "CovParams", "Dataset", "Domain", "ExperimentConfig",
     "FieldRealization", "FitConfig", "FitResult", "GridSpec",
     "IntensityEstimate", "KrigingOutput", "MetricsRow", "ModelParams",
-    "Objective", "SamplerSpec", "Scenario", "SeedStream", "VecchiaPlan",
+    "NllValue", "Objective", "SamplerSpec", "Scenario", "SeedStream", "VecchiaPlan",
     "WeightVector", "build_cov_matrix", "compute_intensity", "default_init",
     "estimate_intensity", "exact_nll", "fd_gradient", "fit", "gaussian_kl",
-    "krige", "load_config", "matern_cov", "maxmin_order", "microergodic",
+    "krige", "load_config", "matern_cov", "matern_cov_dlogphi",
+    "maxmin_order", "microergodic",
     "nn_conditioning_sets", "observe", "pairwise_marginal_nll",
     "param_metrics", "parse_config", "rmspe", "run_experiment",
     "run_replicate", "sample_conditioned", "sample_thomas",

@@ -45,3 +45,16 @@ def forward_solve_batched(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             acc = acc - np.einsum("bl,bl->b", chol[:, j, :j], z[:, :j])
         z[:, j] = acc / chol[:, j, j]
     return z
+
+
+def backward_solve_batched(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L^T x = b for a stack of lower-triangular factors; shapes as in
+    :func:`forward_solve_batched`."""
+    b, k = rhs.shape
+    x = np.empty_like(rhs)
+    for j in range(k - 1, -1, -1):
+        acc = rhs[:, j]
+        if j < k - 1:
+            acc = acc - np.einsum("bl,bl->b", chol[:, j + 1 :, j], x[:, j + 1 :])
+        x[:, j] = acc / chol[:, j, j]
+    return x

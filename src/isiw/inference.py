@@ -1,11 +1,15 @@
 """Numerical maximization of the likelihood objectives.
 
 Positivity of (sigma2, phi, tau2) is handled by optimizing over
-(mu, log sigma2, log phi, log tau2) with a BFGS iteration, central
-finite-difference gradients, and an Armijo backtracking line search that
-also retreats from non-finite evaluations. One gradient implementation
-serves every objective. The range parameter is capped at 10x the domain
-diameter: weighted objectives are prone to letting it run away.
+(mu, log sigma2, log phi, log tau2) with scipy's L-BFGS-B. An objective's
+``nll(psi, data)`` returns its value together with its closed-form gradient
+over those coordinates, as an :class:`~isiw.likelihood.NllValue` (any float
+with a ``grad`` array will do); ``fit`` raises ``TypeError`` for a value
+without one. The range parameter is bounded above at 10x the domain
+diameter by a box bound on log phi, so the objective itself is never
+altered: weighted objectives are prone to letting the range run away.
+``fd_gradient`` is kept as the finite-difference oracle the tests check
+the closed forms against.
 """
 
 from __future__ import annotations
@@ -14,20 +18,36 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import minimize
 
 from .model import Dataset, Domain, ModelParams
 
 PARAM_NAMES = ("mu", "sigma2", "phi", "tau2")
 FD_REL_STEP = 1e-5
 PHI_CAP_FACTOR = 10.0
+LOG_PHI = PARAM_NAMES.index("phi")
 
 
 @dataclass(frozen=True)
 class FitConfig:
+    """Optimizer settings.
+
+    Each L-BFGS-B attempt runs at most ``max_iter`` iterations and converges
+    when one iteration reduces the objective by at most ``ftol`` relative to
+    max(|f|, 1), or when every component of the projected gradient is at
+    most ``gtol`` in absolute value. An attempt that met a non-finite
+    objective value converges only by the gradient test. ``restarts`` more
+    attempts, seeded by ``restart_seed``, follow an unconverged one.
+    ``phi_cap`` (default 10x the diameter of ``domain``, or of the data's
+    bounding box) is the upper bound on phi; names in ``fixed`` stay at the
+    initial value.
+    """
+
     max_iter: int = 200
-    ftol: float = 1e-8
+    # at 1e-8 the relative-reduction test stopped fits on the flat
+    # range/variance ridge up to 2e-7 * |f| above the optimum
+    ftol: float = 1e-10
     gtol: float = 1e-4
-    rel_step: float = FD_REL_STEP
     restarts: int = 3
     restart_seed: int = 0
     domain: Domain | None = None
@@ -42,6 +62,10 @@ class FitConfig:
 
 @dataclass
 class FitResult:
+    """Best point over all attempts. ``iterations`` and ``gradient_norm``
+    (2-norm of the projected gradient over the free coordinates) belong to
+    the attempt that found it; ``phi_capped`` says phi sits on its bound."""
+
     psi_hat: ModelParams
     nll: float
     iterations: int
@@ -107,81 +131,74 @@ def _resolve_phi_cap(config: FitConfig, data: Dataset) -> float:
     return PHI_CAP_FACTOR * max(float(np.hypot(*spans)), 1e-12)
 
 
-class _BfgsRun:
-    def __init__(self, x, f, iterations, converged, gradient_norm):
-        self.x = x
-        self.f = f
-        self.iterations = iterations
-        self.converged = converged
-        self.gradient_norm = gradient_norm
+@dataclass
+class _Run:
+    x: np.ndarray
+    nll: float
+    iterations: int
+    converged: bool
+    gradient_norm: float
 
 
-def _bfgs(func, x0, free_idx, config: FitConfig) -> _BfgsRun:
-    """Minimize over the free coordinates of x0; fixed coordinates stay put."""
+def _lbfgsb(objective, data: Dataset, nu: float, x0, free_idx, log_phi_cap, config: FitConfig) -> _Run:
+    """One L-BFGS-B attempt over the free coordinates of x0; fixed
+    coordinates stay put."""
+    x_full = x0.copy()
+    evaluations = 0
+    met_nonfinite = False
+
+    def value_and_grad(xf):
+        nonlocal evaluations, met_nonfinite
+        evaluations += 1
+        x_full[free_idx] = xf
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                value = objective.nll(_unpack(x_full, nu), data)
+        except (np.linalg.LinAlgError, FloatingPointError, OverflowError):
+            value, grad = math.inf, None
+        else:
+            grad = getattr(value, "grad", None)
+            if grad is None:
+                raise TypeError(
+                    f"{type(objective).__name__}.nll returned {type(value).__name__} with no "
+                    "gradient; fit needs a value carrying .grad, such as an NllValue"
+                )
+            grad = np.asarray(grad, dtype=float)[free_idx]
+        if math.isfinite(value) and np.all(np.isfinite(grad)):
+            return float(value), grad
+        if evaluations == 1:  # L-BFGS-B evaluates x0 first
+            raise ValueError("objective is not finite at the initial point")
+        met_nonfinite = True
+        return math.inf, np.zeros(free_idx.size)
+
+    bounds = [(None, log_phi_cap if j == LOG_PHI else None) for j in free_idx]
+    res = minimize(
+        value_and_grad,
+        x0[free_idx],
+        jac=True,
+        method="L-BFGS-B",
+        bounds=bounds,
+        options={"maxiter": config.max_iter, "ftol": config.ftol, "gtol": config.gtol},
+    )
+    projected = np.array(res.jac, dtype=float)
+    projected[(free_idx == LOG_PHI) & (res.x >= log_phi_cap) & (projected < 0)] = 0.0
+    # L-BFGS-B can report success at a point it reached by backing off a
+    # non-finite value; trust only the gradient test after one.
+    converged = bool(res.success) and math.isfinite(res.fun)
+    if met_nonfinite:
+        converged = converged and float(np.max(np.abs(projected))) <= config.gtol
     x = x0.copy()
-
-    def f_of(xf):
-        full = x0.copy()
-        full[free_idx] = xf
-        return func(full)
-
-    xf = x[free_idx].copy()
-    f0 = f_of(xf)
-    if not np.isfinite(f0):
-        raise ValueError("objective is not finite at the initial point")
-    g = fd_gradient(f_of, xf, config.rel_step)
-    h_inv = np.eye(xf.size)
-    last_rel = 0.0
-    iterations = 0
-    converged = False
-
-    while True:
-        gnorm = float(np.linalg.norm(g))
-        if gnorm < config.gtol and last_rel < config.ftol:
-            converged = True
-            break
-        if iterations >= config.max_iter:
-            break
-
-        direction = -h_inv @ g
-        if direction @ g >= 0:  # not a descent direction; reset curvature
-            h_inv = np.eye(xf.size)
-            direction = -g
-
-        alpha, accepted = 1.0, None
-        while alpha > 1e-14:
-            trial = xf + alpha * direction
-            f_trial = f_of(trial)
-            step = trial - xf
-            if np.isfinite(f_trial) and f_trial <= f0 + 1e-4 * (g @ step):
-                accepted = (trial, f_trial)
-                break
-            alpha *= 0.5
-        if accepted is None:
-            break  # line search stalled
-
-        x_new, f_new = accepted
-        g_new = fd_gradient(f_of, x_new, config.rel_step)
-        s = x_new - xf
-        yk = g_new - g
-        sy = s @ yk
-        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(yk):
-            rho = 1.0 / sy
-            v = np.eye(xf.size) - rho * np.outer(s, yk)
-            h_inv = v @ h_inv @ v.T + rho * np.outer(s, s)
-        last_rel = abs(f0 - f_new) / max(1.0, abs(f_new))
-        xf, f0, g = x_new, f_new, g_new
-        iterations += 1
-
-    x[free_idx] = xf
-    return _BfgsRun(x, f0, iterations, converged, float(np.linalg.norm(g)))
+    x[free_idx] = res.x
+    return _Run(x, float(res.fun), int(res.nit), converged, float(np.linalg.norm(projected)))
 
 
 def fit(objective, data: Dataset, init: ModelParams, config: FitConfig = FitConfig()) -> FitResult:
     """Minimize ``objective.nll`` over psi from ``init``.
 
-    Runs up to ``config.restarts`` additional attempts from inits with
-    +/-50% multiplicative noise on the positive parameters when a run ends
+    ``objective`` needs only ``nll(psi, data)``, returning the value with
+    its gradient attached (see the module docstring). Runs up to
+    ``config.restarts`` additional attempts from inits with +/-50%
+    multiplicative noise on the positive parameters when an attempt ends
     unconverged; reports the best point found either way. Deterministic
     given (data, init, config).
     """
@@ -191,20 +208,11 @@ def fit(objective, data: Dataset, init: ModelParams, config: FitConfig = FitConf
     if free_idx.size == 0:
         raise ValueError("no free parameters to optimize")
 
-    def wrapped(x_full):
-        x_full = x_full.copy()
-        x_full[2] = min(x_full[2], log_phi_cap)
-        try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                return objective.nll(_unpack(x_full, nu), data)
-        except (np.linalg.LinAlgError, FloatingPointError, OverflowError):
-            return np.inf
-
     x_init = _pack(init)
-    x_init[2] = min(x_init[2], log_phi_cap)
+    x_init[LOG_PHI] = min(x_init[LOG_PHI], log_phi_cap)
     rng = np.random.default_rng(config.restart_seed)
 
-    best: _BfgsRun | None = None
+    best: _Run | None = None
     restarts_used = 0
     for attempt in range(config.restarts + 1):
         if attempt == 0:
@@ -213,22 +221,19 @@ def fit(objective, data: Dataset, init: ModelParams, config: FitConfig = FitConf
             restarts_used = attempt
             x0 = x_init.copy()
             x0[1:] += np.log(rng.uniform(0.5, 1.5, size=3))
-            x0[2] = min(x0[2], log_phi_cap)
-        run = _bfgs(wrapped, x0, free_idx, config)
-        if best is None or run.f < best.f:
+            x0[LOG_PHI] = min(x0[LOG_PHI], log_phi_cap)
+        run = _lbfgsb(objective, data, nu, x0, free_idx, log_phi_cap, config)
+        if best is None or run.nll < best.nll:
             best = run
         if run.converged:
             break
 
-    x_hat = best.x.copy()
-    phi_capped = x_hat[2] >= log_phi_cap - 1e-12
-    x_hat[2] = min(x_hat[2], log_phi_cap)
     return FitResult(
-        psi_hat=_unpack(x_hat, nu),
-        nll=best.f,
+        psi_hat=_unpack(best.x, nu),
+        nll=best.nll,
         iterations=best.iterations,
         converged=best.converged,
         gradient_norm=best.gradient_norm,
         restarts_used=restarts_used,
-        phi_capped=bool(phi_capped),
+        phi_capped=bool(best.x[LOG_PHI] >= log_phi_cap - 1e-12),
     )

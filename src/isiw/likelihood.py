@@ -13,6 +13,15 @@ one batched Cholesky.
 The nugget enters every marginal and conditional covariance as +tau2 on
 the diagonal: all objectives model the observations, matching the exact
 likelihood's Sigma + tau2 I.
+
+Every objective returns an :class:`NllValue`: the value as a float that
+also carries its closed-form gradient over (mu, log sigma2, log phi,
+log tau2), computed in the same pass. For a Gaussian block with covariance
+A and residual r, d/dt [1/2 log|A| + 1/2 r'A^-1 r] = 1/2 tr((A^-1 - a a') dA/dt)
+with a = A^-1 r. A Vecchia conditional term is the difference of that
+expression for its full block and for the neighbour-only block; the latter
+is the leading principal block, whose inverse the full-block inverse gives
+by a Schur complement on the target row, so one Cholesky factor serves both.
 """
 
 from __future__ import annotations
@@ -21,13 +30,37 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
-from ._linalg import NotPositiveDefiniteError, cholesky_lower, forward_solve_batched
+from ._linalg import (
+    NotPositiveDefiniteError,
+    backward_solve_batched,
+    cholesky_lower,
+    forward_solve_batched,
+)
 from .intensity import WeightVector
-from .model import Dataset, ModelParams, build_cov_matrix, matern_cov, pairwise_distances
+from .model import (
+    Dataset,
+    ModelParams,
+    build_cov_matrix,
+    matern_cov,
+    matern_cov_dlogphi,
+    pairwise_distances,
+)
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+
+class NllValue(float):
+    """A negative log-likelihood: the float it equals, plus ``grad``, its
+    gradient over (mu, log sigma2, log phi, log tau2) at the same point."""
+
+    __slots__ = ("grad",)
+
+    def __new__(cls, value, grad):
+        self = super().__new__(cls, value)
+        self.grad = np.asarray(grad, dtype=float)
+        return self
 
 
 def maxmin_order(locs: np.ndarray) -> np.ndarray:
@@ -106,6 +139,12 @@ class VecchiaPlan:
         coords = self.locations[idx]
         diff = coords[:, :, None, :] - coords[:, None, :, :]
         dists = np.sqrt(np.einsum("bijk,bijk->bij", diff, diff))
+        # blocks share most point pairs, so covariances are evaluated once
+        # per distinct pair and gathered into the blocks
+        pair_key = np.minimum(idx[:, :, None], idx[:, None, :]) * n + np.maximum(
+            idx[:, :, None], idx[:, None, :]
+        )
+        _, first, pair_index = np.unique(pair_key, return_index=True, return_inverse=True)
         valid = (np.arange(width)[None, :] <= k[:, None]).astype(float)
         keep = valid[:, :, None] * valid[:, None, :]
         pad_eye = np.zeros((n, width, width))
@@ -114,7 +153,8 @@ class VecchiaPlan:
         self._packed = {
             "idx": idx,
             "k": k,
-            "dists": dists,
+            "pair_dists": dists.ravel()[first],
+            "pair_index": pair_index.reshape(dists.shape),
             "valid": valid,
             "keep": keep,
             "pad_eye": pad_eye,
@@ -146,14 +186,26 @@ def nn_conditioning_sets(locs: np.ndarray, order: np.ndarray, m: int) -> Vecchia
     return VecchiaPlan(order=order, neighbors=neighbors, m=m, locations=locs)
 
 
-def exact_nll(psi: ModelParams, data: Dataset) -> float:
-    """Negative log-likelihood of N(mu 1, Sigma(theta) + tau2 I) via Cholesky."""
+def exact_nll(psi: ModelParams, data: Dataset) -> NllValue:
+    """Negative log-likelihood of N(mu 1, Sigma(theta) + tau2 I) via Cholesky,
+    with its gradient."""
     dist = data.pairwise_distances()
-    cov = matern_cov(dist, psi.theta)
+    matern = matern_cov(dist, psi.theta)
+    cov = matern.copy()
     cov[np.diag_indices_from(cov)] += psi.tau2
     chol = cholesky_lower(cov, context="observation covariance")
     z = solve_triangular(chol, data.values - psi.mu, lower=True, check_finite=False)
-    return float(0.5 * data.n * LOG_2PI + np.sum(np.log(np.diag(chol))) + 0.5 * z @ z)
+    value = 0.5 * data.n * LOG_2PI + np.sum(np.log(np.diag(chol))) + 0.5 * z @ z
+
+    alpha = solve_triangular(chol, z, lower=True, trans="T", check_finite=False)
+    w = cho_solve((chol, True), np.eye(data.n), check_finite=False) - np.outer(alpha, alpha)
+    grad = [
+        -alpha.sum(),
+        0.5 * np.sum(w * matern),
+        0.5 * np.sum(w * matern_cov_dlogphi(dist, psi.theta)),
+        0.5 * psi.tau2 * np.trace(w),
+    ]
+    return NllValue(value, grad)
 
 
 def _as_weight_array(weights, n: int) -> np.ndarray:
@@ -170,39 +222,66 @@ def vecchia_nll(
     data: Dataset,
     plan: VecchiaPlan,
     weights=None,
-) -> float:
-    """Negative log Vecchia approximation, optionally weighted.
+) -> NllValue:
+    """Negative log Vecchia approximation, optionally weighted, with its
+    gradient.
 
     Unweighted this is -sum_i log f(y_p(i) | y_q(i)). The weighted form
     applies w_p(i) to both the joint and conditioning-set log densities,
     which telescopes to w_p(i) times the conditional terms; with all
-    weights equal to 1 the two coincide bit-for-bit.
+    weights equal to 1 the two coincide bit-for-bit, gradient included.
+
+    Per block with factor L, target row k, z = L^-1 r, alpha = L^-T z and
+    u = L^-T e_k, the conditional term's derivative along dA is
+    1/2 (1 + z_k^2) u'dA u - z_k alpha'dA u, and along mu it is -z_k sum(u).
+    Padding rows of u and a are exactly zero, so they drop out.
     """
     plan.check_data(data)
     packed = plan._packed
-    idx, k, width = packed["idx"], packed["k"], packed["width"]
+    idx, k, width, valid = packed["idx"], packed["k"], packed["width"], packed["valid"]
     n = plan.n
 
-    cov = matern_cov(packed["dists"], psi.theta)
-    cov *= packed["keep"]
-    cov += packed["pad_eye"]
-    rng = np.arange(width)
-    cov[:, rng, rng] += psi.tau2 * packed["valid"]
+    pair_index = packed["pair_index"]
+    matern = matern_cov(packed["pair_dists"], psi.theta)[pair_index] * packed["keep"]
+    block = matern + packed["pad_eye"]
+    diag = np.arange(width)
+    block[:, diag, diag] += psi.tau2 * valid
 
     try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(0, "vecchia conditioning block") from exc
+        chol = np.linalg.cholesky(block)
+    except np.linalg.LinAlgError:
+        for j in range(n):
+            cholesky_lower(block[j], context=f"vecchia conditioning block {j} (point {plan.order[j]})")
+        raise
 
-    resid = (data.values[idx] - psi.mu) * packed["valid"]
-    z = forward_solve_batched(chol, resid)
     rows = np.arange(n)
-    cond_ll = -0.5 * LOG_2PI - np.log(chol[rows, k, k]) - 0.5 * z[rows, k] ** 2
+    z = forward_solve_batched(chol, (data.values[idx] - psi.mu) * valid)
+    zk = z[rows, k]
+    alpha = backward_solve_batched(chol, z)
+    target = np.zeros((n, width))
+    target[rows, k] = 1.0
+    u = backward_solve_batched(chol, target)
 
-    if weights is None:
-        return -float(cond_ll.sum())
-    w = _as_weight_array(weights, n)
-    return -float((w[plan.order] * cond_ll).sum())
+    def derivative(u_da_u, alpha_da_u):
+        return 0.5 * (1.0 + zk * zk) * u_da_u - zk * alpha_da_u
+
+    def derivative_along(d_block):
+        da_u = np.einsum("bij,bj->bi", d_block, u)
+        return derivative(np.einsum("bi,bi->b", u, da_u), np.einsum("bi,bi->b", alpha, da_u))
+
+    terms = np.stack(
+        [
+            0.5 * LOG_2PI + np.log(chol[rows, k, k]) + 0.5 * zk * zk,
+            -zk * u.sum(axis=1),
+            derivative_along(matern),
+            derivative_along(matern_cov_dlogphi(packed["pair_dists"], psi.theta)[pair_index]),
+            psi.tau2 * derivative(np.einsum("bi,bi->b", u, u), np.einsum("bi,bi->b", alpha, u)),
+        ]
+    )
+    if weights is not None:
+        terms *= _as_weight_array(weights, n)[plan.order]
+    total = terms.sum(axis=1)
+    return NllValue(total[0], total[1:])
 
 
 def pairwise_marginal_nll(
@@ -210,8 +289,9 @@ def pairwise_marginal_nll(
     data: Dataset,
     weights=None,
     cutoff: float | None = None,
-) -> float:
-    """Negative weighted pairwise-marginal composite log-likelihood.
+) -> NllValue:
+    """Negative weighted pairwise-marginal composite log-likelihood, with
+    its gradient.
 
     Sums -omega_ij log f(y_i, y_j) over pairs within ``cutoff`` (all pairs
     when None), with omega_ij = w_i w_j when weights are supplied.
@@ -232,13 +312,26 @@ def pairwise_marginal_nll(
     det = v * v - c * c
     a = data.values[iu] - psi.mu
     b = data.values[ju] - psi.mu
-    quad = (v * (a * a + b * b) - 2.0 * c * a * b) / det
-    ll = -LOG_2PI - 0.5 * np.log(det) - 0.5 * quad
-
-    if weights is None:
-        return -float(ll.sum())
-    w = _as_weight_array(weights, n)
-    return -float((w[iu] * w[ju] * ll).sum())
+    squares, cross = a * a + b * b, a * b
+    quad = (v * squares - 2.0 * c * cross) / det
+    # partial derivatives of each pair's term in the marginal variance v
+    # and the covariance c; sigma2 moves both, phi only c, tau2 only v
+    d_v = (v + 0.5 * squares - quad * v) / det
+    d_c = (quad * c - c - cross) / det
+    terms = np.stack(
+        [
+            LOG_2PI + 0.5 * np.log(det) + 0.5 * quad,
+            -(a + b) * (v - c) / det,
+            psi.theta.sigma2 * d_v + c * d_c,
+            matern_cov_dlogphi(d, psi.theta) * d_c,
+            psi.tau2 * d_v,
+        ]
+    )
+    if weights is not None:
+        w = _as_weight_array(weights, n)
+        terms *= w[iu] * w[ju]
+    total = terms.sum(axis=1)
+    return NllValue(total[0], total[1:])
 
 
 def vecchia_implied_cov(psi: ModelParams, plan: VecchiaPlan) -> np.ndarray:
@@ -310,7 +403,8 @@ class Objective:
         if (self.plan is not None) != (self.kind == VECCHIA):
             raise ValueError("a conditioning plan is required exactly when kind is 'vecchia'")
 
-    def nll(self, psi: ModelParams, data: Dataset) -> float:
+    def nll(self, psi: ModelParams, data: Dataset) -> NllValue:
+        """The objective's value at ``psi``, carrying its gradient."""
         if self.kind == EXACT:
             return exact_nll(psi, data)
         if self.kind == VECCHIA:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import gamma as _gamma
+from scipy.special import k0 as _bessel_k0
 from scipy.special import k1 as _bessel_k1
 from scipy.special import kv as _bessel_kv
 
@@ -137,26 +138,46 @@ def pairwise_distances(locs: np.ndarray, other: np.ndarray | None = None) -> np.
     return cdist(locs, other)
 
 
+def _scaled_distances(h, theta: CovParams):
+    """Whether the validated distances ``h`` were a scalar, and the Matérn
+    argument s = sqrt(2 nu) h / phi as an array."""
+    h_arr = np.asarray(h, dtype=float)
+    if np.any(h_arr < 0):
+        raise ValueError("distances must be nonnegative")
+    scalar = h_arr.ndim == 0
+    return scalar, math.sqrt(2.0 * theta.nu) / theta.phi * np.atleast_1d(h_arr)
+
+
+def _bessel_k(order: float, s: np.ndarray):
+    """K_order(s), with 1 where it is not finite, and the mask of those
+    entries. K is infinite at s = 0 and overflows (or turns NaN) only for
+    subnormal or similarly tiny s, where the Matérn covariance and its
+    derivative equal their h = 0 limits to double precision (for nu >= 0.03);
+    callers substitute those limits there."""
+    if order == 0.0:
+        bessel = _bessel_k0(s)
+    elif abs(order) == 1.0:
+        bessel = _bessel_k1(s)
+    else:
+        bessel = _bessel_kv(order, s)
+    limit = ~np.isfinite(bessel)
+    return np.where(limit, 1.0, bessel), limit
+
+
 def matern_cov(h, theta: CovParams):
     """Matérn covariance at distance(s) ``h``.
 
     C(h) = sigma2 * 2^(1-nu)/Gamma(nu) * (sqrt(2 nu) h / phi)^nu
            * K_nu(sqrt(2 nu) h / phi)
 
-    with the h = 0 limit sigma2 handled explicitly. nu = 1/2, 1, 3/2 and
+    with the h = 0 limit sigma2 taken explicitly, also where K_nu overflows
+    at tiny s (see ``_bessel_k``). nu = 1/2, 1, 3/2 and
     5/2 use their closed forms (exponential decay times a polynomial, or
     K_1 directly); other orders go through the general Bessel-K branch.
     Accepts scalars or arrays; returns the same shape.
     """
-    h_arr = np.asarray(h, dtype=float)
-    if np.any(h_arr < 0):
-        raise ValueError("distances must be nonnegative")
-    scalar = h_arr.ndim == 0
-    h_arr = np.atleast_1d(h_arr)
-
-    sigma2, phi, nu = theta.sigma2, theta.phi, theta.nu
-    s = math.sqrt(2.0 * nu) / phi * h_arr
-    zero = h_arr == 0.0
+    scalar, s = _scaled_distances(h, theta)
+    sigma2, nu = theta.sigma2, theta.nu
 
     if nu == 0.5:
         out = sigma2 * np.exp(-s)
@@ -165,13 +186,50 @@ def matern_cov(h, theta: CovParams):
     elif nu == 2.5:
         out = sigma2 * (1.0 + s + s * s / 3.0) * np.exp(-s)
     else:
-        s_safe = np.where(zero, 1.0, s)
+        bessel, limit = _bessel_k(nu, s)
+        s = np.where(limit, 1.0, s)
         if nu == 1.0:
-            out = sigma2 * s_safe * _bessel_k1(s_safe)
+            out = sigma2 * s * bessel
         else:
             const = sigma2 * 2.0 ** (1.0 - nu) / _gamma(nu)
-            out = const * s_safe**nu * _bessel_kv(nu, s_safe)
-        out = np.where(zero, sigma2, out)
+            out = const * s**nu * bessel
+        out = np.where(limit, sigma2, out)
+
+    if scalar:
+        return float(out[0])
+    return out
+
+
+def matern_cov_dlogphi(h, theta: CovParams):
+    """Derivative of :func:`matern_cov` with respect to log phi.
+
+    With s = sqrt(2 nu) h / phi, ds/dlog phi = -s and
+    d/ds [s^nu K_nu(s)] = -s^nu K_(nu-1)(s), so
+
+        dC/dlog phi = sigma2 * 2^(1-nu)/Gamma(nu) * s^(nu+1) * K_(nu-1)(s),
+
+    which is sigma2 s^2 K_0(s) at nu = 1 and vanishes at h = 0. nu = 1/2,
+    3/2 and 5/2 use the derivatives of their exponential closed forms.
+    Accepts scalars or arrays; returns the same shape.
+    """
+    scalar, s = _scaled_distances(h, theta)
+    sigma2, nu = theta.sigma2, theta.nu
+
+    if nu == 0.5:
+        out = sigma2 * s * np.exp(-s)
+    elif nu == 1.5:
+        out = sigma2 * s * s * np.exp(-s)
+    elif nu == 2.5:
+        out = sigma2 * s * s * (1.0 + s) / 3.0 * np.exp(-s)
+    else:
+        bessel, limit = _bessel_k(nu - 1.0, s)
+        s = np.where(limit, 1.0, s)
+        if nu == 1.0:
+            out = sigma2 * s * s * bessel
+        else:
+            const = sigma2 * 2.0 ** (1.0 - nu) / _gamma(nu)
+            out = const * s ** (nu + 1.0) * bessel
+        out = np.where(limit, 0.0, out)
 
     if scalar:
         return float(out[0])

@@ -301,6 +301,7 @@ def test_criterion_06_weight_pipeline():
     )
 
 
+@pytest.mark.slow
 def test_criterion_07_preferential_headline(headline_runs):
     rows = headline_runs["rows"]
     mle_hi, _ = _mean_rmspe(rows, "lgcp-n100-phi0.15", "mle")
@@ -316,6 +317,7 @@ def test_criterion_07_preferential_headline(headline_runs):
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_no_preferential_sampling_control(tmp_path):
     started = time.perf_counter()
     config = ExperimentConfig(
@@ -343,6 +345,7 @@ def test_criterion_08_no_preferential_sampling_control(tmp_path):
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_estimated_weight_variants(headline_runs):
     rows = headline_runs["rows"]
     scenario = "lgcp-n100-phi0.15"
@@ -364,6 +367,7 @@ def test_criterion_09_estimated_weight_variants(headline_runs):
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_byte_level_determinism(headline_runs):
     a = Path(headline_runs["dir_a"], "results.csv").read_bytes()
     b = Path(headline_runs["dir_b"], "results.csv").read_bytes()

@@ -9,13 +9,16 @@ from isiw import (
     Domain,
     FitConfig,
     ModelParams,
+    NllValue,
     Objective,
     build_cov_matrix,
     default_init,
     exact_nll,
     fd_gradient,
     fit,
+    maxmin_order,
     microergodic,
+    nn_conditioning_sets,
 )
 from isiw._linalg import cholesky_lower
 
@@ -155,6 +158,7 @@ class TestFit:
         with pytest.raises(ValueError, match="finite"):
             fit(Objective(kind="exact"), data, bad_init, FitConfig(domain=UNIT))
 
+    @pytest.mark.slow
     def test_microergodic_recovery(self):
         # fixed-domain theory: kappa = sigma2/phi^(2 nu) is the estimable
         # functional; at n=400 the exact fit should land within a factor
@@ -167,3 +171,86 @@ class TestFit:
             ratio = microergodic(res.psi_hat.theta) / kappa_true
             hits += 0.5 <= ratio <= 2.0
         assert hits >= 16
+
+
+def panel_objective(kind, data, seed):
+    w = np.random.default_rng(seed).uniform(0.5, 1.5, data.n)
+    plan = nn_conditioning_sets(data.locations, maxmin_order(data.locations), 10)
+    return {
+        "exact": Objective(kind="exact"),
+        "vecchia": Objective(kind="vecchia", plan=plan),
+        "vecchia-w": Objective(kind="vecchia", plan=plan, weights=w),
+        "pairwise": Objective(kind="pairwise-marginal"),
+        "pairwise-w-cut": Objective(kind="pairwise-marginal", weights=w, pair_cutoff=0.3),
+    }[kind]
+
+
+# (objective, n, seed, final NLL of the central-difference BFGS fit that
+# L-BFGS-B with closed-form gradients replaced, from default_init with
+# FitConfig(domain=UNIT))
+FD_BFGS_PANEL = [
+    ("exact", 80, 301, 102.1965619707271),
+    ("exact", 80, 302, 84.03543683039345),
+    ("exact", 80, 303, 104.16874024962621),
+    ("vecchia", 150, 301, 170.9572195568773),
+    ("vecchia", 150, 302, 152.15288769060624),
+    ("vecchia", 150, 303, 153.26682752720035),
+    ("vecchia-w", 150, 301, 172.4156074592084),
+    ("vecchia-w", 150, 302, 154.51585376158732),
+    ("vecchia-w", 150, 303, 152.43544895517837),
+    ("pairwise", 60, 301, 6410.446890607531),
+    ("pairwise", 60, 302, 5382.871003933144),
+    ("pairwise", 60, 303, 6114.5682210439845),
+    ("pairwise-w-cut", 80, 301, 1969.2096270503237),
+    ("pairwise-w-cut", 80, 302, 1791.9437549629245),
+    ("pairwise-w-cut", 80, 303, 2631.224871217856),
+]
+
+
+class WalledQuadratic:
+    """0.5 |x - centre|^2 over x = (mu, log sigma2, log phi, log tau2),
+    with value +inf wherever mu exceeds ``wall``."""
+
+    def __init__(self, wall, centre):
+        self.wall = wall
+        self.centre = np.asarray(centre, dtype=float)
+
+    def nll(self, psi, data):
+        x = np.array([psi.mu, math.log(psi.theta.sigma2), math.log(psi.theta.phi), math.log(psi.tau2)])
+        if x[0] > self.wall:
+            return NllValue(math.inf, np.full(4, math.nan))
+        return NllValue(0.5 * (x - self.centre) @ (x - self.centre), x - self.centre)
+
+
+class TestOptimizer:
+    @pytest.mark.parametrize("kind,n,seed,fd_bfgs_nll", FD_BFGS_PANEL)
+    def test_no_worse_than_fd_bfgs(self, kind, n, seed, fd_bfgs_nll):
+        data = simulate_dataset(n, seed)
+        res = fit(panel_objective(kind, data, seed), data, default_init(data, UNIT), FitConfig(domain=UNIT))
+        assert res.converged
+        assert res.nll <= fd_bfgs_nll + 1e-8 * abs(fd_bfgs_nll)
+
+    @pytest.mark.parametrize("wall,centre_mu", [(1.0, 2.0), (0.0, 5.0), (3.0, 3.5), (-2.5, 0.0)])
+    def test_nonfinite_wall_never_converges_off_stationary(self, wall, centre_mu):
+        # the minimum lies beyond the wall, so no reachable point is stationary
+        data = simulate_dataset(5, 14)
+        objective = WalledQuadratic(wall, [centre_mu, 0.5, -1.0, 0.3])
+        res = fit(objective, data, ModelParams.from_values(-3.0, 1.0, 0.2, 0.1), FitConfig(domain=UNIT))
+        assert not res.converged
+        assert res.psi_hat.mu <= wall
+
+    def test_nonfinite_wall_with_interior_minimum_converges(self):
+        data = simulate_dataset(5, 15)
+        objective = WalledQuadratic(1.0, [0.9, 0.5, -1.0, 0.3])
+        res = fit(objective, data, ModelParams.from_values(-3.0, 1.0, 0.2, 0.1), FitConfig(domain=UNIT))
+        assert res.converged
+        assert res.psi_hat.mu == pytest.approx(0.9, abs=1e-6)
+
+    def test_value_without_gradient_rejected(self):
+        class PlainFloat:
+            def nll(self, psi, data):
+                return float(exact_nll(psi, data))
+
+        data = simulate_dataset(10, 16)
+        with pytest.raises(TypeError, match="gradient"):
+            fit(PlainFloat(), data, default_init(data, UNIT), FitConfig(domain=UNIT))

@@ -176,6 +176,19 @@ class TestVecchiaNll:
             plan = nn_conditioning_sets(data.locations, maxmin_order(data.locations), m=n - 1 if n > 1 else 1)
             assert vecchia_nll(psi, data, plan) == pytest.approx(exact_nll(psi, data), abs=1e-8)
 
+    def test_failing_block_named(self):
+        # two points 1e-9 apart with no nugget make the block of whichever
+        # is ordered second (after the far point) exactly singular
+        locs = np.array([[0.1, 0.1], [0.1 + 1e-9, 0.1], [0.5, 0.5]])
+        data = Dataset(locations=locs, values=np.array([1.0, 2.0, 3.0]))
+        plan = nn_conditioning_sets(locs, maxmin_order(locs), m=2)
+        assert plan.order[1] == 2
+        psi = ModelParams.from_values(0.0, 1.0, 1.0, 0.0)
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            vecchia_nll(psi, data, plan)
+        assert f"vecchia conditioning block 2 (point {plan.order[2]})" in str(err.value)
+        assert err.value.pivot == 3
+
     def test_plan_data_mismatch_rejected(self):
         data = random_dataset(10, 30)
         other = random_dataset(10, 31)
