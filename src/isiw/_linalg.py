@@ -1,7 +1,10 @@
 """Small shared linear-algebra helpers (Cholesky with pivot reporting,
-batched triangular solves)."""
+batched triangular solves, OpenBLAS thread control)."""
 
 from __future__ import annotations
+
+import ctypes
+import os
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf
@@ -58,3 +61,53 @@ def backward_solve_batched(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             acc = acc - np.einsum("bl,bl->b", chol[:, j + 1 :, j], x[:, j + 1 :])
         x[:, j] = acc / chol[:, j, j]
     return x
+
+
+# numpy and scipy wheels each bundle their own OpenBLAS, with prefixed (and,
+# for numpy's 64-bit-integer build, suffixed) symbol names
+_OPENBLAS_SYMBOL_FORMS = [
+    (prefix, suffix) for prefix in ("scipy_", "") for suffix in ("64_", "")
+]
+
+
+def _openblas_calls(name: str) -> dict:
+    """``{library path: function}`` for the OpenBLAS ``openblas_<name>``
+    entry point of every OpenBLAS library mapped into this process. Empty
+    where the process map is unreadable (no /proc) or no library exports a
+    known form of the symbol."""
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return {}
+    paths = {f[5].strip() for f in fields if len(f) == 6}
+    calls = {}
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p).lower()):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in _OPENBLAS_SYMBOL_FORMS:
+            func = getattr(lib, f"{prefix}openblas_{name}{suffix}", None)
+            if func is not None:
+                calls[path] = func
+                break
+    return calls
+
+
+def blas_threads() -> dict:
+    """``{library path: thread count}`` for each loaded OpenBLAS."""
+    counts = {}
+    for path, get in _openblas_calls("get_num_threads").items():
+        get.argtypes, get.restype = [], ctypes.c_int
+        counts[path] = get()
+    return counts
+
+
+def set_blas_threads(n: int) -> None:
+    """Limit every loaded OpenBLAS to ``n`` threads; a no-op for a BLAS
+    without a known setter. Process-pool workers call this so that each
+    runs single-threaded BLAS instead of oversubscribing the cores."""
+    for set_threads in _openblas_calls("set_num_threads").values():
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(n)

@@ -34,6 +34,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import rankdata
 
+from ._linalg import set_blas_threads
 from .fields import GridSpec, SeedStream, observe, simulate_field
 from .inference import FitConfig, default_init, fit
 from .intensity import estimate_intensity, select_bandwidth, weights_from_intensity
@@ -301,6 +302,13 @@ def _replicate_task(args):
     return run_replicate(config, scenario, replicate)
 
 
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """Process pool whose workers each run single-threaded OpenBLAS, so
+    ``workers`` processes do not oversubscribe the cores. The calling
+    process keeps its own thread count."""
+    return ProcessPoolExecutor(max_workers=workers, initializer=set_blas_threads, initargs=(1,))
+
+
 def run_experiment(config: ExperimentConfig, out_dir) -> tuple:
     """Run every scenario x replicate cell, write the per-replicate results
     CSV plus summary, rank, and parameter-error tables, and return
@@ -310,7 +318,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> tuple:
     tasks = [(config, sc, rep) for sc in config.scenarios() for rep in range(config.replicates)]
 
     if config.threads > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+        with _worker_pool(config.threads) as pool:
             chunks = list(pool.map(_replicate_task, tasks, chunksize=1))
     else:
         chunks = [_replicate_task(t) for t in tasks]

@@ -8,8 +8,9 @@ where e_h(s) is the mass of the kernel centered at s that falls inside the
 rectangular domain (product of per-axis normal CDF differences, exact for
 rectangles). Five bandwidth selectors are provided; "CvL.adaptive" attaches
 a per-point bandwidth inversely proportional to the square root of a pilot
-density. Weights are inverse intensities, winsorized from below on the
-n-normalized scale and renormalized to sum to n.
+density; the LSCV ("diggle") and Poisson-likelihood ("ppl") criteria have
+exact integral terms. Weights are inverse intensities, winsorized from
+below on the n-normalized scale and renormalized to sum to n.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ BANDWIDTH_METHODS = (SCOTT, DIGGLE, PPL, CVL, CVL_ADAPTIVE, FIXED)
 
 GRID_METHODS = (DIGGLE, PPL, CVL, CVL_ADAPTIVE)
 SEARCH_GRID_SIZE = 64
-QUAD_RESOLUTION = 128
 _INTENSITY_FLOOR_REL = 1e-12
 
 
@@ -82,7 +82,6 @@ class IntensityEstimate:
     bandwidth: BandwidthSpec | None = None
     grid: GridSpec | None = None
     on_grid: np.ndarray | None = None
-    edge_corrected: bool = True
 
     def __post_init__(self):
         self.at_points = _floor_positive(np.asarray(self.at_points, dtype=float))
@@ -172,29 +171,16 @@ class _SelectorWorkspace:
     """Shared precomputation for the grid-searched selectors.
 
     Distances are computed once; each candidate bandwidth only pays for
-    kernel evaluations. Quadrature for the integral terms is midpoint on a
-    quad_nx x quad_ny lattice, chunked to bound memory.
+    kernel evaluations. Every edge-corrected kernel integrates to 1 over
+    the domain, so the integral of lambda is n; that of lambda^2 is
+    :meth:`integral_sq`.
     """
 
-    def __init__(self, points, domain, quad_nx=QUAD_RESOLUTION, quad_ny=None):
+    def __init__(self, points, domain):
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
         self.domain = domain
         self.n = self.points.shape[0]
-        self.quad_nx = quad_nx
-        self.quad_ny = quad_ny if quad_ny is not None else quad_nx
         self.d2_pts = cdist(self.points, self.points, "sqeuclidean")
-        self._quad_pts = None
-
-    @property
-    def quad_points(self) -> np.ndarray:
-        if self._quad_pts is None:
-            spec = GridSpec(self.domain, self.quad_nx, self.quad_ny)
-            self._quad_pts = spec.cell_centers()
-        return self._quad_pts
-
-    @property
-    def quad_weight(self) -> float:
-        return self.domain.area / (self.quad_nx * self.quad_ny)
 
     def at_points(self, h) -> np.ndarray:
         return _kernel_sum(self.d2_pts, self.points, h, self.domain)
@@ -207,37 +193,37 @@ class _SelectorWorkspace:
         np.fill_diagonal(contrib, 0.0)
         return contrib @ (1.0 / _edge_mass(self.points, np.sqrt(h2), self.domain))
 
-    def integrals(self, hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Midpoint-quadrature (integral lambda, integral lambda^2) per h."""
-        i1 = np.zeros(hs.size)
-        i2 = np.zeros(hs.size)
-        inv_e = np.array([1.0 / _edge_mass(self.points, h, self.domain) for h in hs])
-        quad = self.quad_points
-        chunk = max(1, 4_000_000 // self.n)
-        for start in range(0, quad.shape[0], chunk):
-            d2c = cdist(quad[start : start + chunk], self.points, "sqeuclidean")
-            for j, h in enumerate(hs):
-                lam = (np.exp(-d2c / (2.0 * h * h)) / (2.0 * math.pi * h * h)) @ inv_e[j]
-                i1[j] += lam.sum()
-                i2[j] += (lam * lam).sum()
-        return i1 * self.quad_weight, i2 * self.quad_weight
+    def integral_sq(self, hs: np.ndarray) -> np.ndarray:
+        """Exact integral of lambda^2 over the domain per bandwidth (Diggle
+        1985): per axis, phi_h(x - u) phi_h(x - v) is phi_{sqrt2 h}(u - v)
+        times a normal density of scale h/sqrt2 about (u + v)/2, whose mass
+        in the rectangle is an edge mass. Summed over pairs i <= j."""
+        i, j = np.triu_indices(self.n)
+        mult = np.where(i == j, 1.0, 2.0)
+        d2, mid = self.d2_pts[i, j], 0.5 * (self.points[i] + self.points[j])
+        out = np.empty(hs.size)
+        for k, h in enumerate(hs):
+            inv_e = 1.0 / _edge_mass(self.points, h, self.domain)
+            inner = _edge_mass(mid, h / math.sqrt(2.0), self.domain)
+            terms = mult * inv_e[i] * inv_e[j] * np.exp(-d2 / (4.0 * h * h)) * inner
+            out[k] = terms.sum() / (4.0 * math.pi * h * h)
+        return out
 
 
 def lscv_criterion(ws: _SelectorWorkspace, hs: np.ndarray) -> np.ndarray:
-    """Least-squares cross-validation risk per candidate bandwidth:
-    integral of lambda^2 minus twice the sum of leave-one-out fits."""
-    _, int_sq = ws.integrals(hs)
+    """Least-squares cross-validation risk per candidate bandwidth: the
+    exact integral of lambda^2 minus twice the sum of leave-one-out fits."""
     loo = np.array([ws.at_points_loo(h).sum() for h in hs])
-    return int_sq - 2.0 * loo
+    return ws.integral_sq(hs) - 2.0 * loo
 
 
 def ppl_criterion(ws: _SelectorWorkspace, hs: np.ndarray) -> np.ndarray:
-    """Leave-one-out Poisson log-likelihood per candidate bandwidth."""
-    int_lam, _ = ws.integrals(hs)
+    """Leave-one-out Poisson log-likelihood per candidate bandwidth. Its
+    integral term, the integral of lambda, is exactly n for every h."""
     loglik = np.array(
         [np.log(np.maximum(ws.at_points_loo(h), 1e-300)).sum() for h in hs]
     )
-    return loglik - int_lam
+    return loglik - ws.n
 
 
 def cvl_criterion(ws: _SelectorWorkspace, hs: np.ndarray) -> np.ndarray:
@@ -272,7 +258,6 @@ def select_bandwidth(
     points: np.ndarray,
     domain: Domain,
     grid_size: int = SEARCH_GRID_SIZE,
-    quad_nx: int = QUAD_RESOLUTION,
 ) -> BandwidthSpec:
     """Pick a bandwidth by the named rule.
 
@@ -300,7 +285,7 @@ def select_bandwidth(
         cap = min(domain.x1 - domain.x0, domain.y1 - domain.y0) / 4.0
         capped = hs[hs <= cap]
         hs = capped if capped.size >= 2 else hs[:2]
-    ws = _SelectorWorkspace(points, domain, quad_nx=quad_nx)
+    ws = _SelectorWorkspace(points, domain)
 
     if method == DIGGLE:
         best = int(np.argmin(lscv_criterion(ws, hs)))

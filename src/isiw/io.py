@@ -138,7 +138,3 @@ def write_plan_csv(path, plan: VecchiaPlan) -> None:
         rows.append((idx, position, ";".join(str(v) for v in plan.neighbors[position])))
     rows.sort(key=lambda r: r[0])
     write_rows(path, ["index", "ordered_position", "neighbors"], rows)
-
-
-def grid_from_args(domain, nx: int, ny: int | None = None) -> GridSpec:
-    return GridSpec(domain, nx, ny if ny is not None else nx)

@@ -14,7 +14,8 @@ from isiw import (
     run_experiment,
     run_replicate,
 )
-from isiw.experiment import ExperimentConfig, format_config, summarize
+from isiw._linalg import blas_threads
+from isiw.experiment import ExperimentConfig, _worker_pool, format_config, summarize
 from isiw import io
 from isiw.cli import main as cli_main
 
@@ -166,6 +167,17 @@ class TestRunExperiment:
         config2 = tiny_config(replicates=2, threads=2)
         rows_b, _ = run_experiment(config2, tmp_path / "parallel")
         assert [r.csv_row() for r in rows_a] == [r.csv_row() for r in rows_b]
+        csv = lambda run: (tmp_path / run / "results.csv").read_bytes()
+        assert csv("serial") == csv("parallel")
+
+    def test_pool_workers_run_single_threaded_blas(self):
+        parent = blas_threads()
+        if not parent:
+            pytest.skip("this numpy/scipy build loads no OpenBLAS with a thread getter")
+        with _worker_pool(2) as pool:
+            workers = [pool.submit(blas_threads).result() for _ in range(4)]
+        assert all(counts == {path: 1 for path in parent} for counts in workers)
+        assert blas_threads() == parent  # the calling process is never pinned
 
     def test_rank_table_beats_column(self, tmp_path):
         config = tiny_config(replicates=2)

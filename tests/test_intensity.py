@@ -49,13 +49,34 @@ def _phi(z):
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
-def oracle_criteria(points, domain, h, quad_nx):
+def oracle_integral_sq(points, domain, h):
+    """Integral of lambda^2 over the domain, one scalar pair at a time: per
+    axis, the product of two normal densities of scale h centred at u and v
+    is a normal density of scale sqrt(2) h in u - v times one of scale
+    h / sqrt(2) about (u + v) / 2."""
+    def mass(s):
+        return (_phi((domain.x1 - s[0]) / h) - _phi((domain.x0 - s[0]) / h)) * (
+            _phi((domain.y1 - s[1]) / h) - _phi((domain.y0 - s[1]) / h)
+        )
+
+    def axis(u, v, a, b):
+        gap = math.exp(-((u - v) ** 2) / (4 * h * h)) / (2 * h * math.sqrt(math.pi))
+        mid = (u + v) / 2
+        return gap * (_phi((b - mid) * math.sqrt(2) / h) - _phi((a - mid) * math.sqrt(2) / h))
+
+    total = 0.0
+    for si in points:
+        for sj in points:
+            total += (
+                axis(si[0], sj[0], domain.x0, domain.x1)
+                * axis(si[1], sj[1], domain.y0, domain.y1)
+                / (mass(si) * mass(sj))
+            )
+    return total
+
+
+def oracle_criteria(points, domain, h):
     n = len(points)
-    grid = GridSpec(domain, quad_nx, quad_nx)
-    cell = domain.area / grid.ncells
-    lam_grid = np.array([oracle_lambda(u, points, h, domain) for u in grid.cell_centers()])
-    int_lam = lam_grid.sum() * cell
-    int_lam_sq = (lam_grid**2).sum() * cell
     lam_pts = np.array([oracle_lambda(x, points, h, domain) for x in points])
     loo = np.array(
         [
@@ -63,8 +84,9 @@ def oracle_criteria(points, domain, h, quad_nx):
             for i, x in enumerate(points)
         ]
     )
-    lscv = int_lam_sq - 2 * loo.sum()
-    ppl = np.log(np.maximum(loo, 1e-300)).sum() - int_lam
+    # every edge-corrected kernel integrates to 1, so integral lambda = n
+    lscv = oracle_integral_sq(points, domain, h) - 2 * loo.sum()
+    ppl = np.log(np.maximum(loo, 1e-300)).sum() - n
     cvl = (np.sum(1.0 / lam_pts) - domain.area) ** 2
     return lscv, ppl, cvl
 
@@ -146,15 +168,15 @@ class TestSelectBandwidth:
         # vectorized production criteria vs the direct reimplementation
         rng = np.random.default_rng(9)
         pts = rng.random((60, 2))
-        ws = _SelectorWorkspace(pts, UNIT, quad_nx=32)
+        ws = _SelectorWorkspace(pts, UNIT)
         for h in (0.03, 0.1, 0.3):
             hs = np.array([h])
             got_lscv = lscv_criterion(ws, hs)[0]
             got_ppl = ppl_criterion(ws, hs)[0]
             got_cvl = cvl_criterion(ws, hs)[0]
-            want_lscv, want_ppl, want_cvl = oracle_criteria(pts, UNIT, h, 32)
-            assert got_lscv == pytest.approx(want_lscv, rel=1e-8)
-            assert got_ppl == pytest.approx(want_ppl, rel=1e-8)
+            want_lscv, want_ppl, want_cvl = oracle_criteria(pts, UNIT, h)
+            assert got_lscv == pytest.approx(want_lscv, rel=1e-10)
+            assert got_ppl == pytest.approx(want_ppl, rel=1e-10)
             assert got_cvl == pytest.approx(want_cvl, rel=1e-8)
 
     def test_boundary_flag_mechanism(self):
@@ -163,14 +185,28 @@ class TestSelectBandwidth:
         bw = select_bandwidth("diggle", pts, UNIT, grid_size=2)
         assert bw.boundary
 
-    def test_quadrature_resolution_stable(self):
-        # doubling the integration grid moves the criteria by < 0.1%
+    def test_integrals_match_fine_midpoint_quadrature(self):
+        # On a lattice of spacing d the midpoint rule errs by c d^2 + O(d^4),
+        # so Q(d) - Q(d/2) = (3/4) c d^2 and Q(d/2) - exact is
+        # (Q(d) - Q(d/2)) / 3 to leading order. The O(d^4) remainder is of
+        # relative order (d / h)^2 = 1/64 at h = 8 d (the coarse spacing),
+        # hence the 5% tolerance on that prediction.
+        domain = Domain(-1.0, 2.0, 0.5, 1.5)
         rng = np.random.default_rng(30)
-        pts = rng.random((80, 2))
-        hs = np.array([0.08])
-        coarse = lscv_criterion(_SelectorWorkspace(pts, UNIT, quad_nx=128), hs)[0]
-        fine = lscv_criterion(_SelectorWorkspace(pts, UNIT, quad_nx=256), hs)[0]
-        assert abs(fine - coarse) / abs(coarse) < 1e-3
+        pts = np.column_stack([rng.uniform(-1.0, 2.0, 30), rng.uniform(0.5, 1.5, 30)])
+        h = 0.1
+        exact = {1: 30.0, 2: _SelectorWorkspace(pts, domain).integral_sq(np.array([h]))[0]}
+
+        def midpoint(power, nx, ny):
+            grid = GridSpec(domain, nx, ny)
+            est = estimate_intensity(pts, domain, BandwidthSpec(method="fixed", h=h), grid=grid)
+            return (est.on_grid**power).sum() * domain.area / grid.ncells
+
+        for power in (1, 2):
+            q_coarse, q_fine = midpoint(power, 240, 80), midpoint(power, 480, 160)
+            predicted = (q_coarse - q_fine) / 3.0
+            assert abs(predicted) > 1e-9 * exact[power]
+            assert abs((q_fine - exact[power]) - predicted) < 0.05 * abs(predicted)
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +246,7 @@ class TestDiggleVsScott:
             fld = simulate_field(grid, theta, root.child(rep, 0))
             lam = compute_intensity("lgcp", fld, SamplerSpec(kind="lgcp", n=100, beta=1.0))
             pts = sample_conditioned(fld, lam, 100, root.child(rep, 1))
-            h_diggle = select_bandwidth("diggle", pts, UNIT, quad_nx=64).h
+            h_diggle = select_bandwidth("diggle", pts, UNIT).h
             h_scott = scott_bandwidth(pts)
             smaller += h_diggle < h_scott
         assert smaller >= 90

@@ -1,5 +1,6 @@
 """Property tests of the likelihood objectives and their closed-form
-gradients, over random data, parameters and smoothness orders.
+gradients, over random data, parameters and smoothness orders, and of the
+intensity layer's exact selector integrals and weight normalization.
 
 Examples are derandomized and bounded, so the file is deterministic.
 """
@@ -7,12 +8,16 @@ Examples are derandomized and bounded, so the file is deterministic.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from test_intensity import oracle_integral_sq
 
 from isiw import (
     CovParams,
     Dataset,
+    Domain,
     ModelParams,
     exact_nll,
     fd_gradient,
@@ -22,7 +27,9 @@ from isiw import (
     nn_conditioning_sets,
     pairwise_marginal_nll,
     vecchia_nll,
+    weights_from_intensity,
 )
+from isiw.intensity import _SelectorWorkspace
 
 NUS = (0.5, 0.8, 1.0, 1.5, 2.5)
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
@@ -157,3 +164,33 @@ def test_matern_tiny_distances_reach_their_limits(nu, h, phi):
     theta = CovParams(1.7, phi, nu)
     assert abs(matern_cov(h, theta) - 1.7) <= 1e-13
     assert abs(matern_cov_dlogphi(h, theta)) <= 1e-13
+
+
+@PROPERTY
+@given(
+    st.integers(5, 25),
+    st.integers(0, 2**32 - 1),
+    st.floats(-2.0, 2.0),
+    st.floats(0.2, 3.0),
+    st.floats(-2.0, 2.0),
+    st.floats(0.2, 3.0),
+    st.floats(0.005, 1.0),
+)
+def test_integral_sq_matches_pair_oracle(n, seed, x0, width, y0, height, h_rel):
+    domain = Domain(x0, x0 + width, y0, y0 + height)
+    rng = np.random.default_rng(seed)
+    points = np.column_stack([rng.uniform(domain.x0, domain.x1, n), rng.uniform(domain.y0, domain.y1, n)])
+    h = h_rel * max(width, height)
+    got = _SelectorWorkspace(points, domain).integral_sq(np.array([h]))[0]
+    assert got == pytest.approx(oracle_integral_sq(points, domain, h), rel=1e-10)
+
+
+@PROPERTY
+@given(
+    st.lists(st.floats(1e-8, 1e8), min_size=1, max_size=200),
+    st.sampled_from([0.0, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0]),
+)
+def test_weights_sum_to_n(intensities, threshold):
+    n = len(intensities)
+    weights = weights_from_intensity(np.array(intensities), threshold).weights
+    assert abs(weights.sum() - n) <= 1e-12 * n
