@@ -3,19 +3,35 @@
 Subcommands: simulate (field -> CSV), sample (points -> CSV), intensity
 (kernel intensity and weights -> CSV), fit (data CSV -> parameter report),
 krige (data CSV + parameters -> surface CSV), experiment (config file ->
-results CSVs). Exit codes: 0 success, 1 usage error, 2 numerical failure.
+results CSVs). Each subcommand takes only the flags it reads; any other
+flag is a usage error. ``fit --method`` takes the experiment's method
+entries (``mle``, ``vecchia``, ``isiw-v:SOURCE``, ``isiw-pm:SOURCE``) and
+builds the same objective the experiment does, except that the ``known``
+source, which needs the simulated truth, is refused. Exit codes: 0
+success, 1 usage error, 2 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from ._linalg import NotPositiveDefiniteError
-from .experiment import ExperimentConfig, load_config, run_experiment
+from .experiment import (
+    KNOWN,
+    METHOD_ISIW_PM,
+    ExperimentConfig,
+    build_objective,
+    estimated_weights,
+    load_config,
+    parse_method,
+    run_experiment,
+    vecchia_plan,
+)
 from .fields import GridSpec, SeedStream, simulate_field
 from .inference import FitConfig, default_init, fit
 from .intensity import (
@@ -27,7 +43,6 @@ from .intensity import (
     weights_from_intensity,
 )
 from .kriging import krige
-from .likelihood import EXACT, PAIRWISE_MARGINAL, VECCHIA, Objective, maxmin_order, nn_conditioning_sets
 from .model import CovParams, Domain, ModelParams, microergodic
 from .pointprocess import SamplerSpec, compute_intensity, sample_conditioned, sample_thomas, THOMAS
 from . import io
@@ -50,38 +65,51 @@ def _parse_domain(text: str) -> Domain:
     return Domain(*parts)
 
 
-def build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="root random seed")
-    common.add_argument("--config", help="experiment config file (key=value lines)")
-    common.add_argument("--out-dir", default=".", help="directory for output files")
-    common.add_argument("--threads", type=int, default=1, help="parallel workers")
-    common.add_argument("--method", default="mle",
-                        choices=["mle", "exact", "vecchia", "isiw-v", "isiw-pm"],
-                        help="fitting objective")
-    common.add_argument("--weights", default="none",
-                        choices=["none", "scott", "diggle", "ppl", "CvL", "CvL.adaptive"],
-                        help="weight-estimation bandwidth selector")
-    common.add_argument("--bandwidth", type=float, default=None,
-                        help="fixed kernel bandwidth (overrides selection)")
-    common.add_argument("--m", type=int, default=20, help="max conditioning-set size")
-    common.add_argument("--threshold", type=float, default=1e-2,
-                        help="winsorization lower threshold on normalized intensity")
-    common.add_argument("--domain", type=_parse_domain, default=Domain(0.0, 1.0, 0.0, 1.0),
-                        help="study region x0,x1,y0,y1")
-    common.add_argument("--nu", type=float, default=1.0, help="Matérn smoothness (fixed)")
+def _fit_method(text: str):
+    try:
+        spec = parse_method(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if spec.source == KNOWN:
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: the known intensity exists only in a simulation; "
+            "use 'isiw experiment' or an estimated source"
+        )
+    return spec
 
+
+# Flags that several subcommands read, each added only where it is read.
+_SHARED = {
+    "seed": dict(type=int, default=0, help="root random seed"),
+    "out-dir": dict(default=".", help="directory for output files"),
+    "domain": dict(type=_parse_domain, default=Domain(0.0, 1.0, 0.0, 1.0),
+                   help="study region x0,x1,y0,y1"),
+    "nu": dict(type=float, default=ExperimentConfig.nu, help="Matérn smoothness (fixed)"),
+    "threshold": dict(type=float, default=ExperimentConfig.threshold,
+                      help="winsorization lower threshold on normalized intensity"),
+}
+
+
+def _subcommand(sub, name: str, shared: tuple, **kwargs) -> _Parser:
+    p = sub.add_parser(name, **kwargs)
+    for flag in shared:
+        p.add_argument(f"--{flag}", **_SHARED[flag])
+    return p
+
+
+def build_parser() -> _Parser:
     parser = _Parser(prog="isiw", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common], help="simulate a Matérn field on a grid")
+    p = _subcommand(sub, "simulate", ("seed", "out-dir", "domain", "nu"),
+                    help="simulate a Matérn field on a grid")
     p.add_argument("--nx", type=int, default=48)
     p.add_argument("--ny", type=int, default=None)
     p.add_argument("--sigma2", type=float, default=1.5)
     p.add_argument("--phi", type=float, default=0.15)
     p.add_argument("--out", default="field.csv")
 
-    p = sub.add_parser("sample", parents=[common], help="sample a preferential point pattern")
+    p = _subcommand(sub, "sample", ("seed", "out-dir"), help="sample a preferential point pattern")
     p.add_argument("--field", required=True, help="field CSV from 'simulate'")
     p.add_argument("--sampler", default="lgcp", choices=["lgcp", "scp", "thomas"])
     p.add_argument("--n", type=int, required=True)
@@ -91,20 +119,30 @@ def build_parser() -> _Parser:
     p.add_argument("--offspring-scale", type=float, default=0.1)
     p.add_argument("--out", default="points.csv")
 
-    p = sub.add_parser("intensity", parents=[common],
-                       help="kernel intensity on a grid plus inverse-intensity weights")
+    p = _subcommand(sub, "intensity", ("out-dir", "domain", "threshold"),
+                    help="kernel intensity on a grid plus inverse-intensity weights")
     p.add_argument("--points", required=True, help="points CSV (x,y)")
     p.add_argument("--nx", type=int, default=48, help="evaluation grid resolution")
     p.add_argument("--ny", type=int, default=None)
-    p.add_argument("--selector", default=SCOTT, choices=[SCOTT, *GRID_METHODS],
-                   help="bandwidth selector when --bandwidth is not given")
+    bandwidth = p.add_mutually_exclusive_group()
+    bandwidth.add_argument("--selector", default=SCOTT, choices=[SCOTT, *GRID_METHODS],
+                           help="bandwidth selector")
+    bandwidth.add_argument("--bandwidth", type=float, default=None,
+                           help="fixed kernel bandwidth in place of a selector")
 
-    p = sub.add_parser("fit", parents=[common], help="fit model parameters to a data CSV")
+    p = _subcommand(sub, "fit", ("seed", "out-dir", "domain", "threshold", "nu"),
+                    help="fit model parameters to a data CSV")
     p.add_argument("--data", required=True, help="data CSV (x,y,value)")
-    p.add_argument("--cutoff", type=float, default=None, help="pairwise distance cutoff")
+    p.add_argument("--method", type=_fit_method, default="mle",
+                   help="mle, vecchia, isiw-v:SOURCE or isiw-pm:SOURCE; SOURCE is a "
+                        "bandwidth selector: scott, diggle, ppl, CvL or CvL.adaptive")
+    p.add_argument("--m", type=int, default=ExperimentConfig.m, help="max conditioning-set size")
+    p.add_argument("--cutoff", type=float, default=None,
+                   help="isiw-pm pairwise distance cutoff")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
-    p = sub.add_parser("krige", parents=[common], help="predict a surface from fitted parameters")
+    p = _subcommand(sub, "krige", ("out-dir", "domain", "nu"),
+                    help="predict a surface from fitted parameters")
     p.add_argument("--data", required=True, help="data CSV (x,y,value)")
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--sigma2", type=float, required=True)
@@ -114,14 +152,17 @@ def build_parser() -> _Parser:
     p.add_argument("--ny", type=int, default=None)
     p.add_argument("--out", default="surface.csv")
 
-    p = sub.add_parser("experiment", parents=[common], help="run a replicated comparison")
+    p = _subcommand(sub, "experiment", ("out-dir",), help="run a replicated comparison")
+    p.add_argument("--config", help="experiment config file (key=value lines)")
+    p.add_argument("--threads", type=int, default=None, help="parallel workers; overrides the config")
+    p.add_argument("--seed", type=int, default=None, help="root random seed; overrides the config")
 
     return parser
 
 
 def _cmd_simulate(args) -> int:
     grid = GridSpec(args.domain, args.nx, args.ny if args.ny else args.nx)
-    fld = simulate_field(grid, CovParams(args.sigma2, args.phi, args.nu), SeedStream(args.seed or 0))
+    fld = simulate_field(grid, CovParams(args.sigma2, args.phi, args.nu), SeedStream(args.seed))
     io.write_field_csv(Path(args.out_dir) / args.out, fld)
     print(f"wrote {grid.ncells} cells to {Path(args.out_dir) / args.out}")
     return 0
@@ -133,7 +174,7 @@ def _cmd_sample(args) -> int:
         kind=args.sampler, n=args.n, beta=args.beta, alpha=args.alpha,
         parent_rate=args.parent_rate, offspring_scale=args.offspring_scale,
     )
-    seed = SeedStream(args.seed or 0)
+    seed = SeedStream(args.seed)
     if args.sampler == THOMAS:
         pts = sample_thomas(fld, spec, seed)
     else:
@@ -143,18 +184,12 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _resolve_bandwidth(args, points, domain) -> BandwidthSpec:
-    if args.bandwidth is not None:
-        return BandwidthSpec(method="fixed", h=args.bandwidth)
-    selector = getattr(args, "selector", None) or (
-        args.weights if args.weights != "none" else SCOTT
-    )
-    return select_bandwidth(selector, points, domain)
-
-
 def _cmd_intensity(args) -> int:
     pts = io.read_points_csv(args.points)
-    bw = _resolve_bandwidth(args, pts, args.domain)
+    if args.bandwidth is not None:
+        bw = BandwidthSpec(method="fixed", h=args.bandwidth)
+    else:
+        bw = select_bandwidth(args.selector, pts, args.domain)
     grid = GridSpec(args.domain, args.nx, args.ny if args.ny else args.nx)
     est = estimate_intensity(pts, args.domain, bw, grid=grid)
     wv = weights_from_intensity(est, args.threshold)
@@ -165,30 +200,19 @@ def _cmd_intensity(args) -> int:
     return 0
 
 
-def _build_objective(args, data):
-    method = "exact" if args.method in ("mle", "exact") else args.method
-    weights = None
-    wants_weights = args.weights != "none" or (
-        args.bandwidth is not None and method.startswith("isiw")
-    )
-    if wants_weights:
-        bw = _resolve_bandwidth(args, data.locations, args.domain)
-        est = estimate_intensity(data.locations, args.domain, bw)
-        weights = weights_from_intensity(est, args.threshold)
-    if method == "exact":
-        return Objective(kind=EXACT)
-    if method in ("vecchia", "isiw-v"):
-        plan = nn_conditioning_sets(data.locations, maxmin_order(data.locations), args.m)
-        return Objective(kind=VECCHIA, plan=plan, weights=weights)
-    return Objective(kind=PAIRWISE_MARGINAL, weights=weights, pair_cutoff=args.cutoff)
-
-
 def _cmd_fit(args) -> int:
+    if args.cutoff is not None and args.method.name != METHOD_ISIW_PM:
+        raise ValueError(f"--cutoff applies to isiw-pm only, not to {args.method.name}")
     data = io.read_dataset_csv(args.data)
-    objective = _build_objective(args, data)
-    init = default_init(data, args.domain)
-    init = ModelParams(init.mu, CovParams(init.theta.sigma2, init.theta.phi, args.nu), init.tau2)
-    res = fit(objective, data, init, FitConfig(domain=args.domain, restart_seed=args.seed or 0))
+    objective = build_objective(
+        args.method, data,
+        plan=lambda: vecchia_plan(data, args.m),
+        weights=lambda src: estimated_weights(src, data.locations, args.domain, args.threshold),
+        exact_mle_max_n=ExperimentConfig.exact_mle_max_n,
+        pair_cutoff=args.cutoff,
+    )
+    init = default_init(data, args.domain, nu=args.nu)
+    res = fit(objective, data, init, FitConfig(domain=args.domain, restart_seed=args.seed))
     report = res.psi_hat.as_dict()
     report["kappa"] = microergodic(res.psi_hat.theta)
     report.update(
@@ -214,14 +238,10 @@ def _cmd_krige(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if args.config:
-        config = load_config(args.config)
-    else:
-        config = ExperimentConfig()
-    if args.threads != 1:
-        config.threads = args.threads
-    if args.seed is not None:
-        config.seed = args.seed
+    config = load_config(args.config) if args.config else ExperimentConfig()
+    overrides = {"threads": args.threads, "seed": args.seed}
+    # replace() runs the config's validation again on the overridden values
+    config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
     rows, summary = run_experiment(config, args.out_dir)
     print(f"wrote {len(rows)} result rows to {Path(args.out_dir) / 'results.csv'}")
     for scenario, method, variant, mean, sd, count, failures in summary:

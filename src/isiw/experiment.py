@@ -14,6 +14,9 @@ Method entries are ``mle``, ``vecchia``, or ``isiw-v:SOURCE`` /
 ``isiw-pm:SOURCE`` with SOURCE one of known, scott, diggle, ppl, CvL,
 CvL.adaptive. ``known`` reads the true sampling intensity off the
 simulated surface; the others estimate it from the point pattern.
+:func:`parse_method` reads an entry and :func:`build_objective` turns it
+into the likelihood objective; ``isiw fit --method`` uses both too, so one
+entry means one fit everywhere.
 
 Every row is reproducible from (seed, scenario, replicate): streams are
 keyed by a hash of the scenario label plus the replicate id, fits are
@@ -24,12 +27,14 @@ reproducibility audits.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import rankdata
@@ -41,7 +46,7 @@ from .intensity import estimate_intensity, select_bandwidth, weights_from_intens
 from .io import write_rows
 from .kriging import krige
 from .likelihood import EXACT, PAIRWISE_MARGINAL, VECCHIA, Objective, maxmin_order, nn_conditioning_sets
-from .model import CovParams, Domain, ModelParams, microergodic
+from .model import CovParams, Dataset, Domain, ModelParams, microergodic
 from .pointprocess import THOMAS, SamplerSpec, compute_intensity, sample_conditioned, sample_thomas
 
 RESULTS_HEADER = [
@@ -54,6 +59,60 @@ METHOD_MLE = "mle"
 METHOD_VECCHIA = "vecchia"
 METHOD_ISIW_V = "isiw-v"
 METHOD_ISIW_PM = "isiw-pm"
+
+
+class MethodSpec(NamedTuple):
+    """A parsed method entry; ``source`` is the weight source of the
+    weighted methods and empty for ``mle`` and ``vecchia``."""
+
+    name: str
+    source: str
+
+
+def parse_method(entry: str) -> MethodSpec:
+    """Parse ``mle``, ``vecchia``, ``isiw-v:SOURCE`` or ``isiw-pm:SOURCE``."""
+    name, _, source = entry.partition(":")
+    if name in (METHOD_MLE, METHOD_VECCHIA):
+        if source:
+            raise ValueError(f"{name} takes no weight source: {entry!r}")
+    elif name in (METHOD_ISIW_V, METHOD_ISIW_PM):
+        if source not in WEIGHT_SOURCES:
+            raise ValueError(f"unknown weight source in {entry!r}")
+    else:
+        raise ValueError(f"unknown method {entry!r}")
+    return MethodSpec(name, source)
+
+
+def vecchia_plan(data: Dataset, m: int):
+    """Max-min ordering with up to ``m`` nearest earlier neighbours."""
+    return nn_conditioning_sets(data.locations, maxmin_order(data.locations), m)
+
+
+def estimated_weights(source: str, locations, domain: Domain, threshold: float):
+    """Inverse-intensity weights from a kernel estimate whose bandwidth the
+    selector ``source`` picks."""
+    bw = select_bandwidth(source, locations, domain)
+    return weights_from_intensity(estimate_intensity(locations, domain, bw), threshold)
+
+
+def build_objective(
+    spec: MethodSpec, data: Dataset, *, plan, weights, exact_mle_max_n: int, pair_cutoff
+) -> Objective:
+    """The likelihood objective of ``spec`` on ``data``.
+
+    ``mle`` is the exact likelihood up to ``exact_mle_max_n`` points and the
+    unweighted Vecchia one above. ``plan()`` returns the Vecchia plan and
+    ``weights(source)`` the weight vector of a source; each is called only
+    when the method needs it, so a caller fitting several methods to one
+    dataset can cache them.
+    """
+    if spec.name == METHOD_MLE and data.n <= exact_mle_max_n:
+        return Objective(kind=EXACT)
+    if spec.name in (METHOD_MLE, METHOD_VECCHIA):
+        return Objective(kind=VECCHIA, plan=plan())
+    if spec.name == METHOD_ISIW_V:
+        return Objective(kind=VECCHIA, plan=plan(), weights=weights(spec.source))
+    return Objective(kind=PAIRWISE_MARGINAL, weights=weights(spec.source), pair_cutoff=pair_cutoff)
 
 
 @dataclass
@@ -85,26 +144,20 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
+        if not self.methods:
+            raise ValueError("methods must name at least one method")
         self.method_specs()  # validate early
+        twice = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if twice:
+            raise ValueError(f"methods lists {', '.join(twice)} more than once")
 
     def grid(self) -> GridSpec:
         return GridSpec(self.domain, self.grid_nx, self.grid_ny)
 
     def method_specs(self) -> list:
-        specs = []
-        for entry in self.methods:
-            name, _, variant = entry.partition(":")
-            if name in (METHOD_MLE, METHOD_VECCHIA):
-                if variant:
-                    raise ValueError(f"{name} takes no weight source: {entry!r}")
-                specs.append((name, ""))
-            elif name in (METHOD_ISIW_V, METHOD_ISIW_PM):
-                if variant not in WEIGHT_SOURCES:
-                    raise ValueError(f"unknown weight source in {entry!r}")
-                specs.append((name, variant))
-            else:
-                raise ValueError(f"unknown method {entry!r}")
-        return specs
+        return [parse_method(entry) for entry in self.methods]
 
     def scenarios(self) -> list:
         out = []
@@ -218,46 +271,24 @@ def run_replicate(config: ExperimentConfig, scenario: Scenario, replicate: int) 
 
     truth_surface = config.mu + fld.values
     centers = grid.cell_centers()
-    init = default_init(data, config.domain)
-    plan = None
-    weight_cache: dict = {}
+    init = default_init(data, config.domain, nu=config.nu)
+    plan = functools.cache(lambda: vecchia_plan(data, config.m))
 
-    def get_plan():
-        nonlocal plan
-        if plan is None:
-            plan = nn_conditioning_sets(data.locations, maxmin_order(data.locations), config.m)
-        return plan
-
-    def get_weights(source):
-        if source not in weight_cache:
-            if source == KNOWN:
-                lam = _true_point_intensity(scenario, fld, spec, locs)
-                weight_cache[source] = weights_from_intensity(lam, config.threshold)
-            else:
-                bw = select_bandwidth(source, locs, config.domain)
-                est = estimate_intensity(locs, config.domain, bw)
-                weight_cache[source] = weights_from_intensity(est, config.threshold)
-        return weight_cache[source]
+    @functools.cache
+    def weights(source):
+        if source == KNOWN:
+            lam = _true_point_intensity(scenario, fld, spec, locs)
+            return weights_from_intensity(lam, config.threshold)
+        return estimated_weights(source, locs, config.domain, config.threshold)
 
     rows = []
-    for mi, (method, variant) in enumerate(config.method_specs()):
+    for mi, method in enumerate(config.method_specs()):
         start = time.perf_counter()
         try:
-            if method == METHOD_MLE:
-                if scenario.n <= config.exact_mle_max_n:
-                    objective = Objective(kind=EXACT)
-                else:
-                    objective = Objective(kind=VECCHIA, plan=get_plan())
-            elif method == METHOD_VECCHIA:
-                objective = Objective(kind=VECCHIA, plan=get_plan())
-            elif method == METHOD_ISIW_V:
-                objective = Objective(kind=VECCHIA, plan=get_plan(), weights=get_weights(variant))
-            else:
-                objective = Objective(
-                    kind=PAIRWISE_MARGINAL,
-                    weights=get_weights(variant),
-                    pair_cutoff=config.pm_cutoff,
-                )
+            objective = build_objective(
+                method, data, plan=plan, weights=weights,
+                exact_mle_max_n=config.exact_mle_max_n, pair_cutoff=config.pm_cutoff,
+            )
             fit_cfg = FitConfig(
                 domain=config.domain,
                 restart_seed=(config.seed * 2654435761 + scenario.sid * 7919 + replicate * 104729 + mi)
@@ -271,20 +302,22 @@ def run_replicate(config: ExperimentConfig, scenario: Scenario, replicate: int) 
             row = MetricsRow(
                 replicate=replicate,
                 scenario=scenario.label,
-                method=method,
-                variant=variant,
+                method=method.name,
+                variant=method.source,
                 rmspe=score,
                 psi_hat=res.psi_hat,
                 seconds=0.0,
                 converged=res.converged,
                 rel_err={k: v[0] for k, v in rel.items()},
             )
-        except Exception as exc:  # a failed method must not sink the replicate
+        except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+            # a numerical or validation failure must not sink the replicate;
+            # any other exception is a bug and propagates
             row = MetricsRow(
                 replicate=replicate,
                 scenario=scenario.label,
-                method=method,
-                variant=variant,
+                method=method.name,
+                variant=method.source,
                 rmspe=math.nan,
                 psi_hat=None,
                 seconds=0.0,
@@ -442,6 +475,8 @@ _FLOAT_KEYS = {
     "thomas_parent_rate", "thomas_offspring_scale",
 }
 _INT_KEYS = {"replicates", "grid_nx", "grid_ny", "m", "seed", "threads", "exact_mle_max_n"}
+_ON = ("on", "true", "1", "yes")
+_OFF = ("off", "false", "0", "no")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -470,7 +505,10 @@ def parse_config(text: str) -> ExperimentConfig:
         elif key == "pm_cutoff":
             kwargs[key] = float(value) if value else None
         elif key == "timing":
-            kwargs[key] = value.lower() in ("on", "true", "1", "yes")
+            flag = value.lower()
+            if flag not in _ON + _OFF:
+                raise ValueError(f"config line {lineno}: timing must be on or off, got {value!r}")
+            kwargs[key] = flag in _ON
         else:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
     return ExperimentConfig(**kwargs)

@@ -75,16 +75,17 @@ class FitResult:
     phi_capped: bool
 
 
-def default_init(data: Dataset, domain: Domain) -> ModelParams:
+def default_init(data: Dataset, domain: Domain, nu: float = 1.0) -> ModelParams:
     """Rule-of-thumb starting point: sample moments split 90/10 between
-    process variance and nugget, range at a tenth of the domain diameter."""
+    process variance and nugget, range at a tenth of the domain diameter.
+    ``nu`` is the smoothness, which ``fit`` keeps fixed at its start value."""
     if data.n < 2:
         raise ValueError("initialization needs at least two observations")
     mu0 = float(np.mean(data.values))
     var = float(np.var(data.values, ddof=1))
     sigma2_0 = max(0.9 * var, 1e-6)
     tau2_0 = max(0.1 * var, 1e-7)
-    return ModelParams.from_values(mu0, sigma2_0, domain.diameter / 10.0, tau2_0)
+    return ModelParams.from_values(mu0, sigma2_0, domain.diameter / 10.0, tau2_0, nu=nu)
 
 
 def fd_gradient(func, x: np.ndarray, rel_step: float = FD_REL_STEP) -> np.ndarray:

@@ -15,8 +15,17 @@ from isiw import (
     run_replicate,
 )
 from isiw._linalg import blas_threads
-from isiw.experiment import ExperimentConfig, _worker_pool, format_config, summarize
-from isiw import io
+from isiw.experiment import (
+    ExperimentConfig,
+    _worker_pool,
+    build_objective,
+    estimated_weights,
+    format_config,
+    parse_method,
+    summarize,
+    vecchia_plan,
+)
+from isiw import Dataset, FitConfig, default_init, fit, io
 from isiw.cli import main as cli_main
 
 
@@ -111,6 +120,20 @@ class TestRunReplicate:
         assert math.isnan(by_method["isiw-v"].rmspe)
         assert by_method["isiw-v"].error is not None
         assert math.isfinite(by_method["mle"].rmspe)
+
+    def test_fits_keep_config_nu(self):
+        config = tiny_config(nu=2.5, methods=("mle", "vecchia", "isiw-v:known"))
+        rows = run_replicate(config, config.scenarios()[0], 0)
+        assert [r.psi_hat.theta.nu for r in rows] == [2.5, 2.5, 2.5]
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken_fit(*args, **kwargs):
+            raise TypeError("bug")
+
+        monkeypatch.setattr("isiw.experiment.fit", broken_fit)
+        config = tiny_config()
+        with pytest.raises(TypeError, match="bug"):
+            run_replicate(config, config.scenarios()[0], 0)
 
     def test_wall_time_populated_when_timing(self):
         config = tiny_config(timing=True)
@@ -222,6 +245,52 @@ class TestConfigFormat:
         with pytest.raises(ValueError, match="weight source"):
             parse_config("methods=isiw-v:magic")
 
+    @pytest.mark.parametrize("spelling,value", [
+        ("on", True), ("True", True), ("1", True), ("yes", True),
+        ("OFF", False), ("false", False), ("0", False), ("no", False),
+    ])
+    def test_timing_spellings(self, spelling, value):
+        assert parse_config(f"timing={spelling}").timing is value
+
+    @pytest.mark.parametrize("spelling", ["of", "nope", ""])
+    def test_timing_typo_rejected(self, spelling):
+        with pytest.raises(ValueError, match="config line 2: timing"):
+            parse_config(f"seed=3\ntiming={spelling}")
+
+    def test_empty_methods_rejected(self):
+        with pytest.raises(ValueError, match="at least one method"):
+            parse_config("methods=")
+
+    def test_duplicate_method_rejected(self):
+        with pytest.raises(ValueError, match="isiw-v:diggle more than once"):
+            parse_config("methods=mle,isiw-v:diggle,isiw-v:diggle")
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            parse_config(f"threads={threads}")
+
+
+class TestMethodVocabulary:
+    def test_parse_method(self):
+        assert parse_method("mle") == ("mle", "")
+        assert parse_method("isiw-pm:CvL.adaptive") == ("isiw-pm", "CvL.adaptive")
+        for entry, message in [("isiw-v", "weight source"), ("vecchia:scott", "no weight source"),
+                               ("exact", "unknown method")]:
+            with pytest.raises(ValueError, match=message):
+                parse_method(entry)
+
+    @pytest.mark.parametrize("n,kind", [(ExperimentConfig.exact_mle_max_n, "exact"),
+                                        (ExperimentConfig.exact_mle_max_n + 1, "vecchia")])
+    def test_mle_switches_to_vecchia_above_exact_max_n(self, n, kind):
+        rng = np.random.default_rng(2)
+        data = Dataset(locations=rng.random((n, 2)), values=rng.normal(size=n))
+        objective = build_objective(
+            parse_method("mle"), data, plan=lambda: vecchia_plan(data, 5), weights=None,
+            exact_mle_max_n=ExperimentConfig.exact_mle_max_n, pair_cutoff=None,
+        )
+        assert objective.kind == kind and objective.weights is None
+
 
 class TestIoRoundTrips:
     def test_field_csv_round_trip(self, tmp_path):
@@ -254,6 +323,25 @@ class TestIoRoundTrips:
         lines = (tmp_path / "plan.csv").read_text().splitlines()
         assert lines[0] == "index,ordered_position,neighbors"
         assert len(lines) == 7
+
+
+def exit_code(argv) -> int:
+    try:
+        return cli_main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.fixture(scope="module")
+def dataset_csv(tmp_path_factory):
+    from isiw import CovParams, GridSpec, SeedStream, simulate_field
+
+    fld = simulate_field(GridSpec(Domain(0, 1, 0, 1), 16, 16), CovParams(1.5, 0.15, 1.0), SeedStream(8))
+    rng = np.random.default_rng(8)
+    locs = rng.random((80, 2))
+    path = tmp_path_factory.mktemp("fit") / "data.csv"
+    io.write_dataset_csv(path, Dataset(locations=locs, values=4.0 + fld.at(locs) + 0.3 * rng.normal(size=80)))
+    return path
 
 
 class TestCli:
@@ -300,6 +388,64 @@ class TestCli:
         out = tmp_path / "results"
         assert cli_main(["experiment", "--config", str(cfg), "--out-dir", str(out)]) == 0
         assert (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("spec", ["mle", "vecchia", "isiw-v:diggle", "isiw-pm:CvL.adaptive"])
+    def test_fit_matches_build_objective(self, spec, dataset_csv, tmp_path):
+        assert cli_main([
+            "fit", "--data", str(dataset_csv), "--method", spec, "--seed", "11",
+            "--out-dir", str(tmp_path), "--out", "fit.txt",
+        ]) == 0
+        report = dict(line.split("=", 1) for line in (tmp_path / "fit.txt").read_text().splitlines())
+
+        config = ExperimentConfig()
+        data = io.read_dataset_csv(dataset_csv)
+        objective = build_objective(
+            parse_method(spec), data,
+            plan=lambda: vecchia_plan(data, config.m),
+            weights=lambda src: estimated_weights(src, data.locations, config.domain, config.threshold),
+            exact_mle_max_n=config.exact_mle_max_n, pair_cutoff=config.pm_cutoff,
+        )
+        res = fit(objective, data, default_init(data, config.domain, nu=config.nu),
+                  FitConfig(domain=config.domain, restart_seed=11))
+        expected = {**res.psi_hat.as_dict(), "nll": res.nll}
+        for name in ("mu", "sigma2", "phi", "tau2", "nll"):
+            assert float(report[name]) == expected[name], name
+
+    @pytest.mark.parametrize("args,named", [
+        (["fit", "--method", "isiw-v"], "isiw-v"),
+        (["fit", "--method", "isiw-v:known"], "known"),
+        (["fit", "--method", "exact"], "exact"),
+        (["fit", "--weights", "diggle"], "--weights"),
+        (["fit", "--bandwidth", "0.1"], "--bandwidth"),
+        (["fit", "--method", "vecchia", "--cutoff", "0.2"], "--cutoff"),
+        (["simulate", "--method", "mle"], "--method"),
+        (["experiment", "--m", "3"], "--m"),
+        (["experiment", "--threads", "0"], "threads"),
+        (["intensity", "--selector", "diggle", "--bandwidth", "0.1"], "--bandwidth"),
+    ])
+    def test_unread_or_contradictory_flags_rejected(self, args, named, dataset_csv, tmp_path, capsys):
+        # every other input is valid, so the flag under test is the only fault
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("replicates=1\ngrid_nx=8\ngrid_ny=8\nphi=0.15\nn=20\nmethods=mle\n")
+        inputs = {
+            "fit": ["--data", str(dataset_csv)],
+            "intensity": ["--points", str(dataset_csv)],
+            "experiment": ["--config", str(cfg)],
+        }
+        out = tmp_path / "out"
+        assert exit_code([*args, *inputs.get(args[0], []), "--out-dir", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_experiment_threads_override_config(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "replicates=1\ngrid_nx=8\ngrid_ny=8\nphi=0.15\nn=20\n"
+            "methods=mle\nseed=2\ntiming=off\nthreads=2\n"
+        )
+        out = tmp_path / "results"
+        assert cli_main(["experiment", "--config", str(cfg), "--threads", "1", "--out-dir", str(out)]) == 0
+        assert "threads=1" in (out / "run_metadata.txt").read_text().splitlines()
 
     def test_usage_error_exit_code(self):
         assert cli_main(["fit", "--data", "/nonexistent.csv"]) == 1
