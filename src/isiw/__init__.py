@@ -19,8 +19,6 @@ from .fields import FieldRealization, GridSpec, SeedStream, observe, simulate_fi
 from .inference import FitConfig, FitResult, default_init, fd_gradient, fit
 from .intensity import (
     BandwidthSpec,
-    IntensityEstimate,
-    WeightVector,
     estimate_intensity,
     select_bandwidth,
     weights_from_intensity,
@@ -55,9 +53,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BandwidthSpec", "CovParams", "Dataset", "Domain", "ExperimentConfig",
     "FieldRealization", "FitConfig", "FitResult", "GridSpec",
-    "IntensityEstimate", "KrigingOutput", "MetricsRow", "ModelParams",
+    "KrigingOutput", "MetricsRow", "ModelParams",
     "NllValue", "Objective", "SamplerSpec", "Scenario", "SeedStream", "VecchiaPlan",
-    "WeightVector", "build_cov_matrix", "compute_intensity", "default_init",
+    "build_cov_matrix", "compute_intensity", "default_init",
     "estimate_intensity", "exact_nll", "fd_gradient", "fit", "gaussian_kl",
     "krige", "load_config", "matern_cov", "matern_cov_dlogphi",
     "maxmin_order", "microergodic",

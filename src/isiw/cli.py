@@ -191,11 +191,11 @@ def _cmd_intensity(args) -> int:
     else:
         bw = select_bandwidth(args.selector, pts, args.domain)
     grid = GridSpec(args.domain, args.nx, args.ny if args.ny else args.nx)
-    est = estimate_intensity(pts, args.domain, bw, grid=grid)
-    wv = weights_from_intensity(est, args.threshold)
+    on_grid = estimate_intensity(pts, args.domain, bw, at=grid.cell_centers())
+    weights = weights_from_intensity(estimate_intensity(pts, args.domain, bw), args.threshold)
     out = Path(args.out_dir)
-    io.write_intensity_csv(out / "intensity.csv", est)
-    io.write_weights_csv(out / "weights.csv", pts, wv)
+    io.write_intensity_csv(out / "intensity.csv", grid, on_grid)
+    io.write_weights_csv(out / "weights.csv", pts, weights)
     print(f"bandwidth={bw.h!r} method={bw.method} -> {out / 'intensity.csv'}, {out / 'weights.csv'}")
     return 0
 

@@ -47,7 +47,7 @@ from .io import write_rows
 from .kriging import krige
 from .likelihood import EXACT, PAIRWISE_MARGINAL, VECCHIA, Objective, maxmin_order, nn_conditioning_sets
 from .model import CovParams, Dataset, Domain, ModelParams, microergodic
-from .pointprocess import THOMAS, SamplerSpec, compute_intensity, sample_conditioned, sample_thomas
+from .pointprocess import SAMPLER_KINDS, THOMAS, SamplerSpec, compute_intensity, sample_conditioned, sample_thomas
 
 RESULTS_HEADER = [
     "replicate", "scenario", "method", "variant", "rmspe",
@@ -148,6 +148,14 @@ class ExperimentConfig:
             raise ValueError("threads must be >= 1")
         if not self.methods:
             raise ValueError("methods must name at least one method")
+        for key in ("samplers", "n", "phi"):
+            if not getattr(self, key):
+                raise ValueError(f"{key} must list at least one value")
+        for kind in self.samplers:
+            if kind not in SAMPLER_KINDS:
+                raise ValueError(
+                    f"unknown sampler kind {kind!r} in samplers; use {', '.join(SAMPLER_KINDS)}"
+                )
         self.method_specs()  # validate early
         twice = sorted({m for m in self.methods if self.methods.count(m) > 1})
         if twice:

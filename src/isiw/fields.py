@@ -1,8 +1,8 @@
 """Latent Gaussian field simulation on a lattice and noisy observation.
 
 Fields are drawn exactly via dense Cholesky of the cell-center covariance
-(with a 1e-10 diagonal jitter), so grids are capped at a configurable cell
-budget. The factor is cached per (grid, covariance) pair: replicate draws
+(with a 1e-10 diagonal jitter), so grids are capped at ``CELL_BUDGET``
+cells. The factor is cached per (grid, covariance) pair: replicate draws
 then cost one matrix-vector product each.
 """
 
@@ -17,7 +17,7 @@ from ._linalg import cholesky_lower
 from .model import CovParams, Dataset, Domain, matern_cov, pairwise_distances
 
 CHOL_JITTER = 1e-10
-DEFAULT_CELL_BUDGET = 4096
+CELL_BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -91,14 +91,10 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class FieldRealization:
-    """One zero-mean Gaussian field draw stored at cell centers.
-
-    ``seed`` records provenance for simulated fields; fields loaded from
-    disk carry None."""
+    """One zero-mean Gaussian field draw stored at cell centers."""
 
     grid: GridSpec
     values: np.ndarray
-    seed: SeedStream | None = None
 
     def __post_init__(self):
         if self.values.shape != (self.grid.ncells,):
@@ -121,20 +117,15 @@ def _grid_cholesky(spec: GridSpec, theta: CovParams) -> np.ndarray:
     return cholesky_lower(cov, context="grid covariance")
 
 
-def simulate_field(
-    spec: GridSpec,
-    theta: CovParams,
-    seed: SeedStream,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
-) -> FieldRealization:
+def simulate_field(spec: GridSpec, theta: CovParams, seed: SeedStream) -> FieldRealization:
     """Draw one field from N(0, C_theta) over the grid's cell centers."""
-    if spec.ncells > cell_budget:
+    if spec.ncells > CELL_BUDGET:
         raise ValueError(
-            f"grid has {spec.ncells} cells, over the dense-factorization budget {cell_budget}"
+            f"grid has {spec.ncells} cells, over the dense-factorization budget {CELL_BUDGET}"
         )
     chol = _grid_cholesky(spec, theta)
     z = seed.generator().standard_normal(spec.ncells)
-    return FieldRealization(grid=spec, values=chol @ z, seed=seed)
+    return FieldRealization(grid=spec, values=chol @ z)
 
 
 def observe(

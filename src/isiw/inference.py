@@ -8,14 +8,19 @@ with a ``grad`` array will do); ``fit`` raises ``TypeError`` for a value
 without one. The range parameter is bounded above at 10x the domain
 diameter by a box bound on log phi, so the objective itself is never
 altered: weighted objectives are prone to letting the range run away.
-``fd_gradient`` is kept as the finite-difference oracle the tests check
-the closed forms against.
+Each L-BFGS-B attempt runs at most ``MAX_ITER`` iterations and converges
+when one iteration reduces the objective by at most ``FTOL`` relative to
+max(|f|, 1), or when every component of the projected gradient is at most
+``GTOL`` in absolute value; an attempt that met a non-finite objective
+value converges only by the gradient test. Up to ``RESTARTS`` more attempts
+follow an unconverged one. ``fd_gradient`` is kept as the
+finite-difference oracle the tests check the closed forms against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -26,45 +31,29 @@ PARAM_NAMES = ("mu", "sigma2", "phi", "tau2")
 FD_REL_STEP = 1e-5
 PHI_CAP_FACTOR = 10.0
 LOG_PHI = PARAM_NAMES.index("phi")
+MAX_ITER = 200
+# at 1e-8 the relative-reduction test stopped fits on the flat
+# range/variance ridge up to 2e-7 * |f| above the optimum
+FTOL = 1e-10
+GTOL = 1e-4
+RESTARTS = 3
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Optimizer settings.
+    """Per-fit settings: phi is bounded above by ``PHI_CAP_FACTOR`` times
+    the diameter of ``domain``, and ``restart_seed`` seeds the restart
+    inits."""
 
-    Each L-BFGS-B attempt runs at most ``max_iter`` iterations and converges
-    when one iteration reduces the objective by at most ``ftol`` relative to
-    max(|f|, 1), or when every component of the projected gradient is at
-    most ``gtol`` in absolute value. An attempt that met a non-finite
-    objective value converges only by the gradient test. ``restarts`` more
-    attempts, seeded by ``restart_seed``, follow an unconverged one.
-    ``phi_cap`` (default 10x the diameter of ``domain``, or of the data's
-    bounding box) is the upper bound on phi; names in ``fixed`` stay at the
-    initial value.
-    """
-
-    max_iter: int = 200
-    # at 1e-8 the relative-reduction test stopped fits on the flat
-    # range/variance ridge up to 2e-7 * |f| above the optimum
-    ftol: float = 1e-10
-    gtol: float = 1e-4
-    restarts: int = 3
+    domain: Domain
     restart_seed: int = 0
-    domain: Domain | None = None
-    phi_cap: float | None = None
-    fixed: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        bad = set(self.fixed) - set(PARAM_NAMES)
-        if bad:
-            raise ValueError(f"unknown fixed parameters: {sorted(bad)}")
 
 
 @dataclass
 class FitResult:
     """Best point over all attempts. ``iterations`` and ``gradient_norm``
-    (2-norm of the projected gradient over the free coordinates) belong to
-    the attempt that found it; ``phi_capped`` says phi sits on its bound."""
+    (2-norm of the projected gradient) belong to the attempt that found
+    it; ``phi_capped`` says phi sits on its bound."""
 
     psi_hat: ModelParams
     nll: float
@@ -123,15 +112,6 @@ def _unpack(x: np.ndarray, nu: float) -> ModelParams:
     )
 
 
-def _resolve_phi_cap(config: FitConfig, data: Dataset) -> float:
-    if config.phi_cap is not None:
-        return config.phi_cap
-    if config.domain is not None:
-        return PHI_CAP_FACTOR * config.domain.diameter
-    spans = data.locations.max(axis=0) - data.locations.min(axis=0)
-    return PHI_CAP_FACTOR * max(float(np.hypot(*spans)), 1e-12)
-
-
 @dataclass
 class _Run:
     x: np.ndarray
@@ -141,20 +121,17 @@ class _Run:
     gradient_norm: float
 
 
-def _lbfgsb(objective, data: Dataset, nu: float, x0, free_idx, log_phi_cap, config: FitConfig) -> _Run:
-    """One L-BFGS-B attempt over the free coordinates of x0; fixed
-    coordinates stay put."""
-    x_full = x0.copy()
+def _lbfgsb(objective, data: Dataset, nu: float, x0, log_phi_cap) -> _Run:
+    """One L-BFGS-B attempt from x0."""
     evaluations = 0
     met_nonfinite = False
 
-    def value_and_grad(xf):
+    def value_and_grad(x):
         nonlocal evaluations, met_nonfinite
         evaluations += 1
-        x_full[free_idx] = xf
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                value = objective.nll(_unpack(x_full, nu), data)
+                value = objective.nll(_unpack(x, nu), data)
         except (np.linalg.LinAlgError, FloatingPointError, OverflowError):
             value, grad = math.inf, None
         else:
@@ -164,50 +141,46 @@ def _lbfgsb(objective, data: Dataset, nu: float, x0, free_idx, log_phi_cap, conf
                     f"{type(objective).__name__}.nll returned {type(value).__name__} with no "
                     "gradient; fit needs a value carrying .grad, such as an NllValue"
                 )
-            grad = np.asarray(grad, dtype=float)[free_idx]
+            grad = np.asarray(grad, dtype=float)
         if math.isfinite(value) and np.all(np.isfinite(grad)):
             return float(value), grad
         if evaluations == 1:  # L-BFGS-B evaluates x0 first
             raise ValueError("objective is not finite at the initial point")
         met_nonfinite = True
-        return math.inf, np.zeros(free_idx.size)
+        return math.inf, np.zeros(len(PARAM_NAMES))
 
-    bounds = [(None, log_phi_cap if j == LOG_PHI else None) for j in free_idx]
+    bounds = [(None, log_phi_cap if j == LOG_PHI else None) for j in range(len(PARAM_NAMES))]
     res = minimize(
         value_and_grad,
-        x0[free_idx],
+        x0,
         jac=True,
         method="L-BFGS-B",
         bounds=bounds,
-        options={"maxiter": config.max_iter, "ftol": config.ftol, "gtol": config.gtol},
+        options={"maxiter": MAX_ITER, "ftol": FTOL, "gtol": GTOL},
     )
     projected = np.array(res.jac, dtype=float)
-    projected[(free_idx == LOG_PHI) & (res.x >= log_phi_cap) & (projected < 0)] = 0.0
+    if res.x[LOG_PHI] >= log_phi_cap and projected[LOG_PHI] < 0:
+        projected[LOG_PHI] = 0.0
     # L-BFGS-B can report success at a point it reached by backing off a
     # non-finite value; trust only the gradient test after one.
     converged = bool(res.success) and math.isfinite(res.fun)
     if met_nonfinite:
-        converged = converged and float(np.max(np.abs(projected))) <= config.gtol
-    x = x0.copy()
-    x[free_idx] = res.x
-    return _Run(x, float(res.fun), int(res.nit), converged, float(np.linalg.norm(projected)))
+        converged = converged and float(np.max(np.abs(projected))) <= GTOL
+    return _Run(res.x, float(res.fun), int(res.nit), converged, float(np.linalg.norm(projected)))
 
 
-def fit(objective, data: Dataset, init: ModelParams, config: FitConfig = FitConfig()) -> FitResult:
+def fit(objective, data: Dataset, init: ModelParams, config: FitConfig) -> FitResult:
     """Minimize ``objective.nll`` over psi from ``init``.
 
     ``objective`` needs only ``nll(psi, data)``, returning the value with
     its gradient attached (see the module docstring). Runs up to
-    ``config.restarts`` additional attempts from inits with +/-50%
-    multiplicative noise on the positive parameters when an attempt ends
-    unconverged; reports the best point found either way. Deterministic
-    given (data, init, config).
+    ``RESTARTS`` additional attempts from inits with +/-50% multiplicative
+    noise on the positive parameters when an attempt ends unconverged;
+    reports the best point found either way. Deterministic given (data,
+    init, config).
     """
     nu = init.theta.nu
-    log_phi_cap = math.log(_resolve_phi_cap(config, data))
-    free_idx = np.array([j for j, name in enumerate(PARAM_NAMES) if name not in config.fixed])
-    if free_idx.size == 0:
-        raise ValueError("no free parameters to optimize")
+    log_phi_cap = math.log(PHI_CAP_FACTOR * config.domain.diameter)
 
     x_init = _pack(init)
     x_init[LOG_PHI] = min(x_init[LOG_PHI], log_phi_cap)
@@ -215,7 +188,7 @@ def fit(objective, data: Dataset, init: ModelParams, config: FitConfig = FitConf
 
     best: _Run | None = None
     restarts_used = 0
-    for attempt in range(config.restarts + 1):
+    for attempt in range(RESTARTS + 1):
         if attempt == 0:
             x0 = x_init
         else:
@@ -223,7 +196,7 @@ def fit(objective, data: Dataset, init: ModelParams, config: FitConfig = FitConf
             x0 = x_init.copy()
             x0[1:] += np.log(rng.uniform(0.5, 1.5, size=3))
             x0[LOG_PHI] = min(x0[LOG_PHI], log_phi_cap)
-        run = _lbfgsb(objective, data, nu, x0, free_idx, log_phi_cap, config)
+        run = _lbfgsb(objective, data, nu, x0, log_phi_cap)
         if best is None or run.nll < best.nll:
             best = run
         if run.converged:

@@ -6,11 +6,15 @@ The estimator is the edge-corrected Gaussian kernel smoother
 
 where e_h(s) is the mass of the kernel centered at s that falls inside the
 rectangular domain (product of per-axis normal CDF differences, exact for
-rectangles). Five bandwidth selectors are provided; "CvL.adaptive" attaches
-a per-point bandwidth inversely proportional to the square root of a pilot
-density; the LSCV ("diggle") and Poisson-likelihood ("ppl") criteria have
-exact integral terms. Weights are inverse intensities, winsorized from
-below on the n-normalized scale and renormalized to sum to n.
+rectangles). :func:`estimate_intensity` returns it as a plain array, at the
+data points or at any other rows, floored at 1e-12 times its maximum so
+the inversion never divides by zero. Five bandwidth selectors are provided;
+the grid-searched ones scan ``SEARCH_GRID_SIZE`` log-spaced candidates, and
+"CvL.adaptive" attaches a per-point bandwidth inversely proportional to the
+square root of a pilot density; the LSCV ("diggle") and Poisson-likelihood
+("ppl") criteria have exact integral terms. :func:`weights_from_intensity`
+turns intensities into an array of inverse-intensity weights, winsorized
+from below on the n-normalized scale and renormalized to sum to n.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import ndtr
 
-from .fields import GridSpec
 from .model import Domain
 
 SCOTT = "scott"
@@ -69,43 +72,6 @@ class BandwidthSpec:
         return self.h
 
 
-@dataclass
-class IntensityEstimate:
-    """Estimated intensity at the data points and optionally on a grid.
-
-    Values are floored at 1e-12 times the maximum so downstream inversion
-    never divides by zero; ``bandwidth`` is None when the values came from
-    a known (non-kernel) intensity surface.
-    """
-
-    at_points: np.ndarray
-    bandwidth: BandwidthSpec | None = None
-    grid: GridSpec | None = None
-    on_grid: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.at_points = _floor_positive(np.asarray(self.at_points, dtype=float))
-        if self.on_grid is not None:
-            self.on_grid = _floor_positive(np.asarray(self.on_grid, dtype=float))
-
-
-@dataclass
-class WeightVector:
-    """Winsorized, normalized inverse-intensity weights summing to n."""
-
-    weights: np.ndarray
-    threshold: float
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        if np.any(self.weights <= 0):
-            raise ValueError("weights must be positive")
-
-    @property
-    def n(self) -> int:
-        return self.weights.size
-
-
 def _floor_positive(values: np.ndarray) -> np.ndarray:
     top = float(np.max(values)) if values.size else 0.0
     if top <= 0:
@@ -131,9 +97,11 @@ def estimate_intensity(
     points: np.ndarray,
     domain: Domain,
     bw: BandwidthSpec,
-    grid: GridSpec | None = None,
-) -> IntensityEstimate:
-    """Kernel intensity estimate at the data points (and optionally on a grid)."""
+    at: np.ndarray | None = None,
+) -> np.ndarray:
+    """Kernel intensity estimate from ``points`` at the rows of ``at``, or
+    at the points themselves when ``at`` is None, floored at 1e-12 times
+    its maximum."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[0]
     if n < 1:
@@ -141,27 +109,20 @@ def estimate_intensity(
     if not np.all(domain.contains(points)):
         raise ValueError("points outside the domain")
     h = bw.resolve(n)
-
-    d2 = cdist(points, points, "sqeuclidean")
-    at_points = _kernel_sum(d2, points, h, domain)
-    on_grid = None
-    if grid is not None:
-        d2g = cdist(grid.cell_centers(), points, "sqeuclidean")
-        on_grid = _kernel_sum(d2g, points, h, domain)
-    return IntensityEstimate(at_points=at_points, bandwidth=bw, grid=grid, on_grid=on_grid)
+    at = points if at is None else np.atleast_2d(np.asarray(at, dtype=float))
+    return _floor_positive(_kernel_sum(cdist(at, points, "sqeuclidean"), points, h, domain))
 
 
-def bandwidth_search_grid(domain: Domain, n: int, size: int = SEARCH_GRID_SIZE) -> np.ndarray:
+def bandwidth_search_grid(domain: Domain, n: int) -> np.ndarray:
     """Log-spaced candidate bandwidths from sub-point-spacing to domain scale."""
-    return np.geomspace(domain.diameter / (2.0 * n), domain.diameter / 2.0, size)
+    return np.geomspace(domain.diameter / (2.0 * n), domain.diameter / 2.0, SEARCH_GRID_SIZE)
 
 
-def scott_bandwidth(points: np.ndarray, n: int | None = None) -> float:
+def scott_bandwidth(points: np.ndarray) -> float:
     """Normal-reference rule: per-axis sd times n^(-1/6), axes combined by
     geometric mean into one isotropic bandwidth."""
     points = np.atleast_2d(points)
-    if n is None:
-        n = points.shape[0]
+    n = points.shape[0]
     sx = float(np.std(points[:, 0], ddof=1))
     sy = float(np.std(points[:, 1], ddof=1))
     return math.sqrt(sx * sy) * n ** (-1.0 / 6.0)
@@ -253,12 +214,7 @@ def cvl_adaptive_criterion(
     return out
 
 
-def select_bandwidth(
-    method: str,
-    points: np.ndarray,
-    domain: Domain,
-    grid_size: int = SEARCH_GRID_SIZE,
-) -> BandwidthSpec:
+def select_bandwidth(method: str, points: np.ndarray, domain: Domain) -> BandwidthSpec:
     """Pick a bandwidth by the named rule.
 
     Grid-searched selectors whose optimum sits on an end of the candidate
@@ -280,7 +236,7 @@ def select_bandwidth(
     if method not in GRID_METHODS:
         raise ValueError(f"unknown bandwidth method {method!r}")
 
-    hs = bandwidth_search_grid(domain, n, grid_size)
+    hs = bandwidth_search_grid(domain, n)
     if method in (CVL, CVL_ADAPTIVE):
         cap = min(domain.x1 - domain.x0, domain.y1 - domain.y0) / 4.0
         capped = hs[hs <= cap]
@@ -307,23 +263,22 @@ def select_bandwidth(
     return BandwidthSpec(method=method, h=float(hs[best]), boundary=best in (0, hs.size - 1))
 
 
-def weights_from_intensity(est, threshold: float) -> WeightVector:
-    """Inverse-intensity weights: normalize the intensities to sum to n,
-    clamp values below ``threshold`` up to it, invert, and renormalize the
-    weights to sum to n.
+def weights_from_intensity(intensity: np.ndarray, threshold: float) -> np.ndarray:
+    """Inverse-intensity weights: normalize the positive ``intensity`` array
+    to sum to n, clamp values below ``threshold`` up to it, invert, and
+    renormalize the weights to sum to n.
 
-    ``est`` may be an IntensityEstimate or a bare positive array. The
-    normalizations use compensated summation so a constant intensity maps
-    to weights of exactly 1.0 (weighted objectives then collapse to their
-    unweighted forms bit-for-bit).
+    The normalizations use compensated summation so a constant intensity
+    maps to weights of exactly 1.0 (weighted objectives then collapse to
+    their unweighted forms bit-for-bit).
     """
     if threshold < 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
-    lam = est.at_points if isinstance(est, IntensityEstimate) else np.asarray(est, dtype=float)
+    lam = np.asarray(intensity, dtype=float)
     if np.any(lam <= 0):
         raise ValueError("intensities must be positive")
     n = lam.size
     normalized = lam * n / math.fsum(lam)
     clamped = np.maximum(normalized, threshold)
     inv = 1.0 / clamped
-    return WeightVector(weights=inv * n / math.fsum(inv), threshold=threshold)
+    return inv * n / math.fsum(inv)

@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .fields import FieldRealization, GridSpec
-from .intensity import IntensityEstimate, WeightVector
 from .kriging import KrigingOutput
 from .likelihood import VecchiaPlan
 from .model import Dataset
@@ -79,7 +78,7 @@ def read_field_csv(path) -> FieldRealization:
     )
     values = np.empty(grid.ncells)
     values[grid.locate(arr[:, :2])] = arr[:, 2]
-    return FieldRealization(grid=grid, values=values, seed=None)
+    return FieldRealization(grid=grid, values=values)
 
 
 def write_dataset_csv(path, data: Dataset) -> None:
@@ -102,16 +101,15 @@ def read_dataset_csv(path) -> Dataset:
     return Dataset(locations=arr[:, :2], values=arr[:, 2])
 
 
-def write_intensity_csv(path, est: IntensityEstimate) -> None:
-    if est.grid is None or est.on_grid is None:
-        raise ValueError("intensity estimate has no grid values to export")
-    centers = est.grid.cell_centers()
-    write_rows(path, ["x", "y", "lambda"], zip(centers[:, 0], centers[:, 1], est.on_grid))
+def write_intensity_csv(path, grid: GridSpec, values: np.ndarray) -> None:
+    """Intensity ``values`` at the grid's cell centers, in cell order."""
+    centers = grid.cell_centers()
+    write_rows(path, ["x", "y", "lambda"], zip(centers[:, 0], centers[:, 1], values))
 
 
-def write_weights_csv(path, locs: np.ndarray, wv: WeightVector) -> None:
+def write_weights_csv(path, locs: np.ndarray, weights: np.ndarray) -> None:
     locs = np.atleast_2d(locs)
-    write_rows(path, ["x", "y", "weight"], zip(locs[:, 0], locs[:, 1], wv.weights))
+    write_rows(path, ["x", "y", "weight"], zip(locs[:, 0], locs[:, 1], weights))
 
 
 def write_surface_csv(path, out: KrigingOutput) -> None:

@@ -38,7 +38,6 @@ from ._linalg import (
     cholesky_lower,
     forward_solve_batched,
 )
-from .intensity import WeightVector
 from .model import (
     Dataset,
     ModelParams,
@@ -98,7 +97,7 @@ class VecchiaPlan:
     neighbors: list
     m: int
     locations: np.ndarray
-    _packed: dict = field(default=None, repr=False, compare=False)
+    _packed: dict = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.order = np.asarray(self.order, dtype=int)
@@ -209,7 +208,7 @@ def exact_nll(psi: ModelParams, data: Dataset) -> NllValue:
 
 
 def _as_weight_array(weights, n: int) -> np.ndarray:
-    w = weights.weights if isinstance(weights, WeightVector) else np.asarray(weights, dtype=float)
+    w = np.asarray(weights, dtype=float)
     if w.shape != (n,):
         raise ValueError(f"weights have shape {w.shape}, want ({n},)")
     if np.any(w <= 0):
@@ -393,7 +392,7 @@ class Objective:
     """One fittable objective: which likelihood, with what weights/plan."""
 
     kind: str
-    weights: object = None
+    weights: np.ndarray | None = None
     plan: VecchiaPlan | None = None
     pair_cutoff: float | None = None
 

@@ -100,7 +100,7 @@ class Dataset:
 
     locations: np.ndarray
     values: np.ndarray
-    _dist: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _dist: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.locations = np.atleast_2d(np.asarray(self.locations, dtype=float))

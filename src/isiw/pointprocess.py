@@ -19,6 +19,7 @@ LGCP = "lgcp"
 SCP = "scp"
 THOMAS = "thomas"
 SAMPLER_KINDS = (LGCP, SCP, THOMAS)
+THOMAS_MAX_RETRIES = 1000
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,6 @@ class SamplerSpec:
     alpha: float = 0.0
     parent_rate: float = 25.0
     offspring_scale: float = 0.1
-    max_retries: int = 1000
 
     def __post_init__(self):
         if self.kind not in SAMPLER_KINDS:
@@ -109,16 +109,17 @@ def sample_thomas(field: FieldRealization, spec: SamplerSpec, seed: SeedStream) 
 
     Parents come from a homogeneous Poisson process; each parent gets a
     Poisson(exp(beta * S(parent))) brood displaced by an isotropic Gaussian
-    and reflected back into the domain. A whole realization is regenerated
-    until it holds at least n points, then subsampled uniformly without
-    replacement (subsampling keeps the clustering structure intact).
+    and reflected back into the domain. A whole realization is regenerated,
+    at most ``THOMAS_MAX_RETRIES`` times, until it holds at least n points,
+    then subsampled uniformly without replacement (subsampling keeps the
+    clustering structure intact).
     """
     if spec.kind != THOMAS:
         raise ValueError(f"sampler kind must be {THOMAS!r}, got {spec.kind!r}")
     dom = field.grid.domain
     rng = seed.generator()
 
-    for _ in range(spec.max_retries):
+    for _ in range(THOMAS_MAX_RETRIES):
         n_parents = rng.poisson(spec.parent_rate * dom.area)
         if n_parents == 0:
             continue
@@ -141,6 +142,6 @@ def sample_thomas(field: FieldRealization, spec: SamplerSpec, seed: SeedStream) 
         return pts[np.sort(keep)]
 
     raise RuntimeError(
-        f"Thomas sampler never reached {spec.n} points in {spec.max_retries} attempts; "
-        "raise parent_rate or the retry budget"
+        f"Thomas sampler never reached {spec.n} points in {THOMAS_MAX_RETRIES} attempts; "
+        "raise parent_rate or lower n"
     )

@@ -283,14 +283,14 @@ def test_criterion_06_weight_pipeline():
         n = int(rng.integers(2, 80))
         lam = rng.lognormal(0.0, rng.uniform(0.1, 3.0), n)
         threshold = float(rng.choice([0.0, 1e-3, 1e-2, 0.1, 0.5]))
-        wv = weights_from_intensity(lam, threshold)
-        worst_sum = max(worst_sum, abs(wv.weights.sum() - n))
+        w = weights_from_intensity(lam, threshold)
+        worst_sum = max(worst_sum, abs(w.sum() - n))
     mono_ok = True
     for _ in range(200):
         lam = rng.lognormal(0.0, 2.0, 25)
-        maxima = [weights_from_intensity(lam, t).weights.max() for t in (0.0, 1e-3, 1e-2, 0.1, 0.5)]
+        maxima = [weights_from_intensity(lam, t).max() for t in (0.0, 1e-3, 1e-2, 0.1, 0.5)]
         mono_ok &= all(a >= b - 1e-12 for a, b in zip(maxima, maxima[1:]))
-    worked = weights_from_intensity(np.array([2.99, 0.005, 0.005]), 0.01).weights
+    worked = weights_from_intensity(np.array([2.99, 0.005, 0.005]), 0.01)
     worked_err = float(np.max(np.abs(worked - np.array([0.00501, 1.49749, 1.49749]))))
     elapsed = time.perf_counter() - started
     report(

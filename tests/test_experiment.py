@@ -270,6 +270,19 @@ class TestConfigFormat:
         with pytest.raises(ValueError, match="threads"):
             parse_config(f"threads={threads}")
 
+    @pytest.mark.parametrize("text,message", [
+        ("samplers=lgcp,lgpc", "unknown sampler kind 'lgpc'"),
+        ("samplers=", "samplers must list at least one value"),
+    ], ids=["typo", "empty"])
+    def test_bad_samplers_rejected(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_config(text)
+
+    @pytest.mark.parametrize("key", ["samplers", "n", "phi"])
+    def test_empty_scenario_list_rejected(self, key):
+        with pytest.raises(ValueError, match=f"{key} must list at least one value"):
+            ExperimentConfig(**{key: ()})
+
 
 class TestMethodVocabulary:
     def test_parse_method(self):

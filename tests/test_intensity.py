@@ -96,9 +96,11 @@ class TestEstimateIntensity:
         pts = np.random.default_rng(1).random((30, 2)) * 0.2  # cluster in a corner
         h = 0.02
         grid = GridSpec(UNIT, 10, 10)
-        est = estimate_intensity(pts, UNIT, BandwidthSpec(method="fixed", h=h), grid=grid)
+        on_grid = estimate_intensity(
+            pts, UNIT, BandwidthSpec(method="fixed", h=h), at=grid.cell_centers()
+        )
         far_cell = grid.locate(np.array([[0.95, 0.95]]))[0]
-        assert est.on_grid[far_cell] < 1e-6 * est.on_grid.max()
+        assert on_grid[far_cell] < 1e-6 * on_grid.max()
 
     def test_single_point_peak_value(self):
         # lone point at the domain center: edge mass ~ 1, peak = 1/(2 pi h^2)
@@ -106,7 +108,7 @@ class TestEstimateIntensity:
         est = estimate_intensity(
             np.array([[0.5, 0.5]]), UNIT, BandwidthSpec(method="fixed", h=h)
         )
-        assert est.at_points[0] == pytest.approx(1.0 / (2 * math.pi * h * h), rel=1e-6)
+        assert est[0] == pytest.approx(1.0 / (2 * math.pi * h * h), rel=1e-6)
 
     def test_matches_oracle_at_points(self):
         rng = np.random.default_rng(42)
@@ -114,7 +116,7 @@ class TestEstimateIntensity:
         h = 0.08
         est = estimate_intensity(pts, UNIT, BandwidthSpec(method="fixed", h=h))
         expected = [oracle_lambda(x, pts, h, UNIT) for x in pts]
-        np.testing.assert_allclose(est.at_points, expected, rtol=1e-10)
+        np.testing.assert_allclose(est, expected, rtol=1e-10)
 
     def test_per_point_bandwidths(self):
         rng = np.random.default_rng(3)
@@ -127,7 +129,7 @@ class TestEstimateIntensity:
         for j, s in enumerate(pts):
             for i, x in enumerate(pts):
                 expected[i] += oracle_lambda(x, [s], hs[j], UNIT)
-        np.testing.assert_allclose(est.at_points, expected, rtol=1e-10)
+        np.testing.assert_allclose(est, expected, rtol=1e-10)
 
     def test_empty_pattern_rejected(self):
         with pytest.raises(ValueError):
@@ -180,10 +182,17 @@ class TestSelectBandwidth:
             assert got_cvl == pytest.approx(want_cvl, rel=1e-8)
 
     def test_boundary_flag_mechanism(self):
+        # on uniform points LSCV runs to the largest candidate, a boundary
         rng = np.random.default_rng(2)
         pts = rng.random((50, 2))
-        bw = select_bandwidth("diggle", pts, UNIT, grid_size=2)
+        bw = select_bandwidth("diggle", pts, UNIT)
         assert bw.boundary
+        assert bw.h == bandwidth_search_grid(UNIT, 50)[-1]
+        # five tight clusters (sd 0.02) give an interior optimum
+        rng = np.random.default_rng(2)
+        centers = rng.uniform(0.2, 0.8, (5, 2))
+        clustered = np.clip(np.repeat(centers, 10, axis=0) + rng.normal(0, 0.02, (50, 2)), 0, 1)
+        assert not select_bandwidth("diggle", clustered, UNIT).boundary
 
     def test_integrals_match_fine_midpoint_quadrature(self):
         # On a lattice of spacing d the midpoint rule errs by c d^2 + O(d^4),
@@ -199,8 +208,10 @@ class TestSelectBandwidth:
 
         def midpoint(power, nx, ny):
             grid = GridSpec(domain, nx, ny)
-            est = estimate_intensity(pts, domain, BandwidthSpec(method="fixed", h=h), grid=grid)
-            return (est.on_grid**power).sum() * domain.area / grid.ncells
+            on_grid = estimate_intensity(
+                pts, domain, BandwidthSpec(method="fixed", h=h), at=grid.cell_centers()
+            )
+            return (on_grid**power).sum() * domain.area / grid.ncells
 
         for power in (1, 2):
             q_coarse, q_fine = midpoint(power, 240, 80), midpoint(power, 480, 160)
@@ -221,8 +232,7 @@ class TestCvL:
 
     def test_mass_preservation(self, homogeneous_selection):
         pts, bw = homogeneous_selection
-        est = estimate_intensity(pts, UNIT, bw)
-        total = np.sum(1.0 / est.at_points)
+        total = np.sum(1.0 / estimate_intensity(pts, UNIT, bw))
         assert abs(total - UNIT.area) / UNIT.area < 0.10
 
     def test_optimum_beats_scaled_bandwidths(self, homogeneous_selection):
@@ -254,16 +264,15 @@ class TestDiggleVsScott:
 
 class TestWeights:
     def test_uniform_intensity_gives_exact_ones(self):
-        wv = weights_from_intensity(np.full(11, 2.73), 0.01)
-        assert np.all(wv.weights == 1.0)
+        assert np.all(weights_from_intensity(np.full(11, 2.73), 0.01) == 1.0)
 
     def test_three_point_example_no_threshold(self):
-        wv = weights_from_intensity(np.array([2.0, 1.0, 1.0]), 0.0)
-        np.testing.assert_allclose(wv.weights, [0.6, 1.2, 1.2], rtol=1e-12)
+        w = weights_from_intensity(np.array([2.0, 1.0, 1.0]), 0.0)
+        np.testing.assert_allclose(w, [0.6, 1.2, 1.2], rtol=1e-12)
 
     def test_winsorized_worked_example(self):
-        wv = weights_from_intensity(np.array([2.99, 0.005, 0.005]), 0.01)
-        np.testing.assert_allclose(wv.weights, [0.00501, 1.49749, 1.49749], atol=1e-4)
+        w = weights_from_intensity(np.array([2.99, 0.005, 0.005]), 0.01)
+        np.testing.assert_allclose(w, [0.00501, 1.49749, 1.49749], atol=1e-4)
 
     def test_sum_is_n(self):
         rng = np.random.default_rng(13)
@@ -271,15 +280,15 @@ class TestWeights:
             n = rng.integers(2, 60)
             lam = rng.lognormal(0.0, rng.uniform(0.1, 3.0), n)
             threshold = rng.choice([0.0, 1e-3, 1e-2, 0.1, 0.5])
-            wv = weights_from_intensity(lam, threshold)
-            assert abs(wv.weights.sum() - n) < 1e-9
+            w = weights_from_intensity(lam, threshold)
+            assert abs(w.sum() - n) < 1e-9
 
     def test_max_weight_monotone_in_threshold(self):
         rng = np.random.default_rng(14)
         for _ in range(100):
             lam = rng.lognormal(0.0, 2.0, 30)
             maxima = [
-                weights_from_intensity(lam, t).weights.max()
+                weights_from_intensity(lam, t).max()
                 for t in (0.0, 1e-3, 1e-2, 0.1, 0.5, 1.0)
             ]
             assert all(a >= b - 1e-12 for a, b in zip(maxima, maxima[1:]))
@@ -288,8 +297,8 @@ class TestWeights:
         est = estimate_intensity(
             np.array([[0.5, 0.5], [0.52, 0.5]]), UNIT, BandwidthSpec(method="fixed", h=0.01)
         )
-        wv = weights_from_intensity(est, 1e-2)
-        assert abs(wv.weights.sum() - 2) < 1e-9
+        w = weights_from_intensity(est, 1e-2)
+        assert abs(w.sum() - 2) < 1e-9
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):

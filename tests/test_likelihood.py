@@ -8,6 +8,7 @@ from isiw import (
     Dataset,
     ModelParams,
     Objective,
+    VecchiaPlan,
     build_cov_matrix,
     exact_nll,
     gaussian_kl,
@@ -131,6 +132,11 @@ class TestConditioningSets:
         locs = np.random.default_rng(0).random((5, 2))
         with pytest.raises(ValueError, match="permutation"):
             nn_conditioning_sets(locs, np.array([0, 1, 2, 3, 3]), m=2)
+
+    def test_packed_blocks_are_not_a_constructor_argument(self):
+        plan = nn_conditioning_sets(random_dataset(6, 1).locations, np.arange(6), m=2)
+        with pytest.raises(TypeError, match="_packed"):
+            VecchiaPlan(plan.order, plan.neighbors, plan.m, plan.locations, _packed={})
 
 
 class TestVecchiaNll:

@@ -169,6 +169,12 @@ class TestDataset:
         i, j = 3, 11
         assert d[i, j] == pytest.approx(np.linalg.norm(data.locations[i] - data.locations[j]))
 
+    def test_distance_cache_is_not_a_constructor_argument(self):
+        # a caller-supplied cache would silently replace the real distances
+        rng = np.random.default_rng(0)
+        with pytest.raises(TypeError, match="_dist"):
+            Dataset(locations=rng.random((5, 2)), values=rng.random(5), _dist=np.zeros((5, 5)))
+
 
 class TestDomain:
     def test_degenerate_rejected(self):

@@ -169,9 +169,7 @@ class TestSampleThomas:
     def test_retry_budget_exhausted(self):
         grid = GridSpec(UNIT, 4, 4)
         fld = constant_field(grid, value=-3.0)  # brood mean exp(-3), tiny
-        spec = SamplerSpec(
-            kind="thomas", n=5000, beta=1.0, parent_rate=1.0, max_retries=3
-        )
+        spec = SamplerSpec(kind="thomas", n=5000, beta=1.0, parent_rate=1.0)
         with pytest.raises(RuntimeError, match="never reached"):
             sample_thomas(fld, spec, SeedStream(1))
 

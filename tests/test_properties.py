@@ -192,5 +192,5 @@ def test_integral_sq_matches_pair_oracle(n, seed, x0, width, y0, height, h_rel):
 )
 def test_weights_sum_to_n(intensities, threshold):
     n = len(intensities)
-    weights = weights_from_intensity(np.array(intensities), threshold).weights
+    weights = weights_from_intensity(np.array(intensities), threshold)
     assert abs(weights.sum() - n) <= 1e-12 * n
