@@ -1,10 +1,22 @@
 """Small shared linear-algebra helpers (Cholesky with pivot reporting,
-batched triangular solves, OpenBLAS thread control)."""
+batched triangular solves, OpenBLAS thread control).
+
+OpenBLAS threads by default on every core, and its idle threads spin. The
+dense work of a fit or a kriging call is on matrices of at most about a
+thousand rows, where those threads gain little on their own and cost much
+when two processes share the cores. ``inference.fit`` and
+``kriging.krige`` therefore run inside :func:`one_blas_thread`, and process
+pools get their parallelism from ``set_blas_threads(1)`` in each worker.
+On a BLAS without a known thread getter and setter (or without /proc)
+both are no-ops.
+"""
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
+from contextlib import contextmanager
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf
@@ -68,13 +80,25 @@ def backward_solve_batched(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 _OPENBLAS_SYMBOL_FORMS = [
     (prefix, suffix) for prefix in ("scipy_", "") for suffix in ("64_", "")
 ]
+# (argtypes, restype) of each OpenBLAS entry point used here
+_OPENBLAS_SIGNATURES = {
+    "get_num_threads": ([], ctypes.c_int),
+    "set_num_threads": ([ctypes.c_int], None),
+}
 
 
+@functools.cache
 def _openblas_calls(name: str) -> dict:
     """``{library path: function}`` for the OpenBLAS ``openblas_<name>``
-    entry point of every OpenBLAS library mapped into this process. Empty
-    where the process map is unreadable (no /proc) or no library exports a
-    known form of the symbol."""
+    entry point of every OpenBLAS library mapped into this process, with
+    its signature declared. Empty where the process map is unreadable (no
+    /proc) or no library exports a known form of the symbol.
+
+    Cached per name, so the libraries are those mapped at the first call.
+    This module imports ``scipy.linalg.lapack``, so numpy's and scipy's
+    OpenBLAS are both loaded by then. A forked child inherits the cache
+    together with the mapping it describes."""
+    argtypes, restype = _OPENBLAS_SIGNATURES[name]
     try:
         with open("/proc/self/maps") as maps:
             fields = [line.split(maxsplit=5) for line in maps]
@@ -90,6 +114,7 @@ def _openblas_calls(name: str) -> dict:
         for prefix, suffix in _OPENBLAS_SYMBOL_FORMS:
             func = getattr(lib, f"{prefix}openblas_{name}{suffix}", None)
             if func is not None:
+                func.argtypes, func.restype = argtypes, restype
                 calls[path] = func
                 break
     return calls
@@ -97,11 +122,7 @@ def _openblas_calls(name: str) -> dict:
 
 def blas_threads() -> dict:
     """``{library path: thread count}`` for each loaded OpenBLAS."""
-    counts = {}
-    for path, get in _openblas_calls("get_num_threads").items():
-        get.argtypes, get.restype = [], ctypes.c_int
-        counts[path] = get()
-    return counts
+    return {path: get() for path, get in _openblas_calls("get_num_threads").items()}
 
 
 def set_blas_threads(n: int) -> None:
@@ -109,5 +130,23 @@ def set_blas_threads(n: int) -> None:
     without a known setter. Process-pool workers call this so that each
     runs single-threaded BLAS instead of oversubscribing the cores."""
     for set_threads in _openblas_calls("set_num_threads").values():
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
         set_threads(n)
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the body with every loaded OpenBLAS on one thread, and restore
+    each library's own previous count on exit, also when the body raises.
+    Only libraries with both a known getter and setter are touched, so on
+    a BLAS without them the scope is a no-op. Thread counts are
+    process-wide: scopes nest, but two Python threads must not be inside
+    scopes at once."""
+    setters = _openblas_calls("set_num_threads")
+    before = {path: n for path, n in blas_threads().items() if path in setters}
+    for path in before:
+        setters[path](1)
+    try:
+        yield
+    finally:
+        for path, n in before.items():
+            setters[path](n)

@@ -37,9 +37,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 from scipy.stats import rankdata
 
-from ._linalg import set_blas_threads
+from ._linalg import blas_threads, set_blas_threads
 from .fields import GridSpec, SeedStream, observe, simulate_field
 from .inference import FitConfig, default_init, fit
 from .intensity import estimate_intensity, select_bandwidth, weights_from_intensity
@@ -345,8 +346,10 @@ def _replicate_task(args):
 
 def _worker_pool(workers: int) -> ProcessPoolExecutor:
     """Process pool whose workers each run single-threaded OpenBLAS, so
-    ``workers`` processes do not oversubscribe the cores. The calling
-    process keeps its own thread count."""
+    ``workers`` processes do not oversubscribe the cores. This also covers
+    ``simulate_field``'s grid factor and draw, which run outside the
+    one-thread scope of ``fit`` and ``krige``. The calling process keeps
+    its own thread count."""
     return ProcessPoolExecutor(max_workers=workers, initializer=set_blas_threads, initargs=(1,))
 
 
@@ -458,6 +461,11 @@ def _write_metadata(config: ExperimentConfig, path: Path, n_rows: int) -> None:
     lines = [f"{line}\n" for line in format_config(config).splitlines()]
     lines.append(f"rows_written={n_rows}\n")
     lines.append("rmspe_convention=predictions scored against mu + S at grid cell centers\n")
+    lines.append(f"numpy_version={np.__version__}\n")
+    lines.append(f"scipy_version={scipy.__version__}\n")
+    # the calling process's own counts; pool workers and fit/krige run on one
+    counts = ",".join(f"{path}:{n}" for path, n in blas_threads().items())
+    lines.append(f"blas_threads={counts}\n")
     path.write_text("".join(lines))
 
 

@@ -13,8 +13,12 @@ when one iteration reduces the objective by at most ``FTOL`` relative to
 max(|f|, 1), or when every component of the projected gradient is at most
 ``GTOL`` in absolute value; an attempt that met a non-finite objective
 value converges only by the gradient test. Up to ``RESTARTS`` more attempts
-follow an unconverged one. ``fd_gradient`` is kept as the
-finite-difference oracle the tests check the closed forms against.
+follow an unconverged one. ``fit`` runs on one OpenBLAS thread
+(``_linalg.one_blas_thread``; a no-op on a BLAS without a known thread
+setter): its factorizations are of blocks and matrices of at most about a
+thousand rows, and processes, not BLAS threads, are the unit of
+parallelism. ``fd_gradient`` is kept as the finite-difference oracle the
+tests check the closed forms against.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from ._linalg import one_blas_thread
 from .model import Dataset, Domain, ModelParams
 
 PARAM_NAMES = ("mu", "sigma2", "phi", "tau2")
@@ -53,7 +58,8 @@ class FitConfig:
 class FitResult:
     """Best point over all attempts. ``iterations`` and ``gradient_norm``
     (2-norm of the projected gradient) belong to the attempt that found
-    it; ``phi_capped`` says phi sits on its bound."""
+    it; ``evaluations`` counts objective calls over all attempts;
+    ``phi_capped`` says phi sits on its bound."""
 
     psi_hat: ModelParams
     nll: float
@@ -62,6 +68,7 @@ class FitResult:
     gradient_norm: float
     restarts_used: int
     phi_capped: bool
+    evaluations: int
 
 
 def default_init(data: Dataset, domain: Domain, nu: float = 1.0) -> ModelParams:
@@ -119,6 +126,7 @@ class _Run:
     iterations: int
     converged: bool
     gradient_norm: float
+    evaluations: int
 
 
 def _lbfgsb(objective, data: Dataset, nu: float, x0, log_phi_cap) -> _Run:
@@ -166,9 +174,12 @@ def _lbfgsb(objective, data: Dataset, nu: float, x0, log_phi_cap) -> _Run:
     converged = bool(res.success) and math.isfinite(res.fun)
     if met_nonfinite:
         converged = converged and float(np.max(np.abs(projected))) <= GTOL
-    return _Run(res.x, float(res.fun), int(res.nit), converged, float(np.linalg.norm(projected)))
+    return _Run(
+        res.x, float(res.fun), int(res.nit), converged, float(np.linalg.norm(projected)), evaluations
+    )
 
 
+@one_blas_thread()
 def fit(objective, data: Dataset, init: ModelParams, config: FitConfig) -> FitResult:
     """Minimize ``objective.nll`` over psi from ``init``.
 
@@ -187,7 +198,7 @@ def fit(objective, data: Dataset, init: ModelParams, config: FitConfig) -> FitRe
     rng = np.random.default_rng(config.restart_seed)
 
     best: _Run | None = None
-    restarts_used = 0
+    restarts_used = evaluations = 0
     for attempt in range(RESTARTS + 1):
         if attempt == 0:
             x0 = x_init
@@ -197,6 +208,7 @@ def fit(objective, data: Dataset, init: ModelParams, config: FitConfig) -> FitRe
             x0[1:] += np.log(rng.uniform(0.5, 1.5, size=3))
             x0[LOG_PHI] = min(x0[LOG_PHI], log_phi_cap)
         run = _lbfgsb(objective, data, nu, x0, log_phi_cap)
+        evaluations += run.evaluations
         if best is None or run.nll < best.nll:
             best = run
         if run.converged:
@@ -210,4 +222,5 @@ def fit(objective, data: Dataset, init: ModelParams, config: FitConfig) -> FitRe
         gradient_norm=best.gradient_norm,
         restarts_used=restarts_used,
         phi_capped=bool(best.x[LOG_PHI] >= log_phi_cap - 1e-12),
+        evaluations=evaluations,
     )

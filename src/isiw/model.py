@@ -114,9 +114,14 @@ class Dataset:
         if not np.all(np.isfinite(self.locations)) or not np.all(np.isfinite(self.values)):
             raise ValueError("non-finite coordinates or values")
         if self.n > 1:
+            # the duplicate check reads the distance cache: the off-diagonal
+            # minimum in place, then the diagonal back to cdist's exact 0.0
             d = pairwise_distances(self.locations)
-            if np.min(d[np.triu_indices(self.n, k=1)]) < 1e-12:
+            np.fill_diagonal(d, np.inf)
+            if np.min(d) < 1e-12:
                 raise ValueError("duplicate locations (within 1e-12)")
+            np.fill_diagonal(d, 0.0)
+            self._dist = d
 
     @property
     def n(self) -> int:

@@ -159,7 +159,10 @@ class TestRunExperiment:
         assert (tmp_path / "results.csv").exists()
         assert (tmp_path / "summary.csv").exists()
         assert (tmp_path / "ranks.csv").exists()
-        assert (tmp_path / "run_metadata.txt").exists()
+        meta = (tmp_path / "run_metadata.txt").read_text().splitlines()
+        assert f"numpy_version={np.__version__}" in meta
+        counts = ",".join(f"{path}:{n}" for path, n in blas_threads().items())
+        assert f"blas_threads={counts}" in meta
 
     def test_results_header_pinned(self, tmp_path):
         config = tiny_config(replicates=1, methods=("mle",))

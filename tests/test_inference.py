@@ -20,7 +20,8 @@ from isiw import (
     microergodic,
     nn_conditioning_sets,
 )
-from isiw._linalg import cholesky_lower
+from isiw._linalg import blas_threads, cholesky_lower
+from isiw.inference import RESTARTS
 
 UNIT = Domain(0.0, 1.0, 0.0, 1.0)
 TRUTH = ModelParams.from_values(4.0, 1.5, 0.15, 0.1)
@@ -261,3 +262,57 @@ class TestOptimizer:
         data = simulate_dataset(10, 16)
         with pytest.raises(TypeError, match="gradient"):
             fit(PlainFloat(), data, default_init(data, UNIT), FitConfig(domain=UNIT))
+
+
+class Counting:
+    """Wraps an objective and counts its ``nll`` calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def nll(self, psi, data):
+        self.calls += 1
+        return self.inner.nll(psi, data)
+
+
+class TestEvaluations:
+    def test_counts_every_objective_call(self):
+        data = simulate_dataset(40, 17)
+        objective = Counting(Objective(kind="exact"))
+        res = fit(objective, data, default_init(data, UNIT), FitConfig(domain=UNIT))
+        assert res.restarts_used == 0
+        assert res.evaluations == objective.calls > 0
+
+    def test_sums_over_restarts(self):
+        # the minimum lies beyond the wall, so every attempt runs
+        data = simulate_dataset(5, 18)
+        objective = Counting(WalledQuadratic(1.0, [2.0, 0.5, -1.0, 0.3]))
+        res = fit(objective, data, ModelParams.from_values(-3.0, 1.0, 0.2, 0.1), FitConfig(domain=UNIT))
+        assert res.restarts_used == RESTARTS
+        assert res.evaluations == objective.calls
+
+
+class TestBlasThreads:
+    def test_objective_runs_on_one_thread(self, caller_blas_counts):
+        seen = []
+
+        class Recording:
+            def nll(self, psi, data):
+                seen.append(blas_threads())
+                return exact_nll(psi, data)
+
+        data = simulate_dataset(30, 19)
+        fit(Recording(), data, default_init(data, UNIT), FitConfig(domain=UNIT))
+        assert seen and all(counts == {path: 1 for path in caller_blas_counts} for counts in seen)
+        assert blas_threads() == caller_blas_counts
+
+    def test_counts_restored_when_fit_raises(self, caller_blas_counts):
+        class PlainFloat:
+            def nll(self, psi, data):
+                return float(exact_nll(psi, data))
+
+        data = simulate_dataset(10, 16)
+        with pytest.raises(TypeError, match="gradient"):
+            fit(PlainFloat(), data, default_init(data, UNIT), FitConfig(domain=UNIT))
+        assert blas_threads() == caller_blas_counts

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
+from scipy.spatial.distance import cdist
 
 from isiw import (
     CovParams,
@@ -21,7 +23,7 @@ from isiw import (
     rmspe,
     simulate_field,
 )
-from isiw._linalg import cholesky_lower
+from isiw._linalg import NotPositiveDefiniteError, blas_threads, cholesky_lower
 
 UNIT = Domain(0.0, 1.0, 0.0, 1.0)
 PSI = ModelParams.from_values(4.0, 1.5, 0.15, 0.1)
@@ -98,6 +100,40 @@ class TestKrigeProperties:
         out = krige(PSI, data, targets)
         assert np.all(out.variances >= 0)
         assert np.all(out.variances <= PSI.theta.sigma2 + 1e-8)
+
+
+class TestLazyVariances:
+    def test_matches_eager_reference(self):
+        # v = L^-1 c0 against every target at once, as krige once computed
+        data = random_dataset(80, 10)
+        targets = np.random.default_rng(11).random((300, 2))
+        out = krige(PSI, data, targets)
+        chol = cholesky_lower(build_cov_matrix(data.locations, PSI.theta, PSI.tau2))
+        cross = matern_cov(cdist(data.locations, targets), PSI.theta)
+        v = solve_triangular(chol, cross, lower=True)
+        z = solve_triangular(chol, data.values - PSI.mu, lower=True)
+        np.testing.assert_allclose(out.predictions, PSI.mu + v.T @ z, rtol=1e-12)
+        assert "variances" not in vars(out)  # not computed until read
+        np.testing.assert_allclose(out.variances, PSI.theta.sigma2 - np.sum(v * v, axis=0), rtol=1e-12)
+        assert out.variances is out.variances
+
+
+class TestBlasThreads:
+    def test_counts_restored(self, caller_blas_counts):
+        data = random_dataset(50, 12)
+        out = krige(PSI, data, np.random.default_rng(13).random((40, 2)))
+        assert blas_threads() == caller_blas_counts
+        out.variances
+        assert blas_threads() == caller_blas_counts
+
+    def test_counts_restored_when_factor_fails(self, caller_blas_counts):
+        # two points 1e-9 apart without a nugget: the covariance is singular
+        # to double precision
+        psi = ModelParams.from_values(0.0, 1.0, 0.5, 0.0)
+        locs = np.array([[0.2, 0.2], [0.2 + 1e-9, 0.2], [0.6, 0.7]])
+        with pytest.raises(NotPositiveDefiniteError, match="kriging system"):
+            krige(psi, Dataset(locations=locs, values=np.zeros(3)), np.array([[0.5, 0.5]]))
+        assert blas_threads() == caller_blas_counts
 
 
 class TestPluginConsistency:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from isiw import CovParams, Dataset, Domain, build_cov_matrix, matern_cov, microergodic
 from isiw._linalg import NotPositiveDefiniteError, cholesky_lower
@@ -168,6 +169,8 @@ class TestDataset:
         assert d is data.pairwise_distances()
         i, j = 3, 11
         assert d[i, j] == pytest.approx(np.linalg.norm(data.locations[i] - data.locations[j]))
+        # the duplicate check builds the cache; its diagonal is back to +0.0
+        assert d.tobytes() == cdist(data.locations, data.locations).tobytes()
 
     def test_distance_cache_is_not_a_constructor_argument(self):
         # a caller-supplied cache would silently replace the real distances
