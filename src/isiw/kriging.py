@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from ._linalg import cholesky_lower, one_blas_thread
-from .model import Dataset, ModelParams, build_cov_matrix, matern_cov, pairwise_distances
+from .model import Dataset, ModelParams, condensed_cov_matrix, matern_cov, pairwise_distances
 
 
 @dataclass
@@ -65,7 +65,7 @@ def krige(psi: ModelParams, data: Dataset, targets: np.ndarray) -> KrigingOutput
     if not np.all(np.isfinite(targets)):
         raise ValueError("non-finite target locations")
 
-    cov = build_cov_matrix(data.locations, psi.theta, psi.tau2)
+    cov = condensed_cov_matrix(data.condensed_distances(), psi.theta, psi.tau2)
     chol = cholesky_lower(cov, context="kriging system")
     cross = matern_cov(pairwise_distances(data.locations, targets), psi.theta)
 

@@ -42,9 +42,10 @@ from .model import (
     Dataset,
     ModelParams,
     build_cov_matrix,
+    condensed_cov_matrix,
     matern_cov,
     matern_cov_dlogphi,
-    pairwise_distances,
+    symmetric_from_condensed,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -187,9 +188,11 @@ def nn_conditioning_sets(locs: np.ndarray, order: np.ndarray, m: int) -> Vecchia
 
 def exact_nll(psi: ModelParams, data: Dataset) -> NllValue:
     """Negative log-likelihood of N(mu 1, Sigma(theta) + tau2 I) via Cholesky,
-    with its gradient."""
-    dist = data.pairwise_distances()
-    matern = matern_cov(dist, psi.theta)
+    with its gradient. The Matérn and its phi-derivative are evaluated on
+    the n(n-1)/2 condensed distances and mirrored, with their h = 0 limits
+    on the diagonal."""
+    theta, dist = psi.theta, data.condensed_distances()
+    matern = condensed_cov_matrix(dist, theta)
     cov = matern.copy()
     cov[np.diag_indices_from(cov)] += psi.tau2
     chol = cholesky_lower(cov, context="observation covariance")
@@ -198,10 +201,11 @@ def exact_nll(psi: ModelParams, data: Dataset) -> NllValue:
 
     alpha = solve_triangular(chol, z, lower=True, trans="T", check_finite=False)
     w = cho_solve((chol, True), np.eye(data.n), check_finite=False) - np.outer(alpha, alpha)
+    d_matern = symmetric_from_condensed(matern_cov_dlogphi(dist, theta), matern_cov_dlogphi(0.0, theta))
     grad = [
         -alpha.sum(),
         0.5 * np.sum(w * matern),
-        0.5 * np.sum(w * matern_cov_dlogphi(dist, psi.theta)),
+        0.5 * np.sum(w * d_matern),
         0.5 * psi.tau2 * np.trace(w),
     ]
     return NllValue(value, grad)
@@ -298,13 +302,9 @@ def pairwise_marginal_nll(
     n = data.n
     if n < 2:
         raise ValueError("pairwise likelihood needs at least two observations")
-    iu, ju = np.triu_indices(n, k=1)
-    d = data.pairwise_distances()[iu, ju]
-    if cutoff is not None:
-        mask = d <= cutoff
-        if not np.any(mask):
-            raise ValueError(f"no pairs within cutoff {cutoff}")
-        iu, ju, d = iu[mask], ju[mask], d[mask]
+    iu, ju, d = data.pairs(cutoff)
+    if d.size == 0:
+        raise ValueError(f"no pairs within cutoff {cutoff}")
 
     c = matern_cov(d, psi.theta)
     v = psi.theta.sigma2 + psi.tau2

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist, squareform
 from scipy.special import gamma as _gamma
 from scipy.special import k0 as _bessel_k0
 from scipy.special import k1 as _bessel_k1
@@ -95,12 +95,16 @@ class Dataset:
     """Observation locations (n, 2) paired with values (n,).
 
     Locations must be pairwise distinct; coincident points (closer than
-    1e-12) make the noiseless covariance exactly singular.
+    1e-12) make the noiseless covariance exactly singular. The condensed
+    pairwise distances (``pdist`` order, which is ``np.triu_indices(n, 1)``
+    order) are computed once, by the duplicate check, and serve every
+    covariance built on the data.
     """
 
     locations: np.ndarray
     values: np.ndarray
-    _dist: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
+    _condensed: np.ndarray = field(init=False, repr=False, compare=False)
+    _cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.locations = np.atleast_2d(np.asarray(self.locations, dtype=float))
@@ -113,25 +117,38 @@ class Dataset:
             raise ValueError("dataset needs at least one observation")
         if not np.all(np.isfinite(self.locations)) or not np.all(np.isfinite(self.values)):
             raise ValueError("non-finite coordinates or values")
-        if self.n > 1:
-            # the duplicate check reads the distance cache: the off-diagonal
-            # minimum in place, then the diagonal back to cdist's exact 0.0
-            d = pairwise_distances(self.locations)
-            np.fill_diagonal(d, np.inf)
-            if np.min(d) < 1e-12:
-                raise ValueError("duplicate locations (within 1e-12)")
-            np.fill_diagonal(d, 0.0)
-            self._dist = d
+        self._condensed = pdist(self.locations)
+        if self._condensed.size and np.min(self._condensed) < 1e-12:
+            raise ValueError("duplicate locations (within 1e-12)")
 
     @property
     def n(self) -> int:
         return self.values.size
 
+    def condensed_distances(self) -> np.ndarray:
+        """The n(n-1)/2 distances d(i, j), i < j, in ``np.triu_indices(n, 1)``
+        order; equal bit for bit to the matching entries of ``cdist``."""
+        return self._condensed
+
     def pairwise_distances(self) -> np.ndarray:
-        """Full n x n Euclidean distance matrix, computed once and cached."""
-        if self._dist is None:
-            self._dist = pairwise_distances(self.locations)
-        return self._dist
+        """Full n x n Euclidean distance matrix, mirrored from the condensed
+        distances once and cached."""
+        if "full" not in self._cache:
+            self._cache["full"] = squareform(self._condensed, checks=False)
+        return self._cache["full"]
+
+    def pairs(self, cutoff: float | None = None) -> tuple:
+        """Indices i < j and distances of the pairs within ``cutoff`` (all
+        pairs when None), in condensed order; computed once per cutoff."""
+        key = ("pairs", cutoff)
+        if key not in self._cache:
+            iu, ju = np.triu_indices(self.n, k=1)
+            d = self._condensed
+            if cutoff is not None:
+                mask = d <= cutoff
+                iu, ju, d = iu[mask], ju[mask], d[mask]
+            self._cache[key] = (iu, ju, d)
+        return self._cache[key]
 
 
 def pairwise_distances(locs: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:
@@ -147,6 +164,8 @@ def _scaled_distances(h, theta: CovParams):
     """Whether the validated distances ``h`` were a scalar, and the Matérn
     argument s = sqrt(2 nu) h / phi as an array."""
     h_arr = np.asarray(h, dtype=float)
+    if not np.all(np.isfinite(h_arr)):
+        raise ValueError("distances must be finite")
     if np.any(h_arr < 0):
         raise ValueError("distances must be nonnegative")
     scalar = h_arr.ndim == 0
@@ -241,16 +260,30 @@ def matern_cov_dlogphi(h, theta: CovParams):
     return out
 
 
-def build_cov_matrix(locs: np.ndarray, theta: CovParams, tau2: float = 0.0) -> np.ndarray:
-    """n x n observation covariance: Matérn on pairwise distances plus
-    ``tau2`` on the diagonal."""
+def symmetric_from_condensed(condensed: np.ndarray, diagonal: float) -> np.ndarray:
+    """n x n symmetric matrix with the condensed values (``pdist`` order)
+    mirrored off the diagonal and ``diagonal`` on it."""
+    out = squareform(condensed, checks=False)
+    np.fill_diagonal(out, diagonal)
+    return out
+
+
+def condensed_cov_matrix(condensed: np.ndarray, theta: CovParams, tau2: float = 0.0) -> np.ndarray:
+    """n x n observation covariance from condensed pairwise distances: the
+    Matérn evaluated once per pair i < j and mirrored, with its h = 0 limit
+    plus ``tau2`` on the diagonal. Bit for bit the Matérn of the full
+    ``cdist`` matrix, since the Matérn is elementwise and ``pdist`` equals
+    ``cdist`` entry for entry."""
     if tau2 < 0:
         raise ValueError(f"nugget must be nonnegative, got {tau2}")
-    d = pairwise_distances(locs)
-    cov = matern_cov(d, theta)
-    if tau2 > 0:
-        cov[np.diag_indices_from(cov)] += tau2
-    return cov
+    return symmetric_from_condensed(matern_cov(condensed, theta), matern_cov(0.0, theta) + tau2)
+
+
+def build_cov_matrix(locs: np.ndarray, theta: CovParams, tau2: float = 0.0) -> np.ndarray:
+    """n x n observation covariance: Matérn on pairwise distances plus
+    ``tau2`` on the diagonal (see :func:`condensed_cov_matrix`)."""
+    locs = np.atleast_2d(np.asarray(locs, dtype=float))
+    return condensed_cov_matrix(pdist(locs), theta, tau2)
 
 
 def microergodic(theta: CovParams) -> float:

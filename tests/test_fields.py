@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from isiw import CovParams, Domain, GridSpec, SeedStream, matern_cov, observe, simulate_field
+from isiw._linalg import cholesky_lower
+from isiw.fields import CHOL_JITTER
 
 UNIT = Domain(0.0, 1.0, 0.0, 1.0)
 THETA = CovParams(1.5, 0.15, 1.0)
@@ -23,7 +26,24 @@ class TestSeedStream:
         assert SeedStream(7, (1,)).child(2).key == (1, 2)
 
 
+def direct_grid_field(spec, theta, seed):
+    """The field drawn from a factor of the covariance built on the full
+    N x N ``cdist`` matrix of the cell centers, with no lattice classes."""
+    centers = spec.cell_centers()
+    cov = matern_cov(cdist(centers, centers), theta)
+    cov[np.diag_indices_from(cov)] += CHOL_JITTER * theta.sigma2
+    chol = cholesky_lower(cov)
+    return chol @ seed.generator().standard_normal(spec.ncells)
+
+
 class TestGridSpec:
+    def test_axis_centers_lay_out_cell_centers(self):
+        grid = GridSpec(Domain(-1.0, 2.0, 0.5, 1.5), 3, 4)
+        xs, ys = grid.axis_centers()
+        np.testing.assert_array_equal(xs, [-0.5, 0.5, 1.5])
+        np.testing.assert_array_equal(grid.cell_centers()[:, 0], np.tile(xs, 4))
+        np.testing.assert_array_equal(grid.cell_centers()[:, 1], np.repeat(ys, 3))
+
     def test_cell_centers_layout(self):
         grid = GridSpec(UNIT, 2, 2)
         np.testing.assert_allclose(
@@ -51,6 +71,18 @@ class TestSimulateField:
         grid = GridSpec(UNIT, 8, 8)
         fld = simulate_field(grid, CovParams(1e-12, 0.15, 1.0), SeedStream(1))
         assert np.max(np.abs(fld.values)) < 1e-5
+
+    @pytest.mark.parametrize(
+        "spec, theta",
+        [
+            (GridSpec(UNIT, 48, 48), THETA),
+            (GridSpec(Domain(-0.7, 1.9, -2.2, -0.4), 29, 17), CovParams(0.8, 0.4, 1.7)),
+        ],
+    )
+    def test_equals_direct_matrix_factor(self, spec, theta):
+        seed = SeedStream(3, (1,))
+        expected = direct_grid_field(spec, theta, seed)
+        assert np.array_equal(simulate_field(spec, theta, seed).values, expected)
 
     def test_bit_identical_replay(self):
         grid = GridSpec(UNIT, 12, 12)

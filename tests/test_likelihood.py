@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, solve_triangular
+from scipy.spatial.distance import cdist
 
 from isiw import (
     CovParams,
@@ -13,13 +15,14 @@ from isiw import (
     exact_nll,
     gaussian_kl,
     matern_cov,
+    matern_cov_dlogphi,
     maxmin_order,
     nn_conditioning_sets,
     pairwise_marginal_nll,
     vecchia_implied_cov,
     vecchia_nll,
 )
-from isiw._linalg import NotPositiveDefiniteError
+from isiw._linalg import NotPositiveDefiniteError, cholesky_lower
 
 PSI = ModelParams.from_values(4.0, 1.5, 0.15, 0.1)
 LOG_2PI = math.log(2 * math.pi)
@@ -39,7 +42,38 @@ def random_psi(rng):
     )
 
 
+def full_matrix_exact_nll(psi, data):
+    """exact_nll with the Matérn and its derivative evaluated on every entry
+    of the full ``cdist`` matrix rather than on the condensed pairs."""
+    dist = cdist(data.locations, data.locations)
+    matern = matern_cov(dist, psi.theta)
+    cov = matern.copy()
+    cov[np.diag_indices_from(cov)] += psi.tau2
+    chol = cholesky_lower(cov)
+    z = solve_triangular(chol, data.values - psi.mu, lower=True, check_finite=False)
+    value = 0.5 * data.n * LOG_2PI + np.sum(np.log(np.diag(chol))) + 0.5 * z @ z
+    alpha = solve_triangular(chol, z, lower=True, trans="T", check_finite=False)
+    w = cho_solve((chol, True), np.eye(data.n), check_finite=False) - np.outer(alpha, alpha)
+    grad = [
+        -alpha.sum(),
+        0.5 * np.sum(w * matern),
+        0.5 * np.sum(w * matern_cov_dlogphi(dist, psi.theta)),
+        0.5 * psi.tau2 * np.trace(w),
+    ]
+    return value, np.array(grad)
+
+
 class TestExactNll:
+    @pytest.mark.parametrize("n", [2, 3, 100])
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 1.7])
+    def test_condensed_equals_full_matrix_bit_for_bit(self, n, nu):
+        data = random_dataset(n, 5 + n)
+        psi = ModelParams.from_values(4.0, 1.5, 0.15, 0.1, nu=nu)
+        got = exact_nll(psi, data)
+        value, grad = full_matrix_exact_nll(psi, data)
+        assert float(got) == value
+        assert np.array_equal(got.grad, grad)
+
     def test_univariate_formula(self):
         data = Dataset(locations=np.array([[0.5, 0.5]]), values=np.array([5.3]))
         v = PSI.theta.sigma2 + PSI.tau2

@@ -126,6 +126,17 @@ class TestBuildCovMatrix:
             cov = build_cov_matrix(locs, CovParams(1.5, 0.15, nu), tau2=1e-8)
             cholesky_lower(cov)  # must not raise
 
+    @pytest.mark.parametrize("n", [2, 3, 100])
+    @pytest.mark.parametrize("tau2", [0.0, 0.05])
+    def test_equals_full_matrix_bit_for_bit(self, n, tau2):
+        rng = np.random.default_rng(n)
+        locs = rng.random((n, 2)) * 2.0 - 0.5
+        for nu in (0.5, 1.0, 1.7, 2.5):
+            theta = CovParams(1.3, 0.2, nu)
+            expected = matern_cov(cdist(locs, locs), theta)
+            expected[np.diag_indices_from(expected)] += tau2
+            assert np.array_equal(build_cov_matrix(locs, theta, tau2), expected)
+
     def test_not_positive_definite_carries_pivot(self):
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NotPositiveDefiniteError) as err:
@@ -169,8 +180,22 @@ class TestDataset:
         assert d is data.pairwise_distances()
         i, j = 3, 11
         assert d[i, j] == pytest.approx(np.linalg.norm(data.locations[i] - data.locations[j]))
-        # the duplicate check builds the cache; its diagonal is back to +0.0
+        # mirrored from the condensed distances, with cdist's exact +0.0
+        # diagonal
         assert d.tobytes() == cdist(data.locations, data.locations).tobytes()
+        assert np.array_equal(data.condensed_distances(), d[np.triu_indices(20, k=1)])
+
+    @pytest.mark.parametrize("cutoff", [None, 0.3])
+    def test_pairs_are_the_upper_triangle_of_cdist(self, cutoff):
+        rng = np.random.default_rng(46)
+        data = Dataset(locations=rng.random((30, 2)), values=rng.random(30))
+        iu, ju, d = data.pairs(cutoff)
+        full_iu, full_ju = np.triu_indices(30, k=1)
+        full_d = cdist(data.locations, data.locations)[full_iu, full_ju]
+        keep = full_d <= (np.inf if cutoff is None else cutoff)
+        assert np.array_equal(iu, full_iu[keep]) and np.array_equal(ju, full_ju[keep])
+        assert np.array_equal(d, full_d[keep])
+        assert data.pairs(cutoff)[2] is d
 
     def test_distance_cache_is_not_a_constructor_argument(self):
         # a caller-supplied cache would silently replace the real distances

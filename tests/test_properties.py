@@ -1,6 +1,7 @@
 """Property tests of the likelihood objectives and their closed-form
-gradients, over random data, parameters and smoothness orders, and of the
-intensity layer's exact selector integrals and weight normalization.
+gradients, over random data, parameters and smoothness orders, of the
+lattice-built grid covariance, and of the intensity layer's exact selector
+integrals and weight normalization.
 
 Examples are derandomized and bounded, so the file is deterministic.
 """
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from test_intensity import oracle_integral_sq
 
@@ -18,6 +20,7 @@ from isiw import (
     CovParams,
     Dataset,
     Domain,
+    GridSpec,
     ModelParams,
     exact_nll,
     fd_gradient,
@@ -29,6 +32,7 @@ from isiw import (
     vecchia_nll,
     weights_from_intensity,
 )
+from isiw.fields import _grid_covariance
 from isiw.intensity import _SelectorWorkspace
 
 NUS = (0.5, 0.8, 1.0, 1.5, 2.5)
@@ -164,6 +168,38 @@ def test_matern_tiny_distances_reach_their_limits(nu, h, phi):
     theta = CovParams(1.7, phi, nu)
     assert abs(matern_cov(h, theta) - 1.7) <= 1e-13
     assert abs(matern_cov_dlogphi(h, theta)) <= 1e-13
+
+
+@pytest.mark.parametrize("nu", NUS)
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+def test_matern_rejects_non_finite_distances(nu, h):
+    theta = CovParams(1.5, 0.15, nu)
+    for func in (matern_cov, matern_cov_dlogphi):
+        with pytest.raises(ValueError, match="finite"):
+            func(h, theta)
+        with pytest.raises(ValueError, match="finite"):
+            func(np.array([0.0, 0.2, h]), theta)
+
+
+@PROPERTY
+@given(
+    st.floats(-3.0, 3.0),
+    st.floats(0.1, 4.0),
+    st.floats(-3.0, 3.0),
+    st.floats(0.1, 4.0),
+    st.integers(2, 64),
+    st.integers(2, 64),
+    st.sampled_from(NUS),
+    st.floats(math.log(0.01), math.log(2.0)),
+)
+def test_lattice_grid_covariance_equals_direct(x0, width, y0, height, nx, ny, nu, log_phi):
+    spec = GridSpec(Domain(x0, x0 + width, y0, y0 + height), nx, ny)
+    theta = CovParams(1.3, math.exp(log_phi), nu)
+    centers = spec.cell_centers()
+    cov = _grid_covariance(spec, theta)
+    # compared in row blocks, so the direct reference never holds N x N
+    for rows in np.array_split(np.arange(spec.ncells), 8):
+        assert np.array_equal(cov[rows], matern_cov(cdist(centers[rows], centers), theta))
 
 
 @PROPERTY
