@@ -34,10 +34,18 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
         super().__init__(msg)
 
 
-def cholesky_lower(a: np.ndarray, context: str = "") -> np.ndarray:
+def cholesky_lower(a: np.ndarray, context: str = "", overwrite: bool = False) -> np.ndarray:
     """Lower Cholesky factor of a symmetric matrix, raising
-    NotPositiveDefiniteError with the failing pivot index on breakdown."""
-    c, info = dpotrf(a, lower=1, clean=1, overwrite_a=0)
+    NotPositiveDefiniteError with the failing pivot index on breakdown.
+
+    LAPACK works on Fortran-ordered arrays, so by default f2py factors a
+    copy of ``a``. With ``overwrite`` a C-ordered ``a`` is handed over as
+    its transpose, which is the same matrix and Fortran-ordered, and the
+    factor is written into ``a``'s own buffer: the caller must not read
+    ``a`` afterwards. The factor's values are the same either way."""
+    if overwrite:
+        a = a.T
+    c, info = dpotrf(a, lower=1, clean=1, overwrite_a=int(overwrite))
     if info > 0:
         raise NotPositiveDefiniteError(info, context)
     if info < 0:

@@ -7,8 +7,10 @@ few distinct values per axis (128 each at 48 x 48), so the covariance is
 evaluated once per (dx^2, dy^2) class and gathered into the matrix; the
 entries equal the Matérn of the ``cdist`` center distances bit for bit.
 What remains is the O(N^3) Cholesky of the N x N matrix, which is what
-``CELL_BUDGET`` bounds. The factor is cached per (grid, covariance) pair:
-replicate draws then cost one matrix-vector product each.
+``CELL_BUDGET`` bounds. LAPACK factors the gathered matrix in its own
+buffer, so a process never holds a second N x N copy (42 MB at 48 x 48).
+The factor is cached per (grid, covariance) pair and read-only, since every
+caller shares it: replicate draws then cost one matrix-vector product each.
 """
 
 from __future__ import annotations
@@ -143,7 +145,9 @@ def _grid_cholesky(spec: GridSpec, theta: CovParams) -> np.ndarray:
     # jitter scales with sigma2 so the degenerate sigma2 -> 0 limit still
     # produces a (near-)zero field
     cov[np.diag_indices_from(cov)] += CHOL_JITTER * theta.sigma2
-    return cholesky_lower(cov, context="grid covariance")
+    chol = cholesky_lower(cov, context="grid covariance", overwrite=True)
+    chol.flags.writeable = False
+    return chol
 
 
 def simulate_field(spec: GridSpec, theta: CovParams, seed: SeedStream) -> FieldRealization:

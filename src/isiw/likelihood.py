@@ -195,7 +195,7 @@ def exact_nll(psi: ModelParams, data: Dataset) -> NllValue:
     matern = condensed_cov_matrix(dist, theta)
     cov = matern.copy()
     cov[np.diag_indices_from(cov)] += psi.tau2
-    chol = cholesky_lower(cov, context="observation covariance")
+    chol = cholesky_lower(cov, context="observation covariance", overwrite=True)
     z = solve_triangular(chol, data.values - psi.mu, lower=True, check_finite=False)
     value = 0.5 * data.n * LOG_2PI + np.sum(np.log(np.diag(chol))) + 0.5 * z @ z
 

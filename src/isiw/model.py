@@ -160,32 +160,80 @@ def pairwise_distances(locs: np.ndarray, other: np.ndarray | None = None) -> np.
     return cdist(locs, other)
 
 
-def _scaled_distances(h, theta: CovParams):
-    """Whether the validated distances ``h`` were a scalar, and the Matérn
-    argument s = sqrt(2 nu) h / phi as an array."""
+def _bessel_k(order: float, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """K_order(s) into ``out``, through the K_0 and K_1 routines where the
+    order allows."""
+    if order == 0.0:
+        return _bessel_k0(s, out=out)
+    if abs(order) == 1.0:
+        return _bessel_k1(s, out=out)
+    return _bessel_kv(order, s, out=out)
+
+
+def _exp_prefactor(s: np.ndarray, sigma2: float, nu: float, dlogphi: bool):
+    """The factor before exp(-s) in the closed forms of nu = 1/2, 3/2 and
+    5/2 (see :func:`_matern`), computed in its written operation order."""
+    if not dlogphi:
+        if nu == 0.5:
+            return sigma2
+        p = s + 1.0
+        if nu == 2.5:
+            p += s * s / 3.0
+        p *= sigma2
+        return p
+    p = s * sigma2
+    if nu == 0.5:
+        return p
+    p *= s
+    if nu == 2.5:
+        p *= s + 1.0
+        p /= 3.0
+    return p
+
+
+def _matern(h, theta: CovParams, dlogphi: bool):
+    """The kernel of :func:`matern_cov` and, with ``dlogphi``,
+    :func:`matern_cov_dlogphi`.
+
+    ``h`` is validated once. The result is computed in the buffer of the
+    scaled distances s = sqrt(2 nu) h / phi, next to a prefactor array of
+    the same size, and every product is taken in the order the formulas are
+    written, so the values are bit for bit those of the plain expressions.
+    K is infinite at s = 0 and overflows (or turns NaN) only for subnormal
+    or similarly tiny s, where the Matérn covariance and its derivative
+    equal their h = 0 limits to double precision (for nu >= 0.03); those
+    entries are set to the limits in place.
+    """
     h_arr = np.asarray(h, dtype=float)
     if not np.all(np.isfinite(h_arr)):
         raise ValueError("distances must be finite")
     if np.any(h_arr < 0):
         raise ValueError("distances must be nonnegative")
-    scalar = h_arr.ndim == 0
-    return scalar, math.sqrt(2.0 * theta.nu) / theta.phi * np.atleast_1d(h_arr)
+    sigma2, nu = theta.sigma2, theta.nu
+    s = math.sqrt(2.0 * nu) / theta.phi * np.atleast_1d(h_arr)
 
-
-def _bessel_k(order: float, s: np.ndarray):
-    """K_order(s), with 1 where it is not finite, and the mask of those
-    entries. K is infinite at s = 0 and overflows (or turns NaN) only for
-    subnormal or similarly tiny s, where the Matérn covariance and its
-    derivative equal their h = 0 limits to double precision (for nu >= 0.03);
-    callers substitute those limits there."""
-    if order == 0.0:
-        bessel = _bessel_k0(s)
-    elif abs(order) == 1.0:
-        bessel = _bessel_k1(s)
+    if nu in (0.5, 1.5, 2.5):
+        prefactor = _exp_prefactor(s, sigma2, nu, dlogphi)
+        np.negative(s, out=s)
+        np.exp(s, out=s)
+        s *= prefactor
     else:
-        bessel = _bessel_kv(order, s)
-    limit = ~np.isfinite(bessel)
-    return np.where(limit, 1.0, bessel), limit
+        if nu == 1.0:
+            prefactor = s * sigma2
+            if dlogphi:
+                prefactor *= s
+        else:
+            prefactor = s ** (nu + 1.0 if dlogphi else nu)
+            prefactor *= sigma2 * 2.0 ** (1.0 - nu) / _gamma(nu)
+        _bessel_k(nu - 1.0 if dlogphi else nu, s, out=s)
+        limit = ~np.isfinite(s)
+        with np.errstate(invalid="ignore"):  # 0 * inf at s = 0, patched below
+            s *= prefactor
+        s[limit] = 0.0 if dlogphi else sigma2
+
+    if h_arr.ndim == 0:
+        return float(s[0])
+    return s
 
 
 def matern_cov(h, theta: CovParams):
@@ -195,33 +243,12 @@ def matern_cov(h, theta: CovParams):
            * K_nu(sqrt(2 nu) h / phi)
 
     with the h = 0 limit sigma2 taken explicitly, also where K_nu overflows
-    at tiny s (see ``_bessel_k``). nu = 1/2, 1, 3/2 and
-    5/2 use their closed forms (exponential decay times a polynomial, or
-    K_1 directly); other orders go through the general Bessel-K branch.
+    at tiny s (see ``_matern``). nu = 1/2, 1, 3/2 and 5/2 use their closed
+    forms (exponential decay times a polynomial, or K_1 directly); other
+    orders go through the general Bessel-K branch.
     Accepts scalars or arrays; returns the same shape.
     """
-    scalar, s = _scaled_distances(h, theta)
-    sigma2, nu = theta.sigma2, theta.nu
-
-    if nu == 0.5:
-        out = sigma2 * np.exp(-s)
-    elif nu == 1.5:
-        out = sigma2 * (1.0 + s) * np.exp(-s)
-    elif nu == 2.5:
-        out = sigma2 * (1.0 + s + s * s / 3.0) * np.exp(-s)
-    else:
-        bessel, limit = _bessel_k(nu, s)
-        s = np.where(limit, 1.0, s)
-        if nu == 1.0:
-            out = sigma2 * s * bessel
-        else:
-            const = sigma2 * 2.0 ** (1.0 - nu) / _gamma(nu)
-            out = const * s**nu * bessel
-        out = np.where(limit, sigma2, out)
-
-    if scalar:
-        return float(out[0])
-    return out
+    return _matern(h, theta, dlogphi=False)
 
 
 def matern_cov_dlogphi(h, theta: CovParams):
@@ -236,28 +263,7 @@ def matern_cov_dlogphi(h, theta: CovParams):
     3/2 and 5/2 use the derivatives of their exponential closed forms.
     Accepts scalars or arrays; returns the same shape.
     """
-    scalar, s = _scaled_distances(h, theta)
-    sigma2, nu = theta.sigma2, theta.nu
-
-    if nu == 0.5:
-        out = sigma2 * s * np.exp(-s)
-    elif nu == 1.5:
-        out = sigma2 * s * s * np.exp(-s)
-    elif nu == 2.5:
-        out = sigma2 * s * s * (1.0 + s) / 3.0 * np.exp(-s)
-    else:
-        bessel, limit = _bessel_k(nu - 1.0, s)
-        s = np.where(limit, 1.0, s)
-        if nu == 1.0:
-            out = sigma2 * s * s * bessel
-        else:
-            const = sigma2 * 2.0 ** (1.0 - nu) / _gamma(nu)
-            out = const * s ** (nu + 1.0) * bessel
-        out = np.where(limit, 0.0, out)
-
-    if scalar:
-        return float(out[0])
-    return out
+    return _matern(h, theta, dlogphi=True)
 
 
 def symmetric_from_condensed(condensed: np.ndarray, diagonal: float) -> np.ndarray:

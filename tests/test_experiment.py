@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import isiw
 from isiw import (
     Domain,
     ModelParams,
@@ -17,6 +21,7 @@ from isiw import (
 from isiw._linalg import blas_threads
 from isiw.experiment import (
     ExperimentConfig,
+    _average_ranks,
     _worker_pool,
     build_objective,
     estimated_weights,
@@ -112,9 +117,10 @@ class TestRunReplicate:
         assert a.rmspe == b.rmspe
 
     def test_thomas_known_weights_fail_softly(self):
-        config = tiny_config(samplers=("thomas",), methods=("mle", "isiw-v:known"),
-                             thomas_parent_rate=150.0)
-        sc = config.scenarios()[0]
+        # a config rejects samplers=thomas with a known source, but a Thomas
+        # scenario passed to run_replicate directly still reaches the row guard
+        config = tiny_config(methods=("mle", "isiw-v:known"), thomas_parent_rate=150.0)
+        sc = Scenario(kind="thomas", n=40, phi=0.15)
         rows = run_replicate(config, sc, 0)
         by_method = {r.method: r for r in rows}
         assert math.isnan(by_method["isiw-v"].rmspe)
@@ -215,6 +221,26 @@ class TestRunExperiment:
         assert 0.0 <= float(isiw_row[5]) <= 100.0
 
 
+def test_import_leaves_scipy_stats_unloaded():
+    # pool workers and the process that forks them import isiw; scipy.stats
+    # would cost each about 23 MB and 0.6 s
+    env = {**os.environ, "PYTHONPATH": str(Path(isiw.__file__).parents[1])}
+    code = "import sys, isiw, isiw.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_average_ranks_equal_rankdata(seed):
+    from scipy.stats import rankdata
+
+    rng = np.random.default_rng(seed)
+    values = rng.choice([0.3, 0.7, 1.1, 2.0, 5.5], size=rng.integers(1, 15))  # with ties
+    assert np.array_equal(_average_ranks(values), rankdata(values))
+    distinct = rng.random(9)
+    assert np.array_equal(_average_ranks(distinct), rankdata(distinct))
+
+
 class TestConfigFormat:
     def test_round_trip(self):
         config = tiny_config(pm_cutoff=0.3, samplers=("lgcp", "scp"))
@@ -280,6 +306,12 @@ class TestConfigFormat:
     def test_bad_samplers_rejected(self, text, message):
         with pytest.raises(ValueError, match=message):
             parse_config(text)
+
+    def test_thomas_with_known_source_rejected(self):
+        with pytest.raises(ValueError, match="thomas.*isiw-v:known, isiw-pm:known"):
+            ExperimentConfig(samplers=("lgcp", "thomas"),
+                             methods=("mle", "isiw-v:known", "isiw-v:diggle", "isiw-pm:known"))
+        ExperimentConfig(samplers=("thomas",), methods=("mle", "isiw-v:diggle"))  # accepted
 
     @pytest.mark.parametrize("key", ["samplers", "n", "phi"])
     def test_empty_scenario_list_rejected(self, key):

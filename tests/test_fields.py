@@ -4,7 +4,8 @@ from scipy.spatial.distance import cdist
 
 from isiw import CovParams, Domain, GridSpec, SeedStream, matern_cov, observe, simulate_field
 from isiw._linalg import cholesky_lower
-from isiw.fields import CHOL_JITTER
+from isiw import fields
+from isiw.fields import CHOL_JITTER, _grid_cholesky
 
 UNIT = Domain(0.0, 1.0, 0.0, 1.0)
 THETA = CovParams(1.5, 0.15, 1.0)
@@ -83,6 +84,26 @@ class TestSimulateField:
         seed = SeedStream(3, (1,))
         expected = direct_grid_field(spec, theta, seed)
         assert np.array_equal(simulate_field(spec, theta, seed).values, expected)
+
+    def test_factor_in_covariance_buffer(self, monkeypatch):
+        gathered = []
+        build = fields._grid_covariance
+
+        def recording(spec, theta):
+            gathered.append(build(spec, theta))
+            return gathered[-1]
+
+        monkeypatch.setattr(fields, "_grid_covariance", recording)
+        chol = _grid_cholesky.__wrapped__(GridSpec(UNIT, 12, 12), THETA)  # bypass the cache
+        assert np.shares_memory(chol, gathered[0])
+
+    def test_cached_factor_read_only(self):
+        grid = GridSpec(UNIT, 12, 12)
+        before = simulate_field(grid, THETA, SeedStream(9, (5,))).values
+        chol = _grid_cholesky(grid, THETA)
+        with pytest.raises(ValueError, match="read-only"):
+            chol[0, 0] = 0.0
+        np.testing.assert_array_equal(simulate_field(grid, THETA, SeedStream(9, (5,))).values, before)
 
     def test_bit_identical_replay(self):
         grid = GridSpec(UNIT, 12, 12)

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.spatial.distance import cdist
 
 from isiw import (
@@ -24,6 +26,8 @@ from isiw import (
     simulate_field,
 )
 from isiw._linalg import NotPositiveDefiniteError, blas_threads, cholesky_lower
+from isiw.kriging import TARGET_BLOCK
+from isiw.model import condensed_cov_matrix
 
 UNIT = Domain(0.0, 1.0, 0.0, 1.0)
 PSI = ModelParams.from_values(4.0, 1.5, 0.15, 0.1)
@@ -116,6 +120,33 @@ class TestLazyVariances:
         assert "variances" not in vars(out)  # not computed until read
         np.testing.assert_allclose(out.variances, PSI.theta.sigma2 - np.sum(v * v, axis=0), rtol=1e-12)
         assert out.variances is out.variances
+
+
+class TestTargetBlocks:
+    @pytest.mark.parametrize(
+        "ntargets", [1, TARGET_BLOCK - 1, TARGET_BLOCK, TARGET_BLOCK + 1, 2 * TARGET_BLOCK + 3, 2304]
+    )
+    def test_predictions_equal_unblocked(self, ntargets):
+        # the whole n x T cross-covariance at once, as krige once computed it
+        data = random_dataset(120, 14)
+        targets = np.random.default_rng(15).random((ntargets, 2))
+        chol = cholesky_lower(condensed_cov_matrix(data.condensed_distances(), PSI.theta, PSI.tau2))
+        alpha = cho_solve((chol, True), data.values - PSI.mu, check_finite=False)
+        cross = matern_cov(cdist(data.locations, targets), PSI.theta)
+        assert np.array_equal(krige(PSI, data, targets).predictions, PSI.mu + cross.T @ alpha)
+
+    def test_memory_bounded_by_blocks(self):
+        # n = 400 onto 48 x 48: the whole cross-covariance alone is 7.4 MB
+        data = random_dataset(400, 16)
+        targets = GridSpec(UNIT, 48, 48).cell_centers()
+        krige(PSI, data, targets)  # warm caches and lazy imports
+        tracemalloc.start()
+        try:
+            krige(PSI, data, targets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestBlasThreads:

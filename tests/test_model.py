@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
+from scipy.special import gamma, k0, k1, kv
 
-from isiw import CovParams, Dataset, Domain, build_cov_matrix, matern_cov, microergodic
+from isiw import CovParams, Dataset, Domain, build_cov_matrix, matern_cov, matern_cov_dlogphi, microergodic
 from isiw._linalg import NotPositiveDefiniteError, cholesky_lower
 
 # Reference values frozen from a 50-digit arbitrary-precision Bessel-K
@@ -94,6 +96,57 @@ class TestMaternCov:
         out = matern_cov(np.array([[0.0, 0.1], [0.2, 0.3]]), theta)
         assert out.shape == (2, 2)
         assert out[0, 0] == 1.0
+
+
+def reference_matern(h, theta, dlogphi):
+    """The Matérn covariance (or its log-phi derivative) written as plain
+    array expressions, one new array per operation, with the h = 0 limit
+    substituted by ``np.where`` wherever Bessel K is not finite."""
+    sigma2, nu = theta.sigma2, theta.nu
+    s = math.sqrt(2.0 * nu) / theta.phi * np.atleast_1d(np.asarray(h, dtype=float))
+    if nu == 0.5:
+        return sigma2 * s * np.exp(-s) if dlogphi else sigma2 * np.exp(-s)
+    if nu == 1.5:
+        return sigma2 * s * s * np.exp(-s) if dlogphi else sigma2 * (1.0 + s) * np.exp(-s)
+    if nu == 2.5:
+        if dlogphi:
+            return sigma2 * s * s * (1.0 + s) / 3.0 * np.exp(-s)
+        return sigma2 * (1.0 + s + s * s / 3.0) * np.exp(-s)
+    order = nu - 1.0 if dlogphi else nu
+    bessel = k0(s) if order == 0.0 else k1(s) if abs(order) == 1.0 else kv(order, s)
+    limit = ~np.isfinite(bessel)
+    bessel = np.where(limit, 1.0, bessel)
+    s = np.where(limit, 1.0, s)
+    const = sigma2 * 2.0 ** (1.0 - nu) / gamma(nu)
+    if dlogphi:
+        out = sigma2 * s * s * bessel if nu == 1.0 else const * s ** (nu + 1.0) * bessel
+    else:
+        out = sigma2 * s * bessel if nu == 1.0 else const * s**nu * bessel
+    return np.where(limit, 0.0 if dlogphi else sigma2, out)
+
+
+@pytest.mark.parametrize("nu", [0.5, 0.8, 1.0, 1.5, 2.5])
+@pytest.mark.parametrize("phi", [0.02, 0.15, 3.0])
+@pytest.mark.parametrize(
+    "h",
+    [
+        np.array([0.0]),
+        np.array([5e-324]),
+        np.array([1e-320]),
+        np.array([1e-300]),
+        np.concatenate([[0.0, 5e-324, 1e-320, 1e-300], np.random.default_rng(0).uniform(0.0, 2.0, 500)]),
+    ],
+    ids=["0", "5e-324", "1e-320", "1e-300", "uniform"],
+)
+def test_in_place_kernel_equals_plain_expressions(nu, phi, h):
+    # any warning, such as a 0 * inf left outside the kernel's errstate,
+    # fails the test
+    theta = CovParams(1.7, phi, nu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(matern_cov(h, theta), reference_matern(h, theta, False))
+        assert np.array_equal(matern_cov_dlogphi(h, theta), reference_matern(h, theta, True))
+        assert matern_cov(float(h[-1]), theta) == reference_matern(h[-1], theta, False)[0]
 
 
 class TestBuildCovMatrix:
