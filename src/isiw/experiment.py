@@ -351,10 +351,11 @@ def _replicate_task(args):
 
 def _worker_pool(workers: int) -> ProcessPoolExecutor:
     """Process pool whose workers each run single-threaded OpenBLAS, so
-    ``workers`` processes do not oversubscribe the cores. This also covers
-    ``simulate_field``'s grid factor and draw, which run outside the
-    one-thread scope of ``fit`` and ``krige``. The calling process keeps
-    its own thread count."""
+    ``workers`` processes do not oversubscribe the cores. A worker holds
+    only the small cached embedding roots of ``simulate_field``, one per
+    phi. The calling process keeps its own thread count; rows do not depend
+    on it, since ``fit`` and ``krige`` run on one thread and field draws use
+    no BLAS."""
     return ProcessPoolExecutor(max_workers=workers, initializer=set_blas_threads, initargs=(1,))
 
 

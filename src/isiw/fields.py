@@ -1,16 +1,17 @@
 """Latent Gaussian field simulation on a lattice and noisy observation.
 
-Fields are drawn exactly via dense Cholesky of the cell-center covariance
-(with a 1e-10 diagonal jitter). On a lattice the distance between two
-centers depends only on their squared per-axis differences, which take a
-few distinct values per axis (128 each at 48 x 48), so the covariance is
-evaluated once per (dx^2, dy^2) class and gathered into the matrix; the
-entries equal the Matérn of the ``cdist`` center distances bit for bit.
-What remains is the O(N^3) Cholesky of the N x N matrix, which is what
-``CELL_BUDGET`` bounds. LAPACK factors the gathered matrix in its own
-buffer, so a process never holds a second N x N copy (42 MB at 48 x 48).
-The factor is cached per (grid, covariance) pair and read-only, since every
-caller shares it: replicate draws then cost one matrix-vector product each.
+Fields are drawn by circulant embedding (Wood & Chan 1994; Dietrich &
+Newsam 1997). The nx x ny lattice is embedded in a (2^k nx) x (2^k ny)
+torus whose covariance is circulant, so ``fft2`` diagonalizes it; k grows
+from 1 until the negative eigenvalues sum to at most 1e-12 sigma2 times
+the M entries of the embedding, which bounds the error of every implied
+covariance entry by 1e-12 sigma2 once they are clipped at 0. A draw is
+then the grid corner of one ``fft2`` of the scaled eigenvalue roots times
+complex white noise: it has the Matérn law of the cell centers to within
+that bound, costs O(M log M), and calls no BLAS, so it does not depend on
+the thread count. ``EMBED_BUDGET`` bounds M; a range too long for the
+domain to embed within it raises. The roots are cached per (grid,
+covariance) pair and read-only, since every caller shares them.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import cholesky_lower
 from .model import CovParams, Dataset, Domain, matern_cov
 
-CHOL_JITTER = 1e-10
-CELL_BUDGET = 4096
+# entries of the largest embedding tried: its complex fft2 array is 32 MB
+EMBED_BUDGET = 2**21
 
 
 @dataclass(frozen=True)
@@ -75,10 +75,6 @@ class GridSpec:
     def dy(self) -> float:
         return (self.domain.y1 - self.domain.y0) / self.ny
 
-    @property
-    def cell_area(self) -> float:
-        return self.dx * self.dy
-
     def axis_centers(self) -> tuple[np.ndarray, np.ndarray]:
         """Center coordinates along x (nx,) and along y (ny,)."""
         xs = self.domain.x0 + (np.arange(self.nx) + 0.5) * self.dx
@@ -118,47 +114,39 @@ class FieldRealization:
         return self.values[self.grid.locate(locs)]
 
 
-def _squared_difference_classes(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct squared differences of the coordinates along one axis, and
-    the (k, k) index of each coordinate pair's value among them."""
-    values, index = np.unique(np.subtract.outer(coords, coords) ** 2, return_inverse=True)
-    return values, index.reshape(coords.size, coords.size)
-
-
-def _grid_covariance(spec: GridSpec, theta: CovParams) -> np.ndarray:
-    """The N x N Matérn covariance of the cell centers, evaluated once per
-    (dx^2, dy^2) class. sqrt(dx^2 + dy^2) is the sum and root ``cdist``
-    takes, so every entry equals ``matern_cov(cdist(centers))`` bit for bit."""
-    xs, ys = spec.axis_centers()
-    sq_x, class_x = _squared_difference_classes(xs)
-    sq_y, class_y = _squared_difference_classes(ys)
-    table = matern_cov(np.sqrt(sq_x[None, :] + sq_y[:, None]), theta)
-    # entry (iy, ix), (jy, jx) is table[class_y[iy, jy], class_x[ix, jx]];
-    # the broadcast indices gather it without an N x N index array
-    cov = table[class_y[:, None, :, None], class_x[None, :, None, :]]
-    return cov.reshape(spec.ncells, spec.ncells)
-
-
 @lru_cache(maxsize=3)
-def _grid_cholesky(spec: GridSpec, theta: CovParams) -> np.ndarray:
-    cov = _grid_covariance(spec, theta)
-    # jitter scales with sigma2 so the degenerate sigma2 -> 0 limit still
-    # produces a (near-)zero field
-    cov[np.diag_indices_from(cov)] += CHOL_JITTER * theta.sigma2
-    chol = cholesky_lower(cov, context="grid covariance", overwrite=True)
-    chol.flags.writeable = False
-    return chol
+def _embedding_root(spec: GridSpec, theta: CovParams) -> np.ndarray:
+    """Square roots sqrt(lambda / M), as a (2^k ny, 2^k nx) array, of the
+    eigenvalues of the smallest circulant embedding, k >= 1, whose negative
+    eigenvalues sum to at most 1e-12 sigma2 M. Its first row is the Matérn
+    at the torus offsets min(i, M - i) dx, so the circulant matrix
+    restricted to the grid is the grid covariance; clipping the negative eigenvalues at 0
+    changes each implied covariance entry by at most their sum over M."""
+    mx, my = 2 * spec.nx, 2 * spec.ny
+    tried = "none"
+    while mx * my <= EMBED_BUDGET:
+        hx = np.minimum(np.arange(mx), mx - np.arange(mx)) * spec.dx
+        hy = np.minimum(np.arange(my), my - np.arange(my)) * spec.dy
+        lam = np.fft.fft2(matern_cov(np.hypot(hx[None, :], hy[:, None]), theta)).real
+        if np.maximum(-lam, 0.0).sum() / lam.size <= 1e-12 * theta.sigma2:
+            root = np.sqrt(np.maximum(lam, 0.0) / lam.size)
+            root.flags.writeable = False
+            return root
+        tried = f"{mx}x{my}"
+        mx, my = 2 * mx, 2 * my
+    raise ValueError(
+        f"no circulant embedding of the {spec.nx}x{spec.ny} grid within {EMBED_BUDGET} "
+        f"entries is nonnegative definite at phi={theta.phi}, nu={theta.nu} "
+        f"(largest tried: {tried})"
+    )
 
 
 def simulate_field(spec: GridSpec, theta: CovParams, seed: SeedStream) -> FieldRealization:
     """Draw one field from N(0, C_theta) over the grid's cell centers."""
-    if spec.ncells > CELL_BUDGET:
-        raise ValueError(
-            f"grid has {spec.ncells} cells, over the dense-factorization budget {CELL_BUDGET}"
-        )
-    chol = _grid_cholesky(spec, theta)
-    z = seed.generator().standard_normal(spec.ncells)
-    return FieldRealization(grid=spec, values=chol @ z)
+    root = _embedding_root(spec, theta)
+    z = seed.generator().standard_normal((2,) + root.shape)
+    draw = np.fft.fft2(root * (z[0] + 1j * z[1]))
+    return FieldRealization(grid=spec, values=draw[: spec.ny, : spec.nx].real.ravel())
 
 
 def observe(

@@ -1,6 +1,6 @@
 """Delimited-text readers and writers for every artifact the toolkit
 exchanges: fields, point patterns, datasets, intensity/weight surfaces,
-prediction surfaces, conditioning plans, and experiment results.
+prediction surfaces, and experiment results.
 
 Floats are written with ``repr`` (shortest round-trip form) so files are
 reproducible byte-for-byte given identical inputs.
@@ -15,7 +15,6 @@ import numpy as np
 
 from .fields import FieldRealization, GridSpec
 from .kriging import KrigingOutput
-from .likelihood import VecchiaPlan
 from .model import Dataset
 
 
@@ -127,12 +126,3 @@ def read_surface_csv(path) -> np.ndarray:
         ]
     return np.asarray(rows)
 
-
-def write_plan_csv(path, plan: VecchiaPlan) -> None:
-    """Debug export: one row per point with its ordered position and
-    semicolon-joined conditioning set (original indices, nearest first)."""
-    rows = []
-    for position, idx in enumerate(plan.order):
-        rows.append((idx, position, ";".join(str(v) for v in plan.neighbors[position])))
-    rows.sort(key=lambda r: r[0])
-    write_rows(path, ["index", "ordered_position", "neighbors"], rows)

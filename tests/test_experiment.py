@@ -202,6 +202,34 @@ class TestRunExperiment:
         csv = lambda run: (tmp_path / run / "results.csv").read_bytes()
         assert csv("serial") == csv("parallel")
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            dict(
+                replicates=1,
+                grid_nx=48,
+                grid_ny=48,
+                n=(100, 300),
+                phi=(0.02, 0.15),
+                methods=("mle", "isiw-v:known", "isiw-v:diggle", "isiw-v:CvL.adaptive"),
+            ),
+        ],
+        ids=["tiny", "48x48"],
+    )
+    def test_rows_independent_of_blas_threads(self, tmp_path, overrides):
+        # each run in a fresh interpreter, so no cache or thread count carries
+        # over: threads=1 computes in a process with OpenBLAS at its default
+        # thread count, threads=2 in pool workers pinned to one thread
+        (tmp_path / "config.txt").write_text(format_config(tiny_config(**overrides)))
+        for threads in (1, 2):
+            run_cli_fresh(
+                "experiment", "--config", str(tmp_path / "config.txt"), "--threads", str(threads),
+                "--out-dir", str(tmp_path / f"threads{threads}"),
+            )
+        csv = lambda run: (tmp_path / run / "results.csv").read_bytes()
+        assert csv("threads1") == csv("threads2")
+
     def test_pool_workers_run_single_threaded_blas(self):
         parent = blas_threads()
         if not parent:
@@ -221,13 +249,34 @@ class TestRunExperiment:
         assert 0.0 <= float(isiw_row[5]) <= 100.0
 
 
+def fresh_env(**extra) -> dict:
+    """Environment of a child interpreter that imports this checkout's isiw."""
+    return {**os.environ, "PYTHONPATH": str(Path(isiw.__file__).parents[1]), **extra}
+
+
+def run_cli_fresh(*argv, **env):
+    """``isiw *argv`` in a fresh interpreter, with ``env`` added to its
+    environment only."""
+    cmd = [sys.executable, "-m", "isiw.cli", *argv]
+    out = subprocess.run(cmd, env=fresh_env(**env), capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
 def test_import_leaves_scipy_stats_unloaded():
     # pool workers and the process that forks them import isiw; scipy.stats
     # would cost each about 23 MB and 0.6 s
-    env = {**os.environ, "PYTHONPATH": str(Path(isiw.__file__).parents[1])}
     code = "import sys, isiw, isiw.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_simulate_field_independent_of_blas_threads(tmp_path):
+    for threads in ("1", "2"):
+        run_cli_fresh(
+            "simulate", "--seed", "3", "--out-dir", str(tmp_path), "--out", f"field{threads}.csv",
+            OPENBLAS_NUM_THREADS=threads,
+        )
+    assert (tmp_path / "field1.csv").read_bytes() == (tmp_path / "field2.csv").read_bytes()
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -360,17 +409,6 @@ class TestIoRoundTrips:
         back = io.read_dataset_csv(tmp_path / "d.csv")
         np.testing.assert_array_equal(back.locations, data.locations)
         np.testing.assert_array_equal(back.values, data.values)
-
-    def test_plan_export(self, tmp_path):
-        from isiw import maxmin_order, nn_conditioning_sets
-
-        rng = np.random.default_rng(1)
-        locs = rng.random((6, 2))
-        plan = nn_conditioning_sets(locs, maxmin_order(locs), 2)
-        io.write_plan_csv(tmp_path / "plan.csv", plan)
-        lines = (tmp_path / "plan.csv").read_text().splitlines()
-        assert lines[0] == "index,ordered_position,neighbors"
-        assert len(lines) == 7
 
 
 def exit_code(argv) -> int:

@@ -1,11 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
 
 from isiw import CovParams, Domain, GridSpec, SeedStream, matern_cov, observe, simulate_field
-from isiw._linalg import cholesky_lower
-from isiw import fields
-from isiw.fields import CHOL_JITTER, _grid_cholesky
+from isiw.fields import _embedding_root
 
 UNIT = Domain(0.0, 1.0, 0.0, 1.0)
 THETA = CovParams(1.5, 0.15, 1.0)
@@ -27,14 +26,15 @@ class TestSeedStream:
         assert SeedStream(7, (1,)).child(2).key == (1, 2)
 
 
-def direct_grid_field(spec, theta, seed):
-    """The field drawn from a factor of the covariance built on the full
-    N x N ``cdist`` matrix of the cell centers, with no lattice classes."""
-    centers = spec.cell_centers()
-    cov = matern_cov(cdist(centers, centers), theta)
-    cov[np.diag_indices_from(cov)] += CHOL_JITTER * theta.sigma2
-    chol = cholesky_lower(cov)
-    return chol @ seed.generator().standard_normal(spec.ncells)
+def implied_grid_covariance_error(spec, theta):
+    """Largest gap, over the offsets within the grid, between the covariance
+    the cached embedding implies (the inverse transform of its eigenvalues)
+    and the Matérn of the offset distances, in units of sigma2."""
+    implied = np.fft.fft2(_embedding_root(spec, theta) ** 2)[: spec.ny, : spec.nx]
+    hx = np.arange(spec.nx) * spec.dx
+    hy = np.arange(spec.ny) * spec.dy
+    direct = matern_cov(np.hypot(hx[None, :], hy[:, None]), theta)
+    return np.max(np.abs(implied - direct)) / theta.sigma2
 
 
 class TestGridSpec:
@@ -80,29 +80,25 @@ class TestSimulateField:
             (GridSpec(Domain(-0.7, 1.9, -2.2, -0.4), 29, 17), CovParams(0.8, 0.4, 1.7)),
         ],
     )
-    def test_equals_direct_matrix_factor(self, spec, theta):
-        seed = SeedStream(3, (1,))
-        expected = direct_grid_field(spec, theta, seed)
-        assert np.array_equal(simulate_field(spec, theta, seed).values, expected)
+    def test_implied_covariance_equals_matern(self, spec, theta):
+        assert implied_grid_covariance_error(spec, theta) <= 1e-12
 
-    def test_factor_in_covariance_buffer(self, monkeypatch):
-        gathered = []
-        build = fields._grid_covariance
-
-        def recording(spec, theta):
-            gathered.append(build(spec, theta))
-            return gathered[-1]
-
-        monkeypatch.setattr(fields, "_grid_covariance", recording)
-        chol = _grid_cholesky.__wrapped__(GridSpec(UNIT, 12, 12), THETA)  # bypass the cache
-        assert np.shares_memory(chol, gathered[0])
+    def test_first_draw_memory_peak(self):
+        _embedding_root.cache_clear()
+        tracemalloc.start()
+        try:
+            simulate_field(GridSpec(UNIT, 48, 48), THETA, SeedStream(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_cached_factor_read_only(self):
         grid = GridSpec(UNIT, 12, 12)
         before = simulate_field(grid, THETA, SeedStream(9, (5,))).values
-        chol = _grid_cholesky(grid, THETA)
+        root = _embedding_root(grid, THETA)
         with pytest.raises(ValueError, match="read-only"):
-            chol[0, 0] = 0.0
+            root[0, 0] = 0.0
         np.testing.assert_array_equal(simulate_field(grid, THETA, SeedStream(9, (5,))).values, before)
 
     def test_bit_identical_replay(self):
@@ -112,8 +108,11 @@ class TestSimulateField:
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_cell_budget_enforced(self):
-        with pytest.raises(ValueError, match="budget"):
-            simulate_field(GridSpec(UNIT, 80, 80), THETA, SeedStream(0))
+        # grids past the old dense-factorization budget of 4,096 cells draw
+        assert simulate_field(GridSpec(UNIT, 80, 80), THETA, SeedStream(0)).values.shape == (6400,)
+        # a range three times the domain needs an embedding past the budget
+        with pytest.raises(ValueError, match=r"48x48 grid .* phi=3\.0, nu=1\.0"):
+            simulate_field(GridSpec(UNIT, 48, 48), CovParams(1.5, 3.0, 1.0), SeedStream(0))
 
     def test_marginal_variance_48x48(self):
         # per-cell sample variance over 500 draws should sit within 15% of

@@ -1,6 +1,6 @@
 """Property tests of the likelihood objectives and their closed-form
 gradients, over random data, parameters and smoothness orders, of the
-lattice-built grid covariance, and of the intensity layer's exact selector
+grid covariance implied by the circulant embedding, and of the intensity layer's exact selector
 integrals and weight normalization.
 
 Examples are derandomized and bounded, so the file is deterministic.
@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import cdist
 
+from test_fields import implied_grid_covariance_error
 from test_intensity import oracle_integral_sq
 
 from isiw import (
@@ -32,7 +32,6 @@ from isiw import (
     vecchia_nll,
     weights_from_intensity,
 )
-from isiw.fields import _grid_covariance
 from isiw.intensity import _SelectorWorkspace
 
 NUS = (0.5, 0.8, 1.0, 1.5, 2.5)
@@ -190,16 +189,14 @@ def test_matern_rejects_non_finite_distances(nu, h):
     st.integers(2, 64),
     st.integers(2, 64),
     st.sampled_from(NUS),
-    st.floats(math.log(0.01), math.log(2.0)),
+    st.floats(0.0, 1.0),
 )
-def test_lattice_grid_covariance_equals_direct(x0, width, y0, height, nx, ny, nu, log_phi):
+def test_lattice_grid_covariance_equals_direct(x0, width, y0, height, nx, ny, nu, phi_frac):
+    # phi log-uniform in [0.01, half the shorter side]
+    upper = 0.5 * min(width, height)
+    phi = 0.01 * (upper / 0.01) ** phi_frac
     spec = GridSpec(Domain(x0, x0 + width, y0, y0 + height), nx, ny)
-    theta = CovParams(1.3, math.exp(log_phi), nu)
-    centers = spec.cell_centers()
-    cov = _grid_covariance(spec, theta)
-    # compared in row blocks, so the direct reference never holds N x N
-    for rows in np.array_split(np.arange(spec.ncells), 8):
-        assert np.array_equal(cov[rows], matern_cov(cdist(centers[rows], centers), theta))
+    assert implied_grid_covariance_error(spec, CovParams(1.3, phi, nu)) <= 1e-12
 
 
 @PROPERTY
