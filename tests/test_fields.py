@@ -108,7 +108,7 @@ class TestSimulateField:
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_cell_budget_enforced(self):
-        # grids past the old dense-factorization budget of 4,096 cells draw
+        # no cap on the cell count itself
         assert simulate_field(GridSpec(UNIT, 80, 80), THETA, SeedStream(0)).values.shape == (6400,)
         # a range three times the domain needs an embedding past the budget
         with pytest.raises(ValueError, match=r"48x48 grid .* phi=3\.0, nu=1\.0"):

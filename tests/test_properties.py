@@ -1,7 +1,7 @@
 """Property tests of the likelihood objectives and their closed-form
-gradients, over random data, parameters and smoothness orders, of the
-grid covariance implied by the circulant embedding, and of the intensity layer's exact selector
-integrals and weight normalization.
+gradients, over random data, parameters and smoothness orders, of the grid
+covariance implied by the circulant embedding, and of the intensity
+layer's exact selector integrals and weight normalization.
 
 Examples are derandomized and bounded, so the file is deterministic.
 """
