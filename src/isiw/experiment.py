@@ -255,13 +255,6 @@ def param_metrics(fits, truth: ModelParams) -> dict:
     return out
 
 
-def _true_point_intensity(scenario, field, spec, locs):
-    if scenario.kind == THOMAS:
-        raise ValueError("known weights are unavailable for the Thomas process")
-    cell_intensity = compute_intensity(scenario.kind, field, spec)
-    return cell_intensity[field.grid.locate(locs)]
-
-
 def run_replicate(config: ExperimentConfig, scenario: Scenario, replicate: int) -> list:
     """Simulate one dataset and produce one MetricsRow per configured method."""
     root = SeedStream(config.seed)
@@ -276,6 +269,7 @@ def run_replicate(config: ExperimentConfig, scenario: Scenario, replicate: int) 
         parent_rate=config.thomas_parent_rate,
         offspring_scale=config.thomas_offspring_scale,
     )
+    cell_intensity = None  # the Thomas process has none
     if scenario.kind == THOMAS:
         locs = sample_thomas(fld, spec, root.child(scenario.sid, replicate, 1))
     else:
@@ -291,8 +285,9 @@ def run_replicate(config: ExperimentConfig, scenario: Scenario, replicate: int) 
     @functools.cache
     def weights(source):
         if source == KNOWN:
-            lam = _true_point_intensity(scenario, fld, spec, locs)
-            return weights_from_intensity(lam, config.threshold)
+            if cell_intensity is None:
+                raise ValueError("known weights are unavailable for the Thomas process")
+            return weights_from_intensity(cell_intensity[fld.grid.locate(locs)], config.threshold)
         return estimated_weights(source, locs, config.domain, config.threshold)
 
     rows = []
@@ -511,8 +506,37 @@ _ON = ("on", "true", "1", "yes")
 _OFF = ("off", "false", "0", "no")
 
 
+def _convert(key: str, value: str):
+    """The typed value of the config entry ``key=value``; raises KeyError
+    for an unknown key and ValueError for a value that does not convert."""
+    if key in _FLOAT_KEYS:
+        return float(value)
+    if key in _INT_KEYS:
+        return int(value)
+    if key == "domain":
+        bounds = value.split(",")
+        if len(bounds) != 4:
+            raise ValueError(f"must be x0,x1,y0,y1, got {value!r}")
+        return Domain(*(float(v) for v in bounds))
+    if key == "phi":
+        return tuple(float(v) for v in value.split(","))
+    if key == "n":
+        return tuple(int(v) for v in value.split(","))
+    if key in ("samplers", "methods"):
+        return tuple(v.strip() for v in value.split(",") if v.strip())
+    if key == "pm_cutoff":
+        return float(value) if value else None
+    if key == "timing":
+        flag = value.lower()
+        if flag not in _ON + _OFF:
+            raise ValueError(f"must be on or off, got {value!r}")
+        return flag in _ON
+    raise KeyError(key)
+
+
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse the flat key=value config format (see module docstring)."""
+    """Parse the flat key=value config format (see module docstring). An
+    error names the line and the key."""
     kwargs: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -521,28 +545,12 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in _FLOAT_KEYS:
-            kwargs[key] = float(value)
-        elif key in _INT_KEYS:
-            kwargs[key] = int(value)
-        elif key == "domain":
-            x0, x1, y0, y1 = (float(v) for v in value.split(","))
-            kwargs[key] = Domain(x0, x1, y0, y1)
-        elif key == "phi":
-            kwargs[key] = tuple(float(v) for v in value.split(","))
-        elif key == "n":
-            kwargs[key] = tuple(int(v) for v in value.split(","))
-        elif key in ("samplers", "methods"):
-            kwargs[key] = tuple(v.strip() for v in value.split(",") if v.strip())
-        elif key == "pm_cutoff":
-            kwargs[key] = float(value) if value else None
-        elif key == "timing":
-            flag = value.lower()
-            if flag not in _ON + _OFF:
-                raise ValueError(f"config line {lineno}: timing must be on or off, got {value!r}")
-            kwargs[key] = flag in _ON
-        else:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        try:
+            kwargs[key] = _convert(key, value)
+        except KeyError:
+            raise ValueError(f"config line {lineno}: unknown key {key!r}") from None
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {key}: {exc}") from None
     return ExperimentConfig(**kwargs)
 
 

@@ -12,7 +12,10 @@ the inversion never divides by zero. Five bandwidth selectors are provided;
 the grid-searched ones scan ``SEARCH_GRID_SIZE`` log-spaced candidates, and
 "CvL.adaptive" attaches a per-point bandwidth inversely proportional to the
 square root of a pilot density; the LSCV ("diggle") and Poisson-likelihood
-("ppl") criteria have exact integral terms. :func:`weights_from_intensity`
+("ppl") criteria have exact integral terms. The criteria are stateless
+functions of (points, domain, candidates). The kernel above is evaluated in
+:func:`_kernel_sum` alone, for the estimate, the pilot, the Campbell
+criterion and the leave-one-out fits. :func:`weights_from_intensity`
 turns intensities into an array of inverse-intensity weights, winsorized
 from below on the n-normalized scale and renormalized to sum to n.
 """
@@ -43,33 +46,24 @@ _INTENSITY_FLOOR_REL = 1e-12
 
 @dataclass
 class BandwidthSpec:
-    """Resolved bandwidth: a global ``h`` and, for the adaptive method, one
+    """A bandwidth: a global ``h`` and, for the adaptive method, one
     bandwidth per data point. ``boundary`` flags a selector whose optimum
     landed on an end of the search grid."""
 
     method: str
-    h: float | None = None
+    h: float
     per_point_h: np.ndarray | None = None
     boundary: bool = False
 
     def __post_init__(self):
         if self.method not in BANDWIDTH_METHODS:
             raise ValueError(f"unknown bandwidth method {self.method!r}")
-        if self.h is not None and not self.h > 0:
+        if not self.h > 0:
             raise ValueError(f"bandwidth must be positive, got {self.h}")
         if self.per_point_h is not None:
             self.per_point_h = np.asarray(self.per_point_h, dtype=float)
             if np.any(self.per_point_h <= 0):
                 raise ValueError("per-point bandwidths must be positive")
-
-    def resolve(self, n: int) -> np.ndarray | float:
-        if self.per_point_h is not None:
-            if self.per_point_h.size != n:
-                raise ValueError("per-point bandwidths do not match the point count")
-            return self.per_point_h
-        if self.h is None:
-            raise ValueError("bandwidth not resolved; run select_bandwidth first")
-        return self.h
 
 
 def _floor_positive(values: np.ndarray) -> np.ndarray:
@@ -108,7 +102,11 @@ def estimate_intensity(
         raise ValueError("need at least one point")
     if not np.all(domain.contains(points)):
         raise ValueError("points outside the domain")
-    h = bw.resolve(n)
+    h = bw.per_point_h
+    if h is None:
+        h = bw.h
+    elif h.size != n:
+        raise ValueError("per-point bandwidths do not match the point count")
     at = points if at is None else np.atleast_2d(np.asarray(at, dtype=float))
     return _floor_positive(_kernel_sum(cdist(at, points, "sqeuclidean"), points, h, domain))
 
@@ -128,90 +126,60 @@ def scott_bandwidth(points: np.ndarray) -> float:
     return math.sqrt(sx * sy) * n ** (-1.0 / 6.0)
 
 
-class _SelectorWorkspace:
-    """Shared precomputation for the grid-searched selectors.
-
-    Distances are computed once; each candidate bandwidth only pays for
-    kernel evaluations. Every edge-corrected kernel integrates to 1 over
-    the domain, so the integral of lambda is n; that of lambda^2 is
-    :meth:`integral_sq`.
-    """
-
-    def __init__(self, points, domain):
-        self.points = np.atleast_2d(np.asarray(points, dtype=float))
-        self.domain = domain
-        self.n = self.points.shape[0]
-        self.d2_pts = cdist(self.points, self.points, "sqeuclidean")
-
-    def at_points(self, h) -> np.ndarray:
-        return _kernel_sum(self.d2_pts, self.points, h, self.domain)
-
-    def at_points_loo(self, h) -> np.ndarray:
-        # direct sum over the other points; subtracting a self term instead
-        # cancels catastrophically for isolated points at small h
-        h2 = np.broadcast_to(np.asarray(h, dtype=float) ** 2, (self.n,))
-        contrib = np.exp(-self.d2_pts / (2.0 * h2)) / (2.0 * math.pi * h2)
-        np.fill_diagonal(contrib, 0.0)
-        return contrib @ (1.0 / _edge_mass(self.points, np.sqrt(h2), self.domain))
-
-    def integral_sq(self, hs: np.ndarray) -> np.ndarray:
-        """Exact integral of lambda^2 over the domain per bandwidth (Diggle
-        1985): per axis, phi_h(x - u) phi_h(x - v) is phi_{sqrt2 h}(u - v)
-        times a normal density of scale h/sqrt2 about (u + v)/2, whose mass
-        in the rectangle is an edge mass. Summed over pairs i <= j."""
-        i, j = np.triu_indices(self.n)
-        mult = np.where(i == j, 1.0, 2.0)
-        d2, mid = self.d2_pts[i, j], 0.5 * (self.points[i] + self.points[j])
-        out = np.empty(hs.size)
-        for k, h in enumerate(hs):
-            inv_e = 1.0 / _edge_mass(self.points, h, self.domain)
-            inner = _edge_mass(mid, h / math.sqrt(2.0), self.domain)
-            terms = mult * inv_e[i] * inv_e[j] * np.exp(-d2 / (4.0 * h * h)) * inner
-            out[k] = terms.sum() / (4.0 * math.pi * h * h)
-        return out
+def integral_sq(points: np.ndarray, domain: Domain, hs: np.ndarray) -> np.ndarray:
+    """Exact integral of lambda^2 over the domain per bandwidth (Diggle
+    1985): per axis, phi_h(x - u) phi_h(x - v) is phi_{sqrt2 h}(u - v)
+    times a normal density of scale h/sqrt2 about (u + v)/2, whose mass
+    in the rectangle is an edge mass. Summed over pairs i <= j."""
+    i, j = np.triu_indices(points.shape[0])
+    mult = np.where(i == j, 1.0, 2.0)
+    d2, mid = cdist(points, points, "sqeuclidean")[i, j], 0.5 * (points[i] + points[j])
+    out = np.empty(hs.size)
+    for k, h in enumerate(hs):
+        inv_e = 1.0 / _edge_mass(points, h, domain)
+        inner = _edge_mass(mid, h / math.sqrt(2.0), domain)
+        terms = mult * inv_e[i] * inv_e[j] * np.exp(-d2 / (4.0 * h * h)) * inner
+        out[k] = terms.sum() / (4.0 * math.pi * h * h)
+    return out
 
 
-def lscv_criterion(ws: _SelectorWorkspace, hs: np.ndarray) -> np.ndarray:
+def _loo_fits(points: np.ndarray, domain: Domain, hs: np.ndarray) -> np.ndarray:
+    """Leave-one-out fit at each point (columns) per bandwidth (rows): the
+    direct sum over the other points, whose kernel at its own point is
+    exp(-inf) = 0. Subtracting a self term instead cancels catastrophically
+    for isolated points at small h."""
+    d2 = cdist(points, points, "sqeuclidean")
+    np.fill_diagonal(d2, np.inf)
+    return np.array([_kernel_sum(d2, points, h, domain) for h in hs])
+
+
+def lscv_criterion(points: np.ndarray, domain: Domain, hs: np.ndarray) -> np.ndarray:
     """Least-squares cross-validation risk per candidate bandwidth: the
     exact integral of lambda^2 minus twice the sum of leave-one-out fits."""
-    loo = np.array([ws.at_points_loo(h).sum() for h in hs])
-    return ws.integral_sq(hs) - 2.0 * loo
+    return integral_sq(points, domain, hs) - 2.0 * _loo_fits(points, domain, hs).sum(axis=1)
 
 
-def ppl_criterion(ws: _SelectorWorkspace, hs: np.ndarray) -> np.ndarray:
+def ppl_criterion(points: np.ndarray, domain: Domain, hs: np.ndarray) -> np.ndarray:
     """Leave-one-out Poisson log-likelihood per candidate bandwidth. Its
     integral term, the integral of lambda, is exactly n for every h."""
-    loglik = np.array(
-        [np.log(np.maximum(ws.at_points_loo(h), 1e-300)).sum() for h in hs]
-    )
-    return loglik - ws.n
+    loo = _loo_fits(points, domain, hs)
+    return np.log(np.maximum(loo, 1e-300)).sum(axis=1) - points.shape[0]
 
 
-def cvl_criterion(ws: _SelectorWorkspace, hs: np.ndarray) -> np.ndarray:
+def cvl_criterion(points: np.ndarray, domain: Domain, bandwidths) -> np.ndarray:
     """Squared gap between the summed inverse intensities and the domain
-    area (the Campbell-formula identity the estimate should satisfy)."""
-    area = ws.domain.area
-    out = np.empty(hs.size)
-    for j, h in enumerate(hs):
-        out[j] = (np.sum(1.0 / ws.at_points(h)) - area) ** 2
-    return out
+    area (the Campbell-formula identity the estimate should satisfy; Cronie
+    & van Lieshout 2018), per candidate: a global h or a per-point array."""
+    d2 = cdist(points, points, "sqeuclidean")
+    return np.array(
+        [(np.sum(1.0 / _kernel_sum(d2, points, h, domain)) - domain.area) ** 2 for h in bandwidths]
+    )
 
 
 def _adaptive_bandwidths(pilot_at_points: np.ndarray, h0: float) -> np.ndarray:
     pilot = np.maximum(pilot_at_points, 1e-300)
     g = math.exp(float(np.mean(np.log(pilot))))
     return h0 * np.sqrt(g / pilot)
-
-
-def cvl_adaptive_criterion(
-    ws: _SelectorWorkspace, hs: np.ndarray, pilot_at_points: np.ndarray
-) -> np.ndarray:
-    area = ws.domain.area
-    out = np.empty(hs.size)
-    for j, h0 in enumerate(hs):
-        per_h = _adaptive_bandwidths(pilot_at_points, h0)
-        out[j] = (np.sum(1.0 / ws.at_points(per_h)) - area) ** 2
-    return out
 
 
 def select_bandwidth(method: str, points: np.ndarray, domain: Domain) -> BandwidthSpec:
@@ -241,26 +209,24 @@ def select_bandwidth(method: str, points: np.ndarray, domain: Domain) -> Bandwid
         cap = min(domain.x1 - domain.x0, domain.y1 - domain.y0) / 4.0
         capped = hs[hs <= cap]
         hs = capped if capped.size >= 2 else hs[:2]
-    ws = _SelectorWorkspace(points, domain)
 
+    per_point_h = None
     if method == DIGGLE:
-        best = int(np.argmin(lscv_criterion(ws, hs)))
+        best = int(np.argmin(lscv_criterion(points, domain, hs)))
     elif method == PPL:
-        best = int(np.argmax(ppl_criterion(ws, hs)))
+        best = int(np.argmax(ppl_criterion(points, domain, hs)))
     elif method == CVL:
-        best = int(np.argmin(cvl_criterion(ws, hs)))
+        best = int(np.argmin(cvl_criterion(points, domain, hs)))
     else:  # CvL.adaptive
-        pilot = ws.at_points(scott_bandwidth(points))
-        best = int(np.argmin(cvl_adaptive_criterion(ws, hs, pilot)))
-        h0 = float(hs[best])
-        return BandwidthSpec(
-            method=CVL_ADAPTIVE,
-            h=h0,
-            per_point_h=_adaptive_bandwidths(pilot, h0),
-            boundary=best in (0, hs.size - 1),
+        pilot = _kernel_sum(
+            cdist(points, points, "sqeuclidean"), points, scott_bandwidth(points), domain
         )
-
-    return BandwidthSpec(method=method, h=float(hs[best]), boundary=best in (0, hs.size - 1))
+        candidates = [_adaptive_bandwidths(pilot, h0) for h0 in hs]
+        best = int(np.argmin(cvl_criterion(points, domain, candidates)))
+        per_point_h = candidates[best]
+    return BandwidthSpec(
+        method=method, h=float(hs[best]), per_point_h=per_point_h, boundary=best in (0, hs.size - 1)
+    )
 
 
 def weights_from_intensity(intensity: np.ndarray, threshold: float) -> np.ndarray:

@@ -401,6 +401,10 @@ class Objective:
             raise ValueError(f"unknown objective kind {self.kind!r}")
         if (self.plan is not None) != (self.kind == VECCHIA):
             raise ValueError("a conditioning plan is required exactly when kind is 'vecchia'")
+        if self.kind == EXACT and self.weights is not None:
+            raise ValueError(f"kind {EXACT!r} takes no weights")
+        if self.kind != PAIRWISE_MARGINAL and self.pair_cutoff is not None:
+            raise ValueError(f"kind {self.kind!r} takes no pair_cutoff")
 
     def nll(self, psi: ModelParams, data: Dataset) -> NllValue:
         """The objective's value at ``psi``, carrying its gradient."""

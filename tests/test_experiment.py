@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -334,6 +335,16 @@ class TestConfigFormat:
     def test_timing_typo_rejected(self, spelling):
         with pytest.raises(ValueError, match="config line 2: timing"):
             parse_config(f"seed=3\ntiming={spelling}")
+
+    @pytest.mark.parametrize("text,message", [
+        ("mu=abc", "config line 1: mu: could not convert string to float: 'abc'"),
+        ("seed=3\nn=100,1.5", "config line 2: n: invalid literal for int"),
+        ("domain=0,1,0", "config line 1: domain: must be x0,x1,y0,y1, got '0,1,0'"),
+        ("replicates=", "config line 1: replicates: invalid literal for int"),
+    ], ids=["float", "int-list", "domain", "empty-int"])
+    def test_bad_value_names_line_and_key(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_config(text)
 
     def test_empty_methods_rejected(self):
         with pytest.raises(ValueError, match="at least one method"):

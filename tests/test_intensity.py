@@ -17,10 +17,11 @@ from isiw import (
     weights_from_intensity,
 )
 from isiw.intensity import (
-    _SelectorWorkspace,
+    _adaptive_bandwidths,
     _edge_mass,
     bandwidth_search_grid,
     cvl_criterion,
+    integral_sq,
     lscv_criterion,
     ppl_criterion,
     scott_bandwidth,
@@ -36,8 +37,9 @@ UNIT = Domain(0.0, 1.0, 0.0, 1.0)
 # ---------------------------------------------------------------------------
 
 def oracle_lambda(x, points, h, domain):
+    """lambda_hat(x) with a global bandwidth ``h`` or one per point."""
     total = 0.0
-    for s in points:
+    for s, h in zip(points, np.broadcast_to(h, (len(points),))):
         d2 = (x[0] - s[0]) ** 2 + (x[1] - s[1]) ** 2
         mass_x = _phi((domain.x1 - s[0]) / h) - _phi((domain.x0 - s[0]) / h)
         mass_y = _phi((domain.y1 - s[1]) / h) - _phi((domain.y0 - s[1]) / h)
@@ -136,8 +138,8 @@ class TestEstimateIntensity:
             estimate_intensity(np.empty((0, 2)), UNIT, BandwidthSpec(method="fixed", h=0.1))
 
     def test_unresolved_bandwidth_rejected(self):
-        with pytest.raises(ValueError, match="resolved"):
-            estimate_intensity(np.random.rand(5, 2), UNIT, BandwidthSpec(method="diggle"))
+        with pytest.raises(TypeError, match="'h'"):
+            BandwidthSpec(method="diggle")
 
 
 class TestEdgeCorrection:
@@ -170,16 +172,26 @@ class TestSelectBandwidth:
         # vectorized production criteria vs the direct reimplementation
         rng = np.random.default_rng(9)
         pts = rng.random((60, 2))
-        ws = _SelectorWorkspace(pts, UNIT)
         for h in (0.03, 0.1, 0.3):
             hs = np.array([h])
-            got_lscv = lscv_criterion(ws, hs)[0]
-            got_ppl = ppl_criterion(ws, hs)[0]
-            got_cvl = cvl_criterion(ws, hs)[0]
+            got_lscv = lscv_criterion(pts, UNIT, hs)[0]
+            got_ppl = ppl_criterion(pts, UNIT, hs)[0]
+            got_cvl = cvl_criterion(pts, UNIT, hs)[0]
             want_lscv, want_ppl, want_cvl = oracle_criteria(pts, UNIT, h)
             assert got_lscv == pytest.approx(want_lscv, rel=1e-10)
             assert got_ppl == pytest.approx(want_ppl, rel=1e-10)
             assert got_cvl == pytest.approx(want_cvl, rel=1e-8)
+
+    def test_per_point_cvl_matches_oracle(self):
+        # the Campbell criterion at the adaptive bandwidths of a Scott pilot
+        rng = np.random.default_rng(9)
+        pts = rng.random((60, 2)) ** 2
+        pilot = np.array([oracle_lambda(x, pts, scott_bandwidth(pts), UNIT) for x in pts])
+        for h0 in (0.03, 0.1, 0.3):
+            per_h = _adaptive_bandwidths(pilot, h0)
+            lam = np.array([oracle_lambda(x, pts, per_h, UNIT) for x in pts])
+            want = (np.sum(1.0 / lam) - UNIT.area) ** 2
+            assert cvl_criterion(pts, UNIT, [per_h])[0] == pytest.approx(want, rel=1e-8)
 
     def test_boundary_flag_mechanism(self):
         # on uniform points LSCV runs to the largest candidate, a boundary
@@ -204,7 +216,7 @@ class TestSelectBandwidth:
         rng = np.random.default_rng(30)
         pts = np.column_stack([rng.uniform(-1.0, 2.0, 30), rng.uniform(0.5, 1.5, 30)])
         h = 0.1
-        exact = {1: 30.0, 2: _SelectorWorkspace(pts, domain).integral_sq(np.array([h]))[0]}
+        exact = {1: 30.0, 2: integral_sq(pts, domain, np.array([h]))[0]}
 
         def midpoint(power, nx, ny):
             grid = GridSpec(domain, nx, ny)
@@ -237,8 +249,7 @@ class TestCvL:
 
     def test_optimum_beats_scaled_bandwidths(self, homogeneous_selection):
         pts, bw = homogeneous_selection
-        ws = _SelectorWorkspace(pts, UNIT)
-        crit = lambda h: cvl_criterion(ws, np.array([h]))[0]
+        crit = lambda h: cvl_criterion(pts, UNIT, np.array([h]))[0]
         assert crit(bw.h) < crit(bw.h / 3)
         assert crit(bw.h) < crit(3 * bw.h)
         assert not bw.boundary

@@ -350,6 +350,19 @@ class TestObjective:
         with pytest.raises(ValueError):
             Objective(kind="exact", plan="anything")
 
+    @pytest.mark.parametrize("kind,option,extra", [
+        ("exact", "weights", {"weights": np.full(30, 2.0)}),
+        ("exact", "pair_cutoff", {"pair_cutoff": 0.1}),
+        ("vecchia", "pair_cutoff", {"pair_cutoff": 0.1}),
+    ])
+    def test_unread_option_rejected(self, kind, option, extra):
+        plan = None
+        if kind == "vecchia":
+            data = random_dataset(30, 71)
+            plan = nn_conditioning_sets(data.locations, maxmin_order(data.locations), m=5)
+        with pytest.raises(ValueError, match=f"'{kind}' takes no {option}"):
+            Objective(kind=kind, plan=plan, **extra)
+
     def test_dispatch_matches_functions(self):
         data = random_dataset(15, 70)
         plan = nn_conditioning_sets(data.locations, maxmin_order(data.locations), m=5)

@@ -32,7 +32,7 @@ from isiw import (
     vecchia_nll,
     weights_from_intensity,
 )
-from isiw.intensity import _SelectorWorkspace
+from isiw.intensity import integral_sq
 
 NUS = (0.5, 0.8, 1.0, 1.5, 2.5)
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
@@ -214,7 +214,7 @@ def test_integral_sq_matches_pair_oracle(n, seed, x0, width, y0, height, h_rel):
     rng = np.random.default_rng(seed)
     points = np.column_stack([rng.uniform(domain.x0, domain.x1, n), rng.uniform(domain.y0, domain.y1, n)])
     h = h_rel * max(width, height)
-    got = _SelectorWorkspace(points, domain).integral_sq(np.array([h]))[0]
+    got = integral_sq(points, domain, np.array([h]))[0]
     assert got == pytest.approx(oracle_integral_sq(points, domain, h), rel=1e-10)
 
 
