@@ -151,6 +151,20 @@ class ExperimentConfig:
         for key in ("samplers", "n", "phi"):
             if not getattr(self, key):
                 raise ValueError(f"{key} must list at least one value")
+        for phi in self.phi:
+            if not phi > 0:
+                raise ValueError(f"phi must be positive, got {phi}")
+        for n in self.n:
+            if n < 1:
+                raise ValueError(f"n must be >= 1, got {n}")
+        if self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
+        if not self.threshold >= 0:
+            raise ValueError(f"threshold must be nonnegative, got {self.threshold}")
+        try:
+            self.grid()
+        except ValueError as exc:
+            raise ValueError(f"grid_nx, grid_ny: {exc}") from None
         for kind in self.samplers:
             if kind not in SAMPLER_KINDS:
                 raise ValueError(

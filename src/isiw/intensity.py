@@ -80,10 +80,17 @@ def _edge_mass(points: np.ndarray, h, domain: Domain) -> np.ndarray:
     return ex * ey
 
 
-def _kernel_sum(d2: np.ndarray, points: np.ndarray, h, domain: Domain) -> np.ndarray:
-    """Edge-corrected kernel intensity given squared distances eval x source."""
+def _kernel_sum(d2: np.ndarray, points: np.ndarray, h, domain: Domain, out=None) -> np.ndarray:
+    """Edge-corrected kernel intensity given squared distances eval x source.
+
+    The kernel matrix is built in ``out`` when given (an array of ``d2``'s
+    shape, which a search over bandwidths reuses for every candidate), and
+    in a fresh array otherwise. Dividing by -2 h^2 equals negating the
+    quotient by 2 h^2 bit for bit, since IEEE division is sign-symmetric."""
     h2 = np.broadcast_to(np.asarray(h, dtype=float) ** 2, (points.shape[0],))
-    contrib = np.exp(-d2 / (2.0 * h2)) / (2.0 * math.pi * h2)
+    contrib = np.divide(d2, -2.0 * h2, out=out)
+    np.exp(contrib, out=contrib)
+    contrib /= 2.0 * math.pi * h2
     return contrib @ (1.0 / _edge_mass(points, np.sqrt(h2), domain))
 
 
@@ -150,7 +157,8 @@ def _loo_fits(points: np.ndarray, domain: Domain, hs: np.ndarray) -> np.ndarray:
     for isolated points at small h."""
     d2 = cdist(points, points, "sqeuclidean")
     np.fill_diagonal(d2, np.inf)
-    return np.array([_kernel_sum(d2, points, h, domain) for h in hs])
+    buf = np.empty_like(d2)
+    return np.array([_kernel_sum(d2, points, h, domain, out=buf) for h in hs])
 
 
 def lscv_criterion(points: np.ndarray, domain: Domain, hs: np.ndarray) -> np.ndarray:
@@ -171,8 +179,9 @@ def cvl_criterion(points: np.ndarray, domain: Domain, bandwidths) -> np.ndarray:
     area (the Campbell-formula identity the estimate should satisfy; Cronie
     & van Lieshout 2018), per candidate: a global h or a per-point array."""
     d2 = cdist(points, points, "sqeuclidean")
+    buf = np.empty_like(d2)
     return np.array(
-        [(np.sum(1.0 / _kernel_sum(d2, points, h, domain)) - domain.area) ** 2 for h in bandwidths]
+        [(np.sum(1.0 / _kernel_sum(d2, points, h, domain, out=buf)) - domain.area) ** 2 for h in bandwidths]
     )
 
 

@@ -49,6 +49,9 @@ from .model import (
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
+# pairs per slice of the pairwise NLL: 64 KB per float temporary, under
+# glibc's default 128 KB mmap threshold
+PAIR_CHUNK = 8192
 
 
 class NllValue(float):
@@ -298,37 +301,45 @@ def pairwise_marginal_nll(
 
     Sums -omega_ij log f(y_i, y_j) over pairs within ``cutoff`` (all pairs
     when None), with omega_ij = w_i w_j when weights are supplied.
+
+    The pairs are walked in slices of ``PAIR_CHUNK``, so every per-pair
+    temporary stays small enough for the allocator to reuse rather than
+    map and fault in afresh on each call. Each slice writes its five
+    per-pair rows into one full-length ``terms`` array, which is summed
+    once at the end: the per-pair expressions are elementwise and the sums
+    run over the same array as an unsliced evaluation, so values and
+    gradients do not depend on the slice size, bit for bit.
     """
     n = data.n
     if n < 2:
         raise ValueError("pairwise likelihood needs at least two observations")
-    iu, ju, d = data.pairs(cutoff)
-    if d.size == 0:
+    iu_all, ju_all, d_all = data.pairs(cutoff)
+    if d_all.size == 0:
         raise ValueError(f"no pairs within cutoff {cutoff}")
+    w = None if weights is None else _as_weight_array(weights, n)
 
-    c = matern_cov(d, psi.theta)
     v = psi.theta.sigma2 + psi.tau2
-    det = v * v - c * c
-    a = data.values[iu] - psi.mu
-    b = data.values[ju] - psi.mu
-    squares, cross = a * a + b * b, a * b
-    quad = (v * squares - 2.0 * c * cross) / det
-    # partial derivatives of each pair's term in the marginal variance v
-    # and the covariance c; sigma2 moves both, phi only c, tau2 only v
-    d_v = (v + 0.5 * squares - quad * v) / det
-    d_c = (quad * c - c - cross) / det
-    terms = np.stack(
-        [
-            LOG_2PI + 0.5 * np.log(det) + 0.5 * quad,
-            -(a + b) * (v - c) / det,
-            psi.theta.sigma2 * d_v + c * d_c,
-            matern_cov_dlogphi(d, psi.theta) * d_c,
-            psi.tau2 * d_v,
-        ]
-    )
-    if weights is not None:
-        w = _as_weight_array(weights, n)
-        terms *= w[iu] * w[ju]
+    terms = np.empty((5, d_all.size))
+    for start in range(0, d_all.size, PAIR_CHUNK):
+        part = slice(start, start + PAIR_CHUNK)
+        iu, ju, d, out = iu_all[part], ju_all[part], d_all[part], terms[:, part]
+        c = matern_cov(d, psi.theta)
+        det = v * v - c * c
+        a = data.values[iu] - psi.mu
+        b = data.values[ju] - psi.mu
+        squares, cross = a * a + b * b, a * b
+        quad = (v * squares - 2.0 * c * cross) / det
+        # partial derivatives of each pair's term in the marginal variance v
+        # and the covariance c; sigma2 moves both, phi only c, tau2 only v
+        d_v = (v + 0.5 * squares - quad * v) / det
+        d_c = (quad * c - c - cross) / det
+        out[0] = LOG_2PI + 0.5 * np.log(det) + 0.5 * quad
+        out[1] = -(a + b) * (v - c) / det
+        out[2] = psi.theta.sigma2 * d_v + c * d_c
+        out[3] = matern_cov_dlogphi(d, psi.theta) * d_c
+        out[4] = psi.tau2 * d_v
+        if w is not None:
+            out *= w[iu] * w[ju]
     total = terms.sum(axis=1)
     return NllValue(total[0], total[1:])
 

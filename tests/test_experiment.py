@@ -373,6 +373,20 @@ class TestConfigFormat:
                              methods=("mle", "isiw-v:known", "isiw-v:diggle", "isiw-pm:known"))
         ExperimentConfig(samplers=("thomas",), methods=("mle", "isiw-v:diggle"))  # accepted
 
+    @pytest.mark.parametrize("text,message", [
+        ("phi=0.15,-1", "phi must be positive, got -1.0"),
+        ("phi=0", "phi must be positive, got 0.0"),
+        ("n=100,0", "n must be >= 1, got 0"),
+        ("m=0", "m must be >= 1, got 0"),
+        ("threshold=-1", "threshold must be nonnegative, got -1.0"),
+        ("grid_nx=1", "grid_nx, grid_ny: grid needs at least 2 cells per axis, got 1x48"),
+        ("grid_ny=0", "grid_nx, grid_ny: grid needs at least 2 cells per axis, got 48x0"),
+    ], ids=["negative-phi", "zero-phi", "zero-n", "zero-m", "negative-threshold", "one-column",
+            "no-rows"])
+    def test_run_sinking_value_rejected(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_config(text)
+
     @pytest.mark.parametrize("key", ["samplers", "n", "phi"])
     def test_empty_scenario_list_rejected(self, key):
         with pytest.raises(ValueError, match=f"{key} must list at least one value"):
