@@ -1,13 +1,15 @@
 """Paired benchmark runs of two commits, recorded as one JSON file.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD \\
-        --workloads vecchia-n400,parallel-2w --seeds 31-40 --out BENCH_x.json
+        --seeds 31-40 --out BENCH_x.json
 
 Each ref is exported with ``git archive`` into its own temporary directory,
 so the runs see only committed files, the repository's ``.git`` is only
-read, and no worktree is made. For every workload and seed it runs
+read, and no worktree is made. The workloads and the run length are those
+of the change's ``BENCHMARK.json`` (``workloads`` and ``run_seconds``). For
+every workload and seed it runs
 
-    python3 perfbench/run.py --workload W --seed S --seconds 40 --trace 0
+    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
 once in each export, one after the other; the parent goes first on the
 first seed and the two sides alternate from there. The output file holds
@@ -122,13 +124,10 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", default="HEAD~1", help="git ref of the baseline (default HEAD~1)")
     p.add_argument("--change", default="HEAD", help="git ref of the change (default HEAD)")
-    p.add_argument("--workloads", default="vecchia-n400,parallel-2w")
     p.add_argument("--seeds", required=True, help="for example 31-40")
-    p.add_argument("--seconds", type=float, default=40.0)
     p.add_argument("--out", required=True, help="JSON file to write")
     args = p.parse_args(argv)
 
-    workloads = args.workloads.split(",")
     seeds = parse_seeds(args.seeds)
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -138,18 +137,20 @@ def main(argv=None) -> int:
             commits[side] = export(ref, trees[side])
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        workloads = [w["name"] for w in spec["workloads"]]
+        seconds = float(spec["run_seconds"])
         for workload in workloads:
             for i, seed in enumerate(seeds):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for position, side in enumerate(order):
-                    run = run_once(trees[side], workload, seed, args.seconds)
+                    run = run_once(trees[side], workload, seed, seconds)
                     run.update(workload=workload, seed=seed, side=side, first=position == 0)
                     runs.append(run)
                     shown = {k: round(v, 4) for k, v in run["metrics"].items()}
                     print(f"{workload} seed {seed} {side}: correct={run['correct']} {shown}", flush=True)
 
     record = {
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "parent": {"ref": args.parent, "commit": commits["parent"]},
         "change": {"ref": args.change, "commit": commits["change"]},
         "seeds": seeds,
