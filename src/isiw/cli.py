@@ -78,6 +78,11 @@ def _fit_method(text: str):
     return spec
 
 
+def _grid(args) -> GridSpec:
+    """The --nx by --ny grid on --domain; --ny is --nx when not given."""
+    return GridSpec(args.domain, args.nx, args.nx if args.ny is None else args.ny)
+
+
 # Flags that several subcommands read, each added only where it is read.
 _SHARED = {
     "seed": dict(type=int, default=0, help="root random seed"),
@@ -161,7 +166,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_simulate(args) -> int:
-    grid = GridSpec(args.domain, args.nx, args.ny if args.ny else args.nx)
+    grid = _grid(args)
     fld = simulate_field(grid, CovParams(args.sigma2, args.phi, args.nu), SeedStream(args.seed))
     io.write_field_csv(Path(args.out_dir) / args.out, fld)
     print(f"wrote {grid.ncells} cells to {Path(args.out_dir) / args.out}")
@@ -190,7 +195,7 @@ def _cmd_intensity(args) -> int:
         bw = BandwidthSpec(method="fixed", h=args.bandwidth)
     else:
         bw = select_bandwidth(args.selector, pts, args.domain)
-    grid = GridSpec(args.domain, args.nx, args.ny if args.ny else args.nx)
+    grid = _grid(args)
     on_grid = estimate_intensity(pts, args.domain, bw, at=grid.cell_centers())
     weights = weights_from_intensity(estimate_intensity(pts, args.domain, bw), args.threshold)
     out = Path(args.out_dir)
@@ -230,7 +235,7 @@ def _cmd_fit(args) -> int:
 def _cmd_krige(args) -> int:
     data = io.read_dataset_csv(args.data)
     psi = ModelParams.from_values(args.mu, args.sigma2, args.phi, args.tau2, nu=args.nu)
-    grid = GridSpec(args.domain, args.nx, args.ny if args.ny else args.nx)
+    grid = _grid(args)
     out = krige(psi, data, grid.cell_centers())
     io.write_surface_csv(Path(args.out_dir) / args.out, out)
     print(f"wrote {grid.ncells} predictions to {Path(args.out_dir) / args.out}")

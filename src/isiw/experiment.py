@@ -161,6 +161,20 @@ class ExperimentConfig:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if not self.threshold >= 0:
             raise ValueError(f"threshold must be nonnegative, got {self.threshold}")
+        for key in ("sigma2", "nu"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be positive and finite, got {getattr(self, key)}")
+        if not 0 <= self.tau2 < math.inf:
+            raise ValueError(f"tau2 must be nonnegative and finite, got {self.tau2}")
+        for key in ("mu", "beta", "alpha"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
+        if self.pm_cutoff is not None and not self.pm_cutoff > 0:
+            raise ValueError(f"pm_cutoff must be positive, got {self.pm_cutoff}")
+        if THOMAS in self.samplers:
+            for key in ("thomas_parent_rate", "thomas_offspring_scale"):
+                if not 0 < getattr(self, key) < math.inf:
+                    raise ValueError(f"{key} must be positive and finite, got {getattr(self, key)}")
         try:
             self.grid()
         except ValueError as exc:

@@ -239,19 +239,19 @@ def select_bandwidth(method: str, points: np.ndarray, domain: Domain) -> Bandwid
 
 
 def weights_from_intensity(intensity: np.ndarray, threshold: float) -> np.ndarray:
-    """Inverse-intensity weights: normalize the positive ``intensity`` array
-    to sum to n, clamp values below ``threshold`` up to it, invert, and
-    renormalize the weights to sum to n.
+    """Inverse-intensity weights: normalize the positive, finite
+    ``intensity`` array to sum to n, clamp values below ``threshold`` up to
+    it, invert, and renormalize the weights to sum to n.
 
     The normalizations use compensated summation so a constant intensity
     maps to weights of exactly 1.0 (weighted objectives then collapse to
     their unweighted forms bit-for-bit).
     """
-    if threshold < 0:
-        raise ValueError(f"threshold must be nonnegative, got {threshold}")
+    if not 0 <= threshold < math.inf:
+        raise ValueError(f"threshold must be nonnegative and finite, got {threshold}")
     lam = np.asarray(intensity, dtype=float)
-    if np.any(lam <= 0):
-        raise ValueError("intensities must be positive")
+    if not np.all(np.isfinite(lam) & (lam > 0)):
+        raise ValueError("intensities must be positive and finite")
     n = lam.size
     normalized = lam * n / math.fsum(lam)
     clamped = np.maximum(normalized, threshold)

@@ -7,8 +7,11 @@ small dense block. Nesting of the Cholesky factor gives the joint and the
 conditioning-set densities from one factorization, so a per-index weight
 w_(p(i)) applied to both (the form that stays numerically stable, unlike
 weighting by the product over conditioning members) reduces to weighting
-the conditional terms. Blocks are padded to a common width and factored as
-one batched Cholesky.
+the conditional terms. A block row holds a point's nearest earlier
+neighbours, the point, then padding to a common width (:class:`VecchiaPlan`).
+Blocks are gathered from one covariance per distinct pair plus two slots,
+0 for padding off the diagonal and 1 on it, so a padded block is the real
+block beside an identity; all are factored as one batched Cholesky.
 
 The nugget enters every marginal and conditional covariance as +tau2 on
 the diagonal: all objectives model the observations, matching the exact
@@ -87,82 +90,86 @@ def maxmin_order(locs: np.ndarray) -> np.ndarray:
     return order
 
 
-@dataclass
-class VecchiaPlan:
-    """Ordering plus nearest-neighbor conditioning sets of size <= m.
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    ``order`` holds original indices in visit order; ``neighbors[j]`` holds
-    the original indices conditioning the j-th ordered point, nearest
-    first. The constructor also packs the padded block geometry used by the
-    batched likelihood evaluation.
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances between the broadcast points ``a`` and ``b``, summed as
+    sqrt(dx*dx + dy*dy) like ``np.linalg.norm``, so equal to it bit for bit."""
+    d = np.square(a[..., 0] - b[..., 0])
+    d += np.square(a[..., 1] - b[..., 1])
+    return np.sqrt(d, out=d)
+
+
+@dataclass(frozen=True, eq=False)
+class VecchiaPlan:
+    """An ordering with its nearest-earlier-neighbour conditioning blocks,
+    derived once from ``locations``, ``order`` and ``m`` into private,
+    read-only arrays.
+
+    Row j of ``idx`` (width min(m, n - 1) + 1) is the block of the j-th
+    ordered point ``order[j]``: its ``k[j] = min(m, j)`` nearest earlier
+    points, ties to the lowest index, then the point itself in column
+    ``k[j]``, then copies of it as padding. ``neighbors[j]`` is the row's
+    first ``k[j]`` entries. ``pair_index`` maps each entry to its distinct
+    pair in ``pair_dists``, and an entry in a padding row or column past
+    the end: to slot ``len(pair_dists)`` off the diagonal, the next on it.
     """
 
-    order: np.ndarray
-    neighbors: list
-    m: int
     locations: np.ndarray
-    _packed: dict = field(init=False, default=None, repr=False, compare=False)
+    order: np.ndarray
+    m: int
+    idx: np.ndarray = field(init=False, repr=False)
+    k: np.ndarray = field(init=False, repr=False)
+    pair_index: np.ndarray = field(init=False, repr=False)
+    pair_dists: np.ndarray = field(init=False, repr=False)
+    neighbors: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.order = np.asarray(self.order, dtype=int)
-        self.locations = np.atleast_2d(np.asarray(self.locations, dtype=float))
-        n = self.n
-        if sorted(self.order.tolist()) != list(range(n)):
-            raise ValueError("order is not a permutation")
-        if len(self.neighbors) != n:
-            raise ValueError("one conditioning set per point required")
-        pos = self.positions()
-        for j, q in enumerate(self.neighbors):
-            q = np.asarray(q, dtype=int)
-            self.neighbors[j] = q
-            if q.size != min(self.m, j):
-                raise ValueError(f"conditioning set {j} has size {q.size}, want {min(self.m, j)}")
-            if q.size and np.any(pos[q] >= j):
-                raise ValueError(f"conditioning set {j} references later-ordered points")
-        self._pack()
+        locs = _frozen(np.atleast_2d(np.array(self.locations, dtype=float)))
+        order = _frozen(np.array(self.order, dtype=int))
+        n = locs.shape[0]
+        if not np.array_equal(np.sort(order), np.arange(n)):
+            raise ValueError(f"order is not a permutation of the {n} locations")
+        if self.m < 1:
+            raise ValueError("m must be >= 1")
+        k = np.minimum(np.arange(n), self.m)
+        cols = np.arange(min(self.m, n - 1) + 1)
+
+        # row j: the j-th ordered point's distance to each point, columns in
+        # index order; later points and itself sort last, ties to the lowest index
+        dist = _distances(locs[order][:, None, :], locs[None, :, :])
+        dist[np.argsort(order) >= np.arange(n)[:, None]] = np.inf
+        nearest = np.argsort(dist, axis=1, kind="stable")[:, : cols.size]
+        del dist
+        idx = np.where(cols < k[:, None], nearest, order[:, None])
+
+        # blocks share most point pairs, so each distinct pair is kept once
+        key = np.minimum(idx[:, :, None], idx[:, None, :])
+        key *= n
+        key += np.maximum(idx[:, :, None], idx[:, None, :])
+        pairs, pair_index = np.unique(key, return_inverse=True)
+        valid = cols <= k[:, None]
+        both = valid[:, :, None] & valid[:, None, :]
+        pair_index = np.where(both, pair_index.reshape(key.shape), pairs.size)
+        pair_index[:, cols, cols] += ~valid  # the padded diagonal takes the next slot
+
+        for name, value in dict(
+            locations=locs, order=order, idx=_frozen(idx), k=_frozen(k), pair_index=_frozen(pair_index),
+            pair_dists=_frozen(_distances(locs[pairs // n], locs[pairs % n])),
+            neighbors=tuple(np.split(_frozen(idx[cols < k[:, None]]), np.cumsum(k)[:-1])),
+        ).items():
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
         return self.order.size
 
     def positions(self) -> np.ndarray:
-        pos = np.empty(self.n, dtype=int)
-        pos[self.order] = np.arange(self.n)
-        return pos
-
-    def _pack(self):
-        n = self.n
-        width = min(self.m, n - 1) + 1
-        idx = np.empty((n, width), dtype=int)
-        k = np.empty(n, dtype=int)
-        for j, q in enumerate(self.neighbors):
-            k[j] = q.size
-            idx[j, : q.size] = q
-            idx[j, q.size :] = self.order[j]  # target, then padding repeats it
-        coords = self.locations[idx]
-        diff = coords[:, :, None, :] - coords[:, None, :, :]
-        dists = np.sqrt(np.einsum("bijk,bijk->bij", diff, diff))
-        # blocks share most point pairs, so covariances are evaluated once
-        # per distinct pair and gathered into the blocks
-        pair_key = np.minimum(idx[:, :, None], idx[:, None, :]) * n + np.maximum(
-            idx[:, :, None], idx[:, None, :]
-        )
-        _, first, pair_index = np.unique(pair_key, return_index=True, return_inverse=True)
-        valid = (np.arange(width)[None, :] <= k[:, None]).astype(float)
-        keep = valid[:, :, None] * valid[:, None, :]
-        pad_eye = np.zeros((n, width, width))
-        rng = np.arange(width)
-        pad_eye[:, rng, rng] = 1.0 - valid
-        self._packed = {
-            "idx": idx,
-            "k": k,
-            "pair_dists": dists.ravel()[first],
-            "pair_index": pair_index.reshape(dists.shape),
-            "valid": valid,
-            "keep": keep,
-            "pad_eye": pad_eye,
-            "width": width,
-        }
+        """Each original index's place in ``order``."""
+        return np.argsort(self.order)
 
     def check_data(self, data: Dataset):
         if data.n != self.n or not np.array_equal(data.locations, self.locations):
@@ -170,23 +177,9 @@ class VecchiaPlan:
 
 
 def nn_conditioning_sets(locs: np.ndarray, order: np.ndarray, m: int) -> VecchiaPlan:
-    """Condition each ordered point on its (at most) m nearest
-    previously-ordered points; distance ties break to the lowest original
-    index."""
-    locs = np.atleast_2d(np.asarray(locs, dtype=float))
-    order = np.asarray(order, dtype=int)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    neighbors = []
-    for j in range(order.size):
-        prev = order[:j]
-        if j == 0:
-            neighbors.append(np.empty(0, dtype=int))
-            continue
-        d = np.linalg.norm(locs[prev] - locs[order[j]], axis=1)
-        pick = np.lexsort((prev, d))[: min(m, j)]
-        neighbors.append(prev[pick])
-    return VecchiaPlan(order=order, neighbors=neighbors, m=m, locations=locs)
+    """The plan conditioning each ordered point on its (at most) m nearest
+    previously-ordered points; distance ties break to the lowest index."""
+    return VecchiaPlan(locs, order, m)
 
 
 def exact_nll(psi: ModelParams, data: Dataset) -> NllValue:
@@ -218,8 +211,8 @@ def _as_weight_array(weights, n: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.shape != (n,):
         raise ValueError(f"weights have shape {w.shape}, want ({n},)")
-    if np.any(w <= 0):
-        raise ValueError("weights must be positive")
+    if not np.all(np.isfinite(w) & (w > 0)):
+        raise ValueError("weights must be positive and finite")
     return w
 
 
@@ -243,14 +236,19 @@ def vecchia_nll(
     Padding rows of u and a are exactly zero, so they drop out.
     """
     plan.check_data(data)
-    packed = plan._packed
-    idx, k, width, valid = packed["idx"], packed["k"], packed["width"], packed["valid"]
-    n = plan.n
+    idx, k, n = plan.idx, plan.k, plan.n
+    diag = np.arange(idx.shape[1])
+    valid = diag <= k[:, None]
+    # one allocation for the three block-sized arrays: glibc's malloc raises
+    # its mmap threshold to the largest chunk it frees, so later calls reuse
+    # these heap pages rather than fault in new ones
+    matern, block, d_matern = np.empty((3, *plan.pair_index.shape))
 
-    pair_index = packed["pair_index"]
-    matern = matern_cov(packed["pair_dists"], psi.theta)[pair_index] * packed["keep"]
-    block = matern + packed["pad_eye"]
-    diag = np.arange(width)
+    def gather(values, slots, out):  # mode="clip" writes in place; "raise" buffers
+        np.take(np.append(values, slots), plan.pair_index, out=out, mode="clip")
+
+    gather(matern_cov(plan.pair_dists, psi.theta), (0.0, 1.0), matern)
+    np.copyto(block, matern)
     block[:, diag, diag] += psi.tau2 * valid
 
     try:
@@ -264,9 +262,10 @@ def vecchia_nll(
     z = forward_solve_batched(chol, (data.values[idx] - psi.mu) * valid)
     zk = z[rows, k]
     alpha = backward_solve_batched(chol, z)
-    target = np.zeros((n, width))
+    target = np.zeros(idx.shape)
     target[rows, k] = 1.0
     u = backward_solve_batched(chol, target)
+    gather(matern_cov_dlogphi(plan.pair_dists, psi.theta), (0.0, 0.0), d_matern)
 
     def derivative(u_da_u, alpha_da_u):
         return 0.5 * (1.0 + zk * zk) * u_da_u - zk * alpha_da_u
@@ -280,7 +279,7 @@ def vecchia_nll(
             0.5 * LOG_2PI + np.log(chol[rows, k, k]) + 0.5 * zk * zk,
             -zk * u.sum(axis=1),
             derivative_along(matern),
-            derivative_along(matern_cov_dlogphi(packed["pair_dists"], psi.theta)[pair_index]),
+            derivative_along(d_matern),
             psi.tau2 * derivative(np.einsum("bi,bi->b", u, u), np.einsum("bi,bi->b", alpha, u)),
         ]
     )

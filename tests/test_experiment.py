@@ -381,8 +381,17 @@ class TestConfigFormat:
         ("threshold=-1", "threshold must be nonnegative, got -1.0"),
         ("grid_nx=1", "grid_nx, grid_ny: grid needs at least 2 cells per axis, got 1x48"),
         ("grid_ny=0", "grid_nx, grid_ny: grid needs at least 2 cells per axis, got 48x0"),
+        ("sigma2=-1", "sigma2 must be positive and finite, got -1.0"),
+        ("nu=0", "nu must be positive and finite, got 0.0"),
+        ("tau2=-0.5", "tau2 must be nonnegative and finite, got -0.5"),
+        ("samplers=thomas\nmethods=mle\nthomas_parent_rate=0",
+         "thomas_parent_rate must be positive and finite, got 0.0"),
+        ("beta=nan", "beta must be finite, got nan"),
+        ("mu=nan", "mu must be finite, got nan"),
+        ("pm_cutoff=-1", "pm_cutoff must be positive, got -1.0"),
     ], ids=["negative-phi", "zero-phi", "zero-n", "zero-m", "negative-threshold", "one-column",
-            "no-rows"])
+            "no-rows", "negative-sigma2", "zero-nu", "negative-tau2", "no-thomas-parents",
+            "nan-beta", "nan-mu", "negative-pm-cutoff"])
     def test_run_sinking_value_rejected(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_config(text)
@@ -546,6 +555,19 @@ class TestCli:
         out = tmp_path / "out"
         assert exit_code([*args, *inputs.get(args[0], []), "--out-dir", str(out)]) == 1
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "intensity", "krige"])
+    def test_zero_ny_rejected(self, command, dataset_csv, tmp_path, capsys):
+        inputs = {
+            "simulate": [],
+            "intensity": ["--points", str(dataset_csv), "--selector", "scott"],
+            "krige": ["--data", str(dataset_csv), "--mu", "4", "--sigma2", "1", "--phi", "0.1",
+                      "--tau2", "0.1"],
+        }
+        out = tmp_path / "out"
+        assert exit_code([command, "--nx", "4", "--ny", "0", *inputs[command], "--out-dir", str(out)]) == 1
+        assert "got 4x0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_experiment_threads_override_config(self, tmp_path):

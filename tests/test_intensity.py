@@ -314,7 +314,13 @@ class TestWeights:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             weights_from_intensity(np.ones(3), -0.1)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="threshold must be nonnegative and finite"):
+                weights_from_intensity(np.ones(3), bad)
 
     def test_nonpositive_intensity_rejected(self):
         with pytest.raises(ValueError):
             weights_from_intensity(np.array([1.0, 0.0]), 0.01)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="intensities must be positive and finite"):
+                weights_from_intensity(np.array([1.0, bad]), 0.01)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.spatial.distance import cdist
 
@@ -34,6 +37,19 @@ from isiw.likelihood import PAIR_CHUNK
 
 PSI = ModelParams.from_values(4.0, 1.5, 0.15, 0.1)
 LOG_2PI = math.log(2 * math.pi)
+
+
+def nearest_earlier_oracle(locs, order, m):
+    """Each ordered point's m nearest earlier points, nearest first with
+    distance ties to the lowest index, by a plain scan in the plan's
+    floating-point arithmetic."""
+    out = []
+    for j, target in enumerate(order):
+        tx, ty = locs[target]
+        scored = sorted((math.sqrt((tx - x) * (tx - x) + (ty - y) * (ty - y)), int(i))
+                        for i, (x, y) in zip(order[:j], locs[order[:j]]))
+        out.append([i for _, i in scored[:m]])
+    return out
 
 
 def random_dataset(n, seed, scale=1.0):
@@ -157,18 +173,23 @@ class TestConditioningSets:
         plan = nn_conditioning_sets(locs, order, m=1)
         assert [q.tolist() for q in plan.neighbors] == [[], [0], [1], [2]]
 
-    def test_matches_exhaustive_search(self):
-        rng = np.random.default_rng(15)
-        locs = rng.random((15, 2))
-        order = maxmin_order(locs)
-        plan = nn_conditioning_sets(locs, order, m=3)
-        for j in range(15):
-            prev = order[:j]
-            if j == 0:
-                continue
-            d = [(np.linalg.norm(locs[i] - locs[order[j]]), i) for i in prev]
-            want = [i for _, i in sorted(d)[: min(3, j)]]
-            assert sorted(plan.neighbors[j].tolist()) == sorted(want)
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_exhaustive_search(self, data):
+        # exact order, nearest first with ties to the lowest index, on
+        # uniform points and on lattices whose tied distances are exact
+        n = data.draw(st.integers(1, 40), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if data.draw(st.booleans(), label="lattice"):
+            side = int(math.ceil(math.sqrt(n)))
+            cells = rng.permutation(side * side)[:n]
+            locs = np.column_stack([cells % side, cells // side]) * 0.125
+        else:
+            locs = rng.random((n, 2))
+        order = maxmin_order(locs) if data.draw(st.booleans(), label="maxmin") else rng.permutation(n)
+        m = data.draw(st.integers(1, n + 2), label="m")
+        plan = nn_conditioning_sets(locs, order, m)
+        assert [q.tolist() for q in plan.neighbors] == nearest_earlier_oracle(locs, order, m)
 
     def test_invalid_order_rejected(self):
         locs = np.random.default_rng(0).random((5, 2))
@@ -177,8 +198,47 @@ class TestConditioningSets:
 
     def test_packed_blocks_are_not_a_constructor_argument(self):
         plan = nn_conditioning_sets(random_dataset(6, 1).locations, np.arange(6), m=2)
-        with pytest.raises(TypeError, match="_packed"):
-            VecchiaPlan(plan.order, plan.neighbors, plan.m, plan.locations, _packed={})
+        for name in ("idx", "pair_index", "neighbors"):
+            with pytest.raises(TypeError, match=name):
+                VecchiaPlan(plan.locations, plan.order, plan.m, **{name: getattr(plan, name)})
+
+    def test_plan_is_frozen(self):
+        locs = random_dataset(8, 2).locations
+        plan = nn_conditioning_sets(locs, maxmin_order(locs), m=3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.m = 4
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.idx = plan.idx.copy()
+        for name in ("idx", "pair_index", "pair_dists", "locations", "order"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(plan, name).flat[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            plan.neighbors[2][0] = 0
+
+    def test_caller_arrays_stay_writeable_and_unshared(self):
+        locs = random_dataset(8, 3).locations.copy()
+        order = maxmin_order(locs)
+        plan = nn_conditioning_sets(locs, order, m=3)
+        built = plan.idx.copy()
+        locs[:] = 0.0
+        order[:] = 0
+        np.testing.assert_array_equal(plan.idx, built)
+        assert sorted(plan.order.tolist()) == list(range(8))
+
+    def test_padding_entries_use_the_two_slots(self):
+        locs = random_dataset(7, 4).locations
+        plan = nn_conditioning_sets(locs, maxmin_order(locs), m=3)
+        slots = np.append(np.zeros(plan.pair_dists.size), (0.0, 1.0))[plan.pair_index]
+        for j in range(plan.n):
+            pad = np.arange(plan.idx.shape[1]) > plan.k[j]
+            np.testing.assert_array_equal(slots[j][pad][:, pad], np.eye(pad.sum()))
+            assert np.all(slots[j][~pad][:, pad] == 0) and np.all(slots[j][pad][:, ~pad] == 0)
+            real = plan.pair_index[j][~pad][:, ~pad]
+            assert np.all(real < plan.pair_dists.size)
+            pts = plan.idx[j][~pad]
+            np.testing.assert_array_equal(
+                plan.pair_dists[real], np.linalg.norm(locs[pts][:, None] - locs[pts][None], axis=2)
+            )
 
 
 class TestVecchiaNll:
@@ -381,6 +441,18 @@ def test_pairwise_nll_reuses_its_memory():
     )
     faults = json.loads(out.stdout)
     assert all(per_call < 100 for per_call in faults.values()), faults
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"])
+def test_non_positive_or_non_finite_weight_rejected(bad):
+    data = random_dataset(10, 32)
+    plan = nn_conditioning_sets(data.locations, maxmin_order(data.locations), m=3)
+    w = np.ones(10)
+    w[4] = bad
+    with pytest.raises(ValueError, match="weights must be positive and finite"):
+        vecchia_nll(PSI, data, plan, w)
+    with pytest.raises(ValueError, match="weights must be positive and finite"):
+        pairwise_marginal_nll(PSI, data, w)
 
 
 class TestVecchiaImpliedCov:

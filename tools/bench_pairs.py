@@ -12,11 +12,15 @@ every workload and seed it runs
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
 once in each export, one after the other; the parent goes first on the
-first seed and the two sides alternate from there. The output file holds
-every run's metrics and, per workload and end-to-end metric of
+first seed and the two sides alternate from there. After the pairs of a
+workload it runs the change once more with ``--trace 1`` on the first
+seed, whose correctness gate also checks that the traced mirror's rows
+equal ``run_replicate``'s. The output file holds every run's metrics, each
+traced run under ``traced`` and, per workload and end-to-end metric of
 ``BENCHMARK.json``, both medians, the parent's quartile spread and the
 number of pairs the change won (strictly better, in the metric's
-direction). The exit code is 1 when any run fails its correctness gate.
+direction). The exit code is 1 when any run, traced or not, fails its
+correctness gate.
 
 Standard library only; nothing is imported from the package under test.
 """
@@ -62,10 +66,10 @@ def export(ref: str, dest: Path) -> str:
     return commit
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0",
+        "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", str(trace),
     ]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
@@ -129,7 +133,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
 
     seeds = parse_seeds(args.seeds)
-    runs = []
+    runs, traced = [], {}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees, commits = {}, {}
         for side, ref in (("parent", args.parent), ("change", args.change)):
@@ -148,6 +152,9 @@ def main(argv=None) -> int:
                     runs.append(run)
                     shown = {k: round(v, 4) for k, v in run["metrics"].items()}
                     print(f"{workload} seed {seed} {side}: correct={run['correct']} {shown}", flush=True)
+            traced[workload] = run_once(trees["change"], workload, seeds[0], seconds, trace=1)
+            traced[workload]["seed"] = seeds[0]
+            print(f"{workload} seed {seeds[0]} change traced: correct={traced[workload]['correct']}", flush=True)
 
     record = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
@@ -157,9 +164,10 @@ def main(argv=None) -> int:
         "host": {"nproc": os.cpu_count(), "machine": platform.machine(), "python": platform.python_version()},
         "summary": summarize(runs, workloads, directions),
         "runs": runs,
+        "traced": traced,
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
-    return 0 if all(run["correct"] for run in runs) else 1
+    return 0 if all(run["correct"] for run in [*runs, *traced.values()]) else 1
 
 
 if __name__ == "__main__":
