@@ -159,8 +159,8 @@ class ExperimentConfig:
                 raise ValueError(f"n must be >= 1, got {n}")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        if not self.threshold >= 0:
-            raise ValueError(f"threshold must be nonnegative, got {self.threshold}")
+        if not 0 <= self.threshold < math.inf:
+            raise ValueError(f"threshold must be nonnegative and finite, got {self.threshold}")
         for key in ("sigma2", "nu"):
             if not 0 < getattr(self, key) < math.inf:
                 raise ValueError(f"{key} must be positive and finite, got {getattr(self, key)}")

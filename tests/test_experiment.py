@@ -378,7 +378,7 @@ class TestConfigFormat:
         ("phi=0", "phi must be positive, got 0.0"),
         ("n=100,0", "n must be >= 1, got 0"),
         ("m=0", "m must be >= 1, got 0"),
-        ("threshold=-1", "threshold must be nonnegative, got -1.0"),
+        ("threshold=-1", "threshold must be nonnegative and finite, got -1.0"),
         ("grid_nx=1", "grid_nx, grid_ny: grid needs at least 2 cells per axis, got 1x48"),
         ("grid_ny=0", "grid_nx, grid_ny: grid needs at least 2 cells per axis, got 48x0"),
         ("sigma2=-1", "sigma2 must be positive and finite, got -1.0"),
@@ -389,9 +389,10 @@ class TestConfigFormat:
         ("beta=nan", "beta must be finite, got nan"),
         ("mu=nan", "mu must be finite, got nan"),
         ("pm_cutoff=-1", "pm_cutoff must be positive, got -1.0"),
+        ("threshold=inf", "threshold must be nonnegative and finite, got inf"),
     ], ids=["negative-phi", "zero-phi", "zero-n", "zero-m", "negative-threshold", "one-column",
             "no-rows", "negative-sigma2", "zero-nu", "negative-tau2", "no-thomas-parents",
-            "nan-beta", "nan-mu", "negative-pm-cutoff"])
+            "nan-beta", "nan-mu", "negative-pm-cutoff", "infinite-threshold"])
     def test_run_sinking_value_rejected(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_config(text)
