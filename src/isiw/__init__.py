@@ -16,7 +16,7 @@ from .experiment import (
     run_replicate,
 )
 from .fields import FieldRealization, GridSpec, SeedStream, observe, simulate_field
-from .inference import FitConfig, FitResult, default_init, fd_gradient, fit
+from .inference import FitConfig, FitResult, default_init, fit
 from .intensity import (
     BandwidthSpec,
     estimate_intensity,
@@ -29,11 +29,9 @@ from .likelihood import (
     Objective,
     VecchiaPlan,
     exact_nll,
-    gaussian_kl,
     maxmin_order,
     nn_conditioning_sets,
     pairwise_marginal_nll,
-    vecchia_implied_cov,
     vecchia_nll,
 )
 from .model import (
@@ -56,12 +54,10 @@ __all__ = [
     "KrigingOutput", "MetricsRow", "ModelParams",
     "NllValue", "Objective", "SamplerSpec", "Scenario", "SeedStream", "VecchiaPlan",
     "build_cov_matrix", "compute_intensity", "default_init",
-    "estimate_intensity", "exact_nll", "fd_gradient", "fit", "gaussian_kl",
-    "krige", "load_config", "matern_cov", "matern_cov_dlogphi",
+    "estimate_intensity", "exact_nll", "fit", "krige", "load_config", "matern_cov", "matern_cov_dlogphi",
     "maxmin_order", "microergodic",
     "nn_conditioning_sets", "observe", "pairwise_marginal_nll",
     "param_metrics", "parse_config", "rmspe", "run_experiment",
     "run_replicate", "sample_conditioned", "sample_thomas",
-    "select_bandwidth", "simulate_field", "vecchia_implied_cov",
-    "vecchia_nll", "weights_from_intensity",
+    "select_bandwidth", "simulate_field", "vecchia_nll", "weights_from_intensity",
 ]

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import CovParams, Dataset, Domain, matern_cov
+from .model import CovParams, Dataset, Domain, matern_cov, read_only
 
 # entries of the largest embedding tried: its complex fft2 array is 32 MB
 EMBED_BUDGET = 2**21
@@ -98,12 +98,14 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class FieldRealization:
-    """One zero-mean Gaussian field draw stored at cell centers."""
+    """One zero-mean Gaussian field draw stored at cell centers, as a
+    private read-only copy."""
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "values", read_only(np.array(self.values, dtype=float)))
         if self.values.shape != (self.grid.ncells,):
             raise ValueError("field values do not match the grid")
         if not np.all(np.isfinite(self.values)):
@@ -129,9 +131,7 @@ def _embedding_root(spec: GridSpec, theta: CovParams) -> np.ndarray:
         hy = np.minimum(np.arange(my), my - np.arange(my)) * spec.dy
         lam = np.fft.fft2(matern_cov(np.hypot(hx[None, :], hy[:, None]), theta)).real
         if np.maximum(-lam, 0.0).sum() / lam.size <= 1e-12 * theta.sigma2:
-            root = np.sqrt(np.maximum(lam, 0.0) / lam.size)
-            root.flags.writeable = False
-            return root
+            return read_only(np.sqrt(np.maximum(lam, 0.0) / lam.size))
         tried = f"{mx}x{my}"
         mx, my = 2 * mx, 2 * my
     raise ValueError(

@@ -17,8 +17,7 @@ follow an unconverged one. ``fit`` runs on one OpenBLAS thread
 (``_linalg.one_blas_thread``; a no-op on a BLAS without a known thread
 setter): its factorizations are of blocks and matrices of at most about a
 thousand rows, and processes, not BLAS threads, are the unit of
-parallelism. ``fd_gradient`` is kept as the finite-difference oracle the
-tests check the closed forms against.
+parallelism.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from ._linalg import one_blas_thread
 from .model import Dataset, Domain, ModelParams
 
 PARAM_NAMES = ("mu", "sigma2", "phi", "tau2")
-FD_REL_STEP = 1e-5
 PHI_CAP_FACTOR = 10.0
 LOG_PHI = PARAM_NAMES.index("phi")
 MAX_ITER = 200
@@ -82,20 +80,6 @@ def default_init(data: Dataset, domain: Domain, nu: float = 1.0) -> ModelParams:
     sigma2_0 = max(0.9 * var, 1e-6)
     tau2_0 = max(0.1 * var, 1e-7)
     return ModelParams.from_values(mu0, sigma2_0, domain.diameter / 10.0, tau2_0, nu=nu)
-
-
-def fd_gradient(func, x: np.ndarray, rel_step: float = FD_REL_STEP) -> np.ndarray:
-    """Central finite-difference gradient with per-coordinate step
-    rel_step * max(1, |x_j|)."""
-    x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for j in range(x.size):
-        h = rel_step * max(1.0, abs(x[j]))
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        grad[j] = (func(xp) - func(xm)) / (2.0 * h)
-    return grad
 
 
 def _pack(psi: ModelParams) -> np.ndarray:

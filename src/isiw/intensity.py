@@ -29,7 +29,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import ndtr
 
-from .model import Domain
+from .model import Domain, read_only
 
 SCOTT = "scott"
 DIGGLE = "diggle"
@@ -44,11 +44,12 @@ SEARCH_GRID_SIZE = 64
 _INTENSITY_FLOOR_REL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BandwidthSpec:
     """A bandwidth: a global ``h`` and, for the adaptive method, one
-    bandwidth per data point. ``boundary`` flags a selector whose optimum
-    landed on an end of the search grid."""
+    bandwidth per data point, held as a private read-only copy.
+    ``boundary`` flags a selector whose optimum landed on an end of the
+    search grid."""
 
     method: str
     h: float
@@ -61,7 +62,7 @@ class BandwidthSpec:
         if not self.h > 0:
             raise ValueError(f"bandwidth must be positive, got {self.h}")
         if self.per_point_h is not None:
-            self.per_point_h = np.asarray(self.per_point_h, dtype=float)
+            object.__setattr__(self, "per_point_h", read_only(np.array(self.per_point_h, dtype=float)))
             if np.any(self.per_point_h <= 0):
                 raise ValueError("per-point bandwidths must be positive")
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .fields import FieldRealization, GridSpec
 from .kriging import KrigingOutput
-from .model import Dataset
+from .model import Dataset, Domain
 
 
 def _fmt(value) -> str:
@@ -45,31 +45,40 @@ def write_points_csv(path, locs: np.ndarray) -> None:
     write_rows(path, ["x", "y"], zip(locs[:, 0], locs[:, 1]))
 
 
-def read_points_csv(path) -> np.ndarray:
+def _read_columns(path, names: tuple) -> np.ndarray:
+    """The columns ``names`` of a CSV file with a header row, as a
+    rows x len(names) float array. A missing column or a value that is not
+    a number raises ValueError naming the file."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        rows = [(float(r["x"]), float(r["y"])) for r in reader]
-    if not rows:
+        missing = set(names) - set(reader.fieldnames or ())
+        if missing:
+            raise ValueError(f"{path}: missing columns {sorted(missing)}")
+        try:
+            rows = [[float(r[name]) for name in names] for r in reader]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    return np.array(rows, dtype=float).reshape(len(rows), len(names))
+
+
+def read_points_csv(path) -> np.ndarray:
+    arr = _read_columns(path, ("x", "y"))
+    if not len(arr):
         raise ValueError(f"{path}: no points")
-    return np.asarray(rows)
+    return arr
 
 
 def read_field_csv(path) -> FieldRealization:
     """Rebuild a field realization from its x,y,s export; the grid is
     inferred from the unique cell-center coordinates."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = [(float(r["x"]), float(r["y"]), float(r["s"])) for r in reader]
-    if len(rows) < 4:
+    arr = _read_columns(path, ("x", "y", "s"))
+    if len(arr) < 4:
         raise ValueError(f"{path}: too few cells for a field")
-    arr = np.asarray(rows)
     xs = np.unique(arr[:, 0])
     ys = np.unique(arr[:, 1])
     if xs.size * ys.size != arr.shape[0]:
         raise ValueError(f"{path}: cell centers do not form a regular grid")
     dx, dy = xs[1] - xs[0], ys[1] - ys[0]
-    from .model import Domain
-
     grid = GridSpec(
         Domain(xs[0] - dx / 2, xs[-1] + dx / 2, ys[0] - dy / 2, ys[-1] + dy / 2),
         xs.size,
@@ -88,15 +97,9 @@ def write_dataset_csv(path, data: Dataset) -> None:
 
 
 def read_dataset_csv(path) -> Dataset:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = {"x", "y", "value"} - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"{path}: missing columns {sorted(missing)}")
-        rows = [(float(r["x"]), float(r["y"]), float(r["value"])) for r in reader]
-    if not rows:
+    arr = _read_columns(path, ("x", "y", "value"))
+    if not len(arr):
         raise ValueError(f"{path}: no observations")
-    arr = np.asarray(rows)
     return Dataset(locations=arr[:, :2], values=arr[:, 2])
 
 
@@ -116,13 +119,3 @@ def write_surface_csv(path, out: KrigingOutput) -> None:
         path, ["x", "y", "pred", "var"],
         zip(out.targets[:, 0], out.targets[:, 1], out.predictions, out.variances),
     )
-
-
-def read_surface_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = [
-            (float(r["x"]), float(r["y"]), float(r["pred"]), float(r["var"])) for r in reader
-        ]
-    return np.asarray(rows)
-

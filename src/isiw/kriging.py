@@ -24,9 +24,10 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
+from scipy.spatial.distance import cdist
 
 from ._linalg import cholesky_lower, one_blas_thread
-from .model import CovParams, Dataset, ModelParams, condensed_cov_matrix, matern_cov, pairwise_distances
+from .model import CovParams, Dataset, ModelParams, condensed_cov_matrix, matern_cov, read_only
 
 # targets per cross-covariance block: 0.8 MB per block at n = 400
 TARGET_BLOCK = 256
@@ -46,14 +47,15 @@ def _cross_blocks(locations: np.ndarray, targets: np.ndarray, theta: CovParams):
         starts.pop()
     for start, stop in zip(starts, starts[1:] + [len(targets)]):
         block = slice(start, stop)
-        yield block, matern_cov(pairwise_distances(locations, targets[block]), theta)
+        yield block, matern_cov(cdist(locations, targets[block]), theta)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class KrigingOutput:
     """Predictions at ``targets``; ``variances`` is computed on first
     access from the lower Cholesky factor ``chol`` of the data covariance,
-    the data ``locations`` and the covariance parameters ``theta``."""
+    the data ``locations`` and the covariance parameters ``theta``. Every
+    array is a private read-only copy."""
 
     targets: np.ndarray
     predictions: np.ndarray
@@ -62,6 +64,8 @@ class KrigingOutput:
     theta: CovParams
 
     def __post_init__(self):
+        for name in ("targets", "predictions", "chol", "locations"):
+            object.__setattr__(self, name, read_only(np.array(getattr(self, name), dtype=float)))
         if len(self.targets) != self.predictions.size:
             raise ValueError("mismatched kriging output lengths")
         if self.chol.shape != (len(self.locations),) * 2:
@@ -76,7 +80,7 @@ class KrigingOutput:
             for block, cross in _cross_blocks(self.locations, self.targets, self.theta):
                 v = solve_triangular(self.chol, cross, lower=True, check_finite=False)
                 out[block] = self.theta.sigma2 - np.einsum("ij,ij->j", v, v)
-        return np.maximum(out, 0.0)
+        return read_only(np.maximum(out, 0.0))
 
 
 @one_blas_thread()

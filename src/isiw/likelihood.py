@@ -35,19 +35,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from ._linalg import (
-    NotPositiveDefiniteError,
-    backward_solve_batched,
-    cholesky_lower,
-    forward_solve_batched,
-)
+from ._linalg import backward_solve_batched, cholesky_lower, forward_solve_batched
 from .model import (
     Dataset,
     ModelParams,
-    build_cov_matrix,
     condensed_cov_matrix,
     matern_cov,
     matern_cov_dlogphi,
+    read_only,
     symmetric_from_condensed,
 )
 
@@ -90,11 +85,6 @@ def maxmin_order(locs: np.ndarray) -> np.ndarray:
     return order
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distances between the broadcast points ``a`` and ``b``, summed as
     sqrt(dx*dx + dy*dy) like ``np.linalg.norm``, so equal to it bit for bit."""
@@ -128,8 +118,8 @@ class VecchiaPlan:
     neighbors: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        locs = _frozen(np.atleast_2d(np.array(self.locations, dtype=float)))
-        order = _frozen(np.array(self.order, dtype=int))
+        locs = read_only(np.atleast_2d(np.array(self.locations, dtype=float)))
+        order = read_only(np.array(self.order, dtype=int))
         n = locs.shape[0]
         if not np.array_equal(np.sort(order), np.arange(n)):
             raise ValueError(f"order is not a permutation of the {n} locations")
@@ -157,19 +147,15 @@ class VecchiaPlan:
         pair_index[:, cols, cols] += ~valid  # the padded diagonal takes the next slot
 
         for name, value in dict(
-            locations=locs, order=order, idx=_frozen(idx), k=_frozen(k), pair_index=_frozen(pair_index),
-            pair_dists=_frozen(_distances(locs[pairs // n], locs[pairs % n])),
-            neighbors=tuple(np.split(_frozen(idx[cols < k[:, None]]), np.cumsum(k)[:-1])),
+            locations=locs, order=order, idx=read_only(idx), k=read_only(k), pair_index=read_only(pair_index),
+            pair_dists=read_only(_distances(locs[pairs // n], locs[pairs % n])),
+            neighbors=tuple(np.split(read_only(idx[cols < k[:, None]]), np.cumsum(k)[:-1])),
         ).items():
             object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
         return self.order.size
-
-    def positions(self) -> np.ndarray:
-        """Each original index's place in ``order``."""
-        return np.argsort(self.order)
 
     def check_data(self, data: Dataset):
         if data.n != self.n or not np.array_equal(data.locations, self.locations):
@@ -343,63 +329,15 @@ def pairwise_marginal_nll(
     return NllValue(total[0], total[1:])
 
 
-def vecchia_implied_cov(psi: ModelParams, plan: VecchiaPlan) -> np.ndarray:
-    """Covariance of the valid joint Gaussian the Vecchia factorization
-    defines, returned in original point order.
-
-    Built from the per-index regression coefficients and conditional
-    variances: (I - B)^-1 D (I - B)^-T in the ordered basis.
-    """
-    n = plan.n
-    sigma = build_cov_matrix(plan.locations, psi.theta, psi.tau2)
-    pos = plan.positions()
-    b_mat = np.zeros((n, n))
-    d_vec = np.empty(n)
-    for j in range(n):
-        i = plan.order[j]
-        q = plan.neighbors[j]
-        if q.size == 0:
-            d_vec[j] = sigma[i, i]
-            continue
-        sqq = sigma[np.ix_(q, q)]
-        sqi = sigma[q, i]
-        coef = np.linalg.solve(sqq, sqi)
-        d_vec[j] = sigma[i, i] - sqi @ coef
-        if d_vec[j] <= 0:
-            raise NotPositiveDefiniteError(j + 1, "vecchia conditional variance")
-        b_mat[j, pos[q]] = coef
-    a = solve_triangular(
-        np.eye(n) - b_mat, np.eye(n), lower=True, unit_diagonal=True, check_finite=False
-    )
-    implied_ordered = (a * d_vec) @ a.T
-    implied = implied_ordered[np.ix_(pos, pos)]
-    return 0.5 * (implied + implied.T)
-
-
-def gaussian_kl(sigma_true: np.ndarray, sigma_approx: np.ndarray) -> float:
-    """KL divergence between zero-mean Gaussians N(0, true) || N(0, approx)."""
-    sigma_true = np.asarray(sigma_true, dtype=float)
-    sigma_approx = np.asarray(sigma_approx, dtype=float)
-    if sigma_true.shape != sigma_approx.shape or sigma_true.shape[0] != sigma_true.shape[1]:
-        raise ValueError("covariance matrices must be square and the same size")
-    n = sigma_true.shape[0]
-    lt = cholesky_lower(sigma_true, context="true covariance")
-    la = cholesky_lower(sigma_approx, context="approximating covariance")
-    w = solve_triangular(la, lt, lower=True, check_finite=False)
-    trace = float(np.sum(w * w))
-    logdet_t = 2.0 * float(np.sum(np.log(np.diag(lt))))
-    logdet_a = 2.0 * float(np.sum(np.log(np.diag(la))))
-    return 0.5 * (trace - n + logdet_a - logdet_t)
-
-
 EXACT = "exact"
 PAIRWISE_MARGINAL = "pairwise-marginal"
 VECCHIA = "vecchia"
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Objective:
-    """One fittable objective: which likelihood, with what weights/plan."""
+    """One fittable objective: which likelihood, with what weights/plan.
+    Frozen, so the checks below hold for its whole life."""
 
     kind: str
     weights: np.ndarray | None = None

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import pdist, squareform
 from scipy.special import gamma as _gamma
 from scipy.special import k0 as _bessel_k0
 from scipy.special import k1 as _bessel_k1
@@ -90,36 +90,47 @@ class ModelParams:
         }
 
 
-@dataclass
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, flagged read-only. Pass only an array no caller holds, such as
+    a private copy of an input: a read-only view does not stop writes
+    through its base."""
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Observation locations (n, 2) paired with values (n,).
+    """Observation locations (n, 2) paired with values (n,), held as
+    private read-only copies.
 
     Locations must be pairwise distinct; coincident points (closer than
     1e-12) make the noiseless covariance exactly singular. The condensed
     pairwise distances (``pdist`` order, which is ``np.triu_indices(n, 1)``
     order) are computed once, by the duplicate check, and serve every
-    covariance built on the data.
+    covariance built on the data. Every array it caches and returns is
+    read-only.
     """
 
     locations: np.ndarray
     values: np.ndarray
-    _condensed: np.ndarray = field(init=False, repr=False, compare=False)
-    _cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    _condensed: np.ndarray = field(init=False, repr=False)
+    _cache: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self.locations = np.atleast_2d(np.asarray(self.locations, dtype=float))
-        self.values = np.asarray(self.values, dtype=float).ravel()
-        if self.locations.shape != (self.values.size, 2):
-            raise ValueError(
-                f"locations {self.locations.shape} do not pair with {self.values.size} values"
-            )
-        if self.values.size < 1:
+        locations = read_only(np.atleast_2d(np.array(self.locations, dtype=float)))
+        values = read_only(np.array(self.values, dtype=float).ravel())
+        if locations.shape != (values.size, 2):
+            raise ValueError(f"locations {locations.shape} do not pair with {values.size} values")
+        if values.size < 1:
             raise ValueError("dataset needs at least one observation")
-        if not np.all(np.isfinite(self.locations)) or not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(locations)) or not np.all(np.isfinite(values)):
             raise ValueError("non-finite coordinates or values")
-        self._condensed = pdist(self.locations)
-        if self._condensed.size and np.min(self._condensed) < 1e-12:
+        condensed = read_only(pdist(locations))
+        if condensed.size and np.min(condensed) < 1e-12:
             raise ValueError("duplicate locations (within 1e-12)")
+        object.__setattr__(self, "locations", locations)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_condensed", condensed)
 
     @property
     def n(self) -> int:
@@ -134,7 +145,7 @@ class Dataset:
         """Full n x n Euclidean distance matrix, mirrored from the condensed
         distances once and cached."""
         if "full" not in self._cache:
-            self._cache["full"] = squareform(self._condensed, checks=False)
+            self._cache["full"] = read_only(squareform(self._condensed, checks=False))
         return self._cache["full"]
 
     def pairs(self, cutoff: float | None = None) -> tuple:
@@ -147,17 +158,8 @@ class Dataset:
             if cutoff is not None:
                 mask = d <= cutoff
                 iu, ju, d = iu[mask], ju[mask], d[mask]
-            self._cache[key] = (iu, ju, d)
+            self._cache[key] = (read_only(iu), read_only(ju), read_only(d))
         return self._cache[key]
-
-
-def pairwise_distances(locs: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:
-    locs = np.atleast_2d(np.asarray(locs, dtype=float))
-    if other is None:
-        other = locs
-    else:
-        other = np.atleast_2d(np.asarray(other, dtype=float))
-    return cdist(locs, other)
 
 
 def _bessel_k(order: float, s: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -1,0 +1,77 @@
+"""Reference computations the tests check the package against: a central
+finite-difference gradient, the covariance of the joint Gaussian that a
+Vecchia plan implies, and the Kullback-Leibler divergence between two
+zero-mean Gaussians. None of them runs in the package itself."""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.linalg import solve_triangular
+
+from isiw import ModelParams, VecchiaPlan, build_cov_matrix
+from isiw._linalg import NotPositiveDefiniteError, cholesky_lower
+
+FD_REL_STEP = 1e-5
+
+
+def fd_gradient(func, x: np.ndarray, rel_step: float = FD_REL_STEP) -> np.ndarray:
+    """Central finite-difference gradient with per-coordinate step
+    rel_step * max(1, |x_j|)."""
+    x = np.asarray(x, dtype=float)
+    grad = np.empty_like(x)
+    for j in range(x.size):
+        h = rel_step * max(1.0, abs(x[j]))
+        xp, xm = x.copy(), x.copy()
+        xp[j] += h
+        xm[j] -= h
+        grad[j] = (func(xp) - func(xm)) / (2.0 * h)
+    return grad
+
+
+def vecchia_implied_cov(psi: ModelParams, plan: VecchiaPlan) -> np.ndarray:
+    """Covariance of the valid joint Gaussian the Vecchia factorization
+    defines, returned in original point order.
+
+    Built from the per-index regression coefficients and conditional
+    variances: (I - B)^-1 D (I - B)^-T in the ordered basis.
+    """
+    n = plan.n
+    sigma = build_cov_matrix(plan.locations, psi.theta, psi.tau2)
+    pos = np.argsort(plan.order)
+    b_mat = np.zeros((n, n))
+    d_vec = np.empty(n)
+    for j in range(n):
+        i = plan.order[j]
+        q = plan.neighbors[j]
+        if q.size == 0:
+            d_vec[j] = sigma[i, i]
+            continue
+        sqq = sigma[np.ix_(q, q)]
+        sqi = sigma[q, i]
+        coef = np.linalg.solve(sqq, sqi)
+        d_vec[j] = sigma[i, i] - sqi @ coef
+        if d_vec[j] <= 0:
+            raise NotPositiveDefiniteError(j + 1, "vecchia conditional variance")
+        b_mat[j, pos[q]] = coef
+    a = solve_triangular(
+        np.eye(n) - b_mat, np.eye(n), lower=True, unit_diagonal=True, check_finite=False
+    )
+    implied_ordered = (a * d_vec) @ a.T
+    implied = implied_ordered[np.ix_(pos, pos)]
+    return 0.5 * (implied + implied.T)
+
+
+def gaussian_kl(sigma_true: np.ndarray, sigma_approx: np.ndarray) -> float:
+    """KL divergence between zero-mean Gaussians N(0, true) || N(0, approx)."""
+    sigma_true = np.asarray(sigma_true, dtype=float)
+    sigma_approx = np.asarray(sigma_approx, dtype=float)
+    if sigma_true.shape != sigma_approx.shape or sigma_true.shape[0] != sigma_true.shape[1]:
+        raise ValueError("covariance matrices must be square and the same size")
+    n = sigma_true.shape[0]
+    lt = cholesky_lower(sigma_true, context="true covariance")
+    la = cholesky_lower(sigma_approx, context="approximating covariance")
+    w = solve_triangular(la, lt, lower=True, check_finite=False)
+    trace = float(np.sum(w * w))
+    logdet_t = 2.0 * float(np.sum(np.log(np.diag(lt))))
+    logdet_a = 2.0 * float(np.sum(np.log(np.diag(la))))
+    return 0.5 * (trace - n + logdet_a - logdet_t)

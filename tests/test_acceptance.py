@@ -23,8 +23,6 @@ from isiw import (
     Objective,
     build_cov_matrix,
     exact_nll,
-    fd_gradient,
-    gaussian_kl,
     krige,
     matern_cov,
     maxmin_order,
@@ -32,12 +30,12 @@ from isiw import (
     nn_conditioning_sets,
     pairwise_marginal_nll,
     run_experiment,
-    vecchia_implied_cov,
     vecchia_nll,
     weights_from_intensity,
 )
 from isiw._linalg import cholesky_lower
 from isiw.experiment import ExperimentConfig
+from oracles import fd_gradient, gaussian_kl, vecchia_implied_cov
 from test_model import BESSEL_TABLE_NU1
 
 UNIT = Domain(0.0, 1.0, 0.0, 1.0)

@@ -496,7 +496,7 @@ class TestCli:
             "--sigma2", report["sigma2"], "--phi", report["phi"],
             "--tau2", report["tau2"], "--nx", "12", "--out-dir", out,
         ]) == 0
-        surface = io.read_surface_csv(f"{out}/surface.csv")
+        surface = np.loadtxt(f"{out}/surface.csv", delimiter=",", skiprows=1)
         assert surface.shape == (144, 4)
         assert np.all(surface[:, 3] >= 0)
 
@@ -570,6 +570,25 @@ class TestCli:
         assert exit_code([command, "--nx", "4", "--ny", "0", *inputs[command], "--out-dir", str(out)]) == 1
         assert "got 4x0" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, needs", [
+        ("intensity", "--points", ["x"]),
+        ("sample", "--field", ["s", "x"]),
+        ("fit", "--data", ["value", "x"]),
+    ])
+    def test_missing_csv_column_is_a_usage_error(self, command, flag, needs, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        path.write_text("a,y\n0.1,0.2\n0.3,0.4\n")
+        extra = ["--n", "5"] if command == "sample" else []
+        assert exit_code([command, flag, str(path), *extra, "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"isiw: {path}: missing columns {needs}\n"
+
+    @pytest.mark.parametrize("row", ["0.1,abc", "0.1"], ids=["not-a-number", "short-row"])
+    def test_bad_csv_value_names_the_line(self, row, tmp_path, capsys):
+        path = tmp_path / "points.csv"
+        path.write_text(f"x,y\n0.5,0.5\n{row}\n")
+        assert exit_code(["intensity", "--points", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"isiw: {path}: line 3: ")
 
     def test_experiment_threads_override_config(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -1,9 +1,19 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from isiw import CovParams, Domain, GridSpec, SeedStream, matern_cov, observe, simulate_field
+from isiw import (
+    CovParams,
+    Domain,
+    FieldRealization,
+    GridSpec,
+    SeedStream,
+    matern_cov,
+    observe,
+    simulate_field,
+)
 from isiw.fields import _embedding_root
 
 UNIT = Domain(0.0, 1.0, 0.0, 1.0)
@@ -65,6 +75,18 @@ class TestGridSpec:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             GridSpec(UNIT, 1, 4)
+
+
+class TestFieldRealization:
+    def test_values_are_a_read_only_copy(self):
+        values = np.arange(4.0)
+        fld = FieldRealization(grid=GridSpec(UNIT, 2, 2), values=values)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fld.values = np.zeros(4)
+        with pytest.raises(ValueError, match="assignment destination is read-only"):
+            fld.values[0] = 1.0
+        values[0] = 5.0
+        assert fld.values[0] == 0.0
 
 
 class TestSimulateField:

@@ -14,7 +14,6 @@ from isiw import (
     build_cov_matrix,
     default_init,
     exact_nll,
-    fd_gradient,
     fit,
     maxmin_order,
     microergodic,
@@ -22,6 +21,7 @@ from isiw import (
 )
 from isiw._linalg import blas_threads, cholesky_lower
 from isiw.inference import RESTARTS
+from oracles import fd_gradient
 
 UNIT = Domain(0.0, 1.0, 0.0, 1.0)
 TRUTH = ModelParams.from_values(4.0, 1.5, 0.15, 0.1)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -132,6 +133,16 @@ class TestEstimateIntensity:
             for i, x in enumerate(pts):
                 expected[i] += oracle_lambda(x, [s], hs[j], UNIT)
         np.testing.assert_allclose(est, expected, rtol=1e-10)
+
+    def test_bandwidth_is_frozen_with_a_private_copy(self):
+        hs = np.full(3, 0.1)
+        bw = BandwidthSpec(method="CvL.adaptive", h=0.1, per_point_h=hs)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bw.h = 0.2
+        with pytest.raises(ValueError, match="assignment destination is read-only"):
+            bw.per_point_h[0] = 0.2
+        hs[0] = 0.3
+        assert bw.per_point_h[0] == 0.1
 
     def test_empty_pattern_rejected(self):
         with pytest.raises(ValueError):

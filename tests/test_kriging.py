@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -120,6 +121,20 @@ class TestLazyVariances:
         assert "variances" not in vars(out)  # not computed until read
         np.testing.assert_allclose(out.variances, PSI.theta.sigma2 - np.sum(v * v, axis=0), rtol=1e-12)
         assert out.variances is out.variances
+
+
+class TestKrigingOutput:
+    def test_frozen_with_read_only_arrays(self):
+        data = random_dataset(10, 9)
+        targets = np.array([[0.2, 0.3], [0.7, 0.1]])
+        out = krige(PSI, data, targets)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            out.predictions = np.zeros(2)
+        for name in ("targets", "predictions", "chol", "locations", "variances"):
+            with pytest.raises(ValueError, match="assignment destination is read-only"):
+                getattr(out, name)[0] = 0.0
+        targets[:] = 0.0
+        assert out.targets[0, 0] == 0.2
 
 
 class TestTargetBlocks:

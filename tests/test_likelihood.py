@@ -22,18 +22,17 @@ from isiw import (
     VecchiaPlan,
     build_cov_matrix,
     exact_nll,
-    gaussian_kl,
     matern_cov,
     matern_cov_dlogphi,
     maxmin_order,
     nn_conditioning_sets,
     pairwise_marginal_nll,
-    vecchia_implied_cov,
     vecchia_nll,
 )
 import isiw
 from isiw._linalg import NotPositiveDefiniteError, cholesky_lower
 from isiw.likelihood import PAIR_CHUNK
+from oracles import gaussian_kl, vecchia_implied_cov
 
 PSI = ModelParams.from_values(4.0, 1.5, 0.15, 0.1)
 LOG_2PI = math.log(2 * math.pi)
@@ -540,6 +539,13 @@ class TestObjective:
             plan = nn_conditioning_sets(data.locations, maxmin_order(data.locations), m=5)
         with pytest.raises(ValueError, match=f"'{kind}' takes no {option}"):
             Objective(kind=kind, plan=plan, **extra)
+
+    def test_kind_cannot_change_after_its_checks(self):
+        # a weighted pairwise objective must not turn into an exact one
+        objective = Objective(kind="pairwise-marginal", weights=np.full(15, 2.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            objective.kind = "exact"
+        assert objective.kind == "pairwise-marginal"
 
     def test_dispatch_matches_functions(self):
         data = random_dataset(15, 70)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,7 +7,17 @@ import pytest
 from scipy.spatial.distance import cdist
 from scipy.special import gamma, k0, k1, kv
 
-from isiw import CovParams, Dataset, Domain, build_cov_matrix, matern_cov, matern_cov_dlogphi, microergodic
+from isiw import (
+    CovParams,
+    Dataset,
+    Domain,
+    ModelParams,
+    build_cov_matrix,
+    exact_nll,
+    matern_cov,
+    matern_cov_dlogphi,
+    microergodic,
+)
 from isiw._linalg import NotPositiveDefiniteError, cholesky_lower
 
 # Reference values frozen from a 50-digit arbitrary-precision Bessel-K
@@ -249,6 +260,33 @@ class TestDataset:
         assert np.array_equal(iu, full_iu[keep]) and np.array_equal(ju, full_ju[keep])
         assert np.array_equal(d, full_d[keep])
         assert data.pairs(cutoff)[2] is d
+
+    def test_frozen_with_read_only_arrays(self):
+        rng = np.random.default_rng(1)
+        data = Dataset(locations=rng.random((6, 2)), values=rng.random(6))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            data.locations = np.zeros((6, 2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            data.values = np.zeros(6)
+        arrays = [data.locations, data.values, data.condensed_distances(), data.pairwise_distances()]
+        arrays += [*data.pairs(), *data.pairs(0.5)]
+        for a in arrays:
+            with pytest.raises(ValueError, match="assignment destination is read-only"):
+                a[0] = 0.0
+
+    def test_caller_arrays_stay_writeable_and_unshared(self):
+        # an in-place write to the caller's arrays after construction must
+        # not reach the dataset or its cached distances
+        rng = np.random.default_rng(2)
+        locs, values = rng.random((12, 2)), rng.normal(4.0, 1.0, 12)
+        psi = ModelParams.from_values(4.0, 1.5, 0.15, 0.1)
+        data = Dataset(locations=locs, values=values)
+        before = exact_nll(psi, data)
+        fresh = exact_nll(psi, Dataset(locations=locs.copy(), values=values.copy()))
+        locs[:] = rng.random((12, 2))
+        values[:] = 0.0
+        assert float(exact_nll(psi, data)) == float(before) == float(fresh)
+        assert float(exact_nll(psi, Dataset(locations=locs, values=values))) != float(before)
 
     def test_distance_cache_is_not_a_constructor_argument(self):
         # a caller-supplied cache would silently replace the real distances

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import fd_gradient
 from test_fields import implied_grid_covariance_error
 from test_intensity import oracle_integral_sq
 
@@ -23,7 +24,6 @@ from isiw import (
     GridSpec,
     ModelParams,
     exact_nll,
-    fd_gradient,
     matern_cov,
     matern_cov_dlogphi,
     maxmin_order,

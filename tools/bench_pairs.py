@@ -17,10 +17,12 @@ workload it runs the change once more with ``--trace 1`` on the first
 seed, whose correctness gate also checks that the traced mirror's rows
 equal ``run_replicate``'s. The output file holds every run's metrics, each
 traced run under ``traced`` and, per workload and end-to-end metric of
-``BENCHMARK.json``, both medians, the parent's quartile spread and the
+``BENCHMARK.json``, both medians, the parent's quartile spread, the
 number of pairs the change won (strictly better, in the metric's
-direction). The exit code is 1 when any run, traced or not, fails its
-correctness gate.
+direction), and whether that shows a gain, whether the change stays
+within the metric's bound and whether the parent's spread can resolve
+that bound (see ``summarize``). The exit code is 1 when any run, traced
+or not, fails its correctness gate.
 
 Standard library only; nothing is imported from the package under test.
 """
@@ -90,9 +92,17 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 
     }
 
 
-def summarize(runs: list, workloads: list, directions: dict) -> dict:
-    """Per workload and metric: medians, the parent's quartile spread and
-    the change's pair wins."""
+def summarize(runs: list, workloads: list, metrics: list) -> dict:
+    """Per workload and end-to-end metric (``BENCHMARK.json`` entries with
+    ``name``, ``better`` and ``bound``): medians, the parent's quartile
+    spread, the change's pair wins, ``gain_shown`` (the change won at least
+    nine tenths of the pairs, ties counting for neither side, and its
+    median gap exceeds the parent's quartile spread), ``within_bound``
+    (the change's median is no worse than the parent's by more than
+    ``bound`` times the parent's median) and ``resolved`` (the parent's
+    quartile spread is at most that allowance, so ``within_bound`` can
+    tell a change from noise; an unresolved metric is not shown
+    unchanged)."""
     summary = {}
     for workload in workloads:
         pairs = {}
@@ -101,7 +111,8 @@ def summarize(runs: list, workloads: list, directions: dict) -> dict:
                 pairs.setdefault(run["seed"], {})[run["side"]] = run["metrics"]
         pairs = [p for p in pairs.values() if "parent" in p and "change" in p]
         table = {}
-        for name, better in directions.items():
+        for metric in metrics:
+            name, better = metric["name"], metric["better"]
             both = [(p["parent"][name], p["change"][name]) for p in pairs
                     if name in p["parent"] and name in p["change"]]
             if not both:
@@ -110,15 +121,21 @@ def summarize(runs: list, workloads: list, directions: dict) -> dict:
             change = [b for _, b in both]
             sign = 1.0 if better == "higher" else -1.0
             q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else (parent[0],) * 3
-            gap = sign * (statistics.median(change) - statistics.median(parent))
+            parent_median = statistics.median(parent)
+            gap = sign * (statistics.median(change) - parent_median)
+            allowance = metric["bound"] * abs(parent_median)
+            wins = sum(sign * (b - a) > 0 for a, b in both)
             table[name] = {
                 "better": better,
-                "parent_median": statistics.median(parent),
+                "parent_median": parent_median,
                 "change_median": statistics.median(change),
                 "parent_quartile_spread": q3 - q1,
-                "change_wins": sum(sign * (b - a) > 0 for a, b in both),
+                "change_wins": wins,
                 "pairs": len(both),
                 "median_gain_exceeds_spread": gap > q3 - q1,
+                "gain_shown": wins >= 0.9 * len(both) and gap > q3 - q1,
+                "within_bound": gap >= -allowance,
+                "resolved": q3 - q1 <= allowance,
             }
         summary[workload] = table
     return summary
@@ -140,7 +157,6 @@ def main(argv=None) -> int:
             trees[side] = Path(tmp, side)
             commits[side] = export(ref, trees[side])
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-        directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
         workloads = [w["name"] for w in spec["workloads"]]
         seconds = float(spec["run_seconds"])
         for workload in workloads:
@@ -162,7 +178,7 @@ def main(argv=None) -> int:
         "change": {"ref": args.change, "commit": commits["change"]},
         "seeds": seeds,
         "host": {"nproc": os.cpu_count(), "machine": platform.machine(), "python": platform.python_version()},
-        "summary": summarize(runs, workloads, directions),
+        "summary": summarize(runs, workloads, spec["end_to_end"]),
         "runs": runs,
         "traced": traced,
     }
