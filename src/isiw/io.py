@@ -72,20 +72,23 @@ def read_field_csv(path) -> FieldRealization:
     """Rebuild a field realization from its x,y,s export; the grid is
     inferred from the unique cell-center coordinates."""
     arr = _read_columns(path, ("x", "y", "s"))
-    if len(arr) < 4:
-        raise ValueError(f"{path}: too few cells for a field")
     xs = np.unique(arr[:, 0])
     ys = np.unique(arr[:, 1])
-    if xs.size * ys.size != arr.shape[0]:
-        raise ValueError(f"{path}: cell centers do not form a regular grid")
+    if min(xs.size, ys.size) < 2 or xs.size * ys.size != arr.shape[0]:
+        raise ValueError(f"{path}: cell centers do not form a regular grid of at least 2 x 2 cells")
     dx, dy = xs[1] - xs[0], ys[1] - ys[0]
     grid = GridSpec(
         Domain(xs[0] - dx / 2, xs[-1] + dx / 2, ys[0] - dy / 2, ys[-1] + dy / 2),
         xs.size,
         ys.size,
     )
+    # every row at the center of its own cell, so every cell gets a value
+    cells = grid.locate(arr[:, :2])
+    centered = np.allclose(grid.cell_centers()[cells], arr[:, :2], rtol=0.0, atol=1e-6 * min(dx, dy))
+    if not centered or np.unique(cells).size != cells.size:
+        raise ValueError(f"{path}: cell centers do not form a regular grid of at least 2 x 2 cells")
     values = np.empty(grid.ncells)
-    values[grid.locate(arr[:, :2])] = arr[:, 2]
+    values[cells] = arr[:, 2]
     return FieldRealization(grid=grid, values=values)
 
 

@@ -337,7 +337,8 @@ VECCHIA = "vecchia"
 @dataclass(frozen=True, eq=False)
 class Objective:
     """One fittable objective: which likelihood, with what weights/plan.
-    Frozen, so the checks below hold for its whole life."""
+    Frozen, with the weights as a private read-only copy, so the checks
+    below hold for its whole life."""
 
     kind: str
     weights: np.ndarray | None = None
@@ -345,6 +346,8 @@ class Objective:
     pair_cutoff: float | None = None
 
     def __post_init__(self):
+        if self.weights is not None:
+            object.__setattr__(self, "weights", read_only(np.array(self.weights, dtype=float)))
         if self.kind not in (EXACT, PAIRWISE_MARGINAL, VECCHIA):
             raise ValueError(f"unknown objective kind {self.kind!r}")
         if (self.plan is not None) != (self.kind == VECCHIA):

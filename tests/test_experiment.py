@@ -583,6 +583,22 @@ class TestCli:
         assert exit_code([command, flag, str(path), *extra, "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"isiw: {path}: missing columns {needs}\n"
 
+    @pytest.mark.parametrize("cells", [
+        [(0.5, 0.1), (0.5, 0.3), (0.5, 0.5), (0.5, 0.7)],
+        [(0.1, 0.25), (0.2, 0.25), (0.7, 0.25), (0.1, 0.75), (0.2, 0.75), (0.7, 0.75)],
+        [(0.25, 0.25), (0.25, 0.25), (0.75, 0.75), (0.75, 0.25)],
+        [(0.25, 0.25), (0.75, 0.25), (0.25, 0.75)],
+    ], ids=["one-column", "uneven-spacing", "repeated-cell", "three-cells"])
+    def test_field_csv_off_a_grid_is_a_usage_error(self, cells, tmp_path, capsys):
+        # before, uneven spacing or a repeated cell left cells of np.empty
+        # garbage in the field, and one column ended in an IndexError
+        path = tmp_path / "field.csv"
+        path.write_text("x,y,s\n" + "".join(f"{x},{y},{x + y}\n" for x, y in cells))
+        assert exit_code(["sample", "--field", str(path), "--n", "5", "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"isiw: {path}: cell centers do not form a regular grid of at least 2 x 2 cells\n"
+        )
+
     @pytest.mark.parametrize("row", ["0.1,abc", "0.1"], ids=["not-a-number", "short-row"])
     def test_bad_csv_value_names_the_line(self, row, tmp_path, capsys):
         path = tmp_path / "points.csv"

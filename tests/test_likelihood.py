@@ -547,6 +547,16 @@ class TestObjective:
             objective.kind = "exact"
         assert objective.kind == "pairwise-marginal"
 
+    def test_weights_are_a_private_copy(self):
+        data = random_dataset(15, 72)
+        weights = np.linspace(0.5, 2.0, 15)
+        objective = Objective(kind="pairwise-marginal", weights=weights)
+        before = objective.nll(PSI, data)
+        weights[:] = 1.0
+        assert objective.nll(PSI, data) == before
+        with pytest.raises(ValueError, match="assignment destination is read-only"):
+            objective.weights[0] = 1.0
+
     def test_dispatch_matches_functions(self):
         data = random_dataset(15, 70)
         plan = nn_conditioning_sets(data.locations, maxmin_order(data.locations), m=5)
