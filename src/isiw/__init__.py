@@ -27,6 +27,7 @@ from .kriging import KrigingOutput, krige
 from .likelihood import (
     NllValue,
     Objective,
+    Profile,
     VecchiaPlan,
     exact_nll,
     maxmin_order,
@@ -39,7 +40,6 @@ from .model import (
     Dataset,
     Domain,
     ModelParams,
-    build_cov_matrix,
     matern_cov,
     matern_cov_dlogphi,
     microergodic,
@@ -52,8 +52,8 @@ __all__ = [
     "BandwidthSpec", "CovParams", "Dataset", "Domain", "ExperimentConfig",
     "FieldRealization", "FitConfig", "FitResult", "GridSpec",
     "KrigingOutput", "MetricsRow", "ModelParams",
-    "NllValue", "Objective", "SamplerSpec", "Scenario", "SeedStream", "VecchiaPlan",
-    "build_cov_matrix", "compute_intensity", "default_init",
+    "NllValue", "Objective", "Profile", "SamplerSpec", "Scenario", "SeedStream", "VecchiaPlan",
+    "compute_intensity", "default_init",
     "estimate_intensity", "exact_nll", "fit", "krige", "load_config", "matern_cov", "matern_cov_dlogphi",
     "maxmin_order", "microergodic",
     "nn_conditioning_sets", "observe", "pairwise_marginal_nll",

@@ -56,30 +56,32 @@ def cholesky_lower(a: np.ndarray, context: str = "", overwrite: bool = False) ->
 def forward_solve_batched(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve L z = b for a stack of lower-triangular factors.
 
-    ``chol`` has shape (B, k, k), ``rhs`` shape (B, k); returns (B, k).
-    Plain forward substitution vectorized across the batch; fine for the
-    small k used by conditioning blocks.
+    ``chol`` has shape (B, k, k), ``rhs`` shape (B, k), or (c, B, k) for c
+    right-hand sides per factor; returns the shape of ``rhs``. Plain
+    forward substitution vectorized across the batch; fine for the small k
+    used by conditioning blocks. Each right-hand side's solution is the
+    same, bit for bit, whether it is solved alone or in a stack.
     """
-    b, k = rhs.shape
+    k = rhs.shape[-1]
     z = np.empty_like(rhs)
     for j in range(k):
-        acc = rhs[:, j]
+        acc = rhs[..., j]
         if j:
-            acc = acc - np.einsum("bl,bl->b", chol[:, j, :j], z[:, :j])
-        z[:, j] = acc / chol[:, j, j]
+            acc = acc - np.einsum("bl,...bl->...b", chol[:, j, :j], z[..., :j])
+        z[..., j] = acc / chol[:, j, j]
     return z
 
 
 def backward_solve_batched(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve L^T x = b for a stack of lower-triangular factors; shapes as in
     :func:`forward_solve_batched`."""
-    b, k = rhs.shape
+    k = rhs.shape[-1]
     x = np.empty_like(rhs)
     for j in range(k - 1, -1, -1):
-        acc = rhs[:, j]
+        acc = rhs[..., j]
         if j < k - 1:
-            acc = acc - np.einsum("bl,bl->b", chol[:, j + 1 :, j], x[:, j + 1 :])
-        x[:, j] = acc / chol[:, j, j]
+            acc = acc - np.einsum("bl,...bl->...b", chol[:, j + 1 :, j], x[..., j + 1 :])
+        x[..., j] = acc / chol[:, j, j]
     return x
 
 

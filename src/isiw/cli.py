@@ -222,7 +222,7 @@ def _cmd_fit(args) -> int:
     report["kappa"] = microergodic(res.psi_hat.theta)
     report.update(
         nll=res.nll, converged=res.converged, iterations=res.iterations,
-        restarts_used=res.restarts_used, phi_capped=res.phi_capped,
+        evaluations=res.evaluations, restarts_used=res.restarts_used, phi_capped=res.phi_capped,
     )
     text = "\n".join(f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}" for k, v in report.items())
     if args.out:

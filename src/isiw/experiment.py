@@ -47,7 +47,15 @@ from .io import write_rows
 from .kriging import krige
 from .likelihood import EXACT, PAIRWISE_MARGINAL, VECCHIA, Objective, maxmin_order, nn_conditioning_sets
 from .model import CovParams, Dataset, Domain, ModelParams, microergodic
-from .pointprocess import SAMPLER_KINDS, THOMAS, SamplerSpec, compute_intensity, sample_conditioned, sample_thomas
+from .pointprocess import (
+    SAMPLER_KINDS,
+    THOMAS,
+    SampleSizeError,
+    SamplerSpec,
+    compute_intensity,
+    sample_conditioned,
+    sample_thomas,
+)
 
 RESULTS_HEADER = [
     "replicate", "scenario", "method", "variant", "rmspe",
@@ -283,8 +291,23 @@ def param_metrics(fits, truth: ModelParams) -> dict:
     return out
 
 
+def _failed_row(scenario: Scenario, replicate: int, method: MethodSpec, exc: Exception) -> MetricsRow:
+    return MetricsRow(
+        replicate=replicate,
+        scenario=scenario.label,
+        method=method.name,
+        variant=method.source,
+        rmspe=math.nan,
+        psi_hat=None,
+        seconds=0.0,
+        converged=False,
+        error=f"{type(exc).__name__}: {exc}",
+    )
+
+
 def run_replicate(config: ExperimentConfig, scenario: Scenario, replicate: int) -> list:
-    """Simulate one dataset and produce one MetricsRow per configured method."""
+    """Simulate one dataset and produce one MetricsRow per configured method.
+    A Thomas pattern that cannot reach n gives one failed row per method."""
     root = SeedStream(config.seed)
     grid = config.grid()
     theta = CovParams(config.sigma2, scenario.phi, config.nu)
@@ -299,7 +322,10 @@ def run_replicate(config: ExperimentConfig, scenario: Scenario, replicate: int) 
     )
     cell_intensity = None  # the Thomas process has none
     if scenario.kind == THOMAS:
-        locs = sample_thomas(fld, spec, root.child(scenario.sid, replicate, 1))
+        try:
+            locs = sample_thomas(fld, spec, root.child(scenario.sid, replicate, 1))
+        except SampleSizeError as exc:
+            return [_failed_row(scenario, replicate, method, exc) for method in config.method_specs()]
     else:
         cell_intensity = compute_intensity(scenario.kind, fld, spec)
         locs = sample_conditioned(fld, cell_intensity, scenario.n, root.child(scenario.sid, replicate, 1))
@@ -350,17 +376,7 @@ def run_replicate(config: ExperimentConfig, scenario: Scenario, replicate: int) 
         except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
             # a numerical or validation failure must not sink the replicate;
             # any other exception is a bug and propagates
-            row = MetricsRow(
-                replicate=replicate,
-                scenario=scenario.label,
-                method=method.name,
-                variant=method.source,
-                rmspe=math.nan,
-                psi_hat=None,
-                seconds=0.0,
-                converged=False,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            row = _failed_row(scenario, replicate, method, exc)
         if config.timing:
             row.seconds = time.perf_counter() - start
         rows.append(row)

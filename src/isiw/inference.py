@@ -1,23 +1,31 @@
 """Numerical maximization of the likelihood objectives.
 
-Positivity of (sigma2, phi, tau2) is handled by optimizing over
-(mu, log sigma2, log phi, log tau2) with scipy's L-BFGS-B. An objective's
-``nll(psi, data)`` returns its value together with its closed-form gradient
-over those coordinates, as an :class:`~isiw.likelihood.NllValue` (any float
-with a ``grad`` array will do); ``fit`` raises ``TypeError`` for a value
-without one. The range parameter is bounded above at 10x the domain
-diameter by a box bound on log phi, so the objective itself is never
-altered: weighted objectives are prone to letting the range run away.
-Each L-BFGS-B attempt runs at most ``MAX_ITER`` iterations and converges
-when one iteration reduces the objective by at most ``FTOL`` relative to
-max(|f|, 1), or when every component of the projected gradient is at most
-``GTOL`` in absolute value; an attempt that met a non-finite objective
-value converges only by the gradient test. Up to ``RESTARTS`` more attempts
-follow an unconverged one. ``fit`` runs on one OpenBLAS thread
-(``_linalg.one_blas_thread``; a no-op on a BLAS without a known thread
-setter): its factorizations are of blocks and matrices of at most about a
-thousand rows, and processes, not BLAS threads, are the unit of
-parallelism.
+An objective's ``nll(psi, data)`` returns its value with a
+:class:`~isiw.likelihood.Profile`: the objective minimised in closed form
+over mu and sigma2 at psi's phi and eta = tau2 / sigma2, with the
+minimisers and the gradient over (log phi, log eta) (any float with a
+``profile`` will do; see :mod:`isiw.likelihood`). ``fit`` raises
+``TypeError`` for a value without one. So ``fit`` searches two
+coordinates, (log phi, log eta), with scipy's L-BFGS-B, and reads mu and
+sigma2 off the profile at the point it ends on.
+
+The range parameter is bounded above at 10x the domain diameter by a box
+bound on log phi, so the objective itself is never altered: weighted
+objectives are prone to letting the range run away. Each L-BFGS-B search
+also stays within ``BOX`` of its start in both coordinates, since a
+line search can otherwise leap from a sound range onto the flat
+pure-nugget plateau at phi -> 0, whose gradient is exactly zero. A search
+that stops on a face of that box with its gradient pointing out continues
+from there in a new box. An attempt runs at most ``MAX_ITER`` iterations
+over its searches and converges when an iteration reduces the objective
+by at most ``FTOL`` relative to max(|f|, 1), or when every component of
+the projected gradient is at most ``GTOL`` in absolute value; an attempt
+that met a non-finite objective value converges only by the gradient
+test. Up to ``RESTARTS`` more attempts follow an unconverged one. ``fit``
+runs on one OpenBLAS thread (``_linalg.one_blas_thread``; a no-op on a
+BLAS without a known thread setter): its factorizations are of blocks and
+matrices of at most about a thousand rows, and processes, not BLAS
+threads, are the unit of parallelism.
 """
 
 from __future__ import annotations
@@ -29,16 +37,21 @@ import numpy as np
 from scipy.optimize import minimize
 
 from ._linalg import one_blas_thread
+from .likelihood import Profile
 from .model import Dataset, Domain, ModelParams
 
-PARAM_NAMES = ("mu", "sigma2", "phi", "tau2")
 PHI_CAP_FACTOR = 10.0
-LOG_PHI = PARAM_NAMES.index("phi")
+LOG_PHI = 0  # the search coordinates are (log phi, log eta)
 MAX_ITER = 200
 # at 1e-8 the relative-reduction test stopped fits on the flat
 # range/variance ridge up to 2e-7 * |f| above the optimum
 FTOL = 1e-10
 GTOL = 1e-4
+# half-width of each search's box in log phi and log eta. Unboxed, 157 of
+# the 200 phi=0.02 acceptance fits leapt to the pure-nugget plateau and
+# ended up to 18% above the 4-D fit's NLL; at 1, the n=100 fits took more
+# evaluations than the 4-D fit did
+BOX = 2.0
 RESTARTS = 3
 
 
@@ -55,9 +68,9 @@ class FitConfig:
 @dataclass
 class FitResult:
     """Best point over all attempts. ``iterations`` and ``gradient_norm``
-    (2-norm of the projected gradient) belong to the attempt that found
-    it; ``evaluations`` counts objective calls over all attempts;
-    ``phi_capped`` says phi sits on its bound."""
+    (2-norm of the projected profile gradient over (log phi, log eta))
+    belong to the attempt that found it; ``evaluations`` counts objective
+    calls over all attempts; ``phi_capped`` says phi sits on its bound."""
 
     psi_hat: ModelParams
     nll: float
@@ -82,84 +95,108 @@ def default_init(data: Dataset, domain: Domain, nu: float = 1.0) -> ModelParams:
     return ModelParams.from_values(mu0, sigma2_0, domain.diameter / 10.0, tau2_0, nu=nu)
 
 
-def _pack(psi: ModelParams) -> np.ndarray:
-    return np.array(
-        [
-            psi.mu,
-            math.log(psi.theta.sigma2),
-            math.log(psi.theta.phi),
-            math.log(max(psi.tau2, 1e-12)),
-        ]
-    )
-
-
-def _unpack(x: np.ndarray, nu: float) -> ModelParams:
+def _search_point(init: ModelParams, x: np.ndarray) -> ModelParams:
+    """psi at the search coordinates x = (log phi, log eta): ``init``'s mu,
+    sigma2 and nu, with phi and tau2 = eta sigma2 from x."""
     # clamp so wild line-search trial points cannot underflow a positive
     # parameter to exactly zero (or overflow exp); the resulting extreme
     # but valid parameters evaluate to inf/nan and the search backtracks
-    logs = np.clip(x[1:], -700.0, 700.0)
+    log_phi, log_tau2 = np.clip([x[0], x[1] + math.log(init.theta.sigma2)], -700.0, 700.0)
     return ModelParams.from_values(
-        x[0], math.exp(logs[0]), math.exp(logs[1]), math.exp(logs[2]), nu=nu
+        init.mu, init.theta.sigma2, math.exp(log_phi), math.exp(log_tau2), nu=init.theta.nu
     )
+
+
+def _profile(objective, data: Dataset, psi: ModelParams, first: bool) -> Profile | None:
+    """The objective's profile at psi's phi and eta, or None where the
+    objective or the profile is not finite there; ``first`` requires both
+    to be finite."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            value = objective.nll(psi, data)
+    except (np.linalg.LinAlgError, FloatingPointError, OverflowError):
+        value, profile = math.inf, None
+    else:
+        profile = getattr(value, "profile", None)
+        if profile is None:
+            raise TypeError(
+                f"{type(objective).__name__}.nll returned {type(value).__name__} with no profile; "
+                "fit needs a value carrying .profile, the minimum over mu and sigma2 with its "
+                "gradient, such as an NllValue"
+            )
+    finite = (
+        profile is not None
+        and math.isfinite(profile.nll)
+        and profile.sigma2 > 0
+        and bool(np.all(np.isfinite(profile.grad)))
+    )
+    if first and not (finite and math.isfinite(value)):
+        raise ValueError("objective is not finite at the initial point")
+    return profile if finite else None
 
 
 @dataclass
 class _Run:
     x: np.ndarray
-    nll: float
+    profile: Profile | None
     iterations: int
     converged: bool
     gradient_norm: float
     evaluations: int
 
+    @property
+    def nll(self) -> float:
+        return math.inf if self.profile is None else self.profile.nll
 
-def _lbfgsb(objective, data: Dataset, nu: float, x0, log_phi_cap) -> _Run:
-    """One L-BFGS-B attempt from x0."""
-    evaluations = 0
+
+def _attempt(objective, data: Dataset, init: ModelParams, x0, log_phi_cap) -> _Run:
+    """One attempt from x0: L-BFGS-B searches, each in a box of half-width
+    ``BOX`` around its start, the next starting where the last stopped on a
+    face of its box with the gradient pointing out."""
+    profiles: dict = {}  # x.tobytes() -> Profile | None, so a search's start is not re-evaluated
     met_nonfinite = False
 
     def value_and_grad(x):
-        nonlocal evaluations, met_nonfinite
-        evaluations += 1
-        try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                value = objective.nll(_unpack(x, nu), data)
-        except (np.linalg.LinAlgError, FloatingPointError, OverflowError):
-            value, grad = math.inf, None
-        else:
-            grad = getattr(value, "grad", None)
-            if grad is None:
-                raise TypeError(
-                    f"{type(objective).__name__}.nll returned {type(value).__name__} with no "
-                    "gradient; fit needs a value carrying .grad, such as an NllValue"
-                )
-            grad = np.asarray(grad, dtype=float)
-        if math.isfinite(value) and np.all(np.isfinite(grad)):
-            return float(value), grad
-        if evaluations == 1:  # L-BFGS-B evaluates x0 first
-            raise ValueError("objective is not finite at the initial point")
-        met_nonfinite = True
-        return math.inf, np.zeros(len(PARAM_NAMES))
+        nonlocal met_nonfinite
+        key = x.tobytes()
+        if key not in profiles:
+            profiles[key] = _profile(objective, data, _search_point(init, x), first=not profiles)
+        profile = profiles[key]
+        if profile is None:
+            met_nonfinite = True
+            return math.inf, np.zeros(2)
+        return float(profile.nll), np.asarray(profile.grad, dtype=float)
 
-    bounds = [(None, log_phi_cap if j == LOG_PHI else None) for j in range(len(PARAM_NAMES))]
-    res = minimize(
-        value_and_grad,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        options={"maxiter": MAX_ITER, "ftol": FTOL, "gtol": GTOL},
-    )
-    projected = np.array(res.jac, dtype=float)
-    if res.x[LOG_PHI] >= log_phi_cap and projected[LOG_PHI] < 0:
+    cap = np.array([log_phi_cap, math.inf])
+    x, iterations = np.asarray(x0, dtype=float), 0
+    while True:
+        lower, upper = x - BOX, np.minimum(x + BOX, cap)
+        res = minimize(
+            value_and_grad,
+            x,
+            jac=True,
+            method="L-BFGS-B",
+            bounds=list(zip(lower, upper)),
+            options={"maxiter": MAX_ITER - iterations, "ftol": FTOL, "gtol": GTOL},
+        )
+        iterations += int(res.nit)
+        x, grad = res.x, np.array(res.jac, dtype=float)
+        outward = ((x <= lower) & (grad > GTOL)) | ((x >= upper) & (upper < cap) & (grad < -GTOL))
+        if not outward.any() or iterations >= MAX_ITER or not math.isfinite(res.fun):
+            break
+
+    if x.tobytes() not in profiles:
+        value_and_grad(x)
+    projected = grad.copy()
+    if x[LOG_PHI] >= log_phi_cap and projected[LOG_PHI] < 0:
         projected[LOG_PHI] = 0.0
     # L-BFGS-B can report success at a point it reached by backing off a
     # non-finite value; trust only the gradient test after one.
-    converged = bool(res.success) and math.isfinite(res.fun)
+    converged = bool(res.success) and math.isfinite(res.fun) and not outward.any()
     if met_nonfinite:
         converged = converged and float(np.max(np.abs(projected))) <= GTOL
     return _Run(
-        res.x, float(res.fun), int(res.nit), converged, float(np.linalg.norm(projected)), evaluations
+        x, profiles[x.tobytes()], iterations, converged, float(np.linalg.norm(projected)), len(profiles)
     )
 
 
@@ -168,17 +205,20 @@ def fit(objective, data: Dataset, init: ModelParams, config: FitConfig) -> FitRe
     """Minimize ``objective.nll`` over psi from ``init``.
 
     ``objective`` needs only ``nll(psi, data)``, returning the value with
-    its gradient attached (see the module docstring). Runs up to
-    ``RESTARTS`` additional attempts from inits with +/-50% multiplicative
-    noise on the positive parameters when an attempt ends unconverged;
-    reports the best point found either way. Deterministic given (data,
-    init, config).
+    its profile attached (see the module docstring). The search starts at
+    ``init``'s phi and eta, and every objective call gets ``init``'s mu and
+    sigma2. Runs up to ``RESTARTS`` additional attempts from starts with
+    +/-50% multiplicative noise on phi and eta when an attempt ends
+    unconverged; reports the best point found either way. Deterministic
+    given (data, init, config).
     """
-    nu = init.theta.nu
     log_phi_cap = math.log(PHI_CAP_FACTOR * config.domain.diameter)
-
-    x_init = _pack(init)
-    x_init[LOG_PHI] = min(x_init[LOG_PHI], log_phi_cap)
+    x_init = np.array(
+        [
+            min(math.log(init.theta.phi), log_phi_cap),
+            math.log(max(init.tau2, 1e-12)) - math.log(init.theta.sigma2),
+        ]
+    )
     rng = np.random.default_rng(config.restart_seed)
 
     best: _Run | None = None
@@ -188,19 +228,27 @@ def fit(objective, data: Dataset, init: ModelParams, config: FitConfig) -> FitRe
             x0 = x_init
         else:
             restarts_used = attempt
-            x0 = x_init.copy()
-            x0[1:] += np.log(rng.uniform(0.5, 1.5, size=3))
+            x0 = x_init + np.log(rng.uniform(0.5, 1.5, size=2))
             x0[LOG_PHI] = min(x0[LOG_PHI], log_phi_cap)
-        run = _lbfgsb(objective, data, nu, x0, log_phi_cap)
+        run = _attempt(objective, data, init, x0, log_phi_cap)
         evaluations += run.evaluations
         if best is None or run.nll < best.nll:
             best = run
         if run.converged:
             break
 
+    if best.profile is None:
+        raise FloatingPointError("every attempt ended on a non-finite objective value")
+    profile = best.profile
     return FitResult(
-        psi_hat=_unpack(best.x, nu),
-        nll=best.nll,
+        psi_hat=ModelParams.from_values(
+            profile.mu,
+            profile.sigma2,
+            math.exp(best.x[LOG_PHI]),
+            math.exp(best.x[1]) * profile.sigma2,
+            nu=init.theta.nu,
+        ),
+        nll=float(profile.nll),
         iterations=best.iterations,
         converged=best.converged,
         gradient_norm=best.gradient_norm,

@@ -18,19 +18,34 @@ the diagonal: all objectives model the observations, matching the exact
 likelihood's Sigma + tau2 I.
 
 Every objective returns an :class:`NllValue`: the value as a float that
-also carries its closed-form gradient over (mu, log sigma2, log phi,
-log tau2), computed in the same pass. For a Gaussian block with covariance
-A and residual r, d/dt [1/2 log|A| + 1/2 r'A^-1 r] = 1/2 tr((A^-1 - a a') dA/dt)
-with a = A^-1 r. A Vecchia conditional term is the difference of that
+carries its closed-form gradient over (mu, log sigma2, log phi, log tau2),
+computed on first access, and a :class:`Profile`, computed in the same
+pass. For a Gaussian block with covariance A and residual r,
+d/dt [1/2 log|A| + 1/2 r'A^-1 r] = 1/2 tr((A^-1 - a a') dA/dt) with
+a = A^-1 r. A Vecchia conditional term is the difference of that
 expression for its full block and for the neighbour-only block; the latter
 is the leading principal block, whose inverse the full-block inverse gives
 by a Schur complement on the target row, so one Cholesky factor serves both.
+
+The profile concentrates mu and sigma2 out in closed form (Diggle and
+Ribeiro 2007, Model-based Geostatistics). With the nugget written as the
+ratio eta = tau2 / sigma2, every covariance here is sigma2 times a matrix
+of phi and eta alone, and each objective is a weighted sum of Gaussian
+terms, -log f = 1/2 log|sigma2 B| + q(mu) / (2 sigma2) up to a constant,
+with q quadratic in mu. So the minimiser mu_hat solves a linear equation,
+sigma2_hat is the weighted mean of q(mu_hat) per unit of dimension, and
+the profile's value follows from both. The factorisation at psi is that of
+B scaled by psi's sigma2, so it serves the profile unchanged. By the
+envelope theorem the profile's gradient over (log phi, log eta) is the
+(log phi, log tau2) part of the full gradient at (mu_hat, sigma2_hat, phi,
+eta sigma2_hat).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -40,7 +55,7 @@ from .model import (
     Dataset,
     ModelParams,
     condensed_cov_matrix,
-    matern_cov,
+    matern_cov_and_dlogphi,
     matern_cov_dlogphi,
     read_only,
     symmetric_from_condensed,
@@ -50,18 +65,42 @@ LOG_2PI = math.log(2.0 * math.pi)
 # pairs per slice of the pairwise NLL: 64 KB per float temporary, under
 # glibc's default 128 KB mmap threshold
 PAIR_CHUNK = 8192
+# pairs per partial sum of the pairwise NLL's per-pair rows, in blocks that
+# start at its multiples in the pair list; PAIR_CHUNK is a multiple of it
+SUM_BLOCK = 8192
+
+
+class Profile(NamedTuple):
+    """An objective minimised over mu and sigma2 at fixed phi and
+    eta = tau2 / sigma2: the minimisers ``mu`` and ``sigma2``, the value
+    ``nll`` there, and ``grad``, its gradient over (log phi, log eta)."""
+
+    mu: float
+    sigma2: float
+    nll: float
+    grad: np.ndarray
 
 
 class NllValue(float):
     """A negative log-likelihood: the float it equals, plus ``grad``, its
-    gradient over (mu, log sigma2, log phi, log tau2) at the same point."""
+    gradient over (mu, log sigma2, log phi, log tau2) at the same point, and
+    ``profile``, the :class:`Profile` at that point's phi and eta (None
+    where the objective has none). ``grad`` may be given as a function of
+    no arguments, which is called on first access."""
 
-    __slots__ = ("grad",)
+    __slots__ = ("_grad", "profile")
 
-    def __new__(cls, value, grad):
+    def __new__(cls, value, grad, profile: Profile | None = None):
         self = super().__new__(cls, value)
-        self.grad = np.asarray(grad, dtype=float)
+        self._grad = grad if callable(grad) else np.asarray(grad, dtype=float)
+        self.profile = profile
         return self
+
+    @property
+    def grad(self) -> np.ndarray:
+        if callable(self._grad):
+            self._grad = np.asarray(self._grad(), dtype=float)
+        return self._grad
 
 
 def maxmin_order(locs: np.ndarray) -> np.ndarray:
@@ -170,27 +209,59 @@ def nn_conditioning_sets(locs: np.ndarray, order: np.ndarray, m: int) -> Vecchia
 
 def exact_nll(psi: ModelParams, data: Dataset) -> NllValue:
     """Negative log-likelihood of N(mu 1, Sigma(theta) + tau2 I) via Cholesky,
-    with its gradient. The Matérn and its phi-derivative are evaluated on
-    the n(n-1)/2 condensed distances and mirrored, with their h = 0 limits
-    on the diagonal."""
-    theta, dist = psi.theta, data.condensed_distances()
+    with its gradient and profile. The Matérn and its phi-derivative are
+    evaluated on the n(n-1)/2 condensed distances and mirrored, with their
+    h = 0 limits on the diagonal.
+
+    The profile's mu is the generalised-least-squares mean and its sigma2
+    is r'B^-1 r / n for the GLS residual r, with B the covariance over
+    sigma2. Its gradient takes 1/2 tr((C - c a a') dA) over phi and tau2,
+    with C the inverse covariance at psi, a = C r and c the ratio of psi's
+    sigma2 to the profile's."""
+    theta, dist, n = psi.theta, data.condensed_distances(), data.n
     matern = condensed_cov_matrix(dist, theta)
     cov = matern.copy()
     cov[np.diag_indices_from(cov)] += psi.tau2
     chol = cholesky_lower(cov, context="observation covariance", overwrite=True)
+    log_det = np.sum(np.log(np.diag(chol)))
     z = solve_triangular(chol, data.values - psi.mu, lower=True, check_finite=False)
-    value = 0.5 * data.n * LOG_2PI + np.sum(np.log(np.diag(chol))) + 0.5 * z @ z
+    value = 0.5 * n * LOG_2PI + log_det + 0.5 * z @ z
 
-    alpha = solve_triangular(chol, z, lower=True, trans="T", check_finite=False)
-    w = cho_solve((chol, True), np.eye(data.n), check_finite=False) - np.outer(alpha, alpha)
+    inverse = cho_solve((chol, True), np.eye(n), check_finite=False)
     d_matern = symmetric_from_condensed(matern_cov_dlogphi(dist, theta), matern_cov_dlogphi(0.0, theta))
-    grad = [
-        -alpha.sum(),
-        0.5 * np.sum(w * matern),
-        0.5 * np.sum(w * d_matern),
-        0.5 * psi.tau2 * np.trace(w),
-    ]
-    return NllValue(value, grad)
+
+    def back(v):
+        return solve_triangular(chol, v, lower=True, trans="T", check_finite=False)
+
+    def along_phi_tau2(w):
+        return 0.5 * np.sum(w * d_matern), 0.5 * psi.tau2 * np.trace(w)
+
+    ones = solve_triangular(chol, np.ones(n), lower=True, check_finite=False)
+    shift = (ones @ z) / (ones @ ones)
+    resid = z - shift * ones
+    ratio = (resid @ resid) / n
+    alpha_hat = back(resid)
+    with _degenerate_profile_ok():
+        profile = Profile(
+            psi.mu + shift,
+            theta.sigma2 * ratio,
+            log_det + 0.5 * n * (LOG_2PI + 1.0 + np.log(ratio)),
+            np.array(along_phi_tau2(inverse - np.outer(alpha_hat, alpha_hat) / ratio)),
+        )
+
+    def grad():
+        alpha = back(z)
+        w = inverse - np.outer(alpha, alpha)
+        return [-alpha.sum(), 0.5 * np.sum(w * matern), *along_phi_tau2(w)]
+
+    return NllValue(value, grad, profile)
+
+
+def _degenerate_profile_ok():
+    """Where every residual is zero, as with one observation or constant
+    values, a profile's sigma2 is 0, its value -inf and its gradient NaN;
+    inside this scope they are computed without floating-point warnings."""
+    return np.errstate(divide="ignore", invalid="ignore")
 
 
 def _as_weight_array(weights, n: int) -> np.ndarray:
@@ -209,20 +280,28 @@ def vecchia_nll(
     weights=None,
 ) -> NllValue:
     """Negative log Vecchia approximation, optionally weighted, with its
-    gradient.
+    gradient and profile.
 
     Unweighted this is -sum_i log f(y_p(i) | y_q(i)). The weighted form
     applies w_p(i) to both the joint and conditioning-set log densities,
     which telescopes to w_p(i) times the conditional terms; with all
-    weights equal to 1 the two coincide bit-for-bit, gradient included.
+    weights equal to 1 the two coincide bit-for-bit, gradient and profile
+    included.
 
     Per block with factor L, target row k, z = L^-1 r, alpha = L^-T z and
     u = L^-T e_k, the conditional term's derivative along dA is
     1/2 (1 + z_k^2) u'dA u - z_k alpha'dA u, and along mu it is -z_k sum(u).
     Padding rows of u and a are exactly zero, so they drop out.
+
+    With b = L^-1 1 as well, a block's residual at mu + s is z - s b, so
+    with weights w the profile shifts mu by s = sum(w z_k b_k) / sum(w b_k^2)
+    and scales sigma2 by c = sum(w (z_k - s b_k)^2) / sum(w). Its gradient
+    is the sum above at that residual, with z_k^2 and z_k over c.
     """
     plan.check_data(data)
     idx, k, n = plan.idx, plan.k, plan.n
+    w = np.ones(n) if weights is None else _as_weight_array(weights, n)
+    w = w[plan.order]
     diag = np.arange(idx.shape[1])
     valid = diag <= k[:, None]
     # one allocation for the three block-sized arrays: glibc's malloc raises
@@ -233,7 +312,8 @@ def vecchia_nll(
     def gather(values, slots, out):  # mode="clip" writes in place; "raise" buffers
         np.take(np.append(values, slots), plan.pair_index, out=out, mode="clip")
 
-    gather(matern_cov(plan.pair_dists, psi.theta), (0.0, 1.0), matern)
+    pair_cov, pair_dcov = matern_cov_and_dlogphi(plan.pair_dists, psi.theta)
+    gather(pair_cov, (0.0, 1.0), matern)
     np.copyto(block, matern)
     block[:, diag, diag] += psi.tau2 * valid
 
@@ -245,34 +325,66 @@ def vecchia_nll(
         raise
 
     rows = np.arange(n)
-    z = forward_solve_batched(chol, (data.values[idx] - psi.mu) * valid)
-    zk = z[rows, k]
-    alpha = backward_solve_batched(chol, z)
-    target = np.zeros(idx.shape)
-    target[rows, k] = 1.0
-    u = backward_solve_batched(chol, target)
-    gather(matern_cov_dlogphi(plan.pair_dists, psi.theta), (0.0, 0.0), d_matern)
+    # forward: the residuals (z) and the valid entries (b); backward: e_k
+    # (u) and the residuals at the profile's mu
+    rhs = np.empty((2, *idx.shape))
+    np.multiply(data.values[idx] - psi.mu, valid, out=rhs[0])
+    rhs[1] = valid
+    z, ones = forward_solve_batched(chol, rhs)
+    zk, bk = z[rows, k], ones[rows, k]
+    shift = np.sum(w * zk * bk) / np.sum(w * bk * bk)
+    rhs[0] = 0.0
+    rhs[0, rows, k] = 1.0
+    np.multiply(ones, -shift, out=rhs[1])
+    rhs[1] += z
+    u, alpha_hat = backward_solve_batched(chol, rhs)
+    gather(pair_dcov, (0.0, 0.0), d_matern)
+    d_u = np.einsum("bij,bj->bi", d_matern, u)
+    u_d_u, u_u = _dot(u, d_u), _dot(u, u)
 
-    def derivative(u_da_u, alpha_da_u):
-        return 0.5 * (1.0 + zk * zk) * u_da_u - zk * alpha_da_u
+    def derivative(resid, scale, u_da_u, alpha_da_u):
+        return 0.5 * (1.0 + resid * resid / scale) * u_da_u - resid / scale * alpha_da_u
 
-    def derivative_along(d_block):
-        da_u = np.einsum("bij,bj->bi", d_block, u)
-        return derivative(np.einsum("bi,bi->b", u, da_u), np.einsum("bi,bi->b", alpha, da_u))
+    def along_phi_tau2(resid, scale, alpha):
+        return (
+            derivative(resid, scale, u_d_u, _dot(alpha, d_u)),
+            psi.tau2 * derivative(resid, scale, u_u, _dot(alpha, u)),
+        )
 
-    terms = np.stack(
-        [
-            0.5 * LOG_2PI + np.log(chol[rows, k, k]) + 0.5 * zk * zk,
-            -zk * u.sum(axis=1),
-            derivative_along(matern),
-            derivative_along(d_matern),
-            psi.tau2 * derivative(np.einsum("bi,bi->b", u, u), np.einsum("bi,bi->b", alpha, u)),
-        ]
-    )
-    if weights is not None:
-        terms *= _as_weight_array(weights, n)[plan.order]
-    total = terms.sum(axis=1)
-    return NllValue(total[0], total[1:])
+    log_kk = np.log(chol[rows, k, k])
+    resid = zk - shift * bk
+    ratio = np.sum(w * resid * resid) / np.sum(w)
+    with _degenerate_profile_ok():
+        terms = np.stack(
+            [
+                0.5 * LOG_2PI + log_kk + 0.5 * zk * zk,
+                0.5 * (LOG_2PI + 1.0 + np.log(ratio)) + log_kk,
+                *along_phi_tau2(resid, ratio, alpha_hat),
+            ]
+        )
+        terms *= w
+        total = terms.sum(axis=1)
+    profile = Profile(psi.mu + shift, psi.theta.sigma2 * ratio, total[1], total[2:])
+
+    def grad():
+        alpha = backward_solve_batched(chol, z)
+        m_u = np.einsum("bij,bj->bi", matern, u)
+        terms = np.stack(
+            [
+                -zk * u.sum(axis=1),
+                derivative(zk, 1.0, _dot(u, m_u), _dot(alpha, m_u)),
+                *along_phi_tau2(zk, 1.0, alpha),
+            ]
+        )
+        terms *= w
+        return terms.sum(axis=1)
+
+    return NllValue(total[0], grad, profile)
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two stacks of vectors."""
+    return np.einsum("bi,bi->b", x, y)
 
 
 def pairwise_marginal_nll(
@@ -282,18 +394,30 @@ def pairwise_marginal_nll(
     cutoff: float | None = None,
 ) -> NllValue:
     """Negative weighted pairwise-marginal composite log-likelihood, with
-    its gradient.
+    its gradient and profile.
 
     Sums -omega_ij log f(y_i, y_j) over pairs within ``cutoff`` (all pairs
     when None), with omega_ij = w_i w_j when weights are supplied.
 
+    A pair with marginal variance v and covariance c is two independent
+    normals: the sum p = a + b of its residuals, of variance 2e with
+    e = v + c, and the difference m = a - b, of variance 2f with f = v - c.
+    Its term is log 2pi + 1/2 log(e f) + (p^2 / e + m^2 / f) / 4. Only p
+    moves with mu, so the profile shifts mu by
+    s = sum(omega p / e) / (2 sum(omega / e)), and each gradient is a sum
+    of omega times a few powers of p, m, 1/e and 1/f, quadratic in s. The
+    per-pair rows below are those sums' summands; the full gradient along
+    sigma2 follows from the rest, since scaling the covariance moves the
+    term by 1 - (p^2 / e + m^2 / f) / 4.
+
     The pairs are walked in slices of ``PAIR_CHUNK``, so every per-pair
     temporary stays small enough for the allocator to reuse rather than
-    map and fault in afresh on each call. Each slice writes its five
-    per-pair rows into one full-length ``terms`` array, which is summed
-    once at the end: the per-pair expressions are elementwise and the sums
-    run over the same array as an unsliced evaluation, so values and
-    gradients do not depend on the slice size, bit for bit.
+    map and fault in afresh on each call. Each slice writes its per-pair
+    rows into one slice-sized buffer and sums them over each block of
+    ``SUM_BLOCK`` pairs; the block sums are added up at the end. The
+    per-pair expressions are elementwise and the blocks are fixed by the
+    pair list alone, so values, gradients and profiles do not depend on
+    the slice size, bit for bit.
     """
     n = data.n
     if n < 2:
@@ -304,29 +428,73 @@ def pairwise_marginal_nll(
     w = None if weights is None else _as_weight_array(weights, n)
 
     v = psi.theta.sigma2 + psi.tau2
-    terms = np.empty((5, d_all.size))
+    resid = data.values - psi.mu
+    rows = np.empty((13, min(PAIR_CHUNK, d_all.size)))
+    block_sums = np.empty((13, -(-d_all.size // SUM_BLOCK)))
     for start in range(0, d_all.size, PAIR_CHUNK):
         part = slice(start, start + PAIR_CHUNK)
-        iu, ju, d, out = iu_all[part], ju_all[part], d_all[part], terms[:, part]
-        c = matern_cov(d, psi.theta)
-        det = v * v - c * c
-        a = data.values[iu] - psi.mu
-        b = data.values[ju] - psi.mu
-        squares, cross = a * a + b * b, a * b
-        quad = (v * squares - 2.0 * c * cross) / det
-        # partial derivatives of each pair's term in the marginal variance v
-        # and the covariance c; sigma2 moves both, phi only c, tau2 only v
-        d_v = (v + 0.5 * squares - quad * v) / det
-        d_c = (quad * c - c - cross) / det
-        out[0] = LOG_2PI + 0.5 * np.log(det) + 0.5 * quad
-        out[1] = -(a + b) * (v - c) / det
-        out[2] = psi.theta.sigma2 * d_v + c * d_c
-        out[3] = matern_cov_dlogphi(d, psi.theta) * d_c
-        out[4] = psi.tau2 * d_v
-        if w is not None:
-            out *= w[iu] * w[ju]
-    total = terms.sum(axis=1)
-    return NllValue(total[0], total[1:])
+        iu, ju, d = iu_all[part], ju_all[part], d_all[part]
+        out = rows[:, : d.size]
+        omega = np.ones(d.size) if w is None else w[iu] * w[ju]
+        c, dc = matern_cov_and_dlogphi(d, psi.theta)
+        e, f = v + c, v - c
+        a, b = resid[iu], resid[ju]
+        p, m = a + b, a - b
+        # rows, each times omega: log(e f), 1, p^2/e + m^2/f, p/e, 1/e, 1/f,
+        # 1/e^2, p/e^2, p^2/e^2 + m^2/f^2, then dC/dlog phi times
+        # (1/e - 1/f), (m^2/f^2 - p^2/e^2), p/e^2 and 1/e^2
+        inv_e, inv_f = np.divide(1.0, e, out=a), np.divide(1.0, f, out=b)  # a, b are spent
+        e *= f
+        np.log(e, out=out[0])
+        out[0] *= omega
+        out[1] = omega
+        np.multiply(inv_e, omega, out=out[4])
+        np.multiply(inv_f, omega, out=out[5])
+        np.multiply(p, out[4], out=out[3])
+        np.multiply(inv_e, out[4], out=out[6])
+        p_e, m_f = p * inv_e, m * inv_f
+        np.multiply(p_e, out[4], out=out[7])
+        p *= p_e
+        m *= m_f
+        np.add(p, m, out=out[2])
+        out[2] *= omega
+        p_e2, m_f2 = np.square(p_e, out=p_e), np.square(m_f, out=m_f)
+        np.add(p_e2, m_f2, out=out[8])
+        out[8] *= omega
+        np.subtract(out[4], out[5], out=out[9])
+        out[9] *= dc
+        np.multiply(dc, out[7], out=out[11])
+        np.multiply(dc, out[6], out=out[12])
+        dc *= omega
+        np.subtract(m_f2, p_e2, out=out[10])
+        out[10] *= dc
+        for block in range(0, d.size, SUM_BLOCK):
+            block_sums[:, (start + block) // SUM_BLOCK] = out[:, block : block + SUM_BLOCK].sum(axis=1)
+    (log_ef, total_w, sq, p_e, inv_e, inv_f, inv_e2, p_e2, sq2, phi_diff, phi_sq2, phi_p_e2, phi_inv_e2) = (
+        block_sums.sum(axis=1)
+    )
+    base = LOG_2PI * total_w + 0.5 * log_ef
+
+    # at mu + s, p moves to p - 2s: sq drops by 2 s p_e, and p^2/e^2 in
+    # sq2 and phi_sq2 by 4 s (p_e2 - s inv_e2)
+    shift = 0.5 * p_e / inv_e
+    ratio = 0.25 * (sq - 2.0 * shift * p_e) / total_w
+    with _degenerate_profile_ok():
+        profile = Profile(
+            psi.mu + shift,
+            psi.theta.sigma2 * ratio,
+            base + total_w * (np.log(ratio) + 1.0),
+            np.array(
+                [
+                    0.5 * phi_diff + 0.25 * (phi_sq2 + 4.0 * shift * (phi_p_e2 - shift * phi_inv_e2)) / ratio,
+                    psi.tau2
+                    * (0.5 * (inv_e + inv_f) - 0.25 * (sq2 - 4.0 * shift * (p_e2 - shift * inv_e2)) / ratio),
+                ]
+            ),
+        )
+    grad_tau2 = psi.tau2 * (0.5 * (inv_e + inv_f) - 0.25 * sq2)
+    grad = [-p_e, total_w - 0.25 * sq - grad_tau2, 0.5 * phi_diff + 0.25 * phi_sq2, grad_tau2]
+    return NllValue(base + 0.25 * sq, grad, profile)
 
 
 EXACT = "exact"
@@ -358,7 +526,7 @@ class Objective:
             raise ValueError(f"kind {self.kind!r} takes no pair_cutoff")
 
     def nll(self, psi: ModelParams, data: Dataset) -> NllValue:
-        """The objective's value at ``psi``, carrying its gradient."""
+        """The objective's value at ``psi``, carrying its gradient and profile."""
         if self.kind == EXACT:
             return exact_nll(psi, data)
         if self.kind == VECCHIA:

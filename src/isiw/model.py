@@ -193,11 +193,12 @@ def _exp_prefactor(s: np.ndarray, sigma2: float, nu: float, dlogphi: bool):
     return p
 
 
-def _matern(h, theta: CovParams, dlogphi: bool):
-    """The kernel of :func:`matern_cov` and, with ``dlogphi``,
-    :func:`matern_cov_dlogphi`.
+def _matern(h, theta: CovParams, *dlogphi: bool) -> tuple:
+    """The kernel of :func:`matern_cov` and :func:`matern_cov_dlogphi`: for
+    each flag in ``dlogphi``, the covariance (False) or its derivative in
+    log phi (True) at ``h``.
 
-    ``h`` is validated once. The result is computed in the buffer of the
+    ``h`` is validated once. Each result is computed in a buffer of the
     scaled distances s = sqrt(2 nu) h / phi, next to a prefactor array of
     the same size, and every product is taken in the order the formulas are
     written, so the values are bit for bit those of the plain expressions.
@@ -211,9 +212,18 @@ def _matern(h, theta: CovParams, dlogphi: bool):
         raise ValueError("distances must be finite")
     if np.any(h_arr < 0):
         raise ValueError("distances must be nonnegative")
-    sigma2, nu = theta.sigma2, theta.nu
-    s = math.sqrt(2.0 * nu) / theta.phi * np.atleast_1d(h_arr)
+    scaled = math.sqrt(2.0 * theta.nu) / theta.phi * np.atleast_1d(h_arr)
+    out = [_matern_scaled(scaled.copy(), theta, flag) for flag in dlogphi[:-1]]
+    out.append(_matern_scaled(scaled, theta, dlogphi[-1]))
+    if h_arr.ndim == 0:
+        return tuple(float(v[0]) for v in out)
+    return tuple(out)
 
+
+def _matern_scaled(s: np.ndarray, theta: CovParams, dlogphi: bool) -> np.ndarray:
+    """The covariance, or with ``dlogphi`` its derivative in log phi, at
+    the scaled distances ``s``, computed in the buffer of ``s``."""
+    sigma2, nu = theta.sigma2, theta.nu
     if nu in (0.5, 1.5, 2.5):
         prefactor = _exp_prefactor(s, sigma2, nu, dlogphi)
         np.negative(s, out=s)
@@ -232,9 +242,6 @@ def _matern(h, theta: CovParams, dlogphi: bool):
         with np.errstate(invalid="ignore"):  # 0 * inf at s = 0, patched below
             s *= prefactor
         s[limit] = 0.0 if dlogphi else sigma2
-
-    if h_arr.ndim == 0:
-        return float(s[0])
     return s
 
 
@@ -250,7 +257,7 @@ def matern_cov(h, theta: CovParams):
     orders go through the general Bessel-K branch.
     Accepts scalars or arrays; returns the same shape.
     """
-    return _matern(h, theta, dlogphi=False)
+    return _matern(h, theta, False)[0]
 
 
 def matern_cov_dlogphi(h, theta: CovParams):
@@ -265,7 +272,13 @@ def matern_cov_dlogphi(h, theta: CovParams):
     3/2 and 5/2 use the derivatives of their exponential closed forms.
     Accepts scalars or arrays; returns the same shape.
     """
-    return _matern(h, theta, dlogphi=True)
+    return _matern(h, theta, True)[0]
+
+
+def matern_cov_and_dlogphi(h, theta: CovParams) -> tuple:
+    """(:func:`matern_cov`, :func:`matern_cov_dlogphi`) at ``h``, equal to
+    them bit for bit, from one validation and one scaling of ``h``."""
+    return _matern(h, theta, False, True)
 
 
 def symmetric_from_condensed(condensed: np.ndarray, diagonal: float) -> np.ndarray:
@@ -285,13 +298,6 @@ def condensed_cov_matrix(condensed: np.ndarray, theta: CovParams, tau2: float = 
     if tau2 < 0:
         raise ValueError(f"nugget must be nonnegative, got {tau2}")
     return symmetric_from_condensed(matern_cov(condensed, theta), matern_cov(0.0, theta) + tau2)
-
-
-def build_cov_matrix(locs: np.ndarray, theta: CovParams, tau2: float = 0.0) -> np.ndarray:
-    """n x n observation covariance: Matérn on pairwise distances plus
-    ``tau2`` on the diagonal (see :func:`condensed_cov_matrix`)."""
-    locs = np.atleast_2d(np.asarray(locs, dtype=float))
-    return condensed_cov_matrix(pdist(locs), theta, tau2)
 
 
 def microergodic(theta: CovParams) -> float:

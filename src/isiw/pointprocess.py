@@ -22,6 +22,12 @@ SAMPLER_KINDS = (LGCP, SCP, THOMAS)
 THOMAS_MAX_RETRIES = 1000
 
 
+class SampleSizeError(RuntimeError):
+    """A sampler drew fewer points than its target count. Whether a Thomas
+    realization can reach n depends on the field, so a config cannot be
+    checked for it before sampling."""
+
+
 @dataclass(frozen=True)
 class SamplerSpec:
     """Configuration for one point-pattern sampler.
@@ -112,7 +118,8 @@ def sample_thomas(field: FieldRealization, spec: SamplerSpec, seed: SeedStream) 
     and reflected back into the domain. A whole realization is regenerated,
     at most ``THOMAS_MAX_RETRIES`` times, until it holds at least n points,
     then subsampled uniformly without replacement (subsampling keeps the
-    clustering structure intact).
+    clustering structure intact). Raises :class:`SampleSizeError` when no
+    realization does.
     """
     if spec.kind != THOMAS:
         raise ValueError(f"sampler kind must be {THOMAS!r}, got {spec.kind!r}")
@@ -141,7 +148,7 @@ def sample_thomas(field: FieldRealization, spec: SamplerSpec, seed: SeedStream) 
         keep = rng.choice(total, size=spec.n, replace=False)
         return pts[np.sort(keep)]
 
-    raise RuntimeError(
+    raise SampleSizeError(
         f"Thomas sampler never reached {spec.n} points in {THOMAS_MAX_RETRIES} attempts; "
         "raise parent_rate or lower n"
     )

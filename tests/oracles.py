@@ -1,15 +1,18 @@
 """Reference computations the tests check the package against: a central
-finite-difference gradient, the covariance of the joint Gaussian that a
-Vecchia plan implies, and the Kullback-Leibler divergence between two
-zero-mean Gaussians. None of them runs in the package itself."""
+finite-difference gradient, the dense observation covariance, the
+covariance of the joint Gaussian that a Vecchia plan implies, and the
+Kullback-Leibler divergence between two zero-mean Gaussians. None of them
+runs in the package itself."""
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.spatial.distance import pdist
 
-from isiw import ModelParams, VecchiaPlan, build_cov_matrix
+from isiw import CovParams, ModelParams, VecchiaPlan
 from isiw._linalg import NotPositiveDefiniteError, cholesky_lower
+from isiw.model import condensed_cov_matrix
 
 FD_REL_STEP = 1e-5
 
@@ -26,6 +29,13 @@ def fd_gradient(func, x: np.ndarray, rel_step: float = FD_REL_STEP) -> np.ndarra
         xm[j] -= h
         grad[j] = (func(xp) - func(xm)) / (2.0 * h)
     return grad
+
+
+def build_cov_matrix(locs: np.ndarray, theta: CovParams, tau2: float = 0.0) -> np.ndarray:
+    """n x n observation covariance: Matérn on pairwise distances plus
+    ``tau2`` on the diagonal."""
+    locs = np.atleast_2d(np.asarray(locs, dtype=float))
+    return condensed_cov_matrix(pdist(locs), theta, tau2)
 
 
 def vecchia_implied_cov(psi: ModelParams, plan: VecchiaPlan) -> np.ndarray:

@@ -21,7 +21,6 @@ from isiw import (
     FitConfig,
     ModelParams,
     Objective,
-    build_cov_matrix,
     exact_nll,
     krige,
     matern_cov,
@@ -35,7 +34,7 @@ from isiw import (
 )
 from isiw._linalg import cholesky_lower
 from isiw.experiment import ExperimentConfig
-from oracles import fd_gradient, gaussian_kl, vecchia_implied_cov
+from oracles import build_cov_matrix, fd_gradient, gaussian_kl, vecchia_implied_cov
 from test_model import BESSEL_TABLE_NU1
 
 UNIT = Domain(0.0, 1.0, 0.0, 1.0)

@@ -1,6 +1,8 @@
-"""``tools/bench_pairs.py``'s summary of paired runs, on synthetic runs."""
+"""``tools/bench_pairs.py``: its summary of paired runs, on synthetic runs,
+and the layout of the record it writes, with the benchmark runs stubbed."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -61,3 +63,37 @@ def test_parent_spread_wider_than_the_bound_is_unresolved():
     parent = [0.5, 1.5] * 5  # quartile spread 1.0 around a median of 1.0
     got = summary_of([(p, p) for p in parent], TIME)
     assert got["within_bound"] and not got["resolved"]
+
+
+def test_record_traces_both_sides_on_the_first_seed(tmp_path, monkeypatch):
+    spec = {"workloads": [{"name": "w1"}, {"name": "w2"}], "run_seconds": 5, "end_to_end": [RATE]}
+    calls = []
+
+    def export(ref, dest):
+        dest.mkdir(parents=True)
+        (dest / "BENCHMARK.json").write_text(json.dumps(spec))
+        return f"commit-{ref}"
+
+    def run_once(tree, workload, seed, seconds, trace=0):
+        side = tree.name
+        calls.append((side, workload, seed, trace))
+        value = 1.0 if side == "parent" else 2.0
+        return {"exit_code": 0, "correct": True, "attempted": 3, "failed": 0,
+                "metrics": {"cells_per_s": value, "likelihood.nll_calls.vecchia": 10.0 * value + trace}}
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", "p", "--change", "c", "--seeds", "7-8", "--out", str(out)]) == 0
+
+    record = json.loads(out.read_text())
+    assert sorted(record["traced"]) == ["w1", "w2"]
+    for workload, sides in record["traced"].items():
+        assert sorted(sides) == ["change", "parent"]
+        for side, run in sides.items():
+            assert run["seed"] == 7 and run["correct"]
+            expected = 11.0 if side == "parent" else 21.0
+            assert run["metrics"]["likelihood.nll_calls.vecchia"] == expected
+            assert (side, workload, 7, 1) in calls
+    assert sum(trace for *_, trace in calls) == 4  # one traced run per side and workload
+    assert record["summary"]["w1"]["cells_per_s"]["change_wins"] == 2

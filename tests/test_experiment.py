@@ -142,6 +142,15 @@ class TestRunReplicate:
         with pytest.raises(TypeError, match="bug"):
             run_replicate(config, config.scenarios()[0], 0)
 
+    def test_data_step_type_error_propagates(self, monkeypatch):
+        def broken_sampler(*args, **kwargs):
+            raise TypeError("bug")
+
+        monkeypatch.setattr("isiw.experiment.sample_thomas", broken_sampler)
+        config = tiny_config(samplers=("thomas",), methods=("mle",))
+        with pytest.raises(TypeError, match="bug"):
+            run_replicate(config, config.scenarios()[0], 0)
+
     def test_wall_time_populated_when_timing(self):
         config = tiny_config(timing=True)
         rows = run_replicate(config, config.scenarios()[0], 0)
@@ -170,6 +179,20 @@ class TestRunExperiment:
         assert f"numpy_version={np.__version__}" in meta
         counts = ",".join(f"{path}:{n}" for path, n in blas_threads().items())
         assert f"blas_threads={counts}" in meta
+
+    def test_unreachable_thomas_count_fails_each_method(self, tmp_path):
+        # about 0.5 parents per realization cannot make 100 points
+        config = tiny_config(
+            samplers=("thomas",), n=(100,), methods=("mle", "isiw-v:CvL"), thomas_parent_rate=0.5
+        )
+        rows, summary = run_experiment(config, tmp_path)
+        assert len(rows) == 4
+        assert all(r.error.startswith("SampleSizeError: Thomas sampler never reached 100") for r in rows)
+        assert all(math.isnan(r.rmspe) for r in rows)
+        assert [(method, count, failures) for _, method, _, _, _, count, failures in summary] == [
+            ("isiw-v", 2, 2), ("mle", 2, 2)
+        ]
+        assert (tmp_path / "results.csv").read_text().count("thomas-n100") == 4
 
     def test_results_header_pinned(self, tmp_path):
         config = tiny_config(replicates=1, methods=("mle",))
@@ -531,6 +554,7 @@ class TestCli:
         expected = {**res.psi_hat.as_dict(), "nll": res.nll}
         for name in ("mu", "sigma2", "phi", "tau2", "nll"):
             assert float(report[name]) == expected[name], name
+        assert int(report["evaluations"]) == res.evaluations > 0
 
     @pytest.mark.parametrize("args,named", [
         (["fit", "--method", "isiw-v"], "isiw-v"),

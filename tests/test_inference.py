@@ -11,7 +11,7 @@ from isiw import (
     ModelParams,
     NllValue,
     Objective,
-    build_cov_matrix,
+    Profile,
     default_init,
     exact_nll,
     fit,
@@ -21,7 +21,7 @@ from isiw import (
 )
 from isiw._linalg import blas_threads, cholesky_lower
 from isiw.inference import RESTARTS
-from oracles import fd_gradient
+from oracles import build_cov_matrix, fd_gradient
 
 UNIT = Domain(0.0, 1.0, 0.0, 1.0)
 TRUTH = ModelParams.from_values(4.0, 1.5, 0.15, 0.1)
@@ -86,22 +86,14 @@ class TestFdGradient:
 
 class TestFit:
     def test_gls_mean_oracle(self):
-        # optimizing mu alone with covariance fixed at truth must land on
-        # the generalized-least-squares mean
-        class MuOnly:
-            def nll(self, psi, data):
-                at_truth = ModelParams(mu=psi.mu, theta=TRUTH.theta, tau2=TRUTH.tau2)
-                value = exact_nll(at_truth, data)
-                return NllValue(value, [value.grad[0], 0.0, 0.0, 0.0])
-
+        # the exact objective's profile mu at the true covariance is the
+        # generalized-least-squares mean
         data = simulate_dataset(60, 7)
-        res = fit(MuOnly(), data, TRUTH, FitConfig(domain=UNIT))
         cov = build_cov_matrix(data.locations, TRUTH.theta, TRUTH.tau2)
         ones = np.ones(60)
         w = np.linalg.solve(cov, ones)
         gls = float(w @ data.values / (w @ ones))
-        assert res.psi_hat.mu == pytest.approx(gls, abs=1e-6)
-        assert res.psi_hat.theta.sigma2 == TRUTH.theta.sigma2  # untouched
+        assert exact_nll(TRUTH, data).profile.mu == pytest.approx(gls, rel=1e-10)
 
     def test_stationary_start_converges_immediately(self):
         data = simulate_dataset(50, 8)
@@ -216,18 +208,29 @@ FD_BFGS_PANEL = [
 
 
 class WalledQuadratic:
-    """0.5 |x - centre|^2 over x = (mu, log sigma2, log phi, log tau2),
-    with value +inf wherever mu exceeds ``wall``."""
+    """0.5 |x - centre|^2 over the search coordinates x = (log phi, log eta),
+    with value +inf wherever log eta exceeds ``wall``. Its profile keeps
+    psi's mu and sigma2."""
 
     def __init__(self, wall, centre):
         self.wall = wall
         self.centre = np.asarray(centre, dtype=float)
 
     def nll(self, psi, data):
-        x = np.array([psi.mu, math.log(psi.theta.sigma2), math.log(psi.theta.phi), math.log(psi.tau2)])
-        if x[0] > self.wall:
-            return NllValue(math.inf, np.full(4, math.nan))
-        return NllValue(0.5 * (x - self.centre) @ (x - self.centre), x - self.centre)
+        x = np.array([math.log(psi.theta.phi), math.log(psi.tau2 / psi.theta.sigma2)])
+        value, grad = 0.5 * (x - self.centre) @ (x - self.centre), x - self.centre
+        if x[1] > self.wall:
+            value, grad = math.inf, np.full(2, math.nan)
+        profile = Profile(psi.mu, psi.theta.sigma2, value, grad)
+        return NllValue(value, np.full(4, math.nan), profile)
+
+
+def log_eta(psi):
+    return math.log(psi.tau2 / psi.theta.sigma2)
+
+
+# log eta starts at -3, below every wall
+WALL_START = ModelParams.from_values(0.0, 1.0, 0.2, math.exp(-3.0))
 
 
 class TestOptimizer:
@@ -238,21 +241,21 @@ class TestOptimizer:
         assert res.converged
         assert res.nll <= fd_bfgs_nll + 1e-8 * abs(fd_bfgs_nll)
 
-    @pytest.mark.parametrize("wall,centre_mu", [(1.0, 2.0), (0.0, 5.0), (3.0, 3.5), (-2.5, 0.0)])
-    def test_nonfinite_wall_never_converges_off_stationary(self, wall, centre_mu):
+    @pytest.mark.parametrize("wall,centre_eta", [(1.0, 2.0), (0.0, 5.0), (3.0, 3.5), (-2.5, 0.0)])
+    def test_nonfinite_wall_never_converges_off_stationary(self, wall, centre_eta):
         # the minimum lies beyond the wall, so no reachable point is stationary
         data = simulate_dataset(5, 14)
-        objective = WalledQuadratic(wall, [centre_mu, 0.5, -1.0, 0.3])
-        res = fit(objective, data, ModelParams.from_values(-3.0, 1.0, 0.2, 0.1), FitConfig(domain=UNIT))
+        objective = WalledQuadratic(wall, [-1.0, centre_eta])
+        res = fit(objective, data, WALL_START, FitConfig(domain=UNIT))
         assert not res.converged
-        assert res.psi_hat.mu <= wall
+        assert log_eta(res.psi_hat) <= wall
 
     def test_nonfinite_wall_with_interior_minimum_converges(self):
         data = simulate_dataset(5, 15)
-        objective = WalledQuadratic(1.0, [0.9, 0.5, -1.0, 0.3])
-        res = fit(objective, data, ModelParams.from_values(-3.0, 1.0, 0.2, 0.1), FitConfig(domain=UNIT))
+        objective = WalledQuadratic(1.0, [-1.0, 0.9])
+        res = fit(objective, data, WALL_START, FitConfig(domain=UNIT))
         assert res.converged
-        assert res.psi_hat.mu == pytest.approx(0.9, abs=1e-6)
+        assert log_eta(res.psi_hat) == pytest.approx(0.9, abs=1e-6)
 
     def test_value_without_gradient_rejected(self):
         class PlainFloat:
@@ -287,8 +290,8 @@ class TestEvaluations:
     def test_sums_over_restarts(self):
         # the minimum lies beyond the wall, so every attempt runs
         data = simulate_dataset(5, 18)
-        objective = Counting(WalledQuadratic(1.0, [2.0, 0.5, -1.0, 0.3]))
-        res = fit(objective, data, ModelParams.from_values(-3.0, 1.0, 0.2, 0.1), FitConfig(domain=UNIT))
+        objective = Counting(WalledQuadratic(1.0, [-1.0, 2.0]))
+        res = fit(objective, data, WALL_START, FitConfig(domain=UNIT))
         assert res.restarts_used == RESTARTS
         assert res.evaluations == objective.calls
 

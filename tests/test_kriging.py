@@ -15,7 +15,6 @@ from isiw import (
     ModelParams,
     Objective,
     SeedStream,
-    build_cov_matrix,
     default_init,
     fit,
     krige,
@@ -29,6 +28,7 @@ from isiw import (
 from isiw._linalg import NotPositiveDefiniteError, blas_threads, cholesky_lower
 from isiw.kriging import TARGET_BLOCK
 from isiw.model import condensed_cov_matrix
+from oracles import build_cov_matrix
 
 UNIT = Domain(0.0, 1.0, 0.0, 1.0)
 PSI = ModelParams.from_values(4.0, 1.5, 0.15, 0.1)

@@ -20,7 +20,6 @@ from isiw import (
     ModelParams,
     Objective,
     VecchiaPlan,
-    build_cov_matrix,
     exact_nll,
     matern_cov,
     matern_cov_dlogphi,
@@ -32,7 +31,7 @@ from isiw import (
 import isiw
 from isiw._linalg import NotPositiveDefiniteError, cholesky_lower
 from isiw.likelihood import PAIR_CHUNK
-from oracles import gaussian_kl, vecchia_implied_cov
+from oracles import build_cov_matrix, gaussian_kl, vecchia_implied_cov
 
 PSI = ModelParams.from_values(4.0, 1.5, 0.15, 0.1)
 LOG_2PI = math.log(2 * math.pi)
@@ -344,40 +343,18 @@ class TestPairwiseMarginalNll:
             pairwise_marginal_nll(PSI, data, cutoff=1e-9)
 
 
-def whole_array_pairwise_nll(psi, data, weights=None, cutoff=None):
-    """pairwise_marginal_nll with every per-pair expression evaluated on
-    the whole pair list at once, unsliced."""
-    iu, ju, d = data.pairs(cutoff)
-    c = matern_cov(d, psi.theta)
-    v = psi.theta.sigma2 + psi.tau2
-    det = v * v - c * c
-    a = data.values[iu] - psi.mu
-    b = data.values[ju] - psi.mu
-    squares, cross = a * a + b * b, a * b
-    quad = (v * squares - 2.0 * c * cross) / det
-    d_v = (v + 0.5 * squares - quad * v) / det
-    d_c = (quad * c - c - cross) / det
-    terms = np.stack(
-        [
-            LOG_2PI + 0.5 * np.log(det) + 0.5 * quad,
-            -(a + b) * (v - c) / det,
-            psi.theta.sigma2 * d_v + c * d_c,
-            matern_cov_dlogphi(d, psi.theta) * d_c,
-            psi.tau2 * d_v,
-        ]
-    )
-    if weights is not None:
-        terms *= weights[iu] * weights[ju]
-    total = terms.sum(axis=1)
-    return total[0], total[1:]
-
-
 def assert_matches_whole_array(data, weights, cutoff):
+    """The sliced evaluation equals one with the whole pair list in a
+    single slice, value, gradient and profile, bit for bit."""
     psi = ModelParams.from_values(3.7, 1.1, 0.08, 0.2)
     got = pairwise_marginal_nll(psi, data, weights, cutoff)
-    value, grad = whole_array_pairwise_nll(psi, data, weights, cutoff)
-    assert float(got).hex() == float(value).hex()
-    assert got.grad.tobytes() == grad.tobytes()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(isiw.likelihood, "PAIR_CHUNK", data.pairs(cutoff)[2].size)
+        whole = pairwise_marginal_nll(psi, data, weights, cutoff)
+    assert float(got).hex() == float(whole).hex()
+    assert got.grad.tobytes() == whole.grad.tobytes()
+    assert got.profile[:3] == whole.profile[:3]
+    assert got.profile.grad.tobytes() == whole.profile.grad.tobytes()
 
 
 class TestPairwiseChunks:

@@ -12,13 +12,13 @@ from isiw import (
     Dataset,
     Domain,
     ModelParams,
-    build_cov_matrix,
     exact_nll,
     matern_cov,
     matern_cov_dlogphi,
     microergodic,
 )
 from isiw._linalg import NotPositiveDefiniteError, cholesky_lower
+from oracles import build_cov_matrix
 
 # Reference values frozen from a 50-digit arbitrary-precision Bessel-K
 # evaluation, computed independently of this package.

@@ -14,6 +14,7 @@ from isiw import (
     sample_thomas,
     simulate_field,
 )
+from isiw.pointprocess import SampleSizeError
 
 UNIT = Domain(0.0, 1.0, 0.0, 1.0)
 
@@ -136,6 +137,12 @@ class TestSampleThomas:
         assert pts.shape == (100, 2)
         assert np.all((pts >= 0.0) & (pts <= 1.0))
 
+    def test_unreachable_count_raises_sample_size_error(self):
+        grid = GridSpec(UNIT, 8, 8)
+        spec = SamplerSpec(kind="thomas", n=100, beta=0.0, parent_rate=0.5)
+        with pytest.raises(SampleSizeError, match="never reached 100 points"):
+            sample_thomas(constant_field(grid), spec, SeedStream(3))
+
     def test_clustering_shrinks_nn_distance(self):
         # mean nearest-neighbor distance under Thomas sampling is smaller
         # than under constant-intensity sampling of the same size
@@ -148,7 +155,7 @@ class TestSampleThomas:
             spec = SamplerSpec(kind="thomas", n=100, beta=1.0, parent_rate=150.0)
             try:
                 pts = sample_thomas(fld, spec, root.child(rep, 1))
-            except RuntimeError:
+            except SampleSizeError:
                 continue  # a very low field realization cannot reach n
             unif = sample_conditioned(fld, np.ones(grid.ncells), 100, root.child(rep, 2))
             for coll, pool in ((pts, nn_thomas), (unif, nn_uniform)):

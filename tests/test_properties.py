@@ -1,5 +1,5 @@
-"""Property tests of the likelihood objectives and their closed-form
-gradients, over random data, parameters and smoothness orders, of the grid
+"""Property tests of the likelihood objectives, their closed-form
+gradients and their profiles over mu and sigma2, over random data, parameters and smoothness orders, of the grid
 covariance implied by the circulant embedding, and of the intensity
 layer's exact selector integrals and weight normalization.
 
@@ -131,6 +131,75 @@ def test_full_conditioning_vecchia_equals_exact(case):
     vecchia, exact = vecchia_nll(psi, data, plan), exact_nll(psi, data)
     assert abs(float(vecchia) - float(exact)) < 1e-8
     np.testing.assert_allclose(vecchia.grad, exact.grad, rtol=1e-7, atol=1e-8)
+
+
+def at_profile(psi, profile):
+    """psi moved to the profile's mu and sigma2, keeping phi and eta."""
+    eta = psi.tau2 / psi.theta.sigma2
+    return ModelParams.from_values(profile.mu, profile.sigma2, psi.theta.phi, eta * profile.sigma2, nu=psi.theta.nu)
+
+
+@PROPERTY
+@given(cases())
+def test_profile_is_stationary_in_mu_and_sigma2(case):
+    # at (mu_hat, sigma2_hat) the full gradient has no mu component, and
+    # scaling sigma2 and tau2 together (eta fixed) does not move the value
+    data, weights, nu, x = case
+    psi = unpack(x, nu)
+    for name, nll in objectives(data, weights).items():
+        value = nll(psi)
+        grad = nll(at_profile(psi, value.profile)).grad
+        scale = max(1.0, abs(value.profile.nll))
+        assert abs(grad[0]) <= 1e-8 * scale, f"{name}: mu component {grad[0]:.2e}"
+        assert abs(grad[1] + grad[3]) <= 1e-8 * scale, f"{name}: scale component {grad[1] + grad[3]:.2e}"
+
+
+@PROPERTY
+@given(cases())
+def test_profile_gradient_matches_richardson(case):
+    data, weights, nu, x = case
+    psi = unpack(x, nu)
+
+    def at(y):  # psi at (log phi, log eta) = y, keeping psi's mu and sigma2
+        return unpack([x[0], x[1], y[0], y[1] + x[1]], nu)
+
+    y = np.array([x[2], x[3] - x[1]])
+    for name, nll in objectives(data, weights).items():
+        analytic = nll(psi).profile.grad
+        reference = richardson_gradient(lambda v, nll=nll: nll(at(v)).profile.nll, y)
+        rel = np.linalg.norm(analytic - reference) / max(np.linalg.norm(reference), 1e-8)
+        assert rel < GRAD_RTOL, f"{name} at nu={nu}: relative profile gradient error {rel:.2e}"
+
+
+@PROPERTY
+@given(cases())
+def test_unit_weights_reproduce_unweighted_profile_bit_for_bit(case):
+    data, _, nu, x = case
+    psi = unpack(x, nu)
+    ones = np.ones(data.n)
+    pairs = [
+        (vecchia_nll(psi, data, plan), vecchia_nll(psi, data, plan, ones))
+        for plan in plans(data).values()
+    ]
+    for cutoff in (None, median_pair_distance(data)):
+        pairs.append(
+            (pairwise_marginal_nll(psi, data, cutoff=cutoff), pairwise_marginal_nll(psi, data, ones, cutoff))
+        )
+    for unweighted, weighted in pairs:
+        a, b = unweighted.profile, weighted.profile
+        assert (a.mu, a.sigma2, a.nll) == (b.mu, b.sigma2, b.nll)
+        assert np.array_equal(a.grad, b.grad)
+
+
+@PROPERTY
+@given(cases())
+def test_full_conditioning_vecchia_profile_equals_exact(case):
+    data, _, nu, x = case
+    psi = unpack(x, nu)
+    plan = nn_conditioning_sets(data.locations, maxmin_order(data.locations), data.n - 1)
+    vecchia, exact = vecchia_nll(psi, data, plan).profile, exact_nll(psi, data).profile
+    np.testing.assert_allclose([vecchia.mu, vecchia.sigma2, vecchia.nll], [exact.mu, exact.sigma2, exact.nll], rtol=1e-10)
+    np.testing.assert_allclose(vecchia.grad, exact.grad, rtol=1e-10, atol=1e-10)
 
 
 @PROPERTY

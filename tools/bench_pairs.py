@@ -13,10 +13,13 @@ every workload and seed it runs
 
 once in each export, one after the other; the parent goes first on the
 first seed and the two sides alternate from there. After the pairs of a
-workload it runs the change once more with ``--trace 1`` on the first
+workload it runs each side once more with ``--trace 1`` on the first
 seed, whose correctness gate also checks that the traced mirror's rows
-equal ``run_replicate``'s. The output file holds every run's metrics, each
-traced run under ``traced`` and, per workload and end-to-end metric of
+equal ``run_replicate``'s. Traced per-layer counts, such as NLL calls and
+fit iterations, repeat exactly for a seed, so the two traced runs show
+what a change does to them. The output file holds every run's metrics,
+the traced runs under ``traced[workload]["parent"|"change"]`` and, per
+workload and end-to-end metric of
 ``BENCHMARK.json``, both medians, the parent's quartile spread, the
 number of pairs the change won (strictly better, in the metric's
 direction), and whether that shows a gain, whether the change stays
@@ -168,9 +171,12 @@ def main(argv=None) -> int:
                     runs.append(run)
                     shown = {k: round(v, 4) for k, v in run["metrics"].items()}
                     print(f"{workload} seed {seed} {side}: correct={run['correct']} {shown}", flush=True)
-            traced[workload] = run_once(trees["change"], workload, seeds[0], seconds, trace=1)
-            traced[workload]["seed"] = seeds[0]
-            print(f"{workload} seed {seeds[0]} change traced: correct={traced[workload]['correct']}", flush=True)
+            traced[workload] = {}
+            for side in ("parent", "change"):
+                run = run_once(trees[side], workload, seeds[0], seconds, trace=1)
+                run["seed"] = seeds[0]
+                traced[workload][side] = run
+                print(f"{workload} seed {seeds[0]} {side} traced: correct={run['correct']}", flush=True)
 
     record = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
@@ -183,7 +189,8 @@ def main(argv=None) -> int:
         "traced": traced,
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
-    return 0 if all(run["correct"] for run in [*runs, *traced.values()]) else 1
+    traced_runs = [run for sides in traced.values() for run in sides.values()]
+    return 0 if all(run["correct"] for run in [*runs, *traced_runs]) else 1
 
 
 if __name__ == "__main__":
