@@ -11,7 +11,8 @@ pairwise), warms up with three calls and prints the median seconds of
 ``CALLS[n]`` calls of ``nll`` at mu=4, sigma2=1.5, phi=0.15, tau2=0.1.
 Nothing reads the returned gradient, so a lazily computed one is not
 timed. The script prints, per case, each side's median over rounds, their
-ratio and the rounds the change was faster in.
+ratio, the median of the per-round ratios (change over parent) and the
+rounds the change was faster in.
 """
 
 from __future__ import annotations
@@ -82,10 +83,11 @@ def main(argv=None) -> int:
                 for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
                     ms[side].append(1e3 * probe(trees[side], kind, n))
             parent, change = statistics.median(ms["parent"]), statistics.median(ms["change"])
-            faster = sum(c < p for p, c in zip(ms["parent"], ms["change"]))
+            ratios = [c / p for p, c in zip(ms["parent"], ms["change"])]
             print(
                 f"weighted {kind} n={n}: parent {parent:.2f} ms, change {change:.2f} ms, "
-                f"ratio {change / parent:.3f}, change faster in {faster}/{args.rounds} rounds",
+                f"ratio {change / parent:.3f}, per-round ratio {statistics.median(ratios):.3f}, "
+                f"change faster in {sum(r < 1 for r in ratios)}/{args.rounds} rounds",
                 flush=True,
             )
     return 0
