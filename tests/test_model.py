@@ -18,6 +18,7 @@ from isiw import (
     microergodic,
 )
 from isiw._linalg import NotPositiveDefiniteError, cholesky_lower
+from isiw.model import matern_cov_and_dlogphi
 from oracles import build_cov_matrix
 
 # Reference values frozen from a 50-digit arbitrary-precision Bessel-K
@@ -107,6 +108,15 @@ class TestMaternCov:
         out = matern_cov(np.array([[0.0, 0.1], [0.2, 0.3]]), theta)
         assert out.shape == (2, 2)
         assert out[0, 0] == 1.0
+
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 1.7, 2.5])
+    def test_joint_evaluation_equals_each_bit_for_bit(self, nu):
+        theta = CovParams(1.3, 0.2, nu)
+        h = np.array([0.0, 1e-310, 0.05, 0.2, 1.0, 3.0])
+        cov, dcov = matern_cov_and_dlogphi(h, theta)
+        assert np.array_equal(cov, matern_cov(h, theta))
+        assert np.array_equal(dcov, matern_cov_dlogphi(h, theta))
+        assert matern_cov_and_dlogphi(0.2, theta) == (matern_cov(0.2, theta), matern_cov_dlogphi(0.2, theta))
 
 
 def reference_matern(h, theta, dlogphi):
