@@ -29,7 +29,7 @@ from isiw import (
     vecchia_nll,
 )
 import isiw
-from isiw._linalg import NotPositiveDefiniteError, cholesky_lower
+from isiw._linalg import NotPositiveDefiniteError, backward_solve_batched, cholesky_lower, forward_solve_batched
 from isiw.likelihood import PAIR_CHUNK
 from oracles import build_cov_matrix, gaussian_kl, vecchia_implied_cov
 
@@ -301,6 +301,21 @@ class TestVecchiaNll:
         plan = nn_conditioning_sets(other.locations, maxmin_order(other.locations), m=3)
         with pytest.raises(ValueError, match="different locations"):
             vecchia_nll(PSI, data, plan)
+
+
+class TestBatchedSolves:
+    def test_stacked_right_hand_sides_solve_as_each_alone(self):
+        rng = np.random.default_rng(48)
+        a = rng.normal(size=(30, 6, 6))
+        chol = np.linalg.cholesky(a @ a.transpose(0, 2, 1) + 6 * np.eye(6))
+        rhs = rng.normal(size=(2, 30, 6))
+        for solve, trans in ((forward_solve_batched, "N"), (backward_solve_batched, "T")):
+            stacked = solve(chol, rhs)
+            for c in range(2):
+                alone = solve(chol, rhs[c])
+                assert np.array_equal(stacked[c], alone)
+                reference = [solve_triangular(chol[b], rhs[c, b], lower=True, trans=trans) for b in range(30)]
+                np.testing.assert_allclose(alone, reference, rtol=1e-12, atol=1e-12)
 
 
 class TestPairwiseMarginalNll:
