@@ -153,7 +153,9 @@ def _attempt(objective, data: Dataset, init: ModelParams, x0, log_phi_cap) -> _R
     """One attempt from x0: L-BFGS-B searches, each in a box of half-width
     ``BOX`` around its start, the next starting where the last stopped on a
     face of its box with the gradient pointing out."""
-    profiles: dict = {}  # x.tobytes() -> Profile | None, so a search's start is not re-evaluated
+    # x.tobytes() -> Profile | None: a search's start is not re-evaluated,
+    # and the point L-BFGS-B ends on, which it has evaluated, is looked up
+    profiles: dict = {}
     met_nonfinite = False
 
     def value_and_grad(x):
@@ -185,8 +187,6 @@ def _attempt(objective, data: Dataset, init: ModelParams, x0, log_phi_cap) -> _R
         if not outward.any() or iterations >= MAX_ITER or not math.isfinite(res.fun):
             break
 
-    if x.tobytes() not in profiles:
-        value_and_grad(x)
     projected = grad.copy()
     if x[LOG_PHI] >= log_phi_cap and projected[LOG_PHI] < 0:
         projected[LOG_PHI] = 0.0
