@@ -123,8 +123,12 @@ def build_objective(
     return Objective(kind=PAIRWISE_MARGINAL, weights=weights(spec.source), pair_cutoff=pair_cutoff)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated run configuration. Frozen, so the checks below hold for
+    its whole life; ``dataclasses.replace`` makes a changed copy and checks
+    it again."""
+
     replicates: int = 50
     grid_nx: int = 48
     grid_ny: int = 48

@@ -3,25 +3,30 @@
 An objective's ``nll(psi, data)`` returns its value with a
 :class:`~isiw.likelihood.Profile`: the objective minimised in closed form
 over mu and sigma2 at psi's phi and eta = tau2 / sigma2, with the
-minimisers and the gradient over (log phi, log eta) (any float with a
+minimisers and the gradient over (log phi, eta) (any float with a
 ``profile`` will do; see :mod:`isiw.likelihood`). ``fit`` raises
 ``TypeError`` for a value without one. So ``fit`` searches two
-coordinates, (log phi, log eta), with scipy's L-BFGS-B, and reads mu and
+coordinates, (log phi, eta), with scipy's L-BFGS-B, and reads mu and
 sigma2 off the profile at the point it ends on.
 
 The range parameter is bounded above at 10x the domain diameter by a box
 bound on log phi, so the objective itself is never altered: weighted
-objectives are prone to letting the range run away. Each L-BFGS-B search
-also stays within ``BOX`` of its start in both coordinates, since a
-line search can otherwise leap from a sound range onto the flat
+objectives are prone to letting the range run away. The nugget ratio eta
+is bounded below by 0, which L-BFGS-B's projected steps reach exactly, so
+a fit whose optimum has no nugget ends on eta = 0 with tau2 = 0. Each
+L-BFGS-B search also stays within a box around its start: ``BOX`` either
+side in log phi, and from 0 up to e^``BOX`` times the start in eta, since
+a line search can otherwise leap from a sound range onto the flat
 pure-nugget plateau at phi -> 0, whose gradient is exactly zero. A search
 that stops on a face of that box with its gradient pointing out continues
-from there in a new box. An attempt runs at most ``MAX_ITER`` iterations
-over its searches and converges when an iteration reduces the objective
-by at most ``FTOL`` relative to max(|f|, 1), or when every component of
-the projected gradient is at most ``GTOL`` in absolute value; an attempt
-that met a non-finite objective value converges only by the gradient
-test. Up to ``RESTARTS`` more attempts follow an unconverged one. ``fit``
+from there in a new box; eta's lower face is its true bound, so only its
+upper face continues. A search from eta = 0 has no upper face in eta, as
+a box scaled from 0 would pin it there. An attempt runs at most
+``MAX_ITER`` iterations over its searches and converges when an iteration
+reduces the objective by at most ``FTOL`` relative to max(|f|, 1), or
+when every component of the projected gradient is at most ``GTOL`` in
+absolute value; an attempt that met a non-finite objective value
+converges only by the gradient test. Up to ``RESTARTS`` more attempts follow an unconverged one. ``fit``
 runs on one OpenBLAS thread (``_linalg.one_blas_thread``; a no-op on a
 BLAS without a known thread setter): its factorizations are of blocks and
 matrices of at most about a thousand rows, and processes, not BLAS
@@ -41,13 +46,14 @@ from .likelihood import Profile
 from .model import Dataset, Domain, ModelParams
 
 PHI_CAP_FACTOR = 10.0
-LOG_PHI = 0  # the search coordinates are (log phi, log eta)
+LOG_PHI, ETA = 0, 1  # the search coordinates are (log phi, eta)
 MAX_ITER = 200
 # at 1e-8 the relative-reduction test stopped fits on the flat
 # range/variance ridge up to 2e-7 * |f| above the optimum
 FTOL = 1e-10
 GTOL = 1e-4
-# half-width of each search's box in log phi and log eta. Unboxed, 157 of
+# half-width of each search's box in log phi, and in log eta above its
+# start (eta's box is [0, e^BOX eta]). Unboxed, 157 of
 # the 200 phi=0.02 acceptance fits leapt to the pure-nugget plateau and
 # ended up to 18% above the 4-D fit's NLL; at 1, the n=100 fits took more
 # evaluations than the 4-D fit did
@@ -67,10 +73,11 @@ class FitConfig:
 
 @dataclass
 class FitResult:
-    """Best point over all attempts. ``iterations`` and ``gradient_norm``
-    (2-norm of the projected profile gradient over (log phi, log eta))
-    belong to the attempt that found it; ``evaluations`` counts objective
-    calls over all attempts; ``phi_capped`` says phi sits on its bound."""
+    """Best point over all attempts. ``psi_hat.tau2`` is exactly 0.0 where
+    the fit ends on eta's bound. ``iterations`` and ``gradient_norm``
+    (2-norm of the projected profile gradient over (log phi, eta)) belong
+    to the attempt that found it; ``evaluations`` counts objective calls
+    over all attempts; ``phi_capped`` says phi sits on its bound."""
 
     psi_hat: ModelParams
     nll: float
@@ -96,14 +103,14 @@ def default_init(data: Dataset, domain: Domain, nu: float = 1.0) -> ModelParams:
 
 
 def _search_point(init: ModelParams, x: np.ndarray) -> ModelParams:
-    """psi at the search coordinates x = (log phi, log eta): ``init``'s mu,
+    """psi at the search coordinates x = (log phi, eta): ``init``'s mu,
     sigma2 and nu, with phi and tau2 = eta sigma2 from x."""
-    # clamp so wild line-search trial points cannot underflow a positive
-    # parameter to exactly zero (or overflow exp); the resulting extreme
-    # but valid parameters evaluate to inf/nan and the search backtracks
-    log_phi, log_tau2 = np.clip([x[0], x[1] + math.log(init.theta.sigma2)], -700.0, 700.0)
+    # clamp so wild line-search trial points cannot underflow phi to exactly
+    # zero (or overflow exp); the resulting extreme but valid parameters
+    # evaluate to inf/nan and the search backtracks
+    log_phi = min(max(x[LOG_PHI], -700.0), 700.0)
     return ModelParams.from_values(
-        init.mu, init.theta.sigma2, math.exp(log_phi), math.exp(log_tau2), nu=init.theta.nu
+        init.mu, init.theta.sigma2, math.exp(log_phi), x[ETA] * init.theta.sigma2, nu=init.theta.nu
     )
 
 
@@ -150,9 +157,9 @@ class _Run:
 
 
 def _attempt(objective, data: Dataset, init: ModelParams, x0, log_phi_cap) -> _Run:
-    """One attempt from x0: L-BFGS-B searches, each in a box of half-width
-    ``BOX`` around its start, the next starting where the last stopped on a
-    face of its box with the gradient pointing out."""
+    """One attempt from x0: L-BFGS-B searches, each in a box around its
+    start (see the module docstring), the next starting where the last
+    stopped on a face of its box with the gradient pointing out."""
     # x.tobytes() -> Profile | None: a search's start is not re-evaluated,
     # and the point L-BFGS-B ends on, which it has evaluated, is looked up
     profiles: dict = {}
@@ -169,10 +176,11 @@ def _attempt(objective, data: Dataset, init: ModelParams, x0, log_phi_cap) -> _R
             return math.inf, np.zeros(2)
         return float(profile.nll), np.asarray(profile.grad, dtype=float)
 
-    cap = np.array([log_phi_cap, math.inf])
+    floor, cap = np.array([-math.inf, 0.0]), np.array([log_phi_cap, math.inf])
     x, iterations = np.asarray(x0, dtype=float), 0
     while True:
-        lower, upper = x - BOX, np.minimum(x + BOX, cap)
+        lower = np.array([x[LOG_PHI] - BOX, 0.0])
+        upper = np.minimum([x[LOG_PHI] + BOX, math.exp(BOX) * x[ETA] if x[ETA] > 0 else math.inf], cap)
         res = minimize(
             value_and_grad,
             x,
@@ -183,13 +191,13 @@ def _attempt(objective, data: Dataset, init: ModelParams, x0, log_phi_cap) -> _R
         )
         iterations += int(res.nit)
         x, grad = res.x, np.array(res.jac, dtype=float)
-        outward = ((x <= lower) & (grad > GTOL)) | ((x >= upper) & (upper < cap) & (grad < -GTOL))
+        outward = ((x <= lower) & (lower > floor) & (grad > GTOL)) | (
+            (x >= upper) & (upper < cap) & (grad < -GTOL)
+        )
         if not outward.any() or iterations >= MAX_ITER or not math.isfinite(res.fun):
             break
 
-    projected = grad.copy()
-    if x[LOG_PHI] >= log_phi_cap and projected[LOG_PHI] < 0:
-        projected[LOG_PHI] = 0.0
+    projected = np.where(((x <= floor) & (grad > 0)) | ((x >= cap) & (grad < 0)), 0.0, grad)
     # L-BFGS-B can report success at a point it reached by backing off a
     # non-finite value; trust only the gradient test after one.
     converged = bool(res.success) and math.isfinite(res.fun) and not outward.any()
@@ -206,19 +214,14 @@ def fit(objective, data: Dataset, init: ModelParams, config: FitConfig) -> FitRe
 
     ``objective`` needs only ``nll(psi, data)``, returning the value with
     its profile attached (see the module docstring). The search starts at
-    ``init``'s phi and eta, and every objective call gets ``init``'s mu and
-    sigma2. Runs up to ``RESTARTS`` additional attempts from starts with
-    +/-50% multiplicative noise on phi and eta when an attempt ends
-    unconverged; reports the best point found either way. Deterministic
-    given (data, init, config).
+    ``init``'s phi and eta = tau2 / sigma2, and every objective call gets
+    ``init``'s mu and sigma2. Runs up to ``RESTARTS`` additional attempts
+    from starts with +/-50% multiplicative noise on phi and eta when an
+    attempt ends unconverged; reports the best point found either way.
+    Deterministic given (data, init, config).
     """
     log_phi_cap = math.log(PHI_CAP_FACTOR * config.domain.diameter)
-    x_init = np.array(
-        [
-            min(math.log(init.theta.phi), log_phi_cap),
-            math.log(max(init.tau2, 1e-12)) - math.log(init.theta.sigma2),
-        ]
-    )
+    x_init = np.array([min(math.log(init.theta.phi), log_phi_cap), init.tau2 / init.theta.sigma2])
     rng = np.random.default_rng(config.restart_seed)
 
     best: _Run | None = None
@@ -228,8 +231,8 @@ def fit(objective, data: Dataset, init: ModelParams, config: FitConfig) -> FitRe
             x0 = x_init
         else:
             restarts_used = attempt
-            x0 = x_init + np.log(rng.uniform(0.5, 1.5, size=2))
-            x0[LOG_PHI] = min(x0[LOG_PHI], log_phi_cap)
+            noise = rng.uniform(0.5, 1.5, size=2)
+            x0 = np.array([min(x_init[LOG_PHI] + math.log(noise[0]), log_phi_cap), x_init[ETA] * noise[1]])
         run = _attempt(objective, data, init, x0, log_phi_cap)
         evaluations += run.evaluations
         if best is None or run.nll < best.nll:
@@ -245,7 +248,7 @@ def fit(objective, data: Dataset, init: ModelParams, config: FitConfig) -> FitRe
             profile.mu,
             profile.sigma2,
             math.exp(best.x[LOG_PHI]),
-            math.exp(best.x[1]) * profile.sigma2,
+            best.x[ETA] * profile.sigma2,
             nu=init.theta.nu,
         ),
         nll=float(profile.nll),

@@ -36,9 +36,11 @@ with q quadratic in mu. So the minimiser mu_hat solves a linear equation,
 sigma2_hat is the weighted mean of q(mu_hat) per unit of dimension, and
 the profile's value follows from both. The factorisation at psi is that of
 B scaled by psi's sigma2, so it serves the profile unchanged. By the
-envelope theorem the profile's gradient over (log phi, log eta) is the
-(log phi, log tau2) part of the full gradient at (mu_hat, sigma2_hat, phi,
-eta sigma2_hat).
+envelope theorem the profile's gradient over (log phi, eta) is the
+full gradient's log phi part, and its derivative along tau2 times sigma2,
+at (mu_hat, sigma2_hat, phi, eta sigma2_hat). The derivative along tau2
+is computed as such, not from the one along log tau2, so the gradient is
+exact at eta = 0, where the nugget vanishes.
 """
 
 from __future__ import annotations
@@ -73,7 +75,8 @@ SUM_BLOCK = 8192
 class Profile(NamedTuple):
     """An objective minimised over mu and sigma2 at fixed phi and
     eta = tau2 / sigma2: the minimisers ``mu`` and ``sigma2``, the value
-    ``nll`` there, and ``grad``, its gradient over (log phi, log eta)."""
+    ``nll`` there, and ``grad``, its gradient over (log phi, eta), which
+    holds at eta = 0 too."""
 
     mu: float
     sigma2: float
@@ -215,9 +218,9 @@ def exact_nll(psi: ModelParams, data: Dataset) -> NllValue:
 
     The profile's mu is the generalised-least-squares mean and its sigma2
     is r'B^-1 r / n for the GLS residual r, with B the covariance over
-    sigma2. Its gradient takes 1/2 tr((C - c a a') dA) over phi and tau2,
-    with C the inverse covariance at psi, a = C r and c the ratio of psi's
-    sigma2 to the profile's."""
+    sigma2. Its gradient takes 1/2 tr((C - c a a') dA) over log phi and
+    eta, with C the inverse covariance at psi, a = C r, c the ratio of
+    psi's sigma2 to the profile's, and dA = sigma2 I along eta."""
     theta, dist, n = psi.theta, data.condensed_distances(), data.n
     matern = condensed_cov_matrix(dist, theta)
     cov = matern.copy()
@@ -233,8 +236,8 @@ def exact_nll(psi: ModelParams, data: Dataset) -> NllValue:
     def back(v):
         return solve_triangular(chol, v, lower=True, trans="T", check_finite=False)
 
-    def along_phi_tau2(w):
-        return 0.5 * np.sum(w * d_matern), 0.5 * psi.tau2 * np.trace(w)
+    def along_phi_tau2(w, dtau2):  # dtau2: tau2's derivative along the coordinate
+        return 0.5 * np.sum(w * d_matern), 0.5 * dtau2 * np.trace(w)
 
     ones = solve_triangular(chol, np.ones(n), lower=True, check_finite=False)
     shift = (ones @ z) / (ones @ ones)
@@ -246,13 +249,13 @@ def exact_nll(psi: ModelParams, data: Dataset) -> NllValue:
             psi.mu + shift,
             theta.sigma2 * ratio,
             log_det + 0.5 * n * (LOG_2PI + 1.0 + np.log(ratio)),
-            np.array(along_phi_tau2(inverse - np.outer(alpha_hat, alpha_hat) / ratio)),
+            np.array(along_phi_tau2(inverse - np.outer(alpha_hat, alpha_hat) / ratio, theta.sigma2)),
         )
 
     def grad():
         alpha = back(z)
         w = inverse - np.outer(alpha, alpha)
-        return [-alpha.sum(), 0.5 * np.sum(w * matern), *along_phi_tau2(w)]
+        return [-alpha.sum(), 0.5 * np.sum(w * matern), *along_phi_tau2(w, psi.tau2)]
 
     return NllValue(value, grad, profile)
 
@@ -345,10 +348,10 @@ def vecchia_nll(
     def derivative(resid, scale, u_da_u, alpha_da_u):
         return 0.5 * (1.0 + resid * resid / scale) * u_da_u - resid / scale * alpha_da_u
 
-    def along_phi_tau2(resid, scale, alpha):
+    def along_phi_tau2(resid, scale, alpha, dtau2):  # dtau2: tau2's derivative along the coordinate
         return (
             derivative(resid, scale, u_d_u, _dot(alpha, d_u)),
-            psi.tau2 * derivative(resid, scale, u_u, _dot(alpha, u)),
+            dtau2 * derivative(resid, scale, u_u, _dot(alpha, u)),
         )
 
     log_kk = np.log(chol[rows, k, k])
@@ -359,7 +362,7 @@ def vecchia_nll(
             [
                 0.5 * LOG_2PI + log_kk + 0.5 * zk * zk,
                 0.5 * (LOG_2PI + 1.0 + np.log(ratio)) + log_kk,
-                *along_phi_tau2(resid, ratio, alpha_hat),
+                *along_phi_tau2(resid, ratio, alpha_hat, psi.theta.sigma2),
             ]
         )
         terms *= w
@@ -373,7 +376,7 @@ def vecchia_nll(
             [
                 -zk * u.sum(axis=1),
                 derivative(zk, 1.0, _dot(u, m_u), _dot(alpha, m_u)),
-                *along_phi_tau2(zk, 1.0, alpha),
+                *along_phi_tau2(zk, 1.0, alpha, psi.tau2),
             ]
         )
         terms *= w
@@ -487,7 +490,7 @@ def pairwise_marginal_nll(
             np.array(
                 [
                     0.5 * phi_diff + 0.25 * (phi_sq2 + 4.0 * shift * (phi_p_e2 - shift * phi_inv_e2)) / ratio,
-                    psi.tau2
+                    psi.theta.sigma2
                     * (0.5 * (inv_e + inv_f) - 0.25 * (sq2 - 4.0 * shift * (p_e2 - shift * inv_e2)) / ratio),
                 ]
             ),

@@ -17,17 +17,24 @@ from isiw.model import condensed_cov_matrix
 FD_REL_STEP = 1e-5
 
 
-def fd_gradient(func, x: np.ndarray, rel_step: float = FD_REL_STEP) -> np.ndarray:
+def fd_gradient(func, x: np.ndarray, rel_step: float = FD_REL_STEP, one_sided=()) -> np.ndarray:
     """Central finite-difference gradient with per-coordinate step
-    rel_step * max(1, |x_j|)."""
+    rel_step * max(1, |x_j|). The coordinates listed in ``one_sided``, such
+    as one on a lower bound, take the forward difference
+    (-3 f(x) + 4 f(x + h) - f(x + 2h)) / 2h instead, whose error is also
+    of order h^2."""
     x = np.asarray(x, dtype=float)
     grad = np.empty_like(x)
     for j in range(x.size):
         h = rel_step * max(1.0, abs(x[j]))
         xp, xm = x.copy(), x.copy()
         xp[j] += h
-        xm[j] -= h
-        grad[j] = (func(xp) - func(xm)) / (2.0 * h)
+        if j in one_sided:
+            xm[j] += 2.0 * h
+            grad[j] = (4.0 * func(xp) - func(xm) - 3.0 * func(x)) / (2.0 * h)
+        else:
+            xm[j] -= h
+            grad[j] = (func(xp) - func(xm)) / (2.0 * h)
     return grad
 
 

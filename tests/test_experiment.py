@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -33,6 +34,7 @@ from isiw.experiment import (
 )
 from isiw import Dataset, FitConfig, default_init, fit, io
 from isiw.cli import main as cli_main
+from test_inference import no_nugget_dataset
 
 
 def tiny_config(**overrides):
@@ -420,6 +422,12 @@ class TestConfigFormat:
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_config(text)
 
+    def test_built_config_is_frozen(self):
+        cfg = ExperimentConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.phi = (-1.0,)
+        assert cfg.phi == (0.02, 0.15)
+
     @pytest.mark.parametrize("key", ["samplers", "n", "phi"])
     def test_empty_scenario_list_rejected(self, key):
         with pytest.raises(ValueError, match=f"{key} must list at least one value"):
@@ -522,6 +530,11 @@ class TestCli:
         surface = np.loadtxt(f"{out}/surface.csv", delimiter=",", skiprows=1)
         assert surface.shape == (144, 4)
         assert np.all(surface[:, 3] >= 0)
+
+    def test_fit_prints_zero_nugget(self, tmp_path, capsys):
+        io.write_dataset_csv(tmp_path / "data.csv", no_nugget_dataset())
+        assert cli_main(["fit", "--data", str(tmp_path / "data.csv"), "--method", "mle"]) == 0
+        assert "\ntau2=0.0\n" in capsys.readouterr().out
 
     def test_experiment_subcommand(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

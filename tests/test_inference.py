@@ -8,16 +8,20 @@ from isiw import (
     Dataset,
     Domain,
     FitConfig,
+    GridSpec,
     ModelParams,
     NllValue,
     Objective,
     Profile,
+    SeedStream,
     default_init,
     exact_nll,
     fit,
     maxmin_order,
     microergodic,
     nn_conditioning_sets,
+    observe,
+    simulate_field,
 )
 from isiw._linalg import blas_threads, cholesky_lower
 from isiw.inference import RESTARTS
@@ -34,6 +38,17 @@ def simulate_dataset(n, seed, psi=TRUTH):
     cov = build_cov_matrix(locs, psi.theta, psi.tau2)
     y = psi.mu + cholesky_lower(cov) @ rng.standard_normal(n)
     return Dataset(locations=locs, values=y)
+
+
+def no_nugget_dataset():
+    """100 observations without a nugget of a field drawn on the 48 x 48
+    grid, at distinct cell centres, so they are an exact Matérn draw. Its
+    likelihood peaks on the boundary tau2 = 0, as it does for about half of
+    such draws (Self and Liang 1987)."""
+    grid = GridSpec(UNIT, 48, 48)
+    fld = simulate_field(grid, CovParams(1.5, 0.05, 1.0), SeedStream(0))
+    centres = grid.cell_centers()[np.random.default_rng(0).choice(grid.ncells, 100, replace=False)]
+    return observe(fld, centres, 4.0, 0.0, SeedStream(100))
 
 
 class TestDefaultInit:
@@ -141,6 +156,16 @@ class TestFit:
         assert b.psi_hat.theta.phi == pytest.approx(a.psi_hat.theta.phi, abs=1e-4)
         assert b.psi_hat.tau2 == pytest.approx(a.psi_hat.tau2, abs=1e-4)
 
+    def test_no_nugget_data_fit_to_zero_nugget_exactly(self):
+        data = no_nugget_dataset()
+        plan = nn_conditioning_sets(data.locations, maxmin_order(data.locations), 20)
+        for objective in (Objective(kind="exact"), Objective(kind="vecchia", plan=plan)):
+            res = fit(objective, data, default_init(data, UNIT), FitConfig(domain=UNIT))
+            assert res.psi_hat.tau2 == 0.0, objective.kind
+            assert res.converged and res.restarts_used == 0
+            # the bound is the optimum: the profile rises into eta > 0
+            assert objective.nll(res.psi_hat, data).profile.grad[1] > 0
+
     def test_phi_cap_recorded(self):
         # a linear trend reads as an ever-longer range; the cap must bind
         # and be flagged
@@ -208,16 +233,16 @@ FD_BFGS_PANEL = [
 
 
 class WalledQuadratic:
-    """0.5 |x - centre|^2 over the search coordinates x = (log phi, log eta),
-    with value +inf wherever log eta exceeds ``wall``. Its profile keeps
-    psi's mu and sigma2."""
+    """0.5 |x - centre|^2 over the search coordinates x = (log phi, eta),
+    with value +inf wherever eta exceeds ``wall``. Its profile keeps psi's
+    mu and sigma2."""
 
     def __init__(self, wall, centre):
         self.wall = wall
         self.centre = np.asarray(centre, dtype=float)
 
     def nll(self, psi, data):
-        x = np.array([math.log(psi.theta.phi), math.log(psi.tau2 / psi.theta.sigma2)])
+        x = np.array([math.log(psi.theta.phi), eta(psi)])
         value, grad = 0.5 * (x - self.centre) @ (x - self.centre), x - self.centre
         if x[1] > self.wall:
             value, grad = math.inf, np.full(2, math.nan)
@@ -225,12 +250,12 @@ class WalledQuadratic:
         return NllValue(value, np.full(4, math.nan), profile)
 
 
-def log_eta(psi):
-    return math.log(psi.tau2 / psi.theta.sigma2)
+def eta(psi):
+    return psi.tau2 / psi.theta.sigma2
 
 
-# log eta starts at -3, below every wall
-WALL_START = ModelParams.from_values(0.0, 1.0, 0.2, math.exp(-3.0))
+# eta starts at 0.05, below every wall
+WALL_START = ModelParams.from_values(0.0, 1.0, 0.2, 0.05)
 
 
 class TestOptimizer:
@@ -241,21 +266,39 @@ class TestOptimizer:
         assert res.converged
         assert res.nll <= fd_bfgs_nll + 1e-8 * abs(fd_bfgs_nll)
 
-    @pytest.mark.parametrize("wall,centre_eta", [(1.0, 2.0), (0.0, 5.0), (3.0, 3.5), (-2.5, 0.0)])
+    @pytest.mark.parametrize("wall,centre_eta", [(2.7, 7.4), (1.0, 148.0), (20.0, 33.0), (0.08, 1.0)])
     def test_nonfinite_wall_never_converges_off_stationary(self, wall, centre_eta):
         # the minimum lies beyond the wall, so no reachable point is stationary
         data = simulate_dataset(5, 14)
         objective = WalledQuadratic(wall, [-1.0, centre_eta])
         res = fit(objective, data, WALL_START, FitConfig(domain=UNIT))
         assert not res.converged
-        assert log_eta(res.psi_hat) <= wall
+        assert eta(res.psi_hat) <= wall
 
     def test_nonfinite_wall_with_interior_minimum_converges(self):
         data = simulate_dataset(5, 15)
-        objective = WalledQuadratic(1.0, [-1.0, 0.9])
+        objective = WalledQuadratic(2.7, [-1.0, 2.5])
         res = fit(objective, data, WALL_START, FitConfig(domain=UNIT))
         assert res.converged
-        assert log_eta(res.psi_hat) == pytest.approx(0.9, abs=1e-6)
+        assert eta(res.psi_hat) == pytest.approx(2.5, abs=1e-6)
+
+    def test_minimum_below_zero_ends_on_the_bound(self):
+        # eta = 0 is a true bound: the fit lands on it, reports tau2 = 0
+        # exactly and converges, rather than continuing below it
+        data = simulate_dataset(5, 15)
+        objective = Counting(WalledQuadratic(2.7, [-1.0, -0.5]))
+        res = fit(objective, data, WALL_START, FitConfig(domain=UNIT))
+        assert res.converged and res.restarts_used == 0
+        assert res.psi_hat.tau2 == 0.0
+        assert res.evaluations <= 10
+
+    def test_start_on_the_bound_leaves_it(self):
+        # a search from eta = 0 has no upper face in eta to stop on
+        data = simulate_dataset(5, 15)
+        start = ModelParams.from_values(0.0, 1.0, 0.2, 0.0)
+        res = fit(WalledQuadratic(2.7, [-1.0, 2.5]), data, start, FitConfig(domain=UNIT))
+        assert res.converged
+        assert eta(res.psi_hat) == pytest.approx(2.5, abs=1e-6)
 
     def test_value_without_gradient_rejected(self):
         class PlainFloat:
@@ -290,7 +333,7 @@ class TestEvaluations:
     def test_sums_over_restarts(self):
         # the minimum lies beyond the wall, so every attempt runs
         data = simulate_dataset(5, 18)
-        objective = Counting(WalledQuadratic(1.0, [-1.0, 2.0]))
+        objective = Counting(WalledQuadratic(2.7, [-1.0, 7.4]))
         res = fit(objective, data, WALL_START, FitConfig(domain=UNIT))
         assert res.restarts_used == RESTARTS
         assert res.evaluations == objective.calls

@@ -29,6 +29,7 @@ from isiw._linalg import NotPositiveDefiniteError, blas_threads, cholesky_lower
 from isiw.kriging import TARGET_BLOCK
 from isiw.model import condensed_cov_matrix
 from oracles import build_cov_matrix
+from test_inference import no_nugget_dataset
 
 UNIT = Domain(0.0, 1.0, 0.0, 1.0)
 PSI = ModelParams.from_values(4.0, 1.5, 0.15, 0.1)
@@ -49,6 +50,14 @@ class TestKrigeProperties:
         out = krige(psi, data, data.locations)
         np.testing.assert_allclose(out.predictions, data.values, atol=1e-8)
         assert np.all(out.variances < 1e-8)
+
+    def test_interpolates_at_a_fitted_zero_nugget(self):
+        data = no_nugget_dataset()
+        psi = fit(Objective(kind="exact"), data, default_init(data, UNIT), FitConfig(domain=UNIT)).psi_hat
+        assert psi.tau2 == 0.0
+        out = krige(psi, data, data.locations)
+        np.testing.assert_allclose(out.predictions, data.values, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(out.variances, 0.0, rtol=0, atol=1e-10)
 
     def test_prior_reversion_far_away(self):
         psi = ModelParams.from_values(4.0, 1.5, 0.01, 0.1)

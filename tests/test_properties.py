@@ -87,9 +87,9 @@ def objectives(data, weights):
     return out
 
 
-def richardson_gradient(func, x):
-    coarse = fd_gradient(func, x, 1e-5)
-    return (4.0 * fd_gradient(func, x, 5e-6) - coarse) / 3.0
+def richardson_gradient(func, x, one_sided=()):
+    coarse = fd_gradient(func, x, 1e-5, one_sided)
+    return (4.0 * fd_gradient(func, x, 5e-6, one_sided) - coarse) / 3.0
 
 
 @PROPERTY
@@ -154,21 +154,34 @@ def test_profile_is_stationary_in_mu_and_sigma2(case):
         assert abs(grad[1] + grad[3]) <= 1e-8 * scale, f"{name}: scale component {grad[1] + grad[3]:.2e}"
 
 
+def check_profile_gradient(data, weights, nu, x, eta):
+    """Every objective's profile gradient over (log phi, eta) at x's mu,
+    sigma2 and phi and the given eta, against a Richardson-refined
+    difference that is one-sided in eta at eta = 0."""
+
+    def at(y):  # psi at (log phi, eta) = y, keeping x's mu and sigma2
+        return ModelParams.from_values(x[0], math.exp(x[1]), math.exp(y[0]), y[1] * math.exp(x[1]), nu=nu)
+
+    y = np.array([x[2], eta])
+    for name, nll in objectives(data, weights).items():
+        analytic = nll(at(y)).profile.grad
+        reference = richardson_gradient(lambda v, nll=nll: nll(at(v)).profile.nll, y, (1,) if eta == 0 else ())
+        rel = np.linalg.norm(analytic - reference) / max(np.linalg.norm(reference), 1e-8)
+        assert rel < GRAD_RTOL, f"{name} at nu={nu}, eta={eta}: relative profile gradient error {rel:.2e}"
+
+
 @PROPERTY
 @given(cases())
 def test_profile_gradient_matches_richardson(case):
     data, weights, nu, x = case
-    psi = unpack(x, nu)
+    check_profile_gradient(data, weights, nu, x, math.exp(x[3] - x[1]))
 
-    def at(y):  # psi at (log phi, log eta) = y, keeping psi's mu and sigma2
-        return unpack([x[0], x[1], y[0], y[1] + x[1]], nu)
 
-    y = np.array([x[2], x[3] - x[1]])
-    for name, nll in objectives(data, weights).items():
-        analytic = nll(psi).profile.grad
-        reference = richardson_gradient(lambda v, nll=nll: nll(at(v)).profile.nll, y)
-        rel = np.linalg.norm(analytic - reference) / max(np.linalg.norm(reference), 1e-8)
-        assert rel < GRAD_RTOL, f"{name} at nu={nu}: relative profile gradient error {rel:.2e}"
+@PROPERTY
+@given(cases())
+def test_profile_gradient_matches_one_sided_richardson_at_zero_nugget(case):
+    data, weights, nu, x = case
+    check_profile_gradient(data, weights, nu, x, 0.0)
 
 
 @PROPERTY
