@@ -27,14 +27,12 @@ def fd_gradient(func, x: np.ndarray, rel_step: float = FD_REL_STEP, one_sided=()
     grad = np.empty_like(x)
     for j in range(x.size):
         h = rel_step * max(1.0, abs(x[j]))
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
+        step = np.zeros_like(x)
+        step[j] = h
         if j in one_sided:
-            xm[j] += 2.0 * h
-            grad[j] = (4.0 * func(xp) - func(xm) - 3.0 * func(x)) / (2.0 * h)
+            grad[j] = (4.0 * func(x + step) - func(x + 2.0 * step) - 3.0 * func(x)) / (2.0 * h)
         else:
-            xm[j] -= h
-            grad[j] = (func(xp) - func(xm)) / (2.0 * h)
+            grad[j] = (func(x + step) - func(x - step)) / (2.0 * h)
     return grad
 
 

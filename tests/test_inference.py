@@ -160,9 +160,12 @@ class TestFit:
         data = no_nugget_dataset()
         plan = nn_conditioning_sets(data.locations, maxmin_order(data.locations), 20)
         for objective in (Objective(kind="exact"), Objective(kind="vecchia", plan=plan)):
-            res = fit(objective, data, default_init(data, UNIT), FitConfig(domain=UNIT))
+            counting = Counting(objective)
+            res = fit(counting, data, default_init(data, UNIT), FitConfig(domain=UNIT))
             assert res.psi_hat.tau2 == 0.0, objective.kind
             assert res.converged and res.restarts_used == 0
+            # the point it ends on was evaluated at no nugget, not at a floor
+            assert 0.0 in counting.tau2s
             # the bound is the optimum: the profile rises into eta > 0
             assert objective.nll(res.psi_hat, data).profile.grad[1] > 0
 
@@ -311,14 +314,17 @@ class TestOptimizer:
 
 
 class Counting:
-    """Wraps an objective and counts its ``nll`` calls."""
+    """Wraps an objective, counts its ``nll`` calls and records the tau2 of
+    each."""
 
     def __init__(self, inner):
         self.inner = inner
         self.calls = 0
+        self.tau2s = []
 
     def nll(self, psi, data):
         self.calls += 1
+        self.tau2s.append(psi.tau2)
         return self.inner.nll(psi, data)
 
 
