@@ -26,11 +26,12 @@ a box scaled from 0 would pin it there. An attempt runs at most
 reduces the objective by at most ``FTOL`` relative to max(|f|, 1), or
 when every component of the projected gradient is at most ``GTOL`` in
 absolute value; an attempt that met a non-finite objective value
-converges only by the gradient test. Up to ``RESTARTS`` more attempts follow an unconverged one. ``fit``
-runs on one OpenBLAS thread (``_linalg.one_blas_thread``; a no-op on a
-BLAS without a known thread setter): its factorizations are of blocks and
-matrices of at most about a thousand rows, and processes, not BLAS
-threads, are the unit of parallelism.
+converges only by the gradient test. Up to ``RESTARTS`` more attempts
+follow an unconverged one. ``fit`` runs on one OpenBLAS thread
+(``_linalg.one_blas_thread``; a no-op on a BLAS without a known thread
+setter): its factorizations are of blocks and matrices of at most about a
+thousand rows, and processes, not BLAS threads, are the unit of
+parallelism.
 """
 
 from __future__ import annotations
@@ -53,10 +54,10 @@ MAX_ITER = 200
 FTOL = 1e-10
 GTOL = 1e-4
 # half-width of each search's box in log phi, and in log eta above its
-# start (eta's box is [0, e^BOX eta]). Unboxed, 157 of
-# the 200 phi=0.02 acceptance fits leapt to the pure-nugget plateau and
-# ended up to 18% above the 4-D fit's NLL; at 1, the n=100 fits took more
-# evaluations than the 4-D fit did
+# start (eta's box is [0, e^BOX eta]). Unboxed, 157 of the 200 phi=0.02
+# acceptance fits leapt to the pure-nugget plateau and ended up to 18%
+# above the 4-D fit's NLL; at 1, the n=100 fits took more evaluations than
+# the 4-D fit did
 BOX = 2.0
 RESTARTS = 3
 

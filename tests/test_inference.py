@@ -257,8 +257,8 @@ def eta(psi):
     return psi.tau2 / psi.theta.sigma2
 
 
-# eta starts at 0.05, below every wall
-WALL_START = ModelParams.from_values(0.0, 1.0, 0.2, 0.05)
+# eta starts at e^-3, below every wall
+WALL_START = ModelParams.from_values(0.0, 1.0, 0.2, math.exp(-3.0))
 
 
 class TestOptimizer:
@@ -269,18 +269,18 @@ class TestOptimizer:
         assert res.converged
         assert res.nll <= fd_bfgs_nll + 1e-8 * abs(fd_bfgs_nll)
 
-    @pytest.mark.parametrize("wall,centre_eta", [(2.7, 7.4), (1.0, 148.0), (20.0, 33.0), (0.08, 1.0)])
-    def test_nonfinite_wall_never_converges_off_stationary(self, wall, centre_eta):
+    @pytest.mark.parametrize("log_wall,log_centre", [(1.0, 2.0), (0.0, 5.0), (3.0, 3.5), (-2.5, 0.0)])
+    def test_nonfinite_wall_never_converges_off_stationary(self, log_wall, log_centre):
         # the minimum lies beyond the wall, so no reachable point is stationary
         data = simulate_dataset(5, 14)
-        objective = WalledQuadratic(wall, [-1.0, centre_eta])
+        objective = WalledQuadratic(math.exp(log_wall), [-1.0, math.exp(log_centre)])
         res = fit(objective, data, WALL_START, FitConfig(domain=UNIT))
         assert not res.converged
-        assert eta(res.psi_hat) <= wall
+        assert eta(res.psi_hat) <= math.exp(log_wall)
 
     def test_nonfinite_wall_with_interior_minimum_converges(self):
         data = simulate_dataset(5, 15)
-        objective = WalledQuadratic(2.7, [-1.0, 2.5])
+        objective = WalledQuadratic(math.e, [-1.0, 2.5])
         res = fit(objective, data, WALL_START, FitConfig(domain=UNIT))
         assert res.converged
         assert eta(res.psi_hat) == pytest.approx(2.5, abs=1e-6)
@@ -289,7 +289,7 @@ class TestOptimizer:
         # eta = 0 is a true bound: the fit lands on it, reports tau2 = 0
         # exactly and converges, rather than continuing below it
         data = simulate_dataset(5, 15)
-        objective = Counting(WalledQuadratic(2.7, [-1.0, -0.5]))
+        objective = Counting(WalledQuadratic(math.e, [-1.0, -0.5]))
         res = fit(objective, data, WALL_START, FitConfig(domain=UNIT))
         assert res.converged and res.restarts_used == 0
         assert res.psi_hat.tau2 == 0.0
@@ -299,7 +299,7 @@ class TestOptimizer:
         # a search from eta = 0 has no upper face in eta to stop on
         data = simulate_dataset(5, 15)
         start = ModelParams.from_values(0.0, 1.0, 0.2, 0.0)
-        res = fit(WalledQuadratic(2.7, [-1.0, 2.5]), data, start, FitConfig(domain=UNIT))
+        res = fit(WalledQuadratic(math.e, [-1.0, 2.5]), data, start, FitConfig(domain=UNIT))
         assert res.converged
         assert eta(res.psi_hat) == pytest.approx(2.5, abs=1e-6)
 
@@ -339,7 +339,7 @@ class TestEvaluations:
     def test_sums_over_restarts(self):
         # the minimum lies beyond the wall, so every attempt runs
         data = simulate_dataset(5, 18)
-        objective = Counting(WalledQuadratic(2.7, [-1.0, 7.4]))
+        objective = Counting(WalledQuadratic(math.e, [-1.0, math.exp(2.0)]))
         res = fit(objective, data, WALL_START, FitConfig(domain=UNIT))
         assert res.restarts_used == RESTARTS
         assert res.evaluations == objective.calls

@@ -163,9 +163,10 @@ def check_profile_gradient(data, weights, nu, x, eta):
         return ModelParams.from_values(x[0], math.exp(x[1]), math.exp(y[0]), y[1] * math.exp(x[1]), nu=nu)
 
     y = np.array([x[2], eta])
+    one_sided = (1,) if eta == 0 else ()
     for name, nll in objectives(data, weights).items():
         analytic = nll(at(y)).profile.grad
-        reference = richardson_gradient(lambda v, nll=nll: nll(at(v)).profile.nll, y, (1,) if eta == 0 else ())
+        reference = richardson_gradient(lambda v, nll=nll: nll(at(v)).profile.nll, y, one_sided)
         rel = np.linalg.norm(analytic - reference) / max(np.linalg.norm(reference), 1e-8)
         assert rel < GRAD_RTOL, f"{name} at nu={nu}, eta={eta}: relative profile gradient error {rel:.2e}"
 
