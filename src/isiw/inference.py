@@ -166,7 +166,7 @@ def _attempt(objective, data: Dataset, init: ModelParams, x0, log_phi_cap) -> _R
     profiles: dict = {}
     met_nonfinite = False
 
-    def value_and_grad(x):
+    def profile_at(x):
         nonlocal met_nonfinite
         key = x.tobytes()
         if key not in profiles:
@@ -183,7 +183,7 @@ def _attempt(objective, data: Dataset, init: ModelParams, x0, log_phi_cap) -> _R
         lower = np.array([x[LOG_PHI] - BOX, 0.0])
         upper = np.minimum([x[LOG_PHI] + BOX, math.exp(BOX) * x[ETA] if x[ETA] > 0 else math.inf], cap)
         res = minimize(
-            value_and_grad,
+            profile_at,
             x,
             jac=True,
             method="L-BFGS-B",

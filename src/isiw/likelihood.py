@@ -18,9 +18,9 @@ the diagonal: all objectives model the observations, matching the exact
 likelihood's Sigma + tau2 I.
 
 Every objective returns an :class:`NllValue`: the value as a float that
-carries its closed-form gradient over (mu, log sigma2, log phi, log tau2),
-computed on first access, and a :class:`Profile`, computed in the same
-pass. For a Gaussian block with covariance A and residual r,
+carries a :class:`Profile`, computed in the same pass. The profile's
+gradient rests on the derivative of a Gaussian block's term: with
+covariance A and residual r,
 d/dt [1/2 log|A| + 1/2 r'A^-1 r] = 1/2 tr((A^-1 - a a') dA/dt) with
 a = A^-1 r. A Vecchia conditional term is the difference of that
 expression for its full block and for the neighbour-only block; the latter
@@ -37,10 +37,10 @@ sigma2_hat is the weighted mean of q(mu_hat) per unit of dimension, and
 the profile's value follows from both. The factorisation at psi is that of
 B scaled by psi's sigma2, so it serves the profile unchanged. By the
 envelope theorem the profile's gradient over (log phi, eta) is the
-full gradient's log phi part, and its derivative along tau2 times sigma2,
-at (mu_hat, sigma2_hat, phi, eta sigma2_hat). The derivative along tau2
-is computed as such, not from the one along log tau2, so the gradient is
-exact at eta = 0, where the nugget vanishes.
+objective's own derivative along log phi, and its derivative along tau2
+times sigma2, at (mu_hat, sigma2_hat, phi, eta sigma2_hat). The
+derivative along tau2 is taken as such, not along log tau2, so the
+gradient is exact at eta = 0, where the nugget vanishes.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from ._linalg import backward_solve_batched, cholesky_lower, forward_solve_batch
 from .model import (
     Dataset,
     ModelParams,
-    condensed_cov_matrix,
+    matern_cov,
     matern_cov_and_dlogphi,
     matern_cov_dlogphi,
     read_only,
@@ -85,25 +85,15 @@ class Profile(NamedTuple):
 
 
 class NllValue(float):
-    """A negative log-likelihood: the float it equals, plus ``grad``, its
-    gradient over (mu, log sigma2, log phi, log tau2) at the same point, and
-    ``profile``, the :class:`Profile` at that point's phi and eta (None
-    where the objective has none). ``grad`` may be given as a function of
-    no arguments, which is called on first access."""
+    """A negative log-likelihood: the float it equals, plus ``profile``, the
+    :class:`Profile` at that point's phi and eta."""
 
-    __slots__ = ("_grad", "profile")
+    __slots__ = ("profile",)
 
-    def __new__(cls, value, grad, profile: Profile | None = None):
+    def __new__(cls, value, profile: Profile):
         self = super().__new__(cls, value)
-        self._grad = grad if callable(grad) else np.asarray(grad, dtype=float)
         self.profile = profile
         return self
-
-    @property
-    def grad(self) -> np.ndarray:
-        if callable(self._grad):
-            self._grad = np.asarray(self._grad(), dtype=float)
-        return self._grad
 
 
 def maxmin_order(locs: np.ndarray) -> np.ndarray:
@@ -212,8 +202,8 @@ def nn_conditioning_sets(locs: np.ndarray, order: np.ndarray, m: int) -> Vecchia
 
 def exact_nll(psi: ModelParams, data: Dataset) -> NllValue:
     """Negative log-likelihood of N(mu 1, Sigma(theta) + tau2 I) via Cholesky,
-    with its gradient and profile. The Matérn and its phi-derivative are
-    evaluated on the n(n-1)/2 condensed distances and mirrored, with their
+    with its profile. The Matérn and its phi-derivative are evaluated
+    together on the n(n-1)/2 condensed distances and mirrored, with their
     h = 0 limits on the diagonal.
 
     The profile's mu is the generalised-least-squares mean and its sigma2
@@ -222,42 +212,30 @@ def exact_nll(psi: ModelParams, data: Dataset) -> NllValue:
     eta, with C the inverse covariance at psi, a = C r, c the ratio of
     psi's sigma2 to the profile's, and dA = sigma2 I along eta."""
     theta, dist, n = psi.theta, data.condensed_distances(), data.n
-    matern = condensed_cov_matrix(dist, theta)
-    cov = matern.copy()
-    cov[np.diag_indices_from(cov)] += psi.tau2
+    pair_cov, pair_dcov = matern_cov_and_dlogphi(dist, theta)
+    cov = symmetric_from_condensed(pair_cov, matern_cov(0.0, theta) + psi.tau2)
     chol = cholesky_lower(cov, context="observation covariance", overwrite=True)
     log_det = np.sum(np.log(np.diag(chol)))
     z = solve_triangular(chol, data.values - psi.mu, lower=True, check_finite=False)
     value = 0.5 * n * LOG_2PI + log_det + 0.5 * z @ z
 
     inverse = cho_solve((chol, True), np.eye(n), check_finite=False)
-    d_matern = symmetric_from_condensed(matern_cov_dlogphi(dist, theta), matern_cov_dlogphi(0.0, theta))
-
-    def back(v):
-        return solve_triangular(chol, v, lower=True, trans="T", check_finite=False)
-
-    def along_phi_tau2(w, dtau2):  # dtau2: tau2's derivative along the coordinate
-        return 0.5 * np.sum(w * d_matern), 0.5 * dtau2 * np.trace(w)
+    d_matern = symmetric_from_condensed(pair_dcov, matern_cov_dlogphi(0.0, theta))
 
     ones = solve_triangular(chol, np.ones(n), lower=True, check_finite=False)
     shift = (ones @ z) / (ones @ ones)
     resid = z - shift * ones
     ratio = (resid @ resid) / n
-    alpha_hat = back(resid)
+    alpha_hat = solve_triangular(chol, resid, lower=True, trans="T", check_finite=False)
     with _degenerate_profile_ok():
+        w = inverse - np.outer(alpha_hat, alpha_hat) / ratio
         profile = Profile(
             psi.mu + shift,
             theta.sigma2 * ratio,
             log_det + 0.5 * n * (LOG_2PI + 1.0 + np.log(ratio)),
-            np.array(along_phi_tau2(inverse - np.outer(alpha_hat, alpha_hat) / ratio, theta.sigma2)),
+            np.array([0.5 * np.sum(w * d_matern), 0.5 * theta.sigma2 * np.trace(w)]),
         )
-
-    def grad():
-        alpha = back(z)
-        w = inverse - np.outer(alpha, alpha)
-        return [-alpha.sum(), 0.5 * np.sum(w * matern), *along_phi_tau2(w, psi.tau2)]
-
-    return NllValue(value, grad, profile)
+    return NllValue(value, profile)
 
 
 def _degenerate_profile_ok():
@@ -283,23 +261,22 @@ def vecchia_nll(
     weights=None,
 ) -> NllValue:
     """Negative log Vecchia approximation, optionally weighted, with its
-    gradient and profile.
+    profile.
 
     Unweighted this is -sum_i log f(y_p(i) | y_q(i)). The weighted form
     applies w_p(i) to both the joint and conditioning-set log densities,
     which telescopes to w_p(i) times the conditional terms; with all
-    weights equal to 1 the two coincide bit-for-bit, gradient and profile
-    included.
+    weights equal to 1 the two coincide bit-for-bit, profile included.
 
     Per block with factor L, target row k, z = L^-1 r, alpha = L^-T z and
     u = L^-T e_k, the conditional term's derivative along dA is
-    1/2 (1 + z_k^2) u'dA u - z_k alpha'dA u, and along mu it is -z_k sum(u).
-    Padding rows of u and a are exactly zero, so they drop out.
+    1/2 (1 + z_k^2) u'dA u - z_k alpha'dA u. Padding rows of u and alpha
+    are exactly zero, so they drop out.
 
     With b = L^-1 1 as well, a block's residual at mu + s is z - s b, so
     with weights w the profile shifts mu by s = sum(w z_k b_k) / sum(w b_k^2)
     and scales sigma2 by c = sum(w (z_k - s b_k)^2) / sum(w). Its gradient
-    is the sum above at that residual, with z_k^2 and z_k over c.
+    is the derivative above at that residual, with z_k^2 and z_k over c.
     """
     plan.check_data(data)
     idx, k, n = plan.idx, plan.k, plan.n
@@ -307,17 +284,16 @@ def vecchia_nll(
     w = w[plan.order]
     diag = np.arange(idx.shape[1])
     valid = diag <= k[:, None]
-    # one allocation for the three block-sized arrays: glibc's malloc raises
+    # one allocation for the two block-sized arrays: glibc's malloc raises
     # its mmap threshold to the largest chunk it frees, so later calls reuse
     # these heap pages rather than fault in new ones
-    matern, block, d_matern = np.empty((3, *plan.pair_index.shape))
+    block, d_matern = np.empty((2, *plan.pair_index.shape))
 
     def gather(values, slots, out):  # mode="clip" writes in place; "raise" buffers
         np.take(np.append(values, slots), plan.pair_index, out=out, mode="clip")
 
     pair_cov, pair_dcov = matern_cov_and_dlogphi(plan.pair_dists, psi.theta)
-    gather(pair_cov, (0.0, 1.0), matern)
-    np.copyto(block, matern)
+    gather(pair_cov, (0.0, 1.0), block)
     block[:, diag, diag] += psi.tau2 * valid
 
     try:
@@ -343,16 +319,9 @@ def vecchia_nll(
     u, alpha_hat = backward_solve_batched(chol, rhs)
     gather(pair_dcov, (0.0, 0.0), d_matern)
     d_u = np.einsum("bij,bj->bi", d_matern, u)
-    u_d_u, u_u = _dot(u, d_u), _dot(u, u)
 
     def derivative(resid, scale, u_da_u, alpha_da_u):
         return 0.5 * (1.0 + resid * resid / scale) * u_da_u - resid / scale * alpha_da_u
-
-    def along_phi_tau2(resid, scale, alpha, dtau2):  # dtau2: tau2's derivative along the coordinate
-        return (
-            derivative(resid, scale, u_d_u, _dot(alpha, d_u)),
-            dtau2 * derivative(resid, scale, u_u, _dot(alpha, u)),
-        )
 
     log_kk = np.log(chol[rows, k, k])
     resid = zk - shift * bk
@@ -362,27 +331,14 @@ def vecchia_nll(
             [
                 0.5 * LOG_2PI + log_kk + 0.5 * zk * zk,
                 0.5 * (LOG_2PI + 1.0 + np.log(ratio)) + log_kk,
-                *along_phi_tau2(resid, ratio, alpha_hat, psi.theta.sigma2),
+                derivative(resid, ratio, _dot(u, d_u), _dot(alpha_hat, d_u)),
+                psi.theta.sigma2 * derivative(resid, ratio, _dot(u, u), _dot(alpha_hat, u)),
             ]
         )
         terms *= w
         total = terms.sum(axis=1)
     profile = Profile(psi.mu + shift, psi.theta.sigma2 * ratio, total[1], total[2:])
-
-    def grad():
-        alpha = backward_solve_batched(chol, z)
-        m_u = np.einsum("bij,bj->bi", matern, u)
-        terms = np.stack(
-            [
-                -zk * u.sum(axis=1),
-                derivative(zk, 1.0, _dot(u, m_u), _dot(alpha, m_u)),
-                *along_phi_tau2(zk, 1.0, alpha, psi.tau2),
-            ]
-        )
-        terms *= w
-        return terms.sum(axis=1)
-
-    return NllValue(total[0], grad, profile)
+    return NllValue(total[0], profile)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -397,7 +353,7 @@ def pairwise_marginal_nll(
     cutoff: float | None = None,
 ) -> NllValue:
     """Negative weighted pairwise-marginal composite log-likelihood, with
-    its gradient and profile.
+    its profile.
 
     Sums -omega_ij log f(y_i, y_j) over pairs within ``cutoff`` (all pairs
     when None), with omega_ij = w_i w_j when weights are supplied.
@@ -407,11 +363,9 @@ def pairwise_marginal_nll(
     e = v + c, and the difference m = a - b, of variance 2f with f = v - c.
     Its term is log 2pi + 1/2 log(e f) + (p^2 / e + m^2 / f) / 4. Only p
     moves with mu, so the profile shifts mu by
-    s = sum(omega p / e) / (2 sum(omega / e)), and each gradient is a sum
-    of omega times a few powers of p, m, 1/e and 1/f, quadratic in s. The
-    per-pair rows below are those sums' summands; the full gradient along
-    sigma2 follows from the rest, since scaling the covariance moves the
-    term by 1 - (p^2 / e + m^2 / f) / 4.
+    s = sum(omega p / e) / (2 sum(omega / e)), and the profile's gradient
+    is a sum of omega times a few powers of p, m, 1/e and 1/f, quadratic
+    in s. The per-pair rows below are those sums' summands.
 
     The pairs are walked in slices of ``PAIR_CHUNK``, so every per-pair
     temporary stays small enough for the allocator to reuse rather than
@@ -419,8 +373,8 @@ def pairwise_marginal_nll(
     rows into one slice-sized buffer and sums them over each block of
     ``SUM_BLOCK`` pairs; the block sums are added up at the end. The
     per-pair expressions are elementwise and the blocks are fixed by the
-    pair list alone, so values, gradients and profiles do not depend on
-    the slice size, bit for bit.
+    pair list alone, so values and profiles do not depend on the slice
+    size, bit for bit.
     """
     n = data.n
     if n < 2:
@@ -495,9 +449,7 @@ def pairwise_marginal_nll(
                 ]
             ),
         )
-    grad_tau2 = psi.tau2 * (0.5 * (inv_e + inv_f) - 0.25 * sq2)
-    grad = [-p_e, total_w - 0.25 * sq - grad_tau2, 0.5 * phi_diff + 0.25 * phi_sq2, grad_tau2]
-    return NllValue(base + 0.25 * sq, grad, profile)
+    return NllValue(base + 0.25 * sq, profile)
 
 
 EXACT = "exact"
@@ -529,7 +481,7 @@ class Objective:
             raise ValueError(f"kind {self.kind!r} takes no pair_cutoff")
 
     def nll(self, psi: ModelParams, data: Dataset) -> NllValue:
-        """The objective's value at ``psi``, carrying its gradient and profile."""
+        """The objective's value at ``psi``, carrying its profile."""
         if self.kind == EXACT:
             return exact_nll(psi, data)
         if self.kind == VECCHIA:

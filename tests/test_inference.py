@@ -250,7 +250,7 @@ class WalledQuadratic:
         if x[1] > self.wall:
             value, grad = math.inf, np.full(2, math.nan)
         profile = Profile(psi.mu, psi.theta.sigma2, value, grad)
-        return NllValue(value, np.full(4, math.nan), profile)
+        return NllValue(value, profile)
 
 
 def eta(psi):

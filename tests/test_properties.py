@@ -1,7 +1,8 @@
-"""Property tests of the likelihood objectives, their closed-form
-gradients and their profiles over mu and sigma2, over random data, parameters and smoothness orders, of the grid
-covariance implied by the circulant embedding, and of the intensity
-layer's exact selector integrals and weight normalization.
+"""Property tests of the likelihood objectives and their profiles over mu
+and sigma2, with the profiles' closed-form gradients, over random data,
+parameters and smoothness orders; of the grid covariance implied by the
+circulant embedding; and of the intensity layer's exact selector
+integrals and weight normalization.
 
 Examples are derandomized and bounded, so the file is deterministic.
 """
@@ -94,17 +95,6 @@ def richardson_gradient(func, x, one_sided=()):
 
 @PROPERTY
 @given(cases())
-def test_analytic_gradient_matches_richardson(case):
-    data, weights, nu, x = case
-    for name, nll in objectives(data, weights).items():
-        analytic = nll(unpack(x, nu)).grad
-        reference = richardson_gradient(lambda y, nll=nll: float(nll(unpack(y, nu))), x)
-        rel = np.linalg.norm(analytic - reference) / max(np.linalg.norm(reference), 1e-8)
-        assert rel < GRAD_RTOL, f"{name} at nu={nu}: relative gradient error {rel:.2e}"
-
-
-@PROPERTY
-@given(cases())
 def test_unit_weights_reproduce_unweighted_bit_for_bit(case):
     data, _, nu, x = case
     psi = unpack(x, nu)
@@ -119,7 +109,6 @@ def test_unit_weights_reproduce_unweighted_bit_for_bit(case):
         )
     for unweighted, weighted in pairs:
         assert float(weighted) == float(unweighted)
-        assert np.array_equal(weighted.grad, unweighted.grad)
 
 
 @PROPERTY
@@ -130,7 +119,6 @@ def test_full_conditioning_vecchia_equals_exact(case):
     plan = nn_conditioning_sets(data.locations, maxmin_order(data.locations), data.n - 1)
     vecchia, exact = vecchia_nll(psi, data, plan), exact_nll(psi, data)
     assert abs(float(vecchia) - float(exact)) < 1e-8
-    np.testing.assert_allclose(vecchia.grad, exact.grad, rtol=1e-7, atol=1e-8)
 
 
 def at_profile(psi, profile):
@@ -142,16 +130,22 @@ def at_profile(psi, profile):
 @PROPERTY
 @given(cases())
 def test_profile_is_stationary_in_mu_and_sigma2(case):
-    # at (mu_hat, sigma2_hat) the full gradient has no mu component, and
-    # scaling sigma2 and tau2 together (eta fixed) does not move the value
+    # at (mu_hat, sigma2_hat) the value moves neither along mu nor along
+    # the log of a common scale on sigma2 and tau2 (eta fixed)
     data, weights, nu, x = case
     psi = unpack(x, nu)
     for name, nll in objectives(data, weights).items():
-        value = nll(psi)
-        grad = nll(at_profile(psi, value.profile)).grad
-        scale = max(1.0, abs(value.profile.nll))
+        profile = nll(psi).profile
+        best = at_profile(psi, profile)
+
+        def value(y, nll=nll, best=best):  # y = (mu, log scale)
+            s = math.exp(y[1])
+            return float(nll(ModelParams.from_values(y[0], s * best.theta.sigma2, best.theta.phi, s * best.tau2, nu=nu)))
+
+        grad = richardson_gradient(value, np.array([best.mu, 0.0]))
+        scale = max(1.0, abs(profile.nll))
         assert abs(grad[0]) <= 1e-8 * scale, f"{name}: mu component {grad[0]:.2e}"
-        assert abs(grad[1] + grad[3]) <= 1e-8 * scale, f"{name}: scale component {grad[1] + grad[3]:.2e}"
+        assert abs(grad[1]) <= 1e-8 * scale, f"{name}: scale component {grad[1]:.2e}"
 
 
 def check_profile_gradient(data, weights, nu, x, eta):

@@ -1,18 +1,20 @@
-"""Per-call time of the weighted Vecchia and pairwise NLLs at two commits.
+"""Per-call time of the exact NLL and the weighted Vecchia and pairwise
+NLLs at two commits.
 
     python3 tools/nll_call_pairs.py --parent HEAD~1 --change HEAD --rounds 10
 
-Each ref is exported as ``bench_pairs.py`` does. For each objective and n
-in {100, 400}, every round runs one fresh process per side, the two sides
-alternating which goes first, with OpenBLAS on one thread. A process
-builds a dataset from a fixed seed (uniform locations, N(4, 1.2^2)
-values, weights uniform on [0.2, 3]; m = 20 for Vecchia, all pairs for
-pairwise), warms up with three calls and prints the median seconds of
-``CALLS[n]`` calls of ``nll`` at mu=4, sigma2=1.5, phi=0.15, tau2=0.1.
-Nothing reads the returned gradient, so a lazily computed one is not
-timed. The script prints, per case, each side's median over rounds, their
-ratio, the median of the per-round ratios (change over parent) and the
-rounds the change was faster in.
+Each ref is exported as ``bench_pairs.py`` does. The cases are the exact
+NLL at n = 100 and the weighted Vecchia and pairwise NLLs at n in
+{100, 400}. For each case, every round runs one fresh process per side,
+the two sides alternating which goes first, with OpenBLAS on one thread.
+A process builds a dataset from a fixed seed (uniform locations,
+N(4, 1.2^2) values, weights uniform on [0.2, 3]; m = 20 for Vecchia, all
+pairs for pairwise), warms up with three calls and prints the median
+seconds of ``CALLS[n]`` calls of ``nll`` at mu=4, sigma2=1.5, phi=0.15,
+tau2=0.1. Each call returns the value with its profile, computed in the
+same pass, so the timing covers both. The script prints, per case, each
+side's median over rounds, their ratio, the median of the per-round
+ratios (change over parent) and the rounds the change was faster in.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from pathlib import Path
 from bench_pairs import export
 
 CALLS = {100: 200, 400: 40}
-CASES = [(kind, n) for kind in ("vecchia", "pairwise") for n in (100, 400)]
+CASES = [("exact", 100)] + [(kind, n) for kind in ("vecchia", "pairwise") for n in (100, 400)]
 
 PROBE = """
 import statistics, sys, time
@@ -40,7 +42,9 @@ kind, n, calls = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 rng = np.random.default_rng(n)
 data = Dataset(rng.random((n, 2)), rng.normal(4.0, 1.2, n))
 weights = rng.uniform(0.2, 3.0, n)
-if kind == "vecchia":
+if kind == "exact":
+    objective = Objective(kind="exact")
+elif kind == "vecchia":
     plan = nn_conditioning_sets(data.locations, maxmin_order(data.locations), 20)
     objective = Objective(kind="vecchia", plan=plan, weights=weights)
 else:
@@ -85,7 +89,7 @@ def main(argv=None) -> int:
             parent, change = statistics.median(ms["parent"]), statistics.median(ms["change"])
             ratios = [c / p for p, c in zip(ms["parent"], ms["change"])]
             print(
-                f"weighted {kind} n={n}: parent {parent:.2f} ms, change {change:.2f} ms, "
+                f"{'' if kind == 'exact' else 'weighted '}{kind} n={n}: parent {parent:.2f} ms, change {change:.2f} ms, "
                 f"ratio {change / parent:.3f}, per-round ratio {statistics.median(ratios):.3f}, "
                 f"change faster in {sum(r < 1 for r in ratios)}/{args.rounds} rounds",
                 flush=True,
