@@ -64,8 +64,9 @@ from .model import (
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
-# pairs per slice of the pairwise NLL: 64 KB per float temporary, under
-# glibc's default 128 KB mmap threshold
+# pairs per slice of the pairwise NLL, and at most the index entries per
+# slice of a Vecchia gather: 64 KB per 8-byte temporary, under glibc's
+# default 128 KB mmap threshold
 PAIR_CHUNK = 8192
 # pairs per partial sum of the pairwise NLL's per-pair rows, in blocks that
 # start at its multiples in the pair list; PAIR_CHUNK is a multiple of it
@@ -285,12 +286,21 @@ def vecchia_nll(
     diag = np.arange(idx.shape[1])
     valid = diag <= k[:, None]
     # one allocation for the two block-sized arrays: glibc's malloc raises
-    # its mmap threshold to the largest chunk it frees, so later calls reuse
-    # these heap pages rather than fault in new ones
+    # its mmap threshold to the largest chunk it frees and trims the heap
+    # when its free top reaches twice that, so later calls reuse these heap
+    # pages, rather than fault in new ones, while a call's heap peak (this
+    # pair, the Cholesky factor and small arrays) stays under twice their size
     block, d_matern = np.empty((2, *plan.pair_index.shape))
+    # np.take copies a read-only index array, as the plan's are, so each
+    # gather takes at most PAIR_CHUNK entries' worth of rows at a time: a
+    # whole block-sized copy would lift the heap peak past that bound
+    step = max(1, PAIR_CHUNK // plan.pair_index[0].size)
 
     def gather(values, slots, out):  # mode="clip" writes in place; "raise" buffers
-        np.take(np.append(values, slots), plan.pair_index, out=out, mode="clip")
+        values = np.append(values, slots)
+        for start in range(0, n, step):
+            part = slice(start, start + step)
+            np.take(values, plan.pair_index[part], out=out[part], mode="clip")
 
     pair_cov, pair_dcov = matern_cov_and_dlogphi(plan.pair_dists, psi.theta)
     gather(pair_cov, (0.0, 1.0), block)

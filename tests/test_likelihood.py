@@ -405,39 +405,67 @@ class TestPairwiseChunks:
 _FAULTS_SCRIPT = """
 import json, resource, sys
 import numpy as np
-from isiw import Dataset, ModelParams, pairwise_marginal_nll
+from isiw import Dataset, ModelParams, maxmin_order, nn_conditioning_sets, pairwise_marginal_nll, vecchia_nll
 
+m = int(sys.argv[1])  # 0 for the pairwise NLL, else the Vecchia NLL's neighbour count
 psi = ModelParams.from_values(4.0, 1.5, 0.15, 0.1)
 out = {}
-for n, calls in ((400, 60), (800, 20)):
+for n, calls in json.loads(sys.argv[2]):
     rng = np.random.default_rng(n)
     data = Dataset(locations=rng.random((n, 2)), values=rng.normal(4.0, 1.2, n))
     weights = rng.uniform(0.2, 3.0, n)
+    if m:
+        plan = nn_conditioning_sets(data.locations, maxmin_order(data.locations), m)
+        def nll():
+            vecchia_nll(psi, data, plan, weights)
+    else:
+        def nll():
+            pairwise_marginal_nll(psi, data, weights)
     for _ in range(3):
-        pairwise_marginal_nll(psi, data, weights)
+        nll()
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(calls):
-        pairwise_marginal_nll(psi, data, weights)
+        nll()
     out[n] = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
 print(json.dumps(out))
 """
 
 
-@pytest.mark.skipif(
+def minor_faults_per_call(m, cases):
+    """Minor page faults per NLL call for each (n, calls) case, measured in
+    a fresh interpreter, so the allocator state is that of a real run."""
+    env = {**os.environ, "PYTHONPATH": str(Path(isiw.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", _FAULTS_SCRIPT, str(m), json.dumps(cases)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout)
+
+
+GLIBC_MALLOC = pytest.mark.skipif(
     not sys.platform.startswith("linux")
     or platform.libc_ver()[0] != "glibc"
     or "LD_PRELOAD" in os.environ,
-    reason="the fault bound assumes glibc's malloc, whose mmap threshold the pair slices stay under",
+    reason="the fault bound assumes glibc's malloc and its mmap and trim thresholds",
 )
+
+
+@GLIBC_MALLOC
 def test_pairwise_nll_reuses_its_memory():
-    # A fresh interpreter, so the allocator state is that of a real run. The
-    # whole-array evaluation re-faults its pair-length temporaries on every
-    # call: about 2,900 minor faults at n=400 and 9,300 at n=800.
-    env = {**os.environ, "PYTHONPATH": str(Path(isiw.__file__).parents[1])}
-    out = subprocess.run(
-        [sys.executable, "-c", _FAULTS_SCRIPT], env=env, capture_output=True, text=True, check=True
-    )
-    faults = json.loads(out.stdout)
+    # The whole-array evaluation re-faults its pair-length temporaries on
+    # every call: about 2,900 minor faults at n=400 and 9,300 at n=800.
+    faults = minor_faults_per_call(0, [(400, 60), (800, 20)])
+    assert all(per_call < 100 for per_call in faults.values()), faults
+
+
+@GLIBC_MALLOC
+@pytest.mark.parametrize("m", [20, 30])
+def test_vecchia_nll_reuses_its_memory(m):
+    # A block-sized copy of the plan's read-only index array in each gather
+    # lifts a call's heap peak past glibc's trim threshold when the blocks
+    # share one two-array allocation: about 1,350 minor faults per call at
+    # m=20 and 1,950 at m=30.
+    faults = minor_faults_per_call(m, [(400, 20)])
     assert all(per_call < 100 for per_call in faults.values()), faults
 
 
