@@ -140,7 +140,8 @@ def test_profile_is_stationary_in_mu_and_sigma2(case):
 
         def value(y, nll=nll, best=best):  # y = (mu, log scale)
             s = math.exp(y[1])
-            return float(nll(ModelParams.from_values(y[0], s * best.theta.sigma2, best.theta.phi, s * best.tau2, nu=nu)))
+            scaled = ModelParams.from_values(y[0], s * best.theta.sigma2, best.theta.phi, s * best.tau2, nu=nu)
+            return float(nll(scaled))
 
         grad = richardson_gradient(value, np.array([best.mu, 0.0]))
         scale = max(1.0, abs(profile.nll))

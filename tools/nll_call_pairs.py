@@ -88,8 +88,9 @@ def main(argv=None) -> int:
                     ms[side].append(1e3 * probe(trees[side], kind, n))
             parent, change = statistics.median(ms["parent"]), statistics.median(ms["change"])
             ratios = [c / p for p, c in zip(ms["parent"], ms["change"])]
+            label = kind if kind == "exact" else f"weighted {kind}"
             print(
-                f"{'' if kind == 'exact' else 'weighted '}{kind} n={n}: parent {parent:.2f} ms, change {change:.2f} ms, "
+                f"{label} n={n}: parent {parent:.2f} ms, change {change:.2f} ms, "
                 f"ratio {change / parent:.3f}, per-round ratio {statistics.median(ratios):.3f}, "
                 f"change faster in {sum(r < 1 for r in ratios)}/{args.rounds} rounds",
                 flush=True,
