@@ -41,7 +41,7 @@ from .model import (
     Domain,
     ModelParams,
     matern_cov,
-    matern_cov_dlogphi,
+    matern_cov_and_dlogphi,
     microergodic,
 )
 from .pointprocess import SamplerSpec, compute_intensity, sample_conditioned, sample_thomas
@@ -54,7 +54,7 @@ __all__ = [
     "KrigingOutput", "MetricsRow", "ModelParams",
     "NllValue", "Objective", "Profile", "SamplerSpec", "Scenario", "SeedStream", "VecchiaPlan",
     "compute_intensity", "default_init",
-    "estimate_intensity", "exact_nll", "fit", "krige", "load_config", "matern_cov", "matern_cov_dlogphi",
+    "estimate_intensity", "exact_nll", "fit", "krige", "load_config", "matern_cov", "matern_cov_and_dlogphi",
     "maxmin_order", "microergodic",
     "nn_conditioning_sets", "observe", "pairwise_marginal_nll",
     "param_metrics", "parse_config", "rmspe", "run_experiment",

@@ -7,8 +7,9 @@ thousand rows, where those threads gain little on their own and cost much
 when two processes share the cores. ``inference.fit`` and
 ``kriging.krige`` therefore run inside :func:`one_blas_thread`, and process
 pools get their parallelism from ``set_blas_threads(1)`` in each worker.
-On a BLAS without a known thread getter and setter (or without /proc)
-both are no-ops.
+The thread entry points of every loaded OpenBLAS are found once, by one
+scan of /proc/self/maps; on a BLAS without them (or without /proc) both
+are no-ops.
 """
 
 from __future__ import annotations
@@ -90,56 +91,55 @@ def backward_solve_batched(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 _OPENBLAS_SYMBOL_FORMS = [
     (prefix, suffix) for prefix in ("scipy_", "") for suffix in ("64_", "")
 ]
-# (argtypes, restype) of each OpenBLAS entry point used here
-_OPENBLAS_SIGNATURES = {
-    "get_num_threads": ([], ctypes.c_int),
-    "set_num_threads": ([ctypes.c_int], None),
-}
 
 
 @functools.cache
-def _openblas_calls(name: str) -> dict:
-    """``{library path: function}`` for the OpenBLAS ``openblas_<name>``
-    entry point of every OpenBLAS library mapped into this process, with
-    its signature declared. Empty where the process map is unreadable (no
-    /proc) or no library exports a known form of the symbol.
+def _openblas_libraries() -> dict:
+    """``{library path: (get_num_threads, set_num_threads)}`` for every
+    OpenBLAS library mapped into this process that exports both thread
+    entry points in one known form, with their signatures declared. Empty
+    where the process map is unreadable (no /proc) or no library exports
+    them.
 
-    Cached per name, so the libraries are those mapped at the first call.
-    This module imports ``scipy.linalg.lapack``, so numpy's and scipy's
-    OpenBLAS are both loaded by then. A forked child inherits the cache
-    together with the mapping it describes."""
-    argtypes, restype = _OPENBLAS_SIGNATURES[name]
+    Built from one scan of the process map at the first call, so the
+    libraries are those mapped then. This module imports
+    ``scipy.linalg.lapack``, so numpy's and scipy's OpenBLAS are both
+    loaded by then. A forked child inherits the table together with the
+    mapping it describes."""
     try:
         with open("/proc/self/maps") as maps:
             fields = [line.split(maxsplit=5) for line in maps]
     except OSError:
         return {}
     paths = {f[5].strip() for f in fields if len(f) == 6}
-    calls = {}
+    table = {}
     for path in sorted(p for p in paths if "openblas" in os.path.basename(p).lower()):
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
         for prefix, suffix in _OPENBLAS_SYMBOL_FORMS:
-            func = getattr(lib, f"{prefix}openblas_{name}{suffix}", None)
-            if func is not None:
-                func.argtypes, func.restype = argtypes, restype
-                calls[path] = func
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                table[path] = (get, set_)
                 break
-    return calls
+    return table
 
 
 def blas_threads() -> dict:
     """``{library path: thread count}`` for each loaded OpenBLAS."""
-    return {path: get() for path, get in _openblas_calls("get_num_threads").items()}
+    return {path: get() for path, (get, _) in _openblas_libraries().items()}
 
 
 def set_blas_threads(n: int) -> None:
     """Limit every loaded OpenBLAS to ``n`` threads; a no-op for a BLAS
-    without a known setter. Process-pool workers call this so that each
-    runs single-threaded BLAS instead of oversubscribing the cores."""
-    for set_threads in _openblas_calls("set_num_threads").values():
+    without known thread entry points. Process-pool workers call this so
+    that each runs single-threaded BLAS instead of oversubscribing the
+    cores."""
+    for _, set_threads in _openblas_libraries().values():
         set_threads(n)
 
 
@@ -147,16 +147,13 @@ def set_blas_threads(n: int) -> None:
 def one_blas_thread():
     """Run the body with every loaded OpenBLAS on one thread, and restore
     each library's own previous count on exit, also when the body raises.
-    Only libraries with both a known getter and setter are touched, so on
-    a BLAS without them the scope is a no-op. Thread counts are
-    process-wide: scopes nest, but two Python threads must not be inside
-    scopes at once."""
-    setters = _openblas_calls("set_num_threads")
-    before = {path: n for path, n in blas_threads().items() if path in setters}
-    for path in before:
-        setters[path](1)
+    On a BLAS without known thread entry points the scope is a no-op.
+    Thread counts are process-wide: scopes nest, but two Python threads
+    must not be inside scopes at once."""
+    before = blas_threads()
+    set_blas_threads(1)
     try:
         yield
     finally:
-        for path, n in before.items():
-            setters[path](n)
+        for path, (_, set_threads) in _openblas_libraries().items():
+            set_threads(before[path])

@@ -28,6 +28,7 @@ from .experiment import (
     build_objective,
     estimated_weights,
     load_config,
+    parse_domain,
     parse_method,
     run_experiment,
     vecchia_plan,
@@ -44,7 +45,7 @@ from .intensity import (
 )
 from .kriging import krige
 from .model import CovParams, Domain, ModelParams, microergodic
-from .pointprocess import SamplerSpec, compute_intensity, sample_conditioned, sample_thomas, THOMAS
+from .pointprocess import SAMPLER_KINDS, THOMAS, SamplerSpec, compute_intensity, sample_conditioned, sample_thomas
 from . import io
 
 USAGE_ERROR = 1
@@ -56,13 +57,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
-
-
-def _parse_domain(text: str) -> Domain:
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError("domain must be x0,x1,y0,y1")
-    return Domain(*parts)
 
 
 def _fit_method(text: str):
@@ -87,7 +81,7 @@ def _grid(args) -> GridSpec:
 _SHARED = {
     "seed": dict(type=int, default=0, help="root random seed"),
     "out-dir": dict(default=".", help="directory for output files"),
-    "domain": dict(type=_parse_domain, default=Domain(0.0, 1.0, 0.0, 1.0),
+    "domain": dict(type=parse_domain, default=Domain(0.0, 1.0, 0.0, 1.0),
                    help="study region x0,x1,y0,y1"),
     "nu": dict(type=float, default=ExperimentConfig.nu, help="Matérn smoothness (fixed)"),
     "threshold": dict(type=float, default=ExperimentConfig.threshold,
@@ -116,7 +110,7 @@ def build_parser() -> _Parser:
 
     p = _subcommand(sub, "sample", ("seed", "out-dir"), help="sample a preferential point pattern")
     p.add_argument("--field", required=True, help="field CSV from 'simulate'")
-    p.add_argument("--sampler", default="lgcp", choices=["lgcp", "scp", "thomas"])
+    p.add_argument("--sampler", default="lgcp", choices=SAMPLER_KINDS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=0.0)

@@ -3,12 +3,10 @@ fit each configured method, krige onto the grid, and score prediction error
 against the simulated truth.
 
 Configuration is a flat key=value text file (arrays comma-separated,
-``#`` starts a comment). Recognized keys and defaults mirror
-:class:`ExperimentConfig`: replicates, grid_nx, grid_ny, domain (x0,x1,y0,y1),
-mu, sigma2, nu, tau2, phi (list), samplers (lgcp|scp|thomas list), beta,
-alpha, n (list), methods (list, see below), threshold, m, pm_cutoff, seed,
-threads, exact_mle_max_n, thomas_parent_rate, thomas_offspring_scale,
-timing (on|off).
+``#`` starts a comment). The recognized keys are the fields of
+:class:`ExperimentConfig`, each read as the type of its default: a
+domain is x0,x1,y0,y1, a tuple a comma-separated list, ``timing`` on or
+off, and ``pm_cutoff`` a float or empty for no cutoff.
 
 Method entries are ``mle``, ``vecchia``, or ``isiw-v:SOURCE`` /
 ``isiw-pm:SOURCE`` with SOURCE one of known, scott, diggle, ppl, CvL,
@@ -42,7 +40,7 @@ import scipy
 from ._linalg import blas_threads, set_blas_threads
 from .fields import GridSpec, SeedStream, observe, simulate_field
 from .inference import FitConfig, default_init, fit
-from .intensity import estimate_intensity, select_bandwidth, weights_from_intensity
+from .intensity import GRID_METHODS, SCOTT, estimate_intensity, select_bandwidth, weights_from_intensity
 from .io import write_rows
 from .kriging import krige
 from .likelihood import EXACT, PAIRWISE_MARGINAL, VECCHIA, Objective, maxmin_order, nn_conditioning_sets
@@ -62,7 +60,7 @@ RESULTS_HEADER = [
     "mu", "sigma2", "phi", "tau2", "kappa", "seconds", "converged",
 ]
 KNOWN = "known"
-WEIGHT_SOURCES = (KNOWN, "scott", "diggle", "ppl", "CvL", "CvL.adaptive")
+WEIGHT_SOURCES = (KNOWN, SCOTT, *GRID_METHODS)
 METHOD_MLE = "mle"
 METHOD_VECCHIA = "vecchia"
 METHOD_ISIW_V = "isiw-v"
@@ -158,6 +156,8 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.methods:
             raise ValueError("methods must name at least one method")
         for key in ("samplers", "n", "phi"):
@@ -545,41 +545,40 @@ def format_config(config: ExperimentConfig) -> str:
     return "\n".join(parts)
 
 
-_FLOAT_KEYS = {
-    "mu", "sigma2", "nu", "tau2", "beta", "alpha", "threshold",
-    "thomas_parent_rate", "thomas_offspring_scale",
-}
-_INT_KEYS = {"replicates", "grid_nx", "grid_ny", "m", "seed", "threads", "exact_mle_max_n"}
+_DEFAULTS = {f.name: getattr(ExperimentConfig(), f.name) for f in dataclass_fields(ExperimentConfig)}
 _ON = ("on", "true", "1", "yes")
 _OFF = ("off", "false", "0", "no")
 
 
+def parse_domain(text: str) -> Domain:
+    """The domain written ``x0,x1,y0,y1``, as ``domain=`` and ``--domain``
+    take it."""
+    bounds = text.split(",")
+    if len(bounds) != 4:
+        raise ValueError(f"must be x0,x1,y0,y1, got {text!r}")
+    return Domain(*(float(v) for v in bounds))
+
+
 def _convert(key: str, value: str):
-    """The typed value of the config entry ``key=value``; raises KeyError
-    for an unknown key and ValueError for a value that does not convert."""
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _INT_KEYS:
-        return int(value)
-    if key == "domain":
-        bounds = value.split(",")
-        if len(bounds) != 4:
-            raise ValueError(f"must be x0,x1,y0,y1, got {value!r}")
-        return Domain(*(float(v) for v in bounds))
-    if key == "phi":
-        return tuple(float(v) for v in value.split(","))
-    if key == "n":
-        return tuple(int(v) for v in value.split(","))
-    if key in ("samplers", "methods"):
-        return tuple(v.strip() for v in value.split(",") if v.strip())
+    """The typed value of the config entry ``key=value``, of the type of
+    the key's default in :class:`ExperimentConfig` (``pm_cutoff``, whose
+    default is None, is a float or empty); raises KeyError for an unknown
+    key and ValueError for a value that does not convert."""
     if key == "pm_cutoff":
         return float(value) if value else None
-    if key == "timing":
+    default = _DEFAULTS[key]
+    if isinstance(default, Domain):
+        return parse_domain(value)
+    if isinstance(default, tuple):
+        if isinstance(default[0], str):
+            return tuple(v.strip() for v in value.split(",") if v.strip())
+        return tuple(type(default[0])(v) for v in value.split(","))
+    if isinstance(default, bool):
         flag = value.lower()
         if flag not in _ON + _OFF:
             raise ValueError(f"must be on or off, got {value!r}")
         return flag in _ON
-    raise KeyError(key)
+    return type(default)(value)
 
 
 def parse_config(text: str) -> ExperimentConfig:

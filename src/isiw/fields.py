@@ -39,6 +39,10 @@ class SeedStream:
     root: int
     key: tuple[int, ...] = ()
 
+    def __post_init__(self):
+        if self.root < 0:
+            raise ValueError(f"seed must be >= 0, got {self.root}")
+
     def child(self, *ids: int) -> "SeedStream":
         return SeedStream(self.root, self.key + tuple(int(i) for i in ids))
 

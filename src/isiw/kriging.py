@@ -27,7 +27,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from scipy.spatial.distance import cdist
 
 from ._linalg import cholesky_lower, one_blas_thread
-from .model import CovParams, Dataset, ModelParams, condensed_cov_matrix, matern_cov, read_only
+from .model import CovParams, Dataset, ModelParams, matern_cov, read_only, symmetric_from_condensed
 
 # targets per cross-covariance block: 0.8 MB per block at n = 400
 TARGET_BLOCK = 256
@@ -96,7 +96,8 @@ def krige(psi: ModelParams, data: Dataset, targets: np.ndarray) -> KrigingOutput
     if not np.all(np.isfinite(targets)):
         raise ValueError("non-finite target locations")
 
-    cov = condensed_cov_matrix(data.condensed_distances(), psi.theta, psi.tau2)
+    diagonal = matern_cov(0.0, psi.theta) + psi.tau2
+    cov = symmetric_from_condensed(matern_cov(data.condensed_distances(), psi.theta), diagonal)
     chol = cholesky_lower(cov, context="kriging system", overwrite=True)
     alpha = cho_solve((chol, True), data.values - psi.mu, check_finite=False)
     predictions = np.empty(len(targets))

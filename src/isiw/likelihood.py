@@ -58,7 +58,6 @@ from .model import (
     ModelParams,
     matern_cov,
     matern_cov_and_dlogphi,
-    matern_cov_dlogphi,
     read_only,
     symmetric_from_condensed,
 )
@@ -135,8 +134,8 @@ class VecchiaPlan:
     Row j of ``idx`` (width min(m, n - 1) + 1) is the block of the j-th
     ordered point ``order[j]``: its ``k[j] = min(m, j)`` nearest earlier
     points, ties to the lowest index, then the point itself in column
-    ``k[j]``, then copies of it as padding. ``neighbors[j]`` is the row's
-    first ``k[j]`` entries. ``pair_index`` maps each entry to its distinct
+    ``k[j]``, then copies of it as padding, so its conditioning set is
+    ``idx[j, :k[j]]``. ``pair_index`` maps each entry to its distinct
     pair in ``pair_dists``, and an entry in a padding row or column past
     the end: to slot ``len(pair_dists)`` off the diagonal, the next on it.
     """
@@ -148,7 +147,6 @@ class VecchiaPlan:
     k: np.ndarray = field(init=False, repr=False)
     pair_index: np.ndarray = field(init=False, repr=False)
     pair_dists: np.ndarray = field(init=False, repr=False)
-    neighbors: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         locs = read_only(np.atleast_2d(np.array(self.locations, dtype=float)))
@@ -182,7 +180,6 @@ class VecchiaPlan:
         for name, value in dict(
             locations=locs, order=order, idx=read_only(idx), k=read_only(k), pair_index=read_only(pair_index),
             pair_dists=read_only(_distances(locs[pairs // n], locs[pairs % n])),
-            neighbors=tuple(np.split(read_only(idx[cols < k[:, None]]), np.cumsum(k)[:-1])),
         ).items():
             object.__setattr__(self, name, value)
 
@@ -205,36 +202,45 @@ def exact_nll(psi: ModelParams, data: Dataset) -> NllValue:
     """Negative log-likelihood of N(mu 1, Sigma(theta) + tau2 I) via Cholesky,
     with its profile. The Matérn and its phi-derivative are evaluated
     together on the n(n-1)/2 condensed distances and mirrored, with their
-    h = 0 limits on the diagonal.
+    h = 0 limits, sigma2 + tau2 and 0, on the diagonal. The factor is
+    dropped before the derivative matrix is built, so at most about four
+    n x n arrays are alive at once.
 
     The profile's mu is the generalised-least-squares mean and its sigma2
     is r'B^-1 r / n for the GLS residual r, with B the covariance over
     sigma2. Its gradient takes 1/2 tr((C - c a a') dA) over log phi and
     eta, with C the inverse covariance at psi, a = C r, c the ratio of
     psi's sigma2 to the profile's, and dA = sigma2 I along eta."""
-    theta, dist, n = psi.theta, data.condensed_distances(), data.n
-    pair_cov, pair_dcov = matern_cov_and_dlogphi(dist, theta)
+    theta, n = psi.theta, data.n
+    pair_cov, pair_dcov = matern_cov_and_dlogphi(data.condensed_distances(), theta)
     cov = symmetric_from_condensed(pair_cov, matern_cov(0.0, theta) + psi.tau2)
+    del pair_cov
     chol = cholesky_lower(cov, context="observation covariance", overwrite=True)
     log_det = np.sum(np.log(np.diag(chol)))
     z = solve_triangular(chol, data.values - psi.mu, lower=True, check_finite=False)
     value = 0.5 * n * LOG_2PI + log_det + 0.5 * z @ z
-
-    inverse = cho_solve((chol, True), np.eye(n), check_finite=False)
-    d_matern = symmetric_from_condensed(pair_dcov, matern_cov_dlogphi(0.0, theta))
 
     ones = solve_triangular(chol, np.ones(n), lower=True, check_finite=False)
     shift = (ones @ z) / (ones @ ones)
     resid = z - shift * ones
     ratio = (resid @ resid) / n
     alpha_hat = solve_triangular(chol, resid, lower=True, trans="T", check_finite=False)
+    inverse = cho_solve((chol, True), np.eye(n, order="F"), overwrite_b=True, check_finite=False)
+    del chol
     with _degenerate_profile_ok():
-        w = inverse - np.outer(alpha_hat, alpha_hat) / ratio
+        # w = inverse - a a' / ratio, in the outer product's own C-ordered
+        # buffer: summed in that order, the gradient keeps its last bits
+        w = np.multiply.outer(alpha_hat, alpha_hat)
+        w /= ratio
+        np.subtract(inverse, w, out=w)
+        del inverse
+        trace_w = np.trace(w)
+        w *= symmetric_from_condensed(pair_dcov, 0.0)  # dC/dlog phi is +0.0 at h = 0
         profile = Profile(
             psi.mu + shift,
             theta.sigma2 * ratio,
             log_det + 0.5 * n * (LOG_2PI + 1.0 + np.log(ratio)),
-            np.array([0.5 * np.sum(w * d_matern), 0.5 * theta.sigma2 * np.trace(w)]),
+            np.array([0.5 * np.sum(w), 0.5 * theta.sigma2 * trace_w]),
         )
     return NllValue(value, profile)
 

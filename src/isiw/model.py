@@ -4,7 +4,11 @@ Everything downstream (simulation, likelihoods, kriging) builds covariance
 matrices through this module, so the conventions live here: distances are
 Euclidean in raw coordinate units, the smoothness ``nu`` is treated as a
 known constant, and the nugget ``tau2`` sits on the diagonal of the
-observation covariance only.
+observation covariance only. That covariance is built one way, by the
+exact likelihood and by kriging alike: the Matérn of the condensed
+distances d, mirrored by ``symmetric_from_condensed(matern_cov(d),
+matern_cov(0) + tau2)``. ``matern_cov_and_dlogphi`` gives the covariance
+with its derivative in log phi from one evaluation.
 """
 
 from __future__ import annotations
@@ -193,10 +197,10 @@ def _exp_prefactor(s: np.ndarray, sigma2: float, nu: float, dlogphi: bool):
     return p
 
 
-def _matern(h, theta: CovParams, *dlogphi: bool) -> tuple:
-    """The kernel of :func:`matern_cov` and :func:`matern_cov_dlogphi`: for
-    each flag in ``dlogphi``, the covariance (False) or its derivative in
-    log phi (True) at ``h``.
+def _matern(h, theta: CovParams, dlogphi: bool) -> tuple:
+    """The kernel of :func:`matern_cov` and :func:`matern_cov_and_dlogphi`:
+    the covariance at ``h``, and with ``dlogphi`` also its derivative in
+    log phi.
 
     ``h`` is validated once. Each result is computed in a buffer of the
     scaled distances s = sqrt(2 nu) h / phi, next to a prefactor array of
@@ -213,11 +217,12 @@ def _matern(h, theta: CovParams, *dlogphi: bool) -> tuple:
     if np.any(h_arr < 0):
         raise ValueError("distances must be nonnegative")
     scaled = math.sqrt(2.0 * theta.nu) / theta.phi * np.atleast_1d(h_arr)
-    out = [_matern_scaled(scaled.copy(), theta, flag) for flag in dlogphi[:-1]]
-    out.append(_matern_scaled(scaled, theta, dlogphi[-1]))
+    out = (_matern_scaled(scaled.copy() if dlogphi else scaled, theta, False),)
+    if dlogphi:
+        out += (_matern_scaled(scaled, theta, True),)
     if h_arr.ndim == 0:
         return tuple(float(v[0]) for v in out)
-    return tuple(out)
+    return out
 
 
 def _matern_scaled(s: np.ndarray, theta: CovParams, dlogphi: bool) -> np.ndarray:
@@ -260,25 +265,22 @@ def matern_cov(h, theta: CovParams):
     return _matern(h, theta, False)[0]
 
 
-def matern_cov_dlogphi(h, theta: CovParams):
-    """Derivative of :func:`matern_cov` with respect to log phi.
+def matern_cov_and_dlogphi(h, theta: CovParams) -> tuple:
+    """(:func:`matern_cov`, its derivative with respect to log phi) at
+    ``h``, the first equal to :func:`matern_cov` bit for bit, both from one
+    validation and one scaling of ``h``.
 
     With s = sqrt(2 nu) h / phi, ds/dlog phi = -s and
     d/ds [s^nu K_nu(s)] = -s^nu K_(nu-1)(s), so
 
         dC/dlog phi = sigma2 * 2^(1-nu)/Gamma(nu) * s^(nu+1) * K_(nu-1)(s),
 
-    which is sigma2 s^2 K_0(s) at nu = 1 and vanishes at h = 0. nu = 1/2,
-    3/2 and 5/2 use the derivatives of their exponential closed forms.
-    Accepts scalars or arrays; returns the same shape.
+    which is sigma2 s^2 K_0(s) at nu = 1 and exactly +0.0 at h = 0 for
+    every nu. nu = 1/2, 3/2 and 5/2 use the derivatives of their
+    exponential closed forms. Accepts scalars or arrays; returns the same
+    shape.
     """
-    return _matern(h, theta, True)[0]
-
-
-def matern_cov_and_dlogphi(h, theta: CovParams) -> tuple:
-    """(:func:`matern_cov`, :func:`matern_cov_dlogphi`) at ``h``, equal to
-    them bit for bit, from one validation and one scaling of ``h``."""
-    return _matern(h, theta, False, True)
+    return _matern(h, theta, True)
 
 
 def symmetric_from_condensed(condensed: np.ndarray, diagonal: float) -> np.ndarray:
@@ -287,17 +289,6 @@ def symmetric_from_condensed(condensed: np.ndarray, diagonal: float) -> np.ndarr
     out = squareform(condensed, checks=False)
     np.fill_diagonal(out, diagonal)
     return out
-
-
-def condensed_cov_matrix(condensed: np.ndarray, theta: CovParams, tau2: float = 0.0) -> np.ndarray:
-    """n x n observation covariance from condensed pairwise distances: the
-    Matérn evaluated once per pair i < j and mirrored, with its h = 0 limit
-    plus ``tau2`` on the diagonal. Bit for bit the Matérn of the full
-    ``cdist`` matrix, since the Matérn is elementwise and ``pdist`` equals
-    ``cdist`` entry for entry."""
-    if tau2 < 0:
-        raise ValueError(f"nugget must be nonnegative, got {tau2}")
-    return symmetric_from_condensed(matern_cov(condensed, theta), matern_cov(0.0, theta) + tau2)
 
 
 def microergodic(theta: CovParams) -> float:

@@ -1,13 +1,11 @@
 import pytest
 
-from isiw._linalg import _openblas_calls, blas_threads
+from isiw._linalg import _openblas_libraries, blas_threads
 
 
 def _restore(counts: dict) -> None:
-    setters = _openblas_calls("set_num_threads")
     for path, n in counts.items():
-        if path in setters:
-            setters[path](n)
+        _openblas_libraries()[path][1](n)
 
 
 @pytest.fixture(autouse=True)

@@ -12,7 +12,7 @@ from scipy.spatial.distance import pdist
 
 from isiw import CovParams, ModelParams, VecchiaPlan
 from isiw._linalg import NotPositiveDefiniteError, cholesky_lower
-from isiw.model import condensed_cov_matrix
+from isiw.model import matern_cov, symmetric_from_condensed
 
 FD_REL_STEP = 1e-5
 
@@ -40,7 +40,7 @@ def build_cov_matrix(locs: np.ndarray, theta: CovParams, tau2: float = 0.0) -> n
     """n x n observation covariance: Matérn on pairwise distances plus
     ``tau2`` on the diagonal."""
     locs = np.atleast_2d(np.asarray(locs, dtype=float))
-    return condensed_cov_matrix(pdist(locs), theta, tau2)
+    return symmetric_from_condensed(matern_cov(pdist(locs), theta), matern_cov(0.0, theta) + tau2)
 
 
 def vecchia_implied_cov(psi: ModelParams, plan: VecchiaPlan) -> np.ndarray:
@@ -57,7 +57,7 @@ def vecchia_implied_cov(psi: ModelParams, plan: VecchiaPlan) -> np.ndarray:
     d_vec = np.empty(n)
     for j in range(n):
         i = plan.order[j]
-        q = plan.neighbors[j]
+        q = plan.idx[j, : plan.k[j]]
         if q.size == 0:
             d_vec[j] = sigma[i, i]
             continue

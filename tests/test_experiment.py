@@ -415,9 +415,10 @@ class TestConfigFormat:
         ("mu=nan", "mu must be finite, got nan"),
         ("pm_cutoff=-1", "pm_cutoff must be positive, got -1.0"),
         ("threshold=inf", "threshold must be nonnegative and finite, got inf"),
+        ("seed=-1", "seed must be >= 0, got -1"),
     ], ids=["negative-phi", "zero-phi", "zero-n", "zero-m", "negative-threshold", "one-column",
             "no-rows", "negative-sigma2", "zero-nu", "negative-tau2", "no-thomas-parents",
-            "nan-beta", "nan-mu", "negative-pm-cutoff", "infinite-threshold"])
+            "nan-beta", "nan-mu", "negative-pm-cutoff", "infinite-threshold", "negative-seed"])
     def test_run_sinking_value_rejected(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_config(text)
@@ -580,6 +581,8 @@ class TestCli:
         (["experiment", "--m", "3"], "--m"),
         (["experiment", "--threads", "0"], "threads"),
         (["intensity", "--selector", "diggle", "--bandwidth", "0.1"], "--bandwidth"),
+        (["simulate", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["experiment", "--seed", "-1"], "seed must be >= 0, got -1"),
     ])
     def test_unread_or_contradictory_flags_rejected(self, args, named, dataset_csv, tmp_path, capsys):
         # every other input is valid, so the flag under test is the only fault

@@ -35,6 +35,11 @@ class TestSeedStream:
         assert SeedStream(7).child(3, 4).key == (3, 4)
         assert SeedStream(7, (1,)).child(2).key == (1, 2)
 
+    def test_negative_root_rejected(self):
+        # numpy's SeedSequence would refuse it later without naming the seed
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SeedStream(-1)
+
 
 def implied_grid_covariance_error(spec, theta):
     """Largest gap, over the offsets within the grid, between the covariance

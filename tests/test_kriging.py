@@ -27,7 +27,6 @@ from isiw import (
 )
 from isiw._linalg import NotPositiveDefiniteError, blas_threads, cholesky_lower
 from isiw.kriging import TARGET_BLOCK
-from isiw.model import condensed_cov_matrix
 from oracles import build_cov_matrix
 from test_inference import no_nugget_dataset
 
@@ -154,7 +153,7 @@ class TestTargetBlocks:
         # the whole n x T cross-covariance at once, as krige once computed it
         data = random_dataset(120, 14)
         targets = np.random.default_rng(15).random((ntargets, 2))
-        chol = cholesky_lower(condensed_cov_matrix(data.condensed_distances(), PSI.theta, PSI.tau2))
+        chol = cholesky_lower(build_cov_matrix(data.locations, PSI.theta, PSI.tau2))
         alpha = cho_solve((chol, True), data.values - PSI.mu, check_finite=False)
         cross = matern_cov(cdist(data.locations, targets), PSI.theta)
         assert np.array_equal(krige(PSI, data, targets).predictions, PSI.mu + cross.T @ alpha)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import fd_gradient
@@ -26,7 +26,7 @@ from isiw import (
     ModelParams,
     exact_nll,
     matern_cov,
-    matern_cov_dlogphi,
+    matern_cov_and_dlogphi,
     maxmin_order,
     nn_conditioning_sets,
     pairwise_marginal_nll,
@@ -228,7 +228,7 @@ def test_matern_dlogphi_matches_richardson(nu, sigma2, phi, h):
     reference = np.array(
         [richardson_gradient(lambda y, i=i: cov_at(y)[i], log_phi)[0] for i in range(h.size)]
     )
-    analytic = matern_cov_dlogphi(h, CovParams(sigma2, phi, nu))
+    analytic = matern_cov_and_dlogphi(h, CovParams(sigma2, phi, nu))[1]
     assert np.all(np.isfinite(analytic))
     # the general-nu Bessel product carries ~1e-14 relative noise at tiny s,
     # which the 5e-6 difference step turns into ~1e-9 * sigma2 of noise in
@@ -239,19 +239,29 @@ def test_matern_dlogphi_matches_richardson(nu, sigma2, phi, h):
 
 @PROPERTY
 @given(st.sampled_from(NUS), st.floats(0.0, 1e-300), st.floats(1e-3, 1e3))
+@example(0.5, 0.0, 0.15)
+@example(0.8, 0.0, 0.15)
+@example(1.0, 0.0, 0.15)
+@example(1.5, 0.0, 0.15)
+@example(2.5, 0.0, 0.15)
 def test_matern_tiny_distances_reach_their_limits(nu, h, phi):
     # Bessel K overflows at subnormal arguments; both functions must still
     # return (up to the Bessel product's noise) their h = 0 limits there
     theta = CovParams(1.7, phi, nu)
+    cov, dcov = matern_cov_and_dlogphi(h, theta)
     assert abs(matern_cov(h, theta) - 1.7) <= 1e-13
-    assert abs(matern_cov_dlogphi(h, theta)) <= 1e-13
+    assert abs(cov - 1.7) <= 1e-13
+    assert abs(dcov) <= 1e-13
+    if h == 0.0:
+        # the exact NLL puts this value on its derivative matrix's diagonal
+        assert dcov == 0.0 and math.copysign(1.0, dcov) == 1.0
 
 
 @pytest.mark.parametrize("nu", NUS)
 @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
 def test_matern_rejects_non_finite_distances(nu, h):
     theta = CovParams(1.5, 0.15, nu)
-    for func in (matern_cov, matern_cov_dlogphi):
+    for func in (matern_cov, matern_cov_and_dlogphi):
         with pytest.raises(ValueError, match="finite"):
             func(h, theta)
         with pytest.raises(ValueError, match="finite"):
