@@ -6,9 +6,10 @@ krige (data CSV + parameters -> surface CSV), experiment (config file ->
 results CSVs). Each subcommand takes only the flags it reads; any other
 flag is a usage error. ``fit --method`` takes the experiment's method
 entries (``mle``, ``vecchia``, ``isiw-v:SOURCE``, ``isiw-pm:SOURCE``) and
-builds the same objective the experiment does, except that the ``known``
-source, which needs the simulated truth, is refused. Exit codes: 0
-success, 1 usage error, 2 numerical failure.
+fits one through :func:`~isiw.experiment.method_fitter`, as the
+experiment does, except that the ``known`` source, which needs the
+simulated truth, is refused. Exit codes: 0 success, 1 usage error, 2
+numerical failure.
 """
 
 from __future__ import annotations
@@ -20,21 +21,17 @@ from pathlib import Path
 
 import numpy as np
 
-from ._linalg import NotPositiveDefiniteError
 from .experiment import (
     KNOWN,
     METHOD_ISIW_PM,
     ExperimentConfig,
-    build_objective,
-    estimated_weights,
     load_config,
+    method_fitter,
     parse_domain,
     parse_method,
     run_experiment,
-    vecchia_plan,
 )
 from .fields import GridSpec, SeedStream, simulate_field
-from .inference import FitConfig, default_init, fit
 from .intensity import (
     BandwidthSpec,
     GRID_METHODS,
@@ -44,12 +41,13 @@ from .intensity import (
     weights_from_intensity,
 )
 from .kriging import krige
-from .model import CovParams, Domain, ModelParams, microergodic
+from .model import CovParams, ModelParams, microergodic
 from .pointprocess import SAMPLER_KINDS, THOMAS, SamplerSpec, compute_intensity, sample_conditioned, sample_thomas
 from . import io
 
 USAGE_ERROR = 1
 NUMERICAL_ERROR = 2
+_CONFIG = ExperimentConfig()  # the defaults the CLI shares with the experiment
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,13 +57,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+def _argument(parse):
+    """``parse`` as an argparse type whose ValueError text is the usage error."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
 def _fit_method(text: str):
-    try:
-        spec = parse_method(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    spec = parse_method(text)
     if spec.source == KNOWN:
-        raise argparse.ArgumentTypeError(
+        raise ValueError(
             f"{text!r}: the known intensity exists only in a simulation; "
             "use 'isiw experiment' or an estimated source"
         )
@@ -81,10 +86,9 @@ def _grid(args) -> GridSpec:
 _SHARED = {
     "seed": dict(type=int, default=0, help="root random seed"),
     "out-dir": dict(default=".", help="directory for output files"),
-    "domain": dict(type=parse_domain, default=Domain(0.0, 1.0, 0.0, 1.0),
-                   help="study region x0,x1,y0,y1"),
-    "nu": dict(type=float, default=ExperimentConfig.nu, help="Matérn smoothness (fixed)"),
-    "threshold": dict(type=float, default=ExperimentConfig.threshold,
+    "domain": dict(type=_argument(parse_domain), default=_CONFIG.domain, help="study region x0,x1,y0,y1"),
+    "nu": dict(type=float, default=_CONFIG.nu, help="Matérn smoothness (fixed)"),
+    "threshold": dict(type=float, default=_CONFIG.threshold,
                       help="winsorization lower threshold on normalized intensity"),
 }
 
@@ -102,9 +106,9 @@ def build_parser() -> _Parser:
 
     p = _subcommand(sub, "simulate", ("seed", "out-dir", "domain", "nu"),
                     help="simulate a Matérn field on a grid")
-    p.add_argument("--nx", type=int, default=48)
+    p.add_argument("--nx", type=int, default=_CONFIG.grid_nx)
     p.add_argument("--ny", type=int, default=None)
-    p.add_argument("--sigma2", type=float, default=1.5)
+    p.add_argument("--sigma2", type=float, default=_CONFIG.sigma2)
     p.add_argument("--phi", type=float, default=0.15)
     p.add_argument("--out", default="field.csv")
 
@@ -112,16 +116,16 @@ def build_parser() -> _Parser:
     p.add_argument("--field", required=True, help="field CSV from 'simulate'")
     p.add_argument("--sampler", default="lgcp", choices=SAMPLER_KINDS)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--parent-rate", type=float, default=25.0)
-    p.add_argument("--offspring-scale", type=float, default=0.1)
+    p.add_argument("--beta", type=float, default=_CONFIG.beta)
+    p.add_argument("--alpha", type=float, default=_CONFIG.alpha)
+    p.add_argument("--parent-rate", type=float, default=_CONFIG.thomas_parent_rate)
+    p.add_argument("--offspring-scale", type=float, default=_CONFIG.thomas_offspring_scale)
     p.add_argument("--out", default="points.csv")
 
     p = _subcommand(sub, "intensity", ("out-dir", "domain", "threshold"),
                     help="kernel intensity on a grid plus inverse-intensity weights")
     p.add_argument("--points", required=True, help="points CSV (x,y)")
-    p.add_argument("--nx", type=int, default=48, help="evaluation grid resolution")
+    p.add_argument("--nx", type=int, default=_CONFIG.grid_nx, help="evaluation grid resolution")
     p.add_argument("--ny", type=int, default=None)
     bandwidth = p.add_mutually_exclusive_group()
     bandwidth.add_argument("--selector", default=SCOTT, choices=[SCOTT, *GRID_METHODS],
@@ -132,10 +136,10 @@ def build_parser() -> _Parser:
     p = _subcommand(sub, "fit", ("seed", "out-dir", "domain", "threshold", "nu"),
                     help="fit model parameters to a data CSV")
     p.add_argument("--data", required=True, help="data CSV (x,y,value)")
-    p.add_argument("--method", type=_fit_method, default="mle",
+    p.add_argument("--method", type=_argument(_fit_method), default="mle",
                    help="mle, vecchia, isiw-v:SOURCE or isiw-pm:SOURCE; SOURCE is a "
                         "bandwidth selector: scott, diggle, ppl, CvL or CvL.adaptive")
-    p.add_argument("--m", type=int, default=ExperimentConfig.m, help="max conditioning-set size")
+    p.add_argument("--m", type=int, default=_CONFIG.m, help="max conditioning-set size")
     p.add_argument("--cutoff", type=float, default=None,
                    help="isiw-pm pairwise distance cutoff")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -147,7 +151,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sigma2", type=float, required=True)
     p.add_argument("--phi", type=float, required=True)
     p.add_argument("--tau2", type=float, required=True)
-    p.add_argument("--nx", type=int, default=48)
+    p.add_argument("--nx", type=int, default=_CONFIG.grid_nx)
     p.add_argument("--ny", type=int, default=None)
     p.add_argument("--out", default="surface.csv")
 
@@ -202,16 +206,11 @@ def _cmd_intensity(args) -> int:
 def _cmd_fit(args) -> int:
     if args.cutoff is not None and args.method.name != METHOD_ISIW_PM:
         raise ValueError(f"--cutoff applies to isiw-pm only, not to {args.method.name}")
-    data = io.read_dataset_csv(args.data)
-    objective = build_objective(
-        args.method, data,
-        plan=lambda: vecchia_plan(data, args.m),
-        weights=lambda src: estimated_weights(src, data.locations, args.domain, args.threshold),
-        exact_mle_max_n=ExperimentConfig.exact_mle_max_n,
-        pair_cutoff=args.cutoff,
+    fit_one = method_fitter(
+        io.read_dataset_csv(args.data), args.domain, nu=args.nu, m=args.m, threshold=args.threshold,
+        pair_cutoff=args.cutoff, exact_mle_max_n=_CONFIG.exact_mle_max_n,
     )
-    init = default_init(data, args.domain, nu=args.nu)
-    res = fit(objective, data, init, FitConfig(domain=args.domain, restart_seed=args.seed))
+    res = fit_one(args.method, args.seed)
     report = res.psi_hat.as_dict()
     report["kappa"] = microergodic(res.psi_hat.theta)
     report.update(
@@ -237,7 +236,7 @@ def _cmd_krige(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    config = load_config(args.config) if args.config else ExperimentConfig()
+    config = load_config(args.config) if args.config else _CONFIG
     overrides = {"threads": args.threads, "seed": args.seed}
     # replace() runs the config's validation again on the overridden values
     config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
@@ -264,7 +263,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (NotPositiveDefiniteError, np.linalg.LinAlgError, RuntimeError) as exc:
+    except (np.linalg.LinAlgError, ArithmeticError, RuntimeError) as exc:
         print(f"isiw: numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
     except (ValueError, FileNotFoundError) as exc:

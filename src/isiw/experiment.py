@@ -12,9 +12,9 @@ Method entries are ``mle``, ``vecchia``, or ``isiw-v:SOURCE`` /
 ``isiw-pm:SOURCE`` with SOURCE one of known, scott, diggle, ppl, CvL,
 CvL.adaptive. ``known`` reads the true sampling intensity off the
 simulated surface; the others estimate it from the point pattern.
-:func:`parse_method` reads an entry and :func:`build_objective` turns it
-into the likelihood objective; ``isiw fit --method`` uses both too, so one
-entry means one fit everywhere.
+:func:`parse_method` reads an entry and the runner of
+:func:`method_fitter` fits it to a dataset; ``isiw fit --method`` uses
+both too, so one entry means one fit everywhere.
 
 Every row is reproducible from (seed, scenario, replicate): streams are
 keyed by a hash of the scenario label plus the replicate id, fits are
@@ -39,7 +39,7 @@ import scipy
 
 from ._linalg import blas_threads, set_blas_threads
 from .fields import GridSpec, SeedStream, observe, simulate_field
-from .inference import FitConfig, default_init, fit
+from .inference import FitConfig, FitResult, default_init, fit
 from .intensity import GRID_METHODS, SCOTT, estimate_intensity, select_bandwidth, weights_from_intensity
 from .io import write_rows
 from .kriging import krige
@@ -89,36 +89,42 @@ def parse_method(entry: str) -> MethodSpec:
     return MethodSpec(name, source)
 
 
-def vecchia_plan(data: Dataset, m: int):
-    """Max-min ordering with up to ``m`` nearest earlier neighbours."""
-    return nn_conditioning_sets(data.locations, maxmin_order(data.locations), m)
+def method_fitter(
+    data: Dataset, domain: Domain, *, nu: float, m: int, threshold: float,
+    pair_cutoff: float | None, exact_mle_max_n: int, known_intensity=None,
+):
+    """The method runner of ``data``: ``fit_one(spec, restart_seed)`` returns
+    the :class:`~isiw.inference.FitResult` of the method entry ``spec``.
+    ``mle`` is the exact likelihood up to ``exact_mle_max_n`` points and
+    unweighted Vecchia above. The start point, the Vecchia plan (max-min
+    order, up to ``m`` nearest earlier neighbours) and each source's
+    inverse-intensity weights are built on first use and shared by every
+    fit. The ``known`` source weights ``known_intensity``, the true sampling
+    intensity at the data points; the others select a kernel bandwidth."""
+    init = functools.cache(lambda: default_init(data, domain, nu=nu))
+    plan = functools.cache(lambda: nn_conditioning_sets(data.locations, maxmin_order(data.locations), m))
 
+    @functools.cache
+    def weights(source: str):
+        if source != KNOWN:
+            bw = select_bandwidth(source, data.locations, domain)
+            return weights_from_intensity(estimate_intensity(data.locations, domain, bw), threshold)
+        if known_intensity is None:
+            raise ValueError("the known source needs the known intensity at the data points")
+        return weights_from_intensity(known_intensity, threshold)
 
-def estimated_weights(source: str, locations, domain: Domain, threshold: float):
-    """Inverse-intensity weights from a kernel estimate whose bandwidth the
-    selector ``source`` picks."""
-    bw = select_bandwidth(source, locations, domain)
-    return weights_from_intensity(estimate_intensity(locations, domain, bw), threshold)
+    def fit_one(spec: MethodSpec, restart_seed: int) -> FitResult:
+        if spec.name == METHOD_MLE and data.n <= exact_mle_max_n:
+            objective = Objective(kind=EXACT)
+        elif spec.name in (METHOD_MLE, METHOD_VECCHIA):
+            objective = Objective(kind=VECCHIA, plan=plan())
+        elif spec.name == METHOD_ISIW_V:
+            objective = Objective(kind=VECCHIA, plan=plan(), weights=weights(spec.source))
+        else:
+            objective = Objective(kind=PAIRWISE_MARGINAL, weights=weights(spec.source), pair_cutoff=pair_cutoff)
+        return fit(objective, data, init(), FitConfig(domain=domain, restart_seed=restart_seed))
 
-
-def build_objective(
-    spec: MethodSpec, data: Dataset, *, plan, weights, exact_mle_max_n: int, pair_cutoff
-) -> Objective:
-    """The likelihood objective of ``spec`` on ``data``.
-
-    ``mle`` is the exact likelihood up to ``exact_mle_max_n`` points and the
-    unweighted Vecchia one above. ``plan()`` returns the Vecchia plan and
-    ``weights(source)`` the weight vector of a source; each is called only
-    when the method needs it, so a caller fitting several methods to one
-    dataset can cache them.
-    """
-    if spec.name == METHOD_MLE and data.n <= exact_mle_max_n:
-        return Objective(kind=EXACT)
-    if spec.name in (METHOD_MLE, METHOD_VECCHIA):
-        return Objective(kind=VECCHIA, plan=plan())
-    if spec.name == METHOD_ISIW_V:
-        return Objective(kind=VECCHIA, plan=plan(), weights=weights(spec.source))
-    return Objective(kind=PAIRWISE_MARGINAL, weights=weights(spec.source), pair_cutoff=pair_cutoff)
+    return fit_one
 
 
 @dataclass(frozen=True)
@@ -337,31 +343,20 @@ def run_replicate(config: ExperimentConfig, scenario: Scenario, replicate: int) 
 
     truth_surface = config.mu + fld.values
     centers = grid.cell_centers()
-    init = default_init(data, config.domain, nu=config.nu)
-    plan = functools.cache(lambda: vecchia_plan(data, config.m))
-
-    @functools.cache
-    def weights(source):
-        if source == KNOWN:
-            if cell_intensity is None:
-                raise ValueError("known weights are unavailable for the Thomas process")
-            return weights_from_intensity(cell_intensity[fld.grid.locate(locs)], config.threshold)
-        return estimated_weights(source, locs, config.domain, config.threshold)
+    fit_one = method_fitter(
+        data, config.domain, nu=config.nu, m=config.m, threshold=config.threshold,
+        pair_cutoff=config.pm_cutoff, exact_mle_max_n=config.exact_mle_max_n,
+        known_intensity=None if cell_intensity is None else cell_intensity[fld.grid.locate(locs)],
+    )
 
     rows = []
     for mi, method in enumerate(config.method_specs()):
         start = time.perf_counter()
         try:
-            objective = build_objective(
-                method, data, plan=plan, weights=weights,
-                exact_mle_max_n=config.exact_mle_max_n, pair_cutoff=config.pm_cutoff,
+            res = fit_one(
+                method,
+                (config.seed * 2654435761 + scenario.sid * 7919 + replicate * 104729 + mi) % (2**63),
             )
-            fit_cfg = FitConfig(
-                domain=config.domain,
-                restart_seed=(config.seed * 2654435761 + scenario.sid * 7919 + replicate * 104729 + mi)
-                % (2**63),
-            )
-            res = fit(objective, data, init, fit_cfg)
             surface = krige(res.psi_hat, data, centers)
             score = rmspe(surface.predictions, truth_surface)
             truth_psi = config.truth(scenario.phi)

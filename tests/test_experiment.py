@@ -25,16 +25,34 @@ from isiw.experiment import (
     ExperimentConfig,
     _average_ranks,
     _worker_pool,
-    build_objective,
-    estimated_weights,
     format_config,
+    method_fitter,
     parse_method,
     summarize,
-    vecchia_plan,
 )
-from isiw import Dataset, FitConfig, default_init, fit, io
-from isiw.cli import main as cli_main
+from isiw import (
+    Dataset,
+    FitConfig,
+    Objective,
+    default_init,
+    estimate_intensity,
+    fit,
+    io,
+    maxmin_order,
+    nn_conditioning_sets,
+    select_bandwidth,
+    weights_from_intensity,
+)
+from isiw.cli import build_parser, main as cli_main
 from test_inference import no_nugget_dataset
+
+
+UNIT_DOMAIN = Domain(0.0, 1.0, 0.0, 1.0)
+
+
+def random_dataset(n: int) -> Dataset:
+    rng = np.random.default_rng(2)
+    return Dataset(locations=rng.random((n, 2)), values=rng.normal(size=n))
 
 
 def tiny_config(**overrides):
@@ -129,6 +147,12 @@ class TestRunReplicate:
         assert math.isnan(by_method["isiw-v"].rmspe)
         assert by_method["isiw-v"].error is not None
         assert math.isfinite(by_method["mle"].rmspe)
+
+    def test_too_few_points_to_fit_fail_softly(self):
+        # one point has no sample variance to start a fit from
+        config = tiny_config(n=(1,))
+        rows = run_replicate(config, config.scenarios()[0], 0)
+        assert [r.error for r in rows] == ["ValueError: initialization needs at least two observations"] * 2
 
     def test_fits_keep_config_nu(self):
         config = tiny_config(nu=2.5, methods=("mle", "vecchia", "isiw-v:known"))
@@ -446,14 +470,45 @@ class TestMethodVocabulary:
 
     @pytest.mark.parametrize("n,kind", [(ExperimentConfig.exact_mle_max_n, "exact"),
                                         (ExperimentConfig.exact_mle_max_n + 1, "vecchia")])
-    def test_mle_switches_to_vecchia_above_exact_max_n(self, n, kind):
-        rng = np.random.default_rng(2)
-        data = Dataset(locations=rng.random((n, 2)), values=rng.normal(size=n))
-        objective = build_objective(
-            parse_method("mle"), data, plan=lambda: vecchia_plan(data, 5), weights=None,
-            exact_mle_max_n=ExperimentConfig.exact_mle_max_n, pair_cutoff=None,
+    def test_mle_switches_to_vecchia_above_exact_max_n(self, n, kind, monkeypatch):
+        objectives = []
+        monkeypatch.setattr("isiw.experiment.fit", lambda objective, *_: objectives.append(objective))
+        fit_one = method_fitter(
+            random_dataset(n), UNIT_DOMAIN, nu=1.0, m=5, threshold=0.01, pair_cutoff=None,
+            exact_mle_max_n=ExperimentConfig.exact_mle_max_n,
         )
+        fit_one(parse_method("mle"), 0)
+        [objective] = objectives
         assert objective.kind == kind and objective.weights is None
+
+
+class TestMethodRunner:
+    def test_dataset_work_is_done_once_and_shared(self, monkeypatch):
+        # n above exact_mle_max_n, so mle needs the Vecchia plan too
+        calls = {"init": 0, "plan": 0, "diggle": 0}
+        objectives = []
+
+        def counted(name, func, key=lambda *args: name):
+            def wrapper(*args, **kwargs):
+                calls[key(*args)] += 1
+                return func(*args, **kwargs)
+            monkeypatch.setattr(f"isiw.experiment.{name}", wrapper)
+
+        counted("default_init", default_init, key=lambda *_: "init")
+        counted("nn_conditioning_sets", nn_conditioning_sets, key=lambda *_: "plan")
+        counted("select_bandwidth", select_bandwidth, key=lambda source, *_: source)
+        monkeypatch.setattr("isiw.experiment.fit", lambda objective, *_: objectives.append(objective))
+        fit_one = method_fitter(
+            random_dataset(ExperimentConfig.exact_mle_max_n + 1), UNIT_DOMAIN, nu=1.0, m=5,
+            threshold=0.01, pair_cutoff=None, exact_mle_max_n=ExperimentConfig.exact_mle_max_n,
+        )
+        for mi, entry in enumerate(["mle", "vecchia", "isiw-v:diggle", "isiw-pm:diggle"]):
+            fit_one(parse_method(entry), mi)
+        assert calls == {"init": 1, "plan": 1, "diggle": 1}
+        mle, vecchia, isiw_v, isiw_pm = objectives
+        assert [o.kind for o in objectives] == ["vecchia", "vecchia", "vecchia", "pairwise-marginal"]
+        assert mle.plan is vecchia.plan is isiw_v.plan
+        np.testing.assert_array_equal(isiw_v.weights, isiw_pm.weights)
 
 
 class TestIoRoundTrips:
@@ -555,14 +610,22 @@ class TestCli:
         ]) == 0
         report = dict(line.split("=", 1) for line in (tmp_path / "fit.txt").read_text().splitlines())
 
+        # the objective is built by hand, not through method_fitter, so this
+        # checks the runner the CLI and the experiment share
         config = ExperimentConfig()
         data = io.read_dataset_csv(dataset_csv)
-        objective = build_objective(
-            parse_method(spec), data,
-            plan=lambda: vecchia_plan(data, config.m),
-            weights=lambda src: estimated_weights(src, data.locations, config.domain, config.threshold),
-            exact_mle_max_n=config.exact_mle_max_n, pair_cutoff=config.pm_cutoff,
-        )
+        assert data.n <= config.exact_mle_max_n  # so mle is the exact likelihood
+        method, locs = parse_method(spec), data.locations
+        plan = nn_conditioning_sets(locs, maxmin_order(locs), config.m)
+        if method.source:
+            bw = select_bandwidth(method.source, locs, config.domain)
+            weights = weights_from_intensity(estimate_intensity(locs, config.domain, bw), config.threshold)
+        objective = {
+            "mle": lambda: Objective(kind="exact"),
+            "vecchia": lambda: Objective(kind="vecchia", plan=plan),
+            "isiw-v": lambda: Objective(kind="vecchia", plan=plan, weights=weights),
+            "isiw-pm": lambda: Objective(kind="pairwise-marginal", weights=weights),
+        }[method.name]()
         res = fit(objective, data, default_init(data, config.domain, nu=config.nu),
                   FitConfig(domain=config.domain, restart_seed=11))
         expected = {**res.psi_hat.as_dict(), "nll": res.nll}
@@ -664,6 +727,49 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["no-such-command"])
         assert exc.value.code == 1
+
+    def test_fit_ending_on_no_finite_value_is_a_numerical_failure(self, dataset_csv, monkeypatch, capsys):
+        def no_finite_value(*_):
+            raise FloatingPointError("every attempt ended on a non-finite objective value")
+
+        monkeypatch.setattr("isiw.experiment.fit", no_finite_value)
+        assert cli_main(["fit", "--data", str(dataset_csv)]) == 2
+        assert capsys.readouterr().err == (
+            "isiw: numerical failure: every attempt ended on a non-finite objective value\n"
+        )
+
+    @pytest.mark.parametrize("domain, reason", [
+        ("0,1,1,0", "degenerate domain"),
+        ("0,1,0", "must be x0,x1,y0,y1"),
+        ("0,1,a,1", "could not convert string to float"),
+    ])
+    def test_domain_error_names_its_reason(self, domain, reason, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert exit_code(["simulate", "--domain", domain, "--out-dir", str(out)]) == 1
+        assert reason in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, dest, key", [
+        *[(command, "nx", "grid_nx") for command in ("simulate", "intensity", "krige")],
+        *[(command, "domain", "domain") for command in ("simulate", "intensity", "fit", "krige")],
+        *[(command, "nu", "nu") for command in ("simulate", "fit", "krige")],
+        *[(command, "threshold", "threshold") for command in ("intensity", "fit")],
+        ("simulate", "sigma2", "sigma2"),
+        ("sample", "beta", "beta"),
+        ("sample", "alpha", "alpha"),
+        ("sample", "parent_rate", "thomas_parent_rate"),
+        ("sample", "offspring_scale", "thomas_offspring_scale"),
+        ("fit", "m", "m"),
+    ])
+    def test_default_is_the_config_default(self, command, dest, key):
+        required = {
+            "sample": ["--field", "f.csv", "--n", "5"],
+            "intensity": ["--points", "p.csv"],
+            "fit": ["--data", "d.csv"],
+            "krige": ["--data", "d.csv", "--mu", "0", "--sigma2", "1", "--phi", "0.1", "--tau2", "0"],
+        }
+        args = build_parser().parse_args([command, *required.get(command, [])])
+        assert getattr(args, dest) == getattr(ExperimentConfig(), key)
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # an effectively rank-one kriging system (phi >> domain, no nugget)

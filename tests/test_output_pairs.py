@@ -1,0 +1,55 @@
+"""``tools/output_pairs.py``: its byte-level compare step, on two output
+directories of one tiny experiment."""
+
+import shutil
+import sys
+from pathlib import Path
+
+import pytest
+
+from isiw.cli import main as cli_main
+
+TOOLS = str(Path(__file__).resolve().parents[1] / "tools")
+sys.path.insert(0, TOOLS)
+try:
+    import output_pairs
+finally:
+    sys.path.remove(TOOLS)
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    base = tmp_path_factory.mktemp("output_pairs")
+    cfg = base / "exp.cfg"
+    cfg.write_text(
+        "replicates=1\ngrid_nx=8\ngrid_ny=8\nphi=0.15\nn=20\n"
+        "methods=mle,isiw-v:known\nseed=3\ntiming=off\n"
+    )
+    assert cli_main(["experiment", "--config", str(cfg), "--out-dir", str(base / "parent")]) == 0
+    return base / "parent"
+
+
+def test_identical_outputs_pass(outputs, tmp_path):
+    change = tmp_path / "change"
+    shutil.copytree(outputs, change)
+    assert output_pairs.first_difference(outputs, change) is None
+
+
+def test_one_flipped_digit_names_the_file_and_line(outputs, tmp_path):
+    change = tmp_path / "change"
+    shutil.copytree(outputs, change)
+    lines = (change / "results.csv").read_text().splitlines(keepends=True)
+    fields = lines[2].split(",")
+    rmspe = fields[4]  # flip its last digit
+    fields[4] = rmspe[:-1] + str((int(rmspe[-1]) + 1) % 10)
+    lines[2] = ",".join(fields)
+    (change / "results.csv").write_text("".join(lines))
+    diff = output_pairs.first_difference(outputs, change)
+    assert diff is not None and diff.startswith("results.csv line 3\n")
+
+
+def test_missing_file_is_a_difference(outputs, tmp_path):
+    change = tmp_path / "change"
+    shutil.copytree(outputs, change)
+    (change / "ranks.csv").unlink()
+    assert output_pairs.first_difference(outputs, change).startswith("ranks.csv: missing")
