@@ -484,19 +484,14 @@ class TestMethodVocabulary:
 
 class TestMethodRunner:
     def test_dataset_work_is_done_once_and_shared(self, monkeypatch):
-        # n above exact_mle_max_n, so mle needs the Vecchia plan too
-        calls = {"init": 0, "plan": 0, "diggle": 0}
-        objectives = []
-
-        def counted(name, func, key=lambda *args: name):
-            def wrapper(*args, **kwargs):
-                calls[key(*args)] += 1
-                return func(*args, **kwargs)
-            monkeypatch.setattr(f"isiw.experiment.{name}", wrapper)
-
-        counted("default_init", default_init, key=lambda *_: "init")
-        counted("nn_conditioning_sets", nn_conditioning_sets, key=lambda *_: "plan")
-        counted("select_bandwidth", select_bandwidth, key=lambda source, *_: source)
+        # n above exact_mle_max_n, so mle needs the Vecchia plan too; diggle
+        # is the one selector the four methods use
+        calls, objectives = [], []
+        for name in ("default_init", "nn_conditioning_sets", "select_bandwidth"):
+            def counted(*args, _name=name, _real=getattr(isiw.experiment, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(isiw.experiment, name, counted)
         monkeypatch.setattr("isiw.experiment.fit", lambda objective, *_: objectives.append(objective))
         fit_one = method_fitter(
             random_dataset(ExperimentConfig.exact_mle_max_n + 1), UNIT_DOMAIN, nu=1.0, m=5,
@@ -504,7 +499,7 @@ class TestMethodRunner:
         )
         for mi, entry in enumerate(["mle", "vecchia", "isiw-v:diggle", "isiw-pm:diggle"]):
             fit_one(parse_method(entry), mi)
-        assert calls == {"init": 1, "plan": 1, "diggle": 1}
+        assert sorted(calls) == ["default_init", "nn_conditioning_sets", "select_bandwidth"]
         mle, vecchia, isiw_v, isiw_pm = objectives
         assert [o.kind for o in objectives] == ["vecchia", "vecchia", "vecchia", "pairwise-marginal"]
         assert mle.plan is vecchia.plan is isiw_v.plan
