@@ -38,7 +38,7 @@ import numpy as np
 import scipy
 
 from ._linalg import blas_threads, set_blas_threads
-from .fields import GridSpec, SeedStream, observe, simulate_field
+from .fields import GridSpec, SeedStream, embedding_root, observe, simulate_field
 from .inference import FitConfig, FitResult, default_init, fit
 from .intensity import GRID_METHODS, SCOTT, estimate_intensity, select_bandwidth, weights_from_intensity
 from .io import write_rows
@@ -197,6 +197,11 @@ class ExperimentConfig:
             self.grid()
         except ValueError as exc:
             raise ValueError(f"grid_nx, grid_ny: {exc}") from None
+        for phi in self.phi:  # uncached, so the first draw still builds the root
+            try:
+                embedding_root(self.grid(), CovParams(self.sigma2, phi, self.nu))
+            except ValueError as exc:
+                raise ValueError(f"phi: {exc}") from None
         for kind in self.samplers:
             if kind not in SAMPLER_KINDS:
                 raise ValueError(

@@ -10,8 +10,10 @@ then the grid corner of one ``fft2`` of the scaled eigenvalue roots times
 complex white noise: it has the Matérn law of the cell centers to within
 that bound, costs O(M log M), and calls no BLAS, so it does not depend on
 the thread count. ``EMBED_BUDGET`` bounds M; a range too long for the
-domain to embed within it raises. The roots are cached per (grid,
-covariance) pair and read-only, since every caller shares them.
+domain to embed within it raises. ``simulate_field`` caches the roots per
+(grid, covariance) pair, read-only since every caller shares them;
+``embedding_root`` builds them uncached, so a configuration can be checked
+without filling that cache.
 """
 
 from __future__ import annotations
@@ -120,8 +122,7 @@ class FieldRealization:
         return self.values[self.grid.locate(locs)]
 
 
-@lru_cache(maxsize=3)
-def _embedding_root(spec: GridSpec, theta: CovParams) -> np.ndarray:
+def embedding_root(spec: GridSpec, theta: CovParams) -> np.ndarray:
     """Square roots sqrt(lambda / M), as a (2^k ny, 2^k nx) array, of the
     eigenvalues of the smallest circulant embedding, k >= 1, whose negative
     eigenvalues sum to at most 1e-12 sigma2 M. Its first row is the Matérn
@@ -143,6 +144,9 @@ def _embedding_root(spec: GridSpec, theta: CovParams) -> np.ndarray:
         f"entries is nonnegative definite at phi={theta.phi}, nu={theta.nu} "
         f"(largest tried: {tried})"
     )
+
+
+_embedding_root = lru_cache(maxsize=3)(embedding_root)
 
 
 def simulate_field(spec: GridSpec, theta: CovParams, seed: SeedStream) -> FieldRealization:

@@ -3,7 +3,9 @@ composite likelihood, and the weighted Vecchia approximation.
 
 The Vecchia factorization orders points by maximin distance, conditions
 each on its m nearest predecessors, and evaluates every conditional from a
-small dense block. Nesting of the Cholesky factor gives the joint and the
+small dense block. The ordering and the plan each read their distances off
+one ``scipy.spatial.distance.cdist`` matrix, n x n doubles, freed on
+return. Nesting of the Cholesky factor gives the joint and the
 conditioning-set densities from one factorization, so a per-index weight
 w_(p(i)) applied to both (the form that stays numerically stable, unlike
 weighting by the product over conditioning members) reduces to weighting
@@ -51,6 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
+from scipy.spatial.distance import cdist
 
 from ._linalg import backward_solve_batched, cholesky_lower, forward_solve_batched
 from .model import (
@@ -99,30 +102,19 @@ class NllValue(float):
 def maxmin_order(locs: np.ndarray) -> np.ndarray:
     """Maximin ordering: start at the point nearest the centroid, then
     repeatedly take the point farthest from everything already ordered.
-    Ties break to the lowest original index."""
+    Ties break to the lowest original index. The distances between points
+    are rows of one ``cdist`` matrix, so this holds n x n doubles."""
     locs = np.atleast_2d(np.asarray(locs, dtype=float))
     n = locs.shape[0]
-    if n == 1:
-        return np.array([0])
-    first = int(np.argmin(np.linalg.norm(locs - locs.mean(axis=0), axis=1)))
-    order = np.empty(n, dtype=int)
-    order[0] = first
-    mindist = np.linalg.norm(locs - locs[first], axis=1)
-    mindist[first] = -np.inf
-    for j in range(1, n):
-        nxt = int(np.argmax(mindist))
+    nxt = int(np.argmin(np.linalg.norm(locs - locs.mean(axis=0), axis=1)))
+    dist = cdist(locs, locs)
+    order, mindist = np.empty(n, dtype=int), np.full(n, np.inf)
+    for j in range(n):
         order[j] = nxt
-        mindist = np.minimum(mindist, np.linalg.norm(locs - locs[nxt], axis=1))
+        np.minimum(mindist, dist[nxt], out=mindist)
         mindist[nxt] = -np.inf
+        nxt = int(np.argmax(mindist))
     return order
-
-
-def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances between the broadcast points ``a`` and ``b``, summed as
-    sqrt(dx*dx + dy*dy) like ``np.linalg.norm``, so equal to it bit for bit."""
-    d = np.square(a[..., 0] - b[..., 0])
-    d += np.square(a[..., 1] - b[..., 1])
-    return np.sqrt(d, out=d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,6 +130,8 @@ class VecchiaPlan:
     ``idx[j, :k[j]]``. ``pair_index`` maps each entry to its distinct
     pair in ``pair_dists``, and an entry in a padding row or column past
     the end: to slot ``len(pair_dists)`` off the diagonal, the next on it.
+    The neighbour search and ``pair_dists`` read one n x n ``cdist`` matrix
+    of the locations, held only while the plan is built.
     """
 
     locations: np.ndarray
@@ -161,13 +155,15 @@ class VecchiaPlan:
 
         # row j: the j-th ordered point's distance to each point, columns in
         # index order; later points and itself sort last, ties to the lowest index
-        dist = _distances(locs[order][:, None, :], locs[None, :, :])
+        full = cdist(locs, locs)
+        dist = full[order]
         dist[np.argsort(order) >= np.arange(n)[:, None]] = np.inf
         nearest = np.argsort(dist, axis=1, kind="stable")[:, : cols.size]
         del dist
         idx = np.where(cols < k[:, None], nearest, order[:, None])
 
-        # blocks share most point pairs, so each distinct pair is kept once
+        # blocks share most point pairs, so each distinct pair is kept once;
+        # a pair's key min * n + max is its flat index in the distance matrix
         key = np.minimum(idx[:, :, None], idx[:, None, :])
         key *= n
         key += np.maximum(idx[:, :, None], idx[:, None, :])
@@ -179,7 +175,7 @@ class VecchiaPlan:
 
         for name, value in dict(
             locations=locs, order=order, idx=read_only(idx), k=read_only(k), pair_index=read_only(pair_index),
-            pair_dists=read_only(_distances(locs[pairs // n], locs[pairs % n])),
+            pair_dists=read_only(full.ravel()[pairs]),
         ).items():
             object.__setattr__(self, name, value)
 

@@ -1,10 +1,12 @@
 """Reference computations the tests check the package against: a central
-finite-difference gradient, the dense observation covariance, the
-covariance of the joint Gaussian that a Vecchia plan implies, and the
-Kullback-Leibler divergence between two zero-mean Gaussians. None of them
-runs in the package itself."""
+finite-difference gradient, the dense observation covariance, a
+farthest-point maximin order, the covariance of the joint Gaussian that a
+Vecchia plan implies, and the Kullback-Leibler divergence between two
+zero-mean Gaussians. None of them runs in the package itself."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -41,6 +43,25 @@ def build_cov_matrix(locs: np.ndarray, theta: CovParams, tau2: float = 0.0) -> n
     ``tau2`` on the diagonal."""
     locs = np.atleast_2d(np.asarray(locs, dtype=float))
     return symmetric_from_condensed(matern_cov(pdist(locs), theta), matern_cov(0.0, theta) + tau2)
+
+
+def farthest_point_order(locs: np.ndarray) -> list:
+    """Maximin order by a plain scan: the point nearest the centroid, then
+    again and again the unordered point farthest from its nearest ordered
+    point, ties to the lowest index at every step. Distances are
+    sqrt(dx * dx + dy * dy), the package's floating-point arithmetic."""
+    locs = np.atleast_2d(np.asarray(locs, dtype=float))
+    points = [(float(x), float(y)) for x, y in locs]
+    centroid = tuple(float(c) for c in locs.mean(axis=0))
+
+    def dist(a, b):
+        return math.sqrt((a[0] - b[0]) * (a[0] - b[0]) + (a[1] - b[1]) * (a[1] - b[1]))
+
+    order = [min(range(len(points)), key=lambda i: (dist(points[i], centroid), i))]
+    while len(order) < len(points):
+        rest = [i for i in range(len(points)) if i not in order]
+        order.append(max(rest, key=lambda i: (min(dist(points[i], points[j]) for j in order), -i)))
+    return order
 
 
 def vecchia_implied_cov(psi: ModelParams, plan: VecchiaPlan) -> np.ndarray:

@@ -22,6 +22,7 @@ from isiw import (
 )
 from isiw._linalg import blas_threads
 from isiw.experiment import (
+    RESULTS_HEADER,
     ExperimentConfig,
     _average_ranks,
     _worker_pool,
@@ -30,6 +31,7 @@ from isiw.experiment import (
     parse_method,
     summarize,
 )
+from isiw.fields import _embedding_root
 from isiw import (
     Dataset,
     FitConfig,
@@ -181,6 +183,15 @@ class TestRunReplicate:
         config = tiny_config(timing=True)
         rows = run_replicate(config, config.scenarios()[0], 0)
         assert all(r.seconds > 0 for r in rows)
+
+    def test_paper_scale_cell_writes_identical_rows_twice(self, tmp_path):
+        # n=800 is the paper's scale and the largest Vecchia plan a default run builds
+        config = ExperimentConfig(n=(800,), phi=(0.15,), timing=False)
+        runs = [[r.csv_row() for r in run_replicate(config, config.scenarios()[0], 0)] for _ in range(2)]
+        assert all(math.isfinite(v) for row in runs[0] for v in row[4:10])
+        for i, rows in enumerate(runs):
+            io.write_rows(tmp_path / f"{i}.csv", RESULTS_HEADER, rows)
+        assert (tmp_path / "0.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
 
     def test_scenario_labels(self):
         sc = Scenario(kind="lgcp", n=100, phi=0.15)
@@ -440,12 +451,20 @@ class TestConfigFormat:
         ("pm_cutoff=-1", "pm_cutoff must be positive, got -1.0"),
         ("threshold=inf", "threshold must be nonnegative and finite, got inf"),
         ("seed=-1", "seed must be >= 0, got -1"),
+        ("phi=3.0", "phi: no circulant embedding of the 48x48 grid within 2097152 entries "
+                     "is nonnegative definite at phi=3.0"),
     ], ids=["negative-phi", "zero-phi", "zero-n", "zero-m", "negative-threshold", "one-column",
             "no-rows", "negative-sigma2", "zero-nu", "negative-tau2", "no-thomas-parents",
-            "nan-beta", "nan-mu", "negative-pm-cutoff", "infinite-threshold", "negative-seed"])
+            "nan-beta", "nan-mu", "negative-pm-cutoff", "infinite-threshold", "negative-seed",
+            "unembeddable-phi"])
     def test_run_sinking_value_rejected(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_config(text)
+
+    def test_check_caches_no_embedding_root(self):
+        _embedding_root.cache_clear()
+        ExperimentConfig()
+        assert _embedding_root.cache_info().currsize == 0
 
     def test_built_config_is_frozen(self):
         cfg = ExperimentConfig()

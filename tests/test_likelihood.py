@@ -33,7 +33,7 @@ from isiw import (
 import isiw
 from isiw._linalg import NotPositiveDefiniteError, backward_solve_batched, cholesky_lower, forward_solve_batched
 from isiw.likelihood import PAIR_CHUNK
-from oracles import build_cov_matrix, gaussian_kl, vecchia_implied_cov
+from oracles import build_cov_matrix, farthest_point_order, gaussian_kl, vecchia_implied_cov
 
 PSI = ModelParams.from_values(4.0, 1.5, 0.15, 0.1)
 LOG_2PI = math.log(2 * math.pi)
@@ -50,6 +50,17 @@ def nearest_earlier_oracle(locs, order, m):
                         for i, (x, y) in zip(order[:j], locs[order[:j]]))
         out.append([i for _, i in scored[:m]])
     return out
+
+
+@st.composite
+def point_sets(draw):
+    """1 to 40 uniform points, or lattice points 0.125 apart, duplicates
+    included, whose tied distances are exact."""
+    n = draw(st.integers(1, 40), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    if draw(st.booleans(), label="lattice"):
+        return rng.integers(0, draw(st.integers(1, 7), label="side"), (n, 2)) * 0.125
+    return rng.random((n, 2))
 
 
 def conditioning_sets(plan):
@@ -183,6 +194,11 @@ class TestMaxminOrder:
             remaining.discard(best)
         np.testing.assert_array_equal(maxmin_order(locs), chosen)
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(point_sets())
+    def test_matches_farthest_point_oracle(self, locs):
+        assert maxmin_order(locs).tolist() == farthest_point_order(locs)
+
 
 class TestConditioningSets:
     def test_full_conditioning_is_all_predecessors(self):
@@ -217,6 +233,18 @@ class TestConditioningSets:
         m = data.draw(st.integers(1, n + 2), label="m")
         plan = nn_conditioning_sets(locs, order, m)
         assert conditioning_sets(plan) == nearest_earlier_oracle(locs, order, m)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(point_sets(), st.integers(1, 8))
+    def test_pair_distances_are_cdist_entries(self, locs, m):
+        # every real block entry's distance is the cdist entry of its two
+        # points, bit for bit
+        plan = nn_conditioning_sets(locs, maxmin_order(locs), m)
+        real = plan.pair_index < plan.pair_dists.size
+        rows = np.broadcast_to(plan.idx[:, :, None], real.shape)[real]
+        cols = np.broadcast_to(plan.idx[:, None, :], real.shape)[real]
+        got = plan.pair_dists[plan.pair_index[real]]
+        assert got.tobytes() == cdist(locs, locs)[rows, cols].tobytes()
 
     def test_invalid_order_rejected(self):
         locs = np.random.default_rng(0).random((5, 2))

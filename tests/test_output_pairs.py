@@ -1,5 +1,5 @@
 """``tools/output_pairs.py``: its byte-level compare step, on two output
-directories of one tiny experiment."""
+directories of one tiny experiment, and the configs it is run on."""
 
 import shutil
 import sys
@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from isiw import parse_config
 from isiw.cli import main as cli_main
 
 TOOLS = str(Path(__file__).resolve().parents[1] / "tools")
@@ -53,3 +54,8 @@ def test_missing_file_is_a_difference(outputs, tmp_path):
     shutil.copytree(outputs, change)
     (change / "ranks.csv").unlink()
     assert output_pairs.first_difference(outputs, change).startswith("ranks.csv: missing")
+
+
+@pytest.mark.parametrize("name", ["headline", "seven_methods", "pairwise_n400"])
+def test_committed_config_parses_with_timing_off(name):
+    assert parse_config((Path(TOOLS) / "configs" / f"{name}.cfg").read_text()).timing is False

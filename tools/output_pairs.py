@@ -12,6 +12,10 @@ the first difference, naming the file and the line, and exits 1; it exits
 0 when every file is identical. A run that fails, or a config with
 ``timing=on`` (whose seconds column differs from run to run), exits 2.
 
+The configs in ``tools/configs/`` are the ones it is run on: the
+acceptance headline config, a 7-method config on two samplers at n=100
+and n=250, and the Vecchia and pairwise-marginal likelihoods at n=400.
+
 Standard library only; nothing is imported from the package under test.
 """
 
