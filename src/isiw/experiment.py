@@ -162,8 +162,7 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        SeedStream(self.seed)  # refuses a negative seed
         if not self.methods:
             raise ValueError("methods must name at least one method")
         for key in ("samplers", "n", "phi"):

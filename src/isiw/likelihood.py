@@ -358,6 +358,35 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("bi,bi->b", x, y)
 
 
+def _pair_rows(out, psi, resid, w, iu, ju, d):
+    """Write the per-pair rows of :func:`pairwise_marginal_nll` for the
+    pairs (iu, ju) at distances d into ``out``, each row's last product
+    straight into its slot. A function of its own so that one slice's
+    temporaries are freed before the next slice's are made, which keeps
+    the call's heap peak low."""
+    omega, w_e, w_f = out[1], out[4], out[5]  # rows that later rows reuse
+    omega[:] = 1.0 if w is None else w[iu] * w[ju]
+    c, dc = matern_cov_and_dlogphi(d, psi.theta)
+    v = psi.theta.sigma2 + psi.tau2
+    e, f = v + c, v - c
+    p, m = resid[iu], resid[ju]
+    p, m = p + m, p - m  # each pair's residual sum and difference
+    inv_e, inv_f = 1.0 / e, 1.0 / f
+    np.multiply(inv_e, omega, out=w_e)
+    np.multiply(inv_f, omega, out=w_f)
+    p_e, m_f = p * inv_e, m * inv_f
+    np.multiply(np.log(e * f), omega, out=out[0])
+    np.multiply(p * p_e + m * m_f, omega, out=out[2])
+    np.multiply(p, w_e, out=out[3])
+    np.multiply(inv_e, w_e, out=out[6])
+    np.multiply(p_e, w_e, out=out[7])
+    np.multiply(p_e * p_e + m_f * m_f, omega, out=out[8])
+    np.multiply(w_e - w_f, dc, out=out[9])
+    np.multiply(m_f * m_f - p_e * p_e, dc * omega, out=out[10])
+    np.multiply(dc, out[7], out=out[11])
+    np.multiply(dc, out[6], out=out[12])
+
+
 def pairwise_marginal_nll(
     psi: ModelParams,
     data: Dataset,
@@ -396,48 +425,14 @@ def pairwise_marginal_nll(
         raise ValueError(f"no pairs within cutoff {cutoff}")
     w = None if weights is None else _as_weight_array(weights, n)
 
-    v = psi.theta.sigma2 + psi.tau2
     resid = data.values - psi.mu
     rows = np.empty((13, min(PAIR_CHUNK, d_all.size)))
     block_sums = np.empty((13, -(-d_all.size // SUM_BLOCK)))
     for start in range(0, d_all.size, PAIR_CHUNK):
         part = slice(start, start + PAIR_CHUNK)
-        iu, ju, d = iu_all[part], ju_all[part], d_all[part]
-        out = rows[:, : d.size]
-        omega = np.ones(d.size) if w is None else w[iu] * w[ju]
-        c, dc = matern_cov_and_dlogphi(d, psi.theta)
-        e, f = v + c, v - c
-        a, b = resid[iu], resid[ju]
-        p, m = a + b, a - b
-        # rows, each times omega: log(e f), 1, p^2/e + m^2/f, p/e, 1/e, 1/f,
-        # 1/e^2, p/e^2, p^2/e^2 + m^2/f^2, then dC/dlog phi times
-        # (1/e - 1/f), (m^2/f^2 - p^2/e^2), p/e^2 and 1/e^2
-        inv_e, inv_f = np.divide(1.0, e, out=a), np.divide(1.0, f, out=b)  # a, b are spent
-        e *= f
-        np.log(e, out=out[0])
-        out[0] *= omega
-        out[1] = omega
-        np.multiply(inv_e, omega, out=out[4])
-        np.multiply(inv_f, omega, out=out[5])
-        np.multiply(p, out[4], out=out[3])
-        np.multiply(inv_e, out[4], out=out[6])
-        p_e, m_f = p * inv_e, m * inv_f
-        np.multiply(p_e, out[4], out=out[7])
-        p *= p_e
-        m *= m_f
-        np.add(p, m, out=out[2])
-        out[2] *= omega
-        p_e2, m_f2 = np.square(p_e, out=p_e), np.square(m_f, out=m_f)
-        np.add(p_e2, m_f2, out=out[8])
-        out[8] *= omega
-        np.subtract(out[4], out[5], out=out[9])
-        out[9] *= dc
-        np.multiply(dc, out[7], out=out[11])
-        np.multiply(dc, out[6], out=out[12])
-        dc *= omega
-        np.subtract(m_f2, p_e2, out=out[10])
-        out[10] *= dc
-        for block in range(0, d.size, SUM_BLOCK):
+        out = rows[:, : d_all[part].size]
+        _pair_rows(out, psi, resid, w, iu_all[part], ju_all[part], d_all[part])
+        for block in range(0, out.shape[1], SUM_BLOCK):
             block_sums[:, (start + block) // SUM_BLOCK] = out[:, block : block + SUM_BLOCK].sum(axis=1)
     (log_ef, total_w, sq, p_e, inv_e, inv_f, inv_e2, p_e2, sq2, phi_diff, phi_sq2, phi_p_e2, phi_inv_e2) = (
         block_sums.sum(axis=1)

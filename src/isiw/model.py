@@ -176,36 +176,16 @@ def _bessel_k(order: float, s: np.ndarray, out: np.ndarray) -> np.ndarray:
     return _bessel_kv(order, s, out=out)
 
 
-def _exp_prefactor(s: np.ndarray, sigma2: float, nu: float, dlogphi: bool):
-    """The factor before exp(-s) in the closed forms of nu = 1/2, 3/2 and
-    5/2 (see :func:`_matern`), computed in its written operation order."""
-    if not dlogphi:
-        if nu == 0.5:
-            return sigma2
-        p = s + 1.0
-        if nu == 2.5:
-            p += s * s / 3.0
-        p *= sigma2
-        return p
-    p = s * sigma2
-    if nu == 0.5:
-        return p
-    p *= s
-    if nu == 2.5:
-        p *= s + 1.0
-        p /= 3.0
-    return p
-
-
 def _matern(h, theta: CovParams, dlogphi: bool) -> tuple:
     """The kernel of :func:`matern_cov` and :func:`matern_cov_and_dlogphi`:
     the covariance at ``h``, and with ``dlogphi`` also its derivative in
     log phi.
 
-    ``h`` is validated once. Each result is computed in a buffer of the
-    scaled distances s = sqrt(2 nu) h / phi, next to a prefactor array of
-    the same size, and every product is taken in the order the formulas are
-    written, so the values are bit for bit those of the plain expressions.
+    ``h`` is validated once and scaled to s = sqrt(2 nu) h / phi. The
+    closed forms of nu = 1/2, 3/2 and 5/2 are plain expressions of s. The
+    Bessel branch computes in a buffer of s, next to a prefactor array of
+    the same size, and takes every product in the order the formulas are
+    written, so its values are bit for bit those of the plain expressions.
     K is infinite at s = 0 and overflows (or turns NaN) only for subnormal
     or similarly tiny s, where the Matérn covariance and its derivative
     equal their h = 0 limits to double precision (for nu >= 0.03); those
@@ -227,26 +207,29 @@ def _matern(h, theta: CovParams, dlogphi: bool) -> tuple:
 
 def _matern_scaled(s: np.ndarray, theta: CovParams, dlogphi: bool) -> np.ndarray:
     """The covariance, or with ``dlogphi`` its derivative in log phi, at
-    the scaled distances ``s``, computed in the buffer of ``s``."""
+    the scaled distances ``s``; the Bessel branch computes in the buffer
+    of ``s``."""
     sigma2, nu = theta.sigma2, theta.nu
-    if nu in (0.5, 1.5, 2.5):
-        prefactor = _exp_prefactor(s, sigma2, nu, dlogphi)
-        np.negative(s, out=s)
-        np.exp(s, out=s)
-        s *= prefactor
+    if nu == 0.5:
+        return sigma2 * s * np.exp(-s) if dlogphi else sigma2 * np.exp(-s)
+    if nu == 1.5:
+        return sigma2 * s * s * np.exp(-s) if dlogphi else sigma2 * (1.0 + s) * np.exp(-s)
+    if nu == 2.5:
+        if dlogphi:
+            return sigma2 * s * s * (1.0 + s) / 3.0 * np.exp(-s)
+        return sigma2 * (1.0 + s + s * s / 3.0) * np.exp(-s)
+    if nu == 1.0:
+        prefactor = s * sigma2
+        if dlogphi:
+            prefactor *= s
     else:
-        if nu == 1.0:
-            prefactor = s * sigma2
-            if dlogphi:
-                prefactor *= s
-        else:
-            prefactor = s ** (nu + 1.0 if dlogphi else nu)
-            prefactor *= sigma2 * 2.0 ** (1.0 - nu) / _gamma(nu)
-        _bessel_k(nu - 1.0 if dlogphi else nu, s, out=s)
-        limit = ~np.isfinite(s)
-        with np.errstate(invalid="ignore"):  # 0 * inf at s = 0, patched below
-            s *= prefactor
-        s[limit] = 0.0 if dlogphi else sigma2
+        prefactor = s ** (nu + 1.0 if dlogphi else nu)
+        prefactor *= sigma2 * 2.0 ** (1.0 - nu) / _gamma(nu)
+    _bessel_k(nu - 1.0 if dlogphi else nu, s, out=s)
+    limit = ~np.isfinite(s)
+    with np.errstate(invalid="ignore"):  # 0 * inf at s = 0, patched below
+        s *= prefactor
+    s[limit] = 0.0 if dlogphi else sigma2
     return s
 
 

@@ -1,7 +1,8 @@
 """Reference computations the tests check the package against: a central
 finite-difference gradient, the dense observation covariance, a
 farthest-point maximin order, the covariance of the joint Gaussian that a
-Vecchia plan implies, and the Kullback-Leibler divergence between two
+Vecchia plan implies, the pairwise-marginal value and profile over the
+whole pair list, and the Kullback-Leibler divergence between two
 zero-mean Gaussians. None of them runs in the package itself."""
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.spatial.distance import pdist
 
-from isiw import CovParams, ModelParams, VecchiaPlan
+from isiw import CovParams, ModelParams, Profile, VecchiaPlan
 from isiw._linalg import NotPositiveDefiniteError, cholesky_lower
-from isiw.model import matern_cov, symmetric_from_condensed
+from isiw.likelihood import SUM_BLOCK
+from isiw.model import matern_cov, matern_cov_and_dlogphi, symmetric_from_condensed
 
 FD_REL_STEP = 1e-5
+LOG_2PI = math.log(2.0 * math.pi)
 
 
 def fd_gradient(func, x: np.ndarray, rel_step: float = FD_REL_STEP, one_sided=()) -> np.ndarray:
@@ -95,6 +98,57 @@ def vecchia_implied_cov(psi: ModelParams, plan: VecchiaPlan) -> np.ndarray:
     implied_ordered = (a * d_vec) @ a.T
     implied = implied_ordered[np.ix_(pos, pos)]
     return 0.5 * (implied + implied.T)
+
+
+def pairwise_reference(psi: ModelParams, data, weights, cutoff) -> tuple:
+    """(value, :class:`Profile`) of the weighted pairwise-marginal NLL,
+    computed one new array per operation over the whole pair list.
+
+    A pair's residual sum p and difference m are independent normals of
+    variances 2e and 2f, e = v + c and f = v - c, so its term is
+    log 2pi + 1/2 log(e f) + (p^2 / e + m^2 / f) / 4. Each per-pair summand
+    below is summed within blocks of ``SUM_BLOCK`` pairs, and the block
+    sums are added, so the sums are those of the package to the bit."""
+    iu, ju, d = data.pairs(cutoff)
+    omega = np.ones(d.size) if weights is None else weights[iu] * weights[ju]
+    c, dc = matern_cov_and_dlogphi(d, psi.theta)
+    v = psi.theta.sigma2 + psi.tau2
+    e, f = v + c, v - c
+    resid = data.values - psi.mu
+    p, m = resid[iu] + resid[ju], resid[iu] - resid[ju]
+    w_e, w_f = (1.0 / e) * omega, (1.0 / f) * omega
+    p_e, m_f = p * (1.0 / e), m * (1.0 / f)
+    summands = [
+        np.log(e * f) * omega,
+        omega,
+        (p * p_e + m * m_f) * omega,
+        p * w_e,
+        w_e,
+        w_f,
+        (1.0 / e) * w_e,
+        p_e * w_e,
+        (p_e * p_e + m_f * m_f) * omega,
+        (w_e - w_f) * dc,
+        (m_f * m_f - p_e * p_e) * (dc * omega),
+        dc * (p_e * w_e),
+        dc * ((1.0 / e) * w_e),
+    ]
+    (log_ef, total_w, sq, sum_p_e, inv_e, inv_f, inv_e2, p_e2, sq2, phi_diff, phi_sq2, phi_p_e2, phi_inv_e2) = (
+        np.array([x[b : b + SUM_BLOCK].sum() for b in range(0, d.size, SUM_BLOCK)]).sum() for x in summands
+    )
+    base = LOG_2PI * total_w + 0.5 * log_ef
+    # the profile's mu is mu + s; at it, p moves to p - 2s
+    shift = 0.5 * sum_p_e / inv_e
+    ratio = 0.25 * (sq - 2.0 * shift * sum_p_e) / total_w
+    grad = np.array(
+        [
+            0.5 * phi_diff + 0.25 * (phi_sq2 + 4.0 * shift * (phi_p_e2 - shift * phi_inv_e2)) / ratio,
+            psi.theta.sigma2
+            * (0.5 * (inv_e + inv_f) - 0.25 * (sq2 - 4.0 * shift * (p_e2 - shift * inv_e2)) / ratio),
+        ]
+    )
+    profile = Profile(psi.mu + shift, psi.theta.sigma2 * ratio, base + total_w * (np.log(ratio) + 1.0), grad)
+    return base + 0.25 * sq, profile
 
 
 def gaussian_kl(sigma_true: np.ndarray, sigma_approx: np.ndarray) -> float:

@@ -32,6 +32,7 @@ from isiw.experiment import (
     summarize,
 )
 from isiw.fields import _embedding_root
+from isiw.pointprocess import SampleSizeError
 from isiw import (
     Dataset,
     FitConfig,
@@ -230,6 +231,34 @@ class TestRunExperiment:
             ("isiw-v", 2, 2), ("mle", 2, 2)
         ]
         assert (tmp_path / "results.csv").read_text().count("thomas-n100") == 4
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_forced_sampling_failure_leaves_other_cells_unchanged(self, tmp_path, monkeypatch, threads):
+        # with threads=2 the forked workers inherit the patched sampler
+        config = tiny_config(samplers=("thomas",), phi=(0.02, 0.15), methods=("mle", "isiw-v:CvL"),
+                             threads=threads)
+        assert all(r.error is None for r in run_experiment(config, tmp_path / "plain")[0])
+        forced = config.scenarios()[1]
+        sample = isiw.experiment.sample_thomas
+
+        def fail_in_one_cell(fld, spec, seed):
+            if seed.key == (forced.sid, 1, 1):
+                raise SampleSizeError("forced in one cell")
+            return sample(fld, spec, seed)
+
+        monkeypatch.setattr("isiw.experiment.sample_thomas", fail_in_one_cell)
+        rows, _ = run_experiment(config, tmp_path / "forced")
+        failed = [r for r in rows if r.error is not None]
+        assert {(r.scenario, r.replicate) for r in failed} == {(forced.label, 1)}
+        assert len(failed) == 2
+        assert all(r.error == "SampleSizeError: forced in one cell" for r in failed)
+        plain, got = ((tmp_path / d / "results.csv").read_bytes().splitlines() for d in ("plain", "forced"))
+        cell = f"1,{forced.label},".encode()
+        assert len(plain) == len(got) == 9
+        assert [line for line in got if not line.startswith(cell)] == [
+            line for line in plain if not line.startswith(cell)
+        ]
+        assert all(b",nan," in line for line in got if line.startswith(cell))
 
     def test_results_header_pinned(self, tmp_path):
         config = tiny_config(replicates=1, methods=("mle",))

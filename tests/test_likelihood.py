@@ -33,7 +33,7 @@ from isiw import (
 import isiw
 from isiw._linalg import NotPositiveDefiniteError, backward_solve_batched, cholesky_lower, forward_solve_batched
 from isiw.likelihood import PAIR_CHUNK
-from oracles import build_cov_matrix, farthest_point_order, gaussian_kl, vecchia_implied_cov
+from oracles import build_cov_matrix, farthest_point_order, gaussian_kl, pairwise_reference, vecchia_implied_cov
 
 PSI = ModelParams.from_values(4.0, 1.5, 0.15, 0.1)
 LOG_2PI = math.log(2 * math.pi)
@@ -411,6 +411,20 @@ class TestPairwiseMarginalNll:
         data = random_dataset(5, 45)
         with pytest.raises(ValueError, match="cutoff"):
             pairwise_marginal_nll(PSI, data, cutoff=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 30, 300])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("median_cutoff", [False, True])
+    def test_equals_reference_bit_for_bit(self, n, weighted, median_cutoff):
+        data = random_dataset(n, 49)
+        weights = np.random.default_rng(n).uniform(0.2, 3.0, n) if weighted else None
+        cutoff = float(np.median(data.condensed_distances())) if median_cutoff else None
+        psi = ModelParams.from_values(3.7, 1.1, 0.08, 0.2)
+        got = pairwise_marginal_nll(psi, data, weights, cutoff)
+        value, profile = pairwise_reference(psi, data, weights, cutoff)
+        assert float(got).hex() == float(value).hex()
+        assert [float(x).hex() for x in got.profile[:3]] == [float(x).hex() for x in profile[:3]]
+        assert got.profile.grad.tobytes() == profile.grad.tobytes()
 
 
 def assert_matches_whole_array(data, weights, cutoff):
