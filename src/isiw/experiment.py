@@ -44,9 +44,8 @@ from .intensity import GRID_METHODS, SCOTT, estimate_intensity, select_bandwidth
 from .io import write_rows
 from .kriging import krige
 from .likelihood import EXACT, PAIRWISE_MARGINAL, VECCHIA, Objective, maxmin_order, nn_conditioning_sets
-from .model import CovParams, Dataset, Domain, ModelParams, microergodic
+from .model import Dataset, Domain, ModelParams, microergodic
 from .pointprocess import (
-    SAMPLER_KINDS,
     THOMAS,
     SampleSizeError,
     SamplerSpec,
@@ -129,9 +128,11 @@ def method_fitter(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated run configuration. Frozen, so the checks below hold for
-    its whole life; ``dataclasses.replace`` makes a changed copy and checks
-    it again."""
+    """A validated run configuration. Its values are checked by building
+    what a cell builds: the grid, each (sampler, n) pair's
+    :class:`SamplerSpec` and each phi's true parameters, whose types hold
+    the rules. Frozen, so the checks hold for its whole life;
+    ``dataclasses.replace`` makes a changed copy and checks it again."""
 
     replicates: int = 50
     grid_nx: int = 48
@@ -168,44 +169,24 @@ class ExperimentConfig:
         for key in ("samplers", "n", "phi"):
             if not getattr(self, key):
                 raise ValueError(f"{key} must list at least one value")
-        for phi in self.phi:
-            if not phi > 0:
-                raise ValueError(f"phi must be positive, got {phi}")
-        for n in self.n:
-            if n < 1:
-                raise ValueError(f"n must be >= 1, got {n}")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if not 0 <= self.threshold < math.inf:
             raise ValueError(f"threshold must be nonnegative and finite, got {self.threshold}")
-        for key in ("sigma2", "nu"):
-            if not 0 < getattr(self, key) < math.inf:
-                raise ValueError(f"{key} must be positive and finite, got {getattr(self, key)}")
-        if not 0 <= self.tau2 < math.inf:
-            raise ValueError(f"tau2 must be nonnegative and finite, got {self.tau2}")
-        for key in ("mu", "beta", "alpha"):
-            if not math.isfinite(getattr(self, key)):
-                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if self.pm_cutoff is not None and not self.pm_cutoff > 0:
             raise ValueError(f"pm_cutoff must be positive, got {self.pm_cutoff}")
-        if THOMAS in self.samplers:
-            for key in ("thomas_parent_rate", "thomas_offspring_scale"):
-                if not 0 < getattr(self, key) < math.inf:
-                    raise ValueError(f"{key} must be positive and finite, got {getattr(self, key)}")
         try:
             self.grid()
         except ValueError as exc:
             raise ValueError(f"grid_nx, grid_ny: {exc}") from None
+        for scenario in self.scenarios()[:: len(self.phi)]:  # phi varies fastest: one per (sampler, n)
+            self.sampler(scenario)
         for phi in self.phi:  # uncached, so the first draw still builds the root
+            theta = self.truth(phi).theta
             try:
-                embedding_root(self.grid(), CovParams(self.sigma2, phi, self.nu))
+                embedding_root(self.grid(), theta)
             except ValueError as exc:
                 raise ValueError(f"phi: {exc}") from None
-        for kind in self.samplers:
-            if kind not in SAMPLER_KINDS:
-                raise ValueError(
-                    f"unknown sampler kind {kind!r} in samplers; use {', '.join(SAMPLER_KINDS)}"
-                )
         specs = self.method_specs()  # validate early
         twice = sorted({m for m in self.methods if self.methods.count(m) > 1})
         if twice:
@@ -233,6 +214,12 @@ class ExperimentConfig:
 
     def truth(self, phi: float) -> ModelParams:
         return ModelParams.from_values(self.mu, self.sigma2, phi, self.tau2, nu=self.nu)
+
+    def sampler(self, scenario: Scenario) -> SamplerSpec:
+        return SamplerSpec(
+            kind=scenario.kind, n=scenario.n, beta=self.beta, alpha=self.alpha,
+            parent_rate=self.thomas_parent_rate, offspring_scale=self.thomas_offspring_scale,
+        )
 
 
 @dataclass(frozen=True)
@@ -324,16 +311,9 @@ def run_replicate(config: ExperimentConfig, scenario: Scenario, replicate: int) 
     A Thomas pattern that cannot reach n gives one failed row per method."""
     root = SeedStream(config.seed)
     grid = config.grid()
-    theta = CovParams(config.sigma2, scenario.phi, config.nu)
-    fld = simulate_field(grid, theta, root.child(scenario.sid, replicate, 0))
-    spec = SamplerSpec(
-        kind=scenario.kind,
-        n=scenario.n,
-        beta=config.beta,
-        alpha=config.alpha,
-        parent_rate=config.thomas_parent_rate,
-        offspring_scale=config.thomas_offspring_scale,
-    )
+    truth = config.truth(scenario.phi)
+    fld = simulate_field(grid, truth.theta, root.child(scenario.sid, replicate, 0))
+    spec = config.sampler(scenario)
     cell_intensity = None  # the Thomas process has none
     if scenario.kind == THOMAS:
         try:
@@ -363,8 +343,7 @@ def run_replicate(config: ExperimentConfig, scenario: Scenario, replicate: int) 
             )
             surface = krige(res.psi_hat, data, centers)
             score = rmspe(surface.predictions, truth_surface)
-            truth_psi = config.truth(scenario.phi)
-            rel = param_metrics([res.psi_hat], truth_psi)
+            rel = param_metrics([res.psi_hat], truth)
             row = MetricsRow(
                 replicate=replicate,
                 scenario=scenario.label,

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import ndtr
 
-from .model import Domain, read_only
+from .model import Domain, read_only, require_positive
 
 SCOTT = "scott"
 DIGGLE = "diggle"
@@ -59,8 +59,7 @@ class BandwidthSpec:
     def __post_init__(self):
         if self.method not in BANDWIDTH_METHODS:
             raise ValueError(f"unknown bandwidth method {self.method!r}")
-        if not self.h > 0:
-            raise ValueError(f"bandwidth must be positive, got {self.h}")
+        require_positive("bandwidth", self.h)
         if self.per_point_h is not None:
             object.__setattr__(self, "per_point_h", read_only(np.array(self.per_point_h, dtype=float)))
             if np.any(self.per_point_h <= 0):

@@ -1,5 +1,9 @@
 """Domain geometry, Matérn covariance, and parameter containers.
 
+Each value type checks its own fields when it is built, with an error that
+names the field and the value, so every caller that builds it meets the
+same rule.
+
 Everything downstream (simulation, likelihoods, kriging) builds covariance
 matrices through this module, so the conventions live here: distances are
 Euclidean in raw coordinate units, the smoothness ``nu`` is treated as a
@@ -24,6 +28,16 @@ from scipy.special import k1 as _bessel_k1
 from scipy.special import kv as _bessel_kv
 
 
+def require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+def require_positive(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Domain:
     """Rectangular study region [x0, x1] x [y0, y1]."""
@@ -34,6 +48,8 @@ class Domain:
     y1: float
 
     def __post_init__(self):
+        for name in ("x0", "x1", "y0", "y1"):
+            require_finite(f"domain {name}", getattr(self, name))
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise ValueError(f"degenerate domain: {self}")
 
@@ -64,8 +80,8 @@ class CovParams:
     nu: float
 
     def __post_init__(self):
-        if not (self.sigma2 > 0 and self.phi > 0 and self.nu > 0):
-            raise ValueError(f"covariance parameters must be positive: {self}")
+        for name in ("sigma2", "phi", "nu"):
+            require_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -77,8 +93,9 @@ class ModelParams:
     tau2: float
 
     def __post_init__(self):
-        if self.tau2 < 0:
-            raise ValueError(f"nugget must be nonnegative, got {self.tau2}")
+        require_finite("mu", self.mu)
+        if not 0 <= self.tau2 < math.inf:
+            raise ValueError(f"tau2 must be nonnegative and finite, got {self.tau2}")
 
     @classmethod
     def from_values(cls, mu, sigma2, phi, tau2, nu=1.0) -> "ModelParams":

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldRealization, SeedStream
+from .model import require_finite, require_positive
 
 LGCP = "lgcp"
 SCP = "scp"
@@ -33,9 +34,10 @@ class SamplerSpec:
     """Configuration for one point-pattern sampler.
 
     ``alpha`` and ``beta`` parametrize the Cox intensities
-    exp(alpha + beta S) (LGCP) and beta / (1 + exp(-S)) (SCP);
-    ``parent_rate`` and ``offspring_scale`` apply to the Thomas process
-    (expected parents per unit area, Gaussian displacement sd).
+    exp(alpha + beta S) (LGCP) and beta / (1 + exp(-S)) (SCP, which
+    needs beta > 0); ``parent_rate`` and ``offspring_scale`` apply to the
+    Thomas process (expected parents per unit area, Gaussian displacement
+    sd) and must then be positive and finite.
     """
 
     kind: str
@@ -47,11 +49,16 @@ class SamplerSpec:
 
     def __post_init__(self):
         if self.kind not in SAMPLER_KINDS:
-            raise ValueError(f"unknown sampler kind {self.kind!r}")
+            raise ValueError(f"unknown sampler kind {self.kind!r}; use {', '.join(SAMPLER_KINDS)}")
         if self.n < 1:
-            raise ValueError("target point count must be >= 1")
-        if self.kind == THOMAS and not (self.parent_rate > 0 and self.offspring_scale > 0):
-            raise ValueError("Thomas process needs positive parent_rate and offspring_scale")
+            raise ValueError(f"n must be >= 1, got {self.n}")
+        require_finite("beta", self.beta)
+        require_finite("alpha", self.alpha)
+        if self.kind == SCP and not self.beta > 0:
+            raise ValueError(f"beta must be positive for {SCP}, got {self.beta}")
+        if self.kind == THOMAS:
+            require_positive("parent_rate", self.parent_rate)
+            require_positive("offspring_scale", self.offspring_scale)
 
 
 def compute_intensity(kind: str, field: FieldRealization, spec: SamplerSpec) -> np.ndarray:
@@ -64,10 +71,7 @@ def compute_intensity(kind: str, field: FieldRealization, spec: SamplerSpec) -> 
     if kind == LGCP:
         return np.exp(spec.alpha + spec.beta * s)
     if kind == SCP:
-        lam = spec.beta / (1.0 + np.exp(-s))
-        if np.any(lam <= 0):
-            raise ValueError("SCP intensity must be positive; beta must be > 0")
-        return lam
+        return spec.beta / (1.0 + np.exp(-s))
     if kind == THOMAS:
         raise ValueError("Thomas process has no deterministic cell intensity")
     raise ValueError(f"unknown sampler kind {kind!r}")

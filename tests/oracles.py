@@ -101,8 +101,10 @@ def vecchia_implied_cov(psi: ModelParams, plan: VecchiaPlan) -> np.ndarray:
 
 
 def pairwise_reference(psi: ModelParams, data, weights, cutoff) -> tuple:
-    """(value, :class:`Profile`) of the weighted pairwise-marginal NLL,
-    computed one new array per operation over the whole pair list.
+    """(value, :class:`Profile`, summands) of the weighted pairwise-marginal
+    NLL, computed one new array per operation over the whole pair list;
+    ``summands`` is the list of its 13 per-pair arrays, in the order of the
+    rows of ``likelihood._pair_rows``.
 
     A pair's residual sum p and difference m are independent normals of
     variances 2e and 2f, e = v + c and f = v - c, so its term is
@@ -148,7 +150,7 @@ def pairwise_reference(psi: ModelParams, data, weights, cutoff) -> tuple:
         ]
     )
     profile = Profile(psi.mu + shift, psi.theta.sigma2 * ratio, base + total_w * (np.log(ratio) + 1.0), grad)
-    return base + 0.25 * sq, profile
+    return base + 0.25 * sq, profile, summands
 
 
 def gaussian_kl(sigma_true: np.ndarray, sigma_approx: np.ndarray) -> float:

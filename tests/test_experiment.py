@@ -463,8 +463,8 @@ class TestConfigFormat:
         ExperimentConfig(samplers=("thomas",), methods=("mle", "isiw-v:diggle"))  # accepted
 
     @pytest.mark.parametrize("text,message", [
-        ("phi=0.15,-1", "phi must be positive, got -1.0"),
-        ("phi=0", "phi must be positive, got 0.0"),
+        ("phi=0.15,-1", "phi must be positive and finite, got -1.0"),
+        ("phi=0", "phi must be positive and finite, got 0.0"),
         ("n=100,0", "n must be >= 1, got 0"),
         ("m=0", "m must be >= 1, got 0"),
         ("threshold=-1", "threshold must be nonnegative and finite, got -1.0"),
@@ -474,7 +474,9 @@ class TestConfigFormat:
         ("nu=0", "nu must be positive and finite, got 0.0"),
         ("tau2=-0.5", "tau2 must be nonnegative and finite, got -0.5"),
         ("samplers=thomas\nmethods=mle\nthomas_parent_rate=0",
-         "thomas_parent_rate must be positive and finite, got 0.0"),
+         "parent_rate must be positive and finite, got 0.0"),
+        ("samplers=scp\nbeta=0", "beta must be positive for scp, got 0.0"),
+        ("samplers=scp\nbeta=-1", "beta must be positive for scp, got -1.0"),
         ("beta=nan", "beta must be finite, got nan"),
         ("mu=nan", "mu must be finite, got nan"),
         ("pm_cutoff=-1", "pm_cutoff must be positive, got -1.0"),
@@ -484,8 +486,8 @@ class TestConfigFormat:
                      "is nonnegative definite at phi=3.0"),
     ], ids=["negative-phi", "zero-phi", "zero-n", "zero-m", "negative-threshold", "one-column",
             "no-rows", "negative-sigma2", "zero-nu", "negative-tau2", "no-thomas-parents",
-            "nan-beta", "nan-mu", "negative-pm-cutoff", "infinite-threshold", "negative-seed",
-            "unembeddable-phi"])
+            "zero-scp-beta", "negative-scp-beta", "nan-beta", "nan-mu", "negative-pm-cutoff",
+            "infinite-threshold", "negative-seed", "unembeddable-phi"])
     def test_run_sinking_value_rejected(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_config(text)
@@ -592,6 +594,16 @@ def dataset_csv(tmp_path_factory):
     locs = rng.random((80, 2))
     path = tmp_path_factory.mktemp("fit") / "data.csv"
     io.write_dataset_csv(path, Dataset(locations=locs, values=4.0 + fld.at(locs) + 0.3 * rng.normal(size=80)))
+    return path
+
+
+@pytest.fixture(scope="module")
+def field_csv(tmp_path_factory):
+    from isiw import CovParams, GridSpec, SeedStream, simulate_field
+
+    fld = simulate_field(GridSpec(Domain(0, 1, 0, 1), 8, 8), CovParams(1.5, 0.15, 1.0), SeedStream(8))
+    path = tmp_path_factory.mktemp("sample") / "field.csv"
+    io.write_field_csv(path, fld)
     return path
 
 
@@ -785,11 +797,39 @@ class TestCli:
         ("0,1,1,0", "degenerate domain"),
         ("0,1,0", "must be x0,x1,y0,y1"),
         ("0,1,a,1", "could not convert string to float"),
+        ("0,inf,0,1", "finite"),
     ])
     def test_domain_error_names_its_reason(self, domain, reason, tmp_path, capsys):
         out = tmp_path / "out"
         assert exit_code(["simulate", "--domain", domain, "--out-dir", str(out)]) == 1
         assert reason in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["krige", "--tau2", "nan"], "tau2 must be nonnegative and finite, got nan"),
+        (["krige", "--mu", "nan"], "mu must be finite, got nan"),
+        (["simulate", "--sigma2", "inf"], "sigma2 must be positive and finite, got inf"),
+        (["simulate", "--phi", "inf"], "phi must be positive and finite, got inf"),
+        (["fit", "--nu", "inf"], "nu must be positive and finite, got inf"),
+        (["sample", "--sampler", "thomas", "--parent-rate", "inf"],
+         "parent_rate must be positive and finite, got inf"),
+        (["sample", "--sampler", "scp", "--beta", "-1"], "beta must be positive for scp, got -1.0"),
+    ], ids=["nan-tau2", "nan-mu", "infinite-sigma2", "infinite-phi", "infinite-nu",
+            "infinite-parent-rate", "negative-scp-beta"])
+    def test_misused_parameter_names_field_and_value(self, args, message, dataset_csv, field_csv, tmp_path,
+                                                     capsys):
+        # each subcommand builds the types an experiment cell builds, so it
+        # refuses the values a config refuses, before it writes anything
+        inputs = {
+            "krige": ["--data", str(dataset_csv), "--mu", "4", "--sigma2", "1", "--phi", "0.1",
+                      "--tau2", "0.1", "--nx", "8"],
+            "simulate": ["--nx", "8"],
+            "fit": ["--data", str(dataset_csv), "--out", "fit.txt"],
+            "sample": ["--field", str(field_csv), "--n", "10"],
+        }
+        out = tmp_path / "out"
+        assert exit_code([args[0], *inputs[args[0]], *args[1:], "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"isiw: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command, dest, key", [

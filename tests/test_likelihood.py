@@ -32,7 +32,7 @@ from isiw import (
 )
 import isiw
 from isiw._linalg import NotPositiveDefiniteError, backward_solve_batched, cholesky_lower, forward_solve_batched
-from isiw.likelihood import PAIR_CHUNK
+from isiw.likelihood import PAIR_CHUNK, _pair_rows
 from oracles import build_cov_matrix, farthest_point_order, gaussian_kl, pairwise_reference, vecchia_implied_cov
 
 PSI = ModelParams.from_values(4.0, 1.5, 0.15, 0.1)
@@ -412,19 +412,39 @@ class TestPairwiseMarginalNll:
         with pytest.raises(ValueError, match="cutoff"):
             pairwise_marginal_nll(PSI, data, cutoff=1e-9)
 
+    @staticmethod
+    def reference_case(n, weighted, median_cutoff):
+        """(psi, data, weights, cutoff) of one case of the reference tests."""
+        data = random_dataset(n, 49)
+        weights = np.random.default_rng(n).uniform(0.2, 3.0, n) if weighted else None
+        cutoff = float(np.median(data.condensed_distances())) if median_cutoff else None
+        return ModelParams.from_values(3.7, 1.1, 0.08, 0.2), data, weights, cutoff
+
     @pytest.mark.parametrize("n", [2, 30, 300])
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("median_cutoff", [False, True])
     def test_equals_reference_bit_for_bit(self, n, weighted, median_cutoff):
-        data = random_dataset(n, 49)
-        weights = np.random.default_rng(n).uniform(0.2, 3.0, n) if weighted else None
-        cutoff = float(np.median(data.condensed_distances())) if median_cutoff else None
-        psi = ModelParams.from_values(3.7, 1.1, 0.08, 0.2)
+        psi, data, weights, cutoff = self.reference_case(n, weighted, median_cutoff)
         got = pairwise_marginal_nll(psi, data, weights, cutoff)
-        value, profile = pairwise_reference(psi, data, weights, cutoff)
+        value, profile, _ = pairwise_reference(psi, data, weights, cutoff)
         assert float(got).hex() == float(value).hex()
         assert [float(x).hex() for x in got.profile[:3]] == [float(x).hex() for x in profile[:3]]
         assert got.profile.grad.tobytes() == profile.grad.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 30, 300])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("median_cutoff", [False, True])
+    def test_rows_equal_reference_bit_for_bit(self, n, weighted, median_cutoff):
+        # a sum over many pairs hides a one-ulp change in a few summands,
+        # so the per-pair rows are compared before they are summed
+        psi, data, weights, cutoff = self.reference_case(n, weighted, median_cutoff)
+        iu, ju, d = data.pairs(cutoff)
+        rows = np.empty((13, d.size))
+        _pair_rows(rows, psi, data.values - psi.mu, weights, iu, ju, d)
+        summands = pairwise_reference(psi, data, weights, cutoff)[2]
+        assert len(summands) == len(rows)
+        for k, (row, summand) in enumerate(zip(rows, summands)):
+            assert row.tobytes() == summand.tobytes(), f"row {k} differs"
 
 
 def assert_matches_whole_array(data, weights, cutoff):
