@@ -23,8 +23,8 @@ import numpy as np
 
 from .experiment import (
     KNOWN,
-    METHOD_ISIW_PM,
     ExperimentConfig,
+    check_fit_settings,
     load_config,
     method_fitter,
     parse_domain,
@@ -188,12 +188,12 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_intensity(args) -> int:
+    grid = _grid(args)
     pts = io.read_points_csv(args.points)
     if args.bandwidth is not None:
         bw = BandwidthSpec(method="fixed", h=args.bandwidth)
     else:
         bw = select_bandwidth(args.selector, pts, args.domain)
-    grid = _grid(args)
     on_grid = estimate_intensity(pts, args.domain, bw, at=grid.cell_centers())
     weights = weights_from_intensity(estimate_intensity(pts, args.domain, bw), args.threshold)
     out = Path(args.out_dir)
@@ -204,8 +204,7 @@ def _cmd_intensity(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    if args.cutoff is not None and args.method.name != METHOD_ISIW_PM:
-        raise ValueError(f"--cutoff applies to isiw-pm only, not to {args.method.name}")
+    check_fit_settings([args.method], args.m, args.threshold, args.cutoff, ("--m", "--threshold", "--cutoff"))
     fit_one = method_fitter(
         io.read_dataset_csv(args.data), args.domain, nu=args.nu, m=args.m, threshold=args.threshold,
         pair_cutoff=args.cutoff, exact_mle_max_n=_CONFIG.exact_mle_max_n,
@@ -226,9 +225,9 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_krige(args) -> int:
+    grid = _grid(args)
     data = io.read_dataset_csv(args.data)
     psi = ModelParams.from_values(args.mu, args.sigma2, args.phi, args.tau2, nu=args.nu)
-    grid = _grid(args)
     out = krige(psi, data, grid.cell_centers())
     io.write_surface_csv(Path(args.out_dir) / args.out, out)
     print(f"wrote {grid.ncells} predictions to {Path(args.out_dir) / args.out}")

@@ -44,7 +44,7 @@ from .intensity import GRID_METHODS, SCOTT, estimate_intensity, select_bandwidth
 from .io import write_rows
 from .kriging import krige
 from .likelihood import EXACT, PAIRWISE_MARGINAL, VECCHIA, Objective, maxmin_order, nn_conditioning_sets
-from .model import Dataset, Domain, ModelParams, microergodic
+from .model import Dataset, Domain, ModelParams, microergodic, require_at_least, require_nonnegative
 from .pointprocess import (
     THOMAS,
     SampleSizeError,
@@ -86,6 +86,17 @@ def parse_method(entry: str) -> MethodSpec:
     else:
         raise ValueError(f"unknown method {entry!r}")
     return MethodSpec(name, source)
+
+
+def check_fit_settings(specs, m: int, threshold: float, pair_cutoff, names=("m", "threshold", "pm_cutoff")):
+    """Refuse an ``m`` below 1, a negative or non-finite ``threshold``, and a pair cutoff that is not
+    positive (inf keeps every pair) or has no isiw-pm method in ``specs``, spelled as in ``names``."""
+    require_at_least(names[0], m, 1)
+    require_nonnegative(names[1], threshold)
+    if pair_cutoff is not None and not pair_cutoff > 0:
+        raise ValueError(f"{names[2]} must be positive, got {pair_cutoff}")
+    if pair_cutoff is not None and all(spec.name != METHOD_ISIW_PM for spec in specs):
+        raise ValueError(f"{names[2]} needs an {METHOD_ISIW_PM} method, got {pair_cutoff} without one")
 
 
 def method_fitter(
@@ -159,22 +170,12 @@ class ExperimentConfig:
     timing: bool = True
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        require_at_least("replicates", self.replicates, 1)
+        require_at_least("threads", self.threads, 1)
         SeedStream(self.seed)  # refuses a negative seed
-        if not self.methods:
-            raise ValueError("methods must name at least one method")
-        for key in ("samplers", "n", "phi"):
+        for key in ("methods", "samplers", "n", "phi"):
             if not getattr(self, key):
                 raise ValueError(f"{key} must list at least one value")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if not 0 <= self.threshold < math.inf:
-            raise ValueError(f"threshold must be nonnegative and finite, got {self.threshold}")
-        if self.pm_cutoff is not None and not self.pm_cutoff > 0:
-            raise ValueError(f"pm_cutoff must be positive, got {self.pm_cutoff}")
         try:
             self.grid()
         except ValueError as exc:
@@ -188,6 +189,7 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ValueError(f"phi: {exc}") from None
         specs = self.method_specs()  # validate early
+        check_fit_settings(specs, self.m, self.threshold, self.pm_cutoff)
         twice = sorted({m for m in self.methods if self.methods.count(m) > 1})
         if twice:
             raise ValueError(f"methods lists {', '.join(twice)} more than once")

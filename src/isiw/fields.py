@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import CovParams, Dataset, Domain, matern_cov, read_only
+from .model import CovParams, Dataset, Domain, matern_cov, read_only, require_at_least, require_nonnegative
 
 # entries of the largest embedding tried: its complex fft2 array is 32 MB
 EMBED_BUDGET = 2**21
@@ -42,8 +42,7 @@ class SeedStream:
     key: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.root < 0:
-            raise ValueError(f"seed must be >= 0, got {self.root}")
+        require_at_least("seed", self.root, 0)
 
     def child(self, *ids: int) -> "SeedStream":
         return SeedStream(self.root, self.key + tuple(int(i) for i in ids))
@@ -55,7 +54,8 @@ class SeedStream:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Regular lattice of nx * ny cells tiling a rectangular domain.
+    """Regular lattice of nx * ny cells tiling a rectangular domain, at
+    least 2 per axis and at most ``EMBED_BUDGET`` in all.
 
     Cells are indexed row-major with x fastest: cell (ix, iy) has flat
     index iy * nx + ix and center (x0 + (ix+0.5) dx, y0 + (iy+0.5) dy).
@@ -68,6 +68,8 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ValueError(f"grid needs at least 2 cells per axis, got {self.nx}x{self.ny}")
+        if self.nx * self.ny > EMBED_BUDGET:
+            raise ValueError(f"grid of {self.nx}x{self.ny} cells exceeds the budget of {EMBED_BUDGET} cells")
 
     @property
     def ncells(self) -> int:
@@ -165,8 +167,7 @@ def observe(
     seed: SeedStream,
 ) -> Dataset:
     """Noisy observations Y_i = mu + S(x_i) + eps_i, eps_i ~ N(0, tau2)."""
-    if tau2 < 0:
-        raise ValueError(f"nugget must be nonnegative, got {tau2}")
+    require_nonnegative("nugget", tau2)
     locs = np.atleast_2d(np.asarray(locs, dtype=float))
     s_at = field.at(locs)
     eps = seed.generator().normal(0.0, np.sqrt(tau2), size=s_at.size)

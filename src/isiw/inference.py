@@ -44,7 +44,7 @@ from scipy.optimize import minimize
 
 from ._linalg import one_blas_thread
 from .likelihood import Profile
-from .model import Dataset, Domain, ModelParams
+from .model import Dataset, Domain, ModelParams, require_at_least
 
 PHI_CAP_FACTOR = 10.0
 LOG_PHI, ETA = 0, 1  # the search coordinates are (log phi, eta)
@@ -94,8 +94,7 @@ def default_init(data: Dataset, domain: Domain, nu: float = 1.0) -> ModelParams:
     """Rule-of-thumb starting point: sample moments split 90/10 between
     process variance and nugget, range at a tenth of the domain diameter.
     ``nu`` is the smoothness, which ``fit`` keeps fixed at its start value."""
-    if data.n < 2:
-        raise ValueError("initialization needs at least two observations")
+    require_at_least("observation count of the initialization", data.n, 2)
     mu0 = float(np.mean(data.values))
     var = float(np.var(data.values, ddof=1))
     sigma2_0 = max(0.9 * var, 1e-6)

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import ndtr
 
-from .model import Domain, read_only, require_positive
+from .model import Domain, read_only, require_at_least, require_nonnegative, require_positive
 
 SCOTT = "scott"
 DIGGLE = "diggle"
@@ -80,6 +80,16 @@ def _edge_mass(points: np.ndarray, h, domain: Domain) -> np.ndarray:
     return ex * ey
 
 
+def _exp_in_place(x: np.ndarray) -> np.ndarray:
+    """``np.exp(x)`` bit for bit, written into ``x``. Below -746 it writes
+    0.0 without calling exp: numpy's exp rounds to exactly 0.0 there (below
+    -745.1332), but leaves its fast path to get it."""
+    zero = x < -746.0
+    np.exp(x, out=x, where=~zero)
+    np.copyto(x, 0.0, where=zero)
+    return x
+
+
 def _kernel_sum(d2: np.ndarray, points: np.ndarray, h, domain: Domain, out=None) -> np.ndarray:
     """Edge-corrected kernel intensity given squared distances eval x source.
 
@@ -89,7 +99,7 @@ def _kernel_sum(d2: np.ndarray, points: np.ndarray, h, domain: Domain, out=None)
     quotient by 2 h^2 bit for bit, since IEEE division is sign-symmetric."""
     h2 = np.broadcast_to(np.asarray(h, dtype=float) ** 2, (points.shape[0],))
     contrib = np.divide(d2, -2.0 * h2, out=out)
-    np.exp(contrib, out=contrib)
+    _exp_in_place(contrib)
     contrib /= 2.0 * math.pi * h2
     return contrib @ (1.0 / _edge_mass(points, np.sqrt(h2), domain))
 
@@ -105,8 +115,7 @@ def estimate_intensity(
     its maximum."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[0]
-    if n < 1:
-        raise ValueError("need at least one point")
+    require_at_least("point count", n, 1)
     if not np.all(domain.contains(points)):
         raise ValueError("points outside the domain")
     h = bw.per_point_h
@@ -145,7 +154,7 @@ def integral_sq(points: np.ndarray, domain: Domain, hs: np.ndarray) -> np.ndarra
     for k, h in enumerate(hs):
         inv_e = 1.0 / _edge_mass(points, h, domain)
         inner = _edge_mass(mid, h / math.sqrt(2.0), domain)
-        terms = mult * inv_e[i] * inv_e[j] * np.exp(-d2 / (4.0 * h * h)) * inner
+        terms = mult * inv_e[i] * inv_e[j] * _exp_in_place(-d2 / (4.0 * h * h)) * inner
         out[k] = terms.sum() / (4.0 * math.pi * h * h)
     return out
 
@@ -203,8 +212,7 @@ def select_bandwidth(method: str, points: np.ndarray, domain: Domain) -> Bandwid
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[0]
-    if n < 5:
-        raise ValueError(f"bandwidth selection needs at least 5 points, got {n}")
+    require_at_least("point count for bandwidth selection", n, 5)
 
     if method == SCOTT:
         return BandwidthSpec(method=SCOTT, h=scott_bandwidth(points))
@@ -247,8 +255,7 @@ def weights_from_intensity(intensity: np.ndarray, threshold: float) -> np.ndarra
     maps to weights of exactly 1.0 (weighted objectives then collapse to
     their unweighted forms bit-for-bit).
     """
-    if not 0 <= threshold < math.inf:
-        raise ValueError(f"threshold must be nonnegative and finite, got {threshold}")
+    require_nonnegative("threshold", threshold)
     lam = np.asarray(intensity, dtype=float)
     if not np.all(np.isfinite(lam) & (lam > 0)):
         raise ValueError("intensities must be positive and finite")

@@ -62,6 +62,7 @@ from .model import (
     matern_cov,
     matern_cov_and_dlogphi,
     read_only,
+    require_at_least,
     symmetric_from_condensed,
 )
 
@@ -148,8 +149,7 @@ class VecchiaPlan:
         n = locs.shape[0]
         if not np.array_equal(np.sort(order), np.arange(n)):
             raise ValueError(f"order is not a permutation of the {n} locations")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        require_at_least("m", self.m, 1)
         k = np.minimum(np.arange(n), self.m)
         cols = np.arange(min(self.m, n - 1) + 1)
 
@@ -418,8 +418,7 @@ def pairwise_marginal_nll(
     size, bit for bit.
     """
     n = data.n
-    if n < 2:
-        raise ValueError("pairwise likelihood needs at least two observations")
+    require_at_least("observation count of the pairwise likelihood", n, 2)
     iu_all, ju_all, d_all = data.pairs(cutoff)
     if d_all.size == 0:
         raise ValueError(f"no pairs within cutoff {cutoff}")

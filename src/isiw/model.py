@@ -38,6 +38,16 @@ def require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def require_nonnegative(name: str, value: float) -> None:
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+
+
+def require_at_least(name: str, value: float, least: float) -> None:
+    if not value >= least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class Domain:
     """Rectangular study region [x0, x1] x [y0, y1]."""
@@ -94,8 +104,7 @@ class ModelParams:
 
     def __post_init__(self):
         require_finite("mu", self.mu)
-        if not 0 <= self.tau2 < math.inf:
-            raise ValueError(f"tau2 must be nonnegative and finite, got {self.tau2}")
+        require_nonnegative("tau2", self.tau2)
 
     @classmethod
     def from_values(cls, mu, sigma2, phi, tau2, nu=1.0) -> "ModelParams":
@@ -142,8 +151,7 @@ class Dataset:
         values = read_only(np.array(self.values, dtype=float).ravel())
         if locations.shape != (values.size, 2):
             raise ValueError(f"locations {locations.shape} do not pair with {values.size} values")
-        if values.size < 1:
-            raise ValueError("dataset needs at least one observation")
+        require_at_least("observation count", values.size, 1)
         if not np.all(np.isfinite(locations)) or not np.all(np.isfinite(values)):
             raise ValueError("non-finite coordinates or values")
         condensed = read_only(pdist(locations))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldRealization, SeedStream
-from .model import require_finite, require_positive
+from .model import require_at_least, require_finite, require_positive
 
 LGCP = "lgcp"
 SCP = "scp"
@@ -50,8 +50,7 @@ class SamplerSpec:
     def __post_init__(self):
         if self.kind not in SAMPLER_KINDS:
             raise ValueError(f"unknown sampler kind {self.kind!r}; use {', '.join(SAMPLER_KINDS)}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        require_at_least("n", self.n, 1)
         require_finite("beta", self.beta)
         require_finite("alpha", self.alpha)
         if self.kind == SCP and not self.beta > 0:
@@ -92,8 +91,7 @@ def sample_conditioned(
         raise ValueError("intensity does not match the grid")
     if np.any(intensity <= 0) or not np.all(np.isfinite(intensity)):
         raise ValueError("cell intensities must be positive and finite")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    require_at_least("n", n, 1)
 
     rng = seed.generator()
     probs = intensity / intensity.sum()

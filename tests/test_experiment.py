@@ -155,7 +155,8 @@ class TestRunReplicate:
         # one point has no sample variance to start a fit from
         config = tiny_config(n=(1,))
         rows = run_replicate(config, config.scenarios()[0], 0)
-        assert [r.error for r in rows] == ["ValueError: initialization needs at least two observations"] * 2
+        error = "ValueError: observation count of the initialization must be >= 2, got 1"
+        assert [r.error for r in rows] == [error] * 2
 
     def test_fits_keep_config_nu(self):
         config = tiny_config(nu=2.5, methods=("mle", "vecchia", "isiw-v:known"))
@@ -382,7 +383,7 @@ def test_average_ranks_equal_rankdata(seed):
 
 class TestConfigFormat:
     def test_round_trip(self):
-        config = tiny_config(pm_cutoff=0.3, samplers=("lgcp", "scp"))
+        config = tiny_config(pm_cutoff=0.3, samplers=("lgcp", "scp"), methods=("mle", "isiw-pm:CvL"))
         text = format_config(config)
         again = parse_config(text)
         assert again == config
@@ -436,7 +437,7 @@ class TestConfigFormat:
             parse_config(text)
 
     def test_empty_methods_rejected(self):
-        with pytest.raises(ValueError, match="at least one method"):
+        with pytest.raises(ValueError, match="methods must list at least one value"):
             parse_config("methods=")
 
     def test_duplicate_method_rejected(self):
@@ -482,12 +483,17 @@ class TestConfigFormat:
         ("pm_cutoff=-1", "pm_cutoff must be positive, got -1.0"),
         ("threshold=inf", "threshold must be nonnegative and finite, got inf"),
         ("seed=-1", "seed must be >= 0, got -1"),
+        ("replicates=0", "replicates must be >= 1, got 0"),
+        ("threads=0", "threads must be >= 1, got 0"),
+        ("grid_nx=1449\ngrid_ny=1449",
+         "grid_nx, grid_ny: grid of 1449x1449 cells exceeds the budget of 2097152 cells"),
         ("phi=3.0", "phi: no circulant embedding of the 48x48 grid within 2097152 entries "
                      "is nonnegative definite at phi=3.0"),
     ], ids=["negative-phi", "zero-phi", "zero-n", "zero-m", "negative-threshold", "one-column",
             "no-rows", "negative-sigma2", "zero-nu", "negative-tau2", "no-thomas-parents",
             "zero-scp-beta", "negative-scp-beta", "nan-beta", "nan-mu", "negative-pm-cutoff",
-            "infinite-threshold", "negative-seed", "unembeddable-phi"])
+            "infinite-threshold", "negative-seed", "zero-replicates", "zero-threads", "oversized-grid",
+            "unembeddable-phi"])
     def test_run_sinking_value_rejected(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_config(text)
@@ -830,6 +836,43 @@ class TestCli:
         out = tmp_path / "out"
         assert exit_code([args[0], *inputs[args[0]], *args[1:], "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err == f"isiw: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, flags, rule", [
+        ("m=0", ["--m", "0"], "must be >= 1, got 0"),
+        ("threshold=-1", ["--threshold", "-1"], "must be nonnegative and finite, got -1.0"),
+        ("methods=isiw-pm:CvL\npm_cutoff=-1", ["--method", "isiw-pm:CvL", "--cutoff", "-1"],
+         "must be positive, got -1.0"),
+        ("methods=isiw-pm:CvL\npm_cutoff=nan", ["--method", "isiw-pm:CvL", "--cutoff", "nan"],
+         "must be positive, got nan"),
+        ("methods=mle,isiw-v:diggle\npm_cutoff=0.3", ["--method", "isiw-v:diggle", "--cutoff", "0.3"],
+         "needs an isiw-pm method, got 0.3 without one"),
+    ], ids=["zero-m", "negative-threshold", "negative-cutoff", "nan-cutoff", "cutoff-without-isiw-pm"])
+    def test_invalid_fit_setting_refused_by_config_and_fit(self, config, flags, rule, dataset_csv, tmp_path,
+                                                           capsys):
+        # one rule, spelled as each caller spells the setting: the config key
+        # or the fit flag; fit refuses it whatever method it fits
+        key = config.splitlines()[-1].split("=")[0]
+        with pytest.raises(ValueError) as refused:
+            parse_config(config)
+        assert str(refused.value) == f"{key} {rule}"
+        out = tmp_path / "out"
+        assert exit_code(["fit", "--data", str(dataset_csv), *flags, "--out-dir", str(out), "--out", "f"]) == 1
+        assert capsys.readouterr().err == f"isiw: {flags[-2]} {rule}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "intensity", "krige"])
+    def test_grid_over_budget_rejected(self, command, dataset_csv, tmp_path, capsys):
+        # one cell over fields.EMBED_BUDGET: refused before any grid array exists
+        inputs = {
+            "simulate": [],
+            "intensity": ["--points", str(dataset_csv)],
+            "krige": ["--data", str(dataset_csv), "--mu", "4", "--sigma2", "1", "--phi", "0.1",
+                      "--tau2", "0.1"],
+        }
+        out = tmp_path / "out"
+        assert exit_code([command, "--nx", "1449", "--ny", "1449", *inputs[command], "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "isiw: grid of 1449x1449 cells exceeds the budget of 2097152 cells\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command, dest, key", [

@@ -14,7 +14,7 @@ from isiw import (
     observe,
     simulate_field,
 )
-from isiw.fields import _embedding_root
+from isiw.fields import EMBED_BUDGET, _embedding_root
 
 UNIT = Domain(0.0, 1.0, 0.0, 1.0)
 THETA = CovParams(1.5, 0.15, 1.0)
@@ -81,6 +81,13 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(UNIT, 1, 4)
 
+    def test_more_cells_than_the_budget_rejected(self):
+        assert GridSpec(UNIT, 1448, 1448).ncells <= EMBED_BUDGET < 1449 * 1449
+        assert GridSpec(UNIT, 2, EMBED_BUDGET // 2).ncells == EMBED_BUDGET
+        for nx, ny in [(1449, 1449), (2, EMBED_BUDGET // 2 + 1)]:
+            with pytest.raises(ValueError, match=f"grid of {nx}x{ny} cells exceeds the budget of {EMBED_BUDGET}"):
+                GridSpec(UNIT, nx, ny)
+
 
 class TestFieldRealization:
     def test_values_are_a_read_only_copy(self):
@@ -135,7 +142,7 @@ class TestSimulateField:
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_cell_budget_enforced(self):
-        # no cap on the cell count itself
+        # a grid whose embedding fits the budget simulates
         assert simulate_field(GridSpec(UNIT, 80, 80), THETA, SeedStream(0)).values.shape == (6400,)
         # a range three times the domain needs an embedding past the budget
         with pytest.raises(ValueError, match=r"48x48 grid .* phi=3\.0, nu=1\.0"):
@@ -212,3 +219,8 @@ class TestObserve:
     def test_outside_domain_rejected(self):
         with pytest.raises(ValueError):
             observe(self.fld, np.array([[2.0, 0.5]]), 0.0, 0.0, SeedStream(0))
+
+    @pytest.mark.parametrize("tau2", [-0.1, np.inf, np.nan])
+    def test_bad_nugget_rejected(self, tau2):
+        with pytest.raises(ValueError, match=f"nugget must be nonnegative and finite, got {tau2}"):
+            observe(self.fld, self.locs, 0.0, tau2, SeedStream(0))

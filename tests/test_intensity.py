@@ -20,6 +20,7 @@ from isiw import (
 from isiw.intensity import (
     _adaptive_bandwidths,
     _edge_mass,
+    _exp_in_place,
     bandwidth_search_grid,
     cvl_criterion,
     integral_sq,
@@ -153,6 +154,15 @@ class TestEstimateIntensity:
             BandwidthSpec(method="diggle")
 
 
+def test_exp_in_place_equals_numpy_exp_bit_for_bit():
+    x = np.random.default_rng(5).uniform(-2000.0, 0.0, 1_000_000)
+    edges = [-np.inf, -746.0, np.nextafter(-746.0, 0.0), -745.1332, -745.13321, -708.5, -1e-300, 0.0, np.nan]
+    x = np.concatenate([x, edges])
+    want = np.exp(x)
+    got = _exp_in_place(x.copy())
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestEdgeCorrection:
     def test_center_mass_is_one(self):
         mass = _edge_mass(np.array([[0.5, 0.5]]), 0.095, UNIT)[0]
@@ -176,7 +186,7 @@ class TestSelectBandwidth:
         assert h == pytest.approx(0.11604, abs=1e-4)
 
     def test_needs_five_points(self):
-        with pytest.raises(ValueError, match="at least 5"):
+        with pytest.raises(ValueError, match="point count for bandwidth selection must be >= 5, got 4"):
             select_bandwidth("scott", np.random.rand(4, 2), UNIT)
 
     def test_criteria_match_oracle(self):

@@ -56,6 +56,6 @@ def test_missing_file_is_a_difference(outputs, tmp_path):
     assert output_pairs.first_difference(outputs, change).startswith("ranks.csv: missing")
 
 
-@pytest.mark.parametrize("name", ["headline", "seven_methods", "pairwise_n400", "paper_n800", "thomas"])
+@pytest.mark.parametrize("name", ["headline", "seven_methods", "pairwise_n400", "paper_n800", "thomas", "pm_cutoff"])
 def test_committed_config_parses_with_timing_off(name):
     assert parse_config((Path(TOOLS) / "configs" / f"{name}.cfg").read_text()).timing is False

@@ -15,8 +15,9 @@ the first difference, naming the file and the line, and exits 1; it exits
 The configs in ``tools/configs/`` are the ones it is run on: the
 acceptance headline config, a 7-method config on two samplers at n=100
 and n=250, the Vecchia and pairwise-marginal likelihoods at n=400, the
-default config's n=800 cells (``paper_n800.cfg``), and Thomas cluster
-patterns at n=40 and n=100 (``thomas.cfg``).
+default config's n=800 cells (``paper_n800.cfg``), Thomas cluster
+patterns at n=40 and n=100 (``thomas.cfg``), and the isiw-pm pair cutoff
+(``pm_cutoff.cfg``).
 
 Standard library only; nothing is imported from the package under test.
 """
