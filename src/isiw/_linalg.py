@@ -1,5 +1,6 @@
 """Small shared linear-algebra helpers (Cholesky with pivot reporting,
-batched triangular solves, OpenBLAS thread control).
+batched triangular solves, blocks of evaluation targets, OpenBLAS thread
+control).
 
 OpenBLAS threads by default on every core, and its idle threads spin. The
 dense work of a fit or a kriging call is on matrices of at most about a
@@ -21,6 +22,9 @@ from contextlib import contextmanager
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf
+
+# targets per block of a targets x n evaluation: 0.8 MB per block at n = 400
+TARGET_BLOCK = 256
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -52,6 +56,22 @@ def cholesky_lower(a: np.ndarray, context: str = "", overwrite: bool = False) ->
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrf")
     return c
+
+
+def target_blocks(count: int):
+    """Slices of ``TARGET_BLOCK`` consecutive targets out of ``count``, in
+    order, so that a caller never holds a whole targets x n matrix.
+
+    A last block of fewer than 4 targets joins the block before it:
+    OpenBLAS multiplies a matrix of fewer than 4 rows by a vector along
+    another path, whose bits differ from those of the same rows inside one
+    product over all targets. With that, and on one BLAS thread, a product
+    taken block by block equals the unblocked one bit for bit."""
+    starts = list(range(0, count, TARGET_BLOCK))
+    if len(starts) > 1 and count - starts[-1] < 4:
+        starts.pop()
+    for start, stop in zip(starts, starts[1:] + [count]):
+        yield slice(start, stop)
 
 
 def forward_solve_batched(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:

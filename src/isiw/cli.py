@@ -4,7 +4,9 @@ Subcommands: simulate (field -> CSV), sample (points -> CSV), intensity
 (kernel intensity and weights -> CSV), fit (data CSV -> parameter report),
 krige (data CSV + parameters -> surface CSV), experiment (config file ->
 results CSVs). Each subcommand takes only the flags it reads; any other
-flag is a usage error. ``fit --method`` takes the experiment's method
+flag is a usage error, and so is a setting flag that the run would not
+read, by the config's rule (``fit --m`` for an exact fit, ``sample
+--alpha`` without lgcp). ``fit --method`` takes the experiment's method
 entries (``mle``, ``vecchia``, ``isiw-v:SOURCE``, ``isiw-pm:SOURCE``) and
 fits one through :func:`~isiw.experiment.method_fitter`, as the
 experiment does, except that the ``known`` source, which needs the
@@ -30,6 +32,7 @@ from .experiment import (
     parse_domain,
     parse_method,
     run_experiment,
+    unread_settings,
 )
 from .fields import GridSpec, SeedStream, simulate_field
 from .intensity import (
@@ -88,9 +91,30 @@ _SHARED = {
     "out-dir": dict(default=".", help="directory for output files"),
     "domain": dict(type=_argument(parse_domain), default=_CONFIG.domain, help="study region x0,x1,y0,y1"),
     "nu": dict(type=float, default=_CONFIG.nu, help="Matérn smoothness (fixed)"),
-    "threshold": dict(type=float, default=_CONFIG.threshold,
+    "threshold": dict(type=float, default=None,
                       help="winsorization lower threshold on normalized intensity"),
 }
+
+# The flags of settings that only some runs read (experiment.unread_settings),
+# by dest, with their config keys. Each defaults to None, so that a given
+# flag is told from an absent one, which takes the config's default.
+_SETTINGS = {
+    "m": "m", "threshold": "threshold", "cutoff": "pm_cutoff", "alpha": "alpha",
+    "parent_rate": "thomas_parent_rate", "offspring_scale": "thomas_offspring_scale",
+}
+
+
+def _read_settings(args, unread: dict) -> None:
+    """Refuse each setting flag given in ``args`` whose key is in
+    ``unread``, naming the flag and the reason; fill each absent one with
+    the config's default."""
+    for dest, key in _SETTINGS.items():
+        if not hasattr(args, dest):
+            continue
+        if getattr(args, dest) is None:
+            setattr(args, dest, getattr(_CONFIG, key))
+        elif key in unread:
+            raise ValueError(f"--{dest.replace('_', '-')} {unread[key]}")
 
 
 def _subcommand(sub, name: str, shared: tuple, **kwargs) -> _Parser:
@@ -117,9 +141,9 @@ def build_parser() -> _Parser:
     p.add_argument("--sampler", default="lgcp", choices=SAMPLER_KINDS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta", type=float, default=_CONFIG.beta)
-    p.add_argument("--alpha", type=float, default=_CONFIG.alpha)
-    p.add_argument("--parent-rate", type=float, default=_CONFIG.thomas_parent_rate)
-    p.add_argument("--offspring-scale", type=float, default=_CONFIG.thomas_offspring_scale)
+    p.add_argument("--alpha", type=float, default=None, help="lgcp only")
+    p.add_argument("--parent-rate", type=float, default=None, help="thomas only")
+    p.add_argument("--offspring-scale", type=float, default=None, help="thomas only")
     p.add_argument("--out", default="points.csv")
 
     p = _subcommand(sub, "intensity", ("out-dir", "domain", "threshold"),
@@ -139,7 +163,7 @@ def build_parser() -> _Parser:
     p.add_argument("--method", type=_argument(_fit_method), default="mle",
                    help="mle, vecchia, isiw-v:SOURCE or isiw-pm:SOURCE; SOURCE is a "
                         "bandwidth selector: scott, diggle, ppl, CvL or CvL.adaptive")
-    p.add_argument("--m", type=int, default=_CONFIG.m, help="max conditioning-set size")
+    p.add_argument("--m", type=int, default=None, help="max conditioning-set size of a Vecchia fit")
     p.add_argument("--cutoff", type=float, default=None,
                    help="isiw-pm pairwise distance cutoff")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -172,6 +196,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    _read_settings(args, unread_settings([args.sampler]))
     fld = io.read_field_csv(args.field)
     spec = SamplerSpec(
         kind=args.sampler, n=args.n, beta=args.beta, alpha=args.alpha,
@@ -188,6 +213,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_intensity(args) -> int:
+    _read_settings(args, {})
     grid = _grid(args)
     pts = io.read_points_csv(args.points)
     if args.bandwidth is not None:
@@ -204,9 +230,11 @@ def _cmd_intensity(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    check_fit_settings([args.method], args.m, args.threshold, args.cutoff, ("--m", "--threshold", "--cutoff"))
+    data = io.read_dataset_csv(args.data)  # whether mle reads --m depends on the data size
+    _read_settings(args, unread_settings((), [args.method], [data.n], _CONFIG.exact_mle_max_n))
+    check_fit_settings(args.m, args.threshold, args.cutoff, ("--m", "--threshold", "--cutoff"))
     fit_one = method_fitter(
-        io.read_dataset_csv(args.data), args.domain, nu=args.nu, m=args.m, threshold=args.threshold,
+        data, args.domain, nu=args.nu, m=args.m, threshold=args.threshold,
         pair_cutoff=args.cutoff, exact_mle_max_n=_CONFIG.exact_mle_max_n,
     )
     res = fit_one(args.method, args.seed)

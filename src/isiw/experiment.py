@@ -6,7 +6,8 @@ Configuration is a flat key=value text file (arrays comma-separated,
 ``#`` starts a comment). The recognized keys are the fields of
 :class:`ExperimentConfig`, each read as the type of its default: a
 domain is x0,x1,y0,y1, a tuple a comma-separated list, ``timing`` on or
-off, and ``pm_cutoff`` a float or empty for no cutoff.
+off, and ``pm_cutoff`` a float or empty for no cutoff. A key that the
+run does not read (:func:`unread_settings`) is refused.
 
 Method entries are ``mle``, ``vecchia``, or ``isiw-v:SOURCE`` /
 ``isiw-pm:SOURCE`` with SOURCE one of known, scott, diggle, ppl, CvL,
@@ -46,6 +47,7 @@ from .kriging import krige
 from .likelihood import EXACT, PAIRWISE_MARGINAL, VECCHIA, Objective, maxmin_order, nn_conditioning_sets
 from .model import Dataset, Domain, ModelParams, microergodic, require_at_least, require_nonnegative
 from .pointprocess import (
+    LGCP,
     THOMAS,
     SampleSizeError,
     SamplerSpec,
@@ -88,15 +90,47 @@ def parse_method(entry: str) -> MethodSpec:
     return MethodSpec(name, source)
 
 
-def check_fit_settings(specs, m: int, threshold: float, pair_cutoff, names=("m", "threshold", "pm_cutoff")):
+def check_fit_settings(m: int, threshold: float, pair_cutoff, names=("m", "threshold", "pm_cutoff")):
     """Refuse an ``m`` below 1, a negative or non-finite ``threshold``, and a pair cutoff that is not
-    positive (inf keeps every pair) or has no isiw-pm method in ``specs``, spelled as in ``names``."""
+    positive (inf keeps every pair), spelled as in ``names``."""
     require_at_least(names[0], m, 1)
     require_nonnegative(names[1], threshold)
     if pair_cutoff is not None and not pair_cutoff > 0:
         raise ValueError(f"{names[2]} must be positive, got {pair_cutoff}")
-    if pair_cutoff is not None and all(spec.name != METHOD_ISIW_PM for spec in specs):
-        raise ValueError(f"{names[2]} needs an {METHOD_ISIW_PM} method, got {pair_cutoff} without one")
+
+
+def unread_settings(samplers, specs=(), n_values=(), exact_mle_max_n: int = 0) -> dict:
+    """The settings that a run of ``samplers``, the method entries ``specs``
+    (parsed) and the pattern sizes ``n_values`` does not read, each mapped
+    to the reason. Every other setting is read by every run. ``mle`` fits
+    the Vecchia likelihood above ``exact_mle_max_n`` points, so it reads
+    ``m`` when some n is larger."""
+    present = {*samplers, *(spec.name for spec in specs)}  # no sampler kind is a method name
+    kinds = ", ".join(dict.fromkeys(samplers))
+    fits = ", ".join(dict.fromkeys(spec.name for spec in specs))
+    vecchia_fits = {METHOD_VECCHIA, METHOD_ISIW_V}
+    if any(n > exact_mle_max_n for n in n_values):
+        vecchia_fits.add(METHOD_MLE)
+    thomas = ({THOMAS}, f"the {THOMAS} sampler", kinds)
+    rules = {  # key: (the samplers or methods that read it, as described, and the run's own)
+        "thomas_parent_rate": thomas,
+        "thomas_offspring_scale": thomas,
+        "alpha": ({LGCP}, f"the {LGCP} sampler", kinds),
+        "exact_mle_max_n": ({METHOD_MLE}, f"the {METHOD_MLE} method", fits),
+        "m": (
+            vecchia_fits,
+            f"a Vecchia fit ({METHOD_VECCHIA}, {METHOD_ISIW_V}, or {METHOD_MLE} above "
+            f"exact_mle_max_n={exact_mle_max_n} points)",
+            f"{fits} at n={','.join(str(n) for n in n_values)}",
+        ),
+        "threshold": ({METHOD_ISIW_V, METHOD_ISIW_PM}, f"the {METHOD_ISIW_V} and {METHOD_ISIW_PM} methods", fits),
+        "pm_cutoff": ({METHOD_ISIW_PM}, f"the {METHOD_ISIW_PM} methods", fits),
+    }
+    return {
+        key: f"is read only by {readers}, not by {run}"
+        for key, (read_by, readers, run) in rules.items()
+        if read_by.isdisjoint(present)
+    }
 
 
 def method_fitter(
@@ -189,7 +223,10 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ValueError(f"phi: {exc}") from None
         specs = self.method_specs()  # validate early
-        check_fit_settings(specs, self.m, self.threshold, self.pm_cutoff)
+        check_fit_settings(self.m, self.threshold, self.pm_cutoff)
+        for key, reason in self.unread_settings().items():
+            if getattr(self, key) != getattr(ExperimentConfig, key):  # the field's default
+                raise ValueError(f"{key} {reason}")
         twice = sorted({m for m in self.methods if self.methods.count(m) > 1})
         if twice:
             raise ValueError(f"methods lists {', '.join(twice)} more than once")
@@ -205,6 +242,11 @@ class ExperimentConfig:
 
     def method_specs(self) -> list:
         return [parse_method(entry) for entry in self.methods]
+
+    def unread_settings(self) -> dict:
+        """The settings this run does not read, by :func:`unread_settings`;
+        each holds its default."""
+        return unread_settings(self.samplers, self.method_specs(), self.n, self.exact_mle_max_n)
 
     def scenarios(self) -> list:
         out = []
@@ -509,9 +551,13 @@ def _write_metadata(config: ExperimentConfig, path: Path, n_rows: int) -> None:
 
 
 def format_config(config: ExperimentConfig) -> str:
-    """Serialize a config to the flat key=value format parse_config reads."""
+    """Serialize a config to the flat key=value format parse_config reads:
+    every key the run reads, so the text parses back to ``config``."""
+    unread = config.unread_settings()
     parts = []
     for f in dataclass_fields(ExperimentConfig):
+        if f.name in unread:
+            continue
         value = getattr(config, f.name)
         if isinstance(value, Domain):
             value = f"{value.x0},{value.x1},{value.y0},{value.y1}"
@@ -563,7 +609,8 @@ def _convert(key: str, value: str):
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key=value config format (see module docstring). An
-    error names the line and the key."""
+    error names the key, and the line when the value does not convert. A
+    key that the run does not read is refused, even at its default."""
     kwargs: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -578,7 +625,12 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"config line {lineno}: unknown key {key!r}") from None
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: {key}: {exc}") from None
-    return ExperimentConfig(**kwargs)
+    config = ExperimentConfig(**kwargs)
+    unread = config.unread_settings()
+    for key in kwargs:
+        if key in unread:
+            raise ValueError(f"{key} {unread[key]}")
+    return config
 
 
 def load_config(path) -> ExperimentConfig:

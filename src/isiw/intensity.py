@@ -29,6 +29,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import ndtr
 
+from ._linalg import target_blocks
 from .model import Domain, read_only, require_at_least, require_nonnegative, require_positive
 
 SCOTT = "scott"
@@ -112,7 +113,8 @@ def estimate_intensity(
 ) -> np.ndarray:
     """Kernel intensity estimate from ``points`` at the rows of ``at``, or
     at the points themselves when ``at`` is None, floored at 1e-12 times
-    its maximum."""
+    its maximum. The rows are evaluated in :func:`~isiw._linalg.target_blocks`,
+    so no len(at) x n array is held."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[0]
     require_at_least("point count", n, 1)
@@ -124,7 +126,10 @@ def estimate_intensity(
     elif h.size != n:
         raise ValueError("per-point bandwidths do not match the point count")
     at = points if at is None else np.atleast_2d(np.asarray(at, dtype=float))
-    return _floor_positive(_kernel_sum(cdist(at, points, "sqeuclidean"), points, h, domain))
+    out = np.empty(len(at))
+    for block in target_blocks(len(at)):
+        out[block] = _kernel_sum(cdist(at[block], points, "sqeuclidean"), points, h, domain)
+    return _floor_positive(out)
 
 
 def bandwidth_search_grid(domain: Domain, n: int) -> np.ndarray:

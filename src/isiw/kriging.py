@@ -6,15 +6,15 @@ target-covariances do not, so the predictor targets the smooth surface
 mu + S rather than the noisy observations. One Cholesky factorization,
 computed in the buffer of the data covariance, is shared across all
 targets. The n x T cross-covariance is never held whole: it is evaluated
-in blocks of ``TARGET_BLOCK`` targets, so a call onto a 48 x 48 grid holds
-a few MB beyond the n x n factor. Predictions need only one solve against
-the data; variances need a triangular solve against every target, so they
-are computed on first access, block by block, from the factor, the data
-locations and the covariance parameters that ``krige`` keeps. Both run on
-one OpenBLAS thread (``_linalg.one_blas_thread``; a no-op on a BLAS without
-a known thread setter), since the matrices are at most about a thousand
-rows by a few thousand targets and processes, not BLAS threads, are the
-unit of parallelism.
+in blocks of ``_linalg.TARGET_BLOCK`` targets, so a call onto a 48 x 48
+grid holds a few MB beyond the n x n factor. Predictions need only one
+solve against the data; variances need a triangular solve against every
+target, so they are computed on first access, block by block, from the
+factor, the data locations and the covariance parameters that ``krige``
+keeps. Both run on one OpenBLAS thread (``_linalg.one_blas_thread``; a
+no-op on a BLAS without a known thread setter), since the matrices are at
+most about a thousand rows by a few thousand targets and processes, not
+BLAS threads, are the unit of parallelism.
 """
 
 from __future__ import annotations
@@ -26,27 +26,15 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.spatial.distance import cdist
 
-from ._linalg import cholesky_lower, one_blas_thread
+from ._linalg import cholesky_lower, one_blas_thread, target_blocks
 from .model import CovParams, Dataset, ModelParams, matern_cov, read_only, symmetric_from_condensed
-
-# targets per cross-covariance block: 0.8 MB per block at n = 400
-TARGET_BLOCK = 256
 
 
 def _cross_blocks(locations: np.ndarray, targets: np.ndarray, theta: CovParams):
-    """(slice, n x block nugget-free cross-covariance) for each block of
-    ``TARGET_BLOCK`` targets, in order.
-
-    A last block of fewer than 4 targets joins the block before it:
-    OpenBLAS multiplies a matrix of fewer than 4 rows by a vector along
-    another path, whose bits differ from those of the same rows inside one
-    product over all targets. With that, and on one BLAS thread, every
+    """(slice, n x block nugget-free cross-covariance) for each of
+    :func:`~isiw._linalg.target_blocks`, in order; on one BLAS thread every
     prediction equals the unblocked one bit for bit."""
-    starts = list(range(0, len(targets), TARGET_BLOCK))
-    if len(starts) > 1 and len(targets) - starts[-1] < 4:
-        starts.pop()
-    for start, stop in zip(starts, starts[1:] + [len(targets)]):
-        block = slice(start, stop)
+    for block in target_blocks(len(targets)):
         yield block, matern_cov(cdist(locations, targets[block]), theta)
 
 

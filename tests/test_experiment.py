@@ -46,7 +46,7 @@ from isiw import (
     select_bandwidth,
     weights_from_intensity,
 )
-from isiw.cli import build_parser, main as cli_main
+from isiw.cli import _read_settings, build_parser, main as cli_main
 from test_inference import no_nugget_dataset
 
 
@@ -142,8 +142,9 @@ class TestRunReplicate:
 
     def test_thomas_known_weights_fail_softly(self):
         # a config rejects samplers=thomas with a known source, but a Thomas
-        # scenario passed to run_replicate directly still reaches the row guard
-        config = tiny_config(methods=("mle", "isiw-v:known"), thomas_parent_rate=150.0)
+        # scenario passed to run_replicate directly still reaches the row guard;
+        # an lgcp config refuses a Thomas parent rate, so the default one draws it
+        config = tiny_config(methods=("mle", "isiw-v:known"))
         sc = Scenario(kind="thomas", n=40, phi=0.15)
         rows = run_replicate(config, sc, 0)
         by_method = {r.method: r for r in rows}
@@ -839,19 +840,20 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("config, flags, rule", [
-        ("m=0", ["--m", "0"], "must be >= 1, got 0"),
-        ("threshold=-1", ["--threshold", "-1"], "must be nonnegative and finite, got -1.0"),
+        ("m=0", ["--method", "vecchia", "--m", "0"], "must be >= 1, got 0"),
+        ("threshold=-1", ["--method", "isiw-v:scott", "--threshold", "-1"],
+         "must be nonnegative and finite, got -1.0"),
         ("methods=isiw-pm:CvL\npm_cutoff=-1", ["--method", "isiw-pm:CvL", "--cutoff", "-1"],
          "must be positive, got -1.0"),
         ("methods=isiw-pm:CvL\npm_cutoff=nan", ["--method", "isiw-pm:CvL", "--cutoff", "nan"],
          "must be positive, got nan"),
-        ("methods=mle,isiw-v:diggle\npm_cutoff=0.3", ["--method", "isiw-v:diggle", "--cutoff", "0.3"],
-         "needs an isiw-pm method, got 0.3 without one"),
+        ("methods=isiw-v:diggle\npm_cutoff=0.3", ["--method", "isiw-v:diggle", "--cutoff", "0.3"],
+         "is read only by the isiw-pm methods, not by isiw-v"),
     ], ids=["zero-m", "negative-threshold", "negative-cutoff", "nan-cutoff", "cutoff-without-isiw-pm"])
     def test_invalid_fit_setting_refused_by_config_and_fit(self, config, flags, rule, dataset_csv, tmp_path,
                                                            capsys):
         # one rule, spelled as each caller spells the setting: the config key
-        # or the fit flag; fit refuses it whatever method it fits
+        # or the fit flag, with a method that reads it
         key = config.splitlines()[-1].split("=")[0]
         with pytest.raises(ValueError) as refused:
             parse_config(config)
@@ -895,6 +897,7 @@ class TestCli:
             "krige": ["--data", "d.csv", "--mu", "0", "--sigma2", "1", "--phi", "0.1", "--tau2", "0"],
         }
         args = build_parser().parse_args([command, *required.get(command, [])])
+        _read_settings(args, {})  # what a command does with the flags it was not given
         assert getattr(args, dest) == getattr(ExperimentConfig(), key)
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
@@ -910,3 +913,89 @@ class TestCli:
             "--nx", "8", "--out-dir", str(tmp_path),
         ])
         assert code == 2
+
+
+# A setting that the run does not read, set in a config and given to a
+# subcommand: (config keys and values, the key, the subcommand and flags
+# that give the same setting, or None where no flag gives it).
+UNREAD = [
+    (dict(samplers=("lgcp",), thomas_parent_rate=30.0), "thomas_parent_rate",
+     ["sample", "--sampler", "lgcp", "--parent-rate", "30"]),
+    (dict(samplers=("lgcp", "scp"), thomas_offspring_scale=0.2), "thomas_offspring_scale",
+     ["sample", "--sampler", "scp", "--offspring-scale", "0.2"]),
+    (dict(samplers=("scp",), alpha=3.0), "alpha", ["sample", "--sampler", "scp", "--alpha", "3"]),
+    (dict(samplers=("thomas",), methods=("mle",), alpha=3.0), "alpha",
+     ["sample", "--sampler", "thomas", "--alpha", "3"]),
+    (dict(methods=("vecchia",), exact_mle_max_n=50), "exact_mle_max_n", None),
+    (dict(methods=("mle",), n=(100,), m=5), "m", ["fit", "--method", "mle", "--m", "5"]),
+    (dict(methods=("isiw-pm:CvL",), m=5), "m", ["fit", "--method", "isiw-pm:CvL", "--m", "5"]),
+    (dict(methods=("mle", "vecchia"), threshold=0.5), "threshold",
+     ["fit", "--method", "vecchia", "--threshold", "0.5"]),
+    (dict(methods=("mle", "isiw-v:diggle"), pm_cutoff=0.3), "pm_cutoff",
+     ["fit", "--method", "isiw-v:diggle", "--cutoff", "0.3"]),
+]
+UNREAD_IDS = [f"{key}-{'-'.join(str(v) for v in kwargs.get('samplers', kwargs.get('methods')))}"
+              for kwargs, key, _ in UNREAD]
+
+
+def config_text(settings: dict) -> str:
+    return "\n".join(f"{k}={','.join(map(str, v)) if isinstance(v, tuple) else v}" for k, v in settings.items())
+
+
+class TestUnreadSettings:
+    @pytest.mark.parametrize("settings, key, argv", UNREAD, ids=UNREAD_IDS)
+    def test_config_refuses_unread_key(self, settings, key, argv):
+        for refuse in (lambda: parse_config(config_text(settings)), lambda: ExperimentConfig(**settings)):
+            with pytest.raises(ValueError, match=f"^{key} is read only by "):
+                refuse()
+
+    @pytest.mark.parametrize("settings, key, argv", [row for row in UNREAD if row[2]],
+                             ids=[i for i, row in zip(UNREAD_IDS, UNREAD) if row[2]])
+    def test_subcommand_refuses_unread_flag(self, settings, key, argv, dataset_csv, field_csv, tmp_path, capsys):
+        inputs = {"fit": ["--data", str(dataset_csv)], "sample": ["--field", str(field_csv), "--n", "10"]}
+        out = tmp_path / "out"
+        assert exit_code([argv[0], *inputs[argv[0]], *argv[1:], "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"isiw: {argv[-2]} is read only by ")
+        assert not out.exists()
+
+    def test_config_refuses_unread_key_at_its_default(self):
+        # only a file can set a key to its default; the built config cannot tell
+        text = "samplers=thomas\nmethods=mle\nalpha=0"
+        with pytest.raises(ValueError, match="^alpha is read only by the lgcp sampler, not by thomas$"):
+            parse_config(text)
+        assert ExperimentConfig(samplers=("thomas",), methods=("mle",), alpha=0.0).alpha == 0.0
+
+    @pytest.mark.parametrize("settings", [
+        dict(samplers=("thomas",), methods=("mle",), beta=2.0),
+        dict(samplers=("lgcp", "thomas"), methods=("mle",), alpha=3.0, thomas_parent_rate=30.0),
+        dict(methods=("mle",), n=(100, 300), m=5),
+        dict(methods=("mle",), n=(100,), exact_mle_max_n=50, m=5),
+        dict(methods=("isiw-pm:CvL",), threshold=0.5, pm_cutoff=0.3),
+    ], ids=["beta-thomas", "alpha-lgcp", "m-mle-above-max-n", "m-mle-lowered-max-n", "isiw-pm"])
+    def test_read_settings_accepted(self, settings):
+        config = parse_config(config_text(settings))
+        assert config == ExperimentConfig(**settings)
+        assert parse_config(format_config(config)) == config
+
+    def test_format_writes_only_read_keys(self):
+        keys = {line.split("=")[0] for line in format_config(ExperimentConfig()).splitlines()}
+        assert {f.name for f in dataclasses.fields(ExperimentConfig)} - keys == {
+            "thomas_parent_rate", "thomas_offspring_scale", "pm_cutoff"}
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--sampler", "thomas", "--beta", "2", "--parent-rate", "40", "--offspring-scale", "0.05"],
+        ["sample", "--sampler", "lgcp", "--alpha", "3", "--beta", "2"],
+        ["sample", "--sampler", "scp", "--beta", "2"],
+    ], ids=["thomas", "lgcp", "scp"])
+    def test_sample_takes_flags_its_sampler_reads(self, argv, field_csv, tmp_path):
+        assert cli_main([*argv, "--field", str(field_csv), "--n", "10", "--out-dir", str(tmp_path)]) == 0
+        assert len(io.read_points_csv(tmp_path / "points.csv")) == 10
+
+    def test_fit_takes_m_for_mle_above_exact_max_n(self, tmp_path):
+        n = ExperimentConfig.exact_mle_max_n + 1
+        io.write_dataset_csv(tmp_path / "data.csv", random_dataset(n))
+        argv = ["fit", "--data", str(tmp_path / "data.csv"), "--method", "mle", "--out-dir", str(tmp_path)]
+        assert cli_main([*argv, "--m", "5", "--out", "m5.txt"]) == 0
+        assert cli_main([*argv, "--out", "m20.txt"]) == 0
+        # the Vecchia plan read --m: 5 conditioning points is not the default 20
+        assert (tmp_path / "m5.txt").read_text() != (tmp_path / "m20.txt").read_text()

@@ -1,8 +1,15 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
+
+import isiw
 
 from isiw import (
     BandwidthSpec,
@@ -17,10 +24,13 @@ from isiw import (
     simulate_field,
     weights_from_intensity,
 )
+from isiw._linalg import TARGET_BLOCK, one_blas_thread
 from isiw.intensity import (
     _adaptive_bandwidths,
     _edge_mass,
     _exp_in_place,
+    _floor_positive,
+    _kernel_sum,
     bandwidth_search_grid,
     cvl_criterion,
     integral_sq,
@@ -148,6 +158,43 @@ class TestEstimateIntensity:
     def test_empty_pattern_rejected(self):
         with pytest.raises(ValueError):
             estimate_intensity(np.empty((0, 2)), UNIT, BandwidthSpec(method="fixed", h=0.1))
+
+    @pytest.mark.parametrize("n,ntargets", [
+        (40, 1), (40, TARGET_BLOCK - 1), (40, TARGET_BLOCK), (40, TARGET_BLOCK + 1), (40, TARGET_BLOCK + 3),
+        (40, 2 * TARGET_BLOCK + 4), (40, 2304), (257, None), (259, None), (513, None),
+    ])
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["global-h", "per-point-h"])
+    def test_blocks_equal_one_product(self, n, ntargets, adaptive):
+        # all targets in one kernel matrix, as estimate_intensity once computed
+        # them; None targets the points themselves
+        rng = np.random.default_rng(n)
+        pts = rng.random((n, 2))
+        at = pts if ntargets is None else rng.random((ntargets, 2))
+        h = rng.uniform(0.05, 0.2, n) if adaptive else 0.1
+        bw = BandwidthSpec(method="CvL.adaptive", h=0.1, per_point_h=h) if adaptive else BandwidthSpec("fixed", h)
+        with one_blas_thread():
+            whole = _floor_positive(_kernel_sum(cdist(at, pts, "sqeuclidean"), pts, h, UNIT))
+            blocked = estimate_intensity(pts, UNIT, bw, at=None if ntargets is None else at)
+        assert np.array_equal(blocked, whole)
+
+    def test_largest_grid_holds_no_targets_by_points_array(self):
+        # 1448 x 1448, the largest grid GridSpec allows, from 80 points: one
+        # whole targets x points array would take 1.34 GB. ru_maxrss is in KB
+        script = (
+            "import resource, numpy as np\n"
+            "from isiw import BandwidthSpec, Domain, GridSpec, estimate_intensity\n"
+            "grid = GridSpec(Domain(0, 1, 0, 1), 1448, 1448)\n"
+            "pts = np.random.default_rng(0).random((80, 2))\n"
+            "est = estimate_intensity(pts, grid.domain, BandwidthSpec('fixed', 0.1), at=grid.cell_centers())\n"
+            "assert est.shape == (1448 * 1448,)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(isiw.__file__).parents[1])},
+        )
+        assert out.returncode == 0, out.stderr
+        assert int(out.stdout) / 1024 < 500
 
     def test_unresolved_bandwidth_rejected(self):
         with pytest.raises(TypeError, match="'h'"):

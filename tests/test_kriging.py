@@ -25,8 +25,7 @@ from isiw import (
     rmspe,
     simulate_field,
 )
-from isiw._linalg import NotPositiveDefiniteError, blas_threads, cholesky_lower
-from isiw.kriging import TARGET_BLOCK
+from isiw._linalg import TARGET_BLOCK, NotPositiveDefiniteError, blas_threads, cholesky_lower
 from oracles import build_cov_matrix
 from test_inference import no_nugget_dataset
 

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from isiw import parse_config
+from isiw import ExperimentConfig, parse_config
 from isiw.cli import main as cli_main
+from isiw.experiment import format_config
 
 TOOLS = str(Path(__file__).resolve().parents[1] / "tools")
 sys.path.insert(0, TOOLS)
@@ -58,4 +59,8 @@ def test_missing_file_is_a_difference(outputs, tmp_path):
 
 @pytest.mark.parametrize("name", ["headline", "seven_methods", "pairwise_n400", "paper_n800", "thomas", "pm_cutoff"])
 def test_committed_config_parses_with_timing_off(name):
-    assert parse_config((Path(TOOLS) / "configs" / f"{name}.cfg").read_text()).timing is False
+    config = parse_config((Path(TOOLS) / "configs" / f"{name}.cfg").read_text())
+    assert config.timing is False
+    # the run_metadata.txt echo of a run parses back to its config
+    for c in (config, ExperimentConfig()):
+        assert parse_config(format_config(c)) == c
