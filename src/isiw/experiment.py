@@ -6,8 +6,8 @@ Configuration is a flat key=value text file (arrays comma-separated,
 ``#`` starts a comment). The recognized keys are the fields of
 :class:`ExperimentConfig`, each read as the type of its default: a
 domain is x0,x1,y0,y1, a tuple a comma-separated list, ``timing`` on or
-off, and ``pm_cutoff`` a float or empty for no cutoff. A key that the
-run does not read (:func:`unread_settings`) is refused.
+off, and ``pm_cutoff`` a float or empty for no cutoff. A key set twice,
+or one that the run does not read (:func:`unread_settings`), is refused.
 
 Method entries are ``mle``, ``vecchia``, or ``isiw-v:SOURCE`` /
 ``isiw-pm:SOURCE`` with SOURCE one of known, scott, diggle, ppl, CvL,
@@ -610,8 +610,10 @@ def _convert(key: str, value: str):
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key=value config format (see module docstring). An
     error names the key, and the line when the value does not convert. A
-    key that the run does not read is refused, even at its default."""
+    key set on two lines is refused, naming both, and a key that the run
+    does not read is refused, even at its default."""
     kwargs: dict = {}
+    first_line: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -619,6 +621,9 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ValueError(f"config line {lineno}: {key} is also set on line {first_line[key]}")
+        first_line[key] = lineno
         try:
             kwargs[key] = _convert(key, value)
         except KeyError:

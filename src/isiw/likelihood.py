@@ -4,8 +4,11 @@ composite likelihood, and the weighted Vecchia approximation.
 The Vecchia factorization orders points by maximin distance, conditions
 each on its m nearest predecessors, and evaluates every conditional from a
 small dense block. The ordering and the plan each read their distances off
-one ``scipy.spatial.distance.cdist`` matrix, n x n doubles, freed on
-return. Nesting of the Cholesky factor gives the joint and the
+one ``scipy.spatial.distance.cdist`` matrix, n x n doubles. The plan finds
+each point's nearest earlier neighbours by a partial partition of blocks of
+rows, numbers the distinct pairs of its blocks through an n x n boolean
+table, and frees the matrix before it gives each block entry its pair's
+slot. Nesting of the Cholesky factor gives the joint and the
 conditioning-set densities from one factorization, so a per-index weight
 w_(p(i)) applied to both (the form that stays numerically stable, unlike
 weighting by the product over conditioning members) reduces to weighting
@@ -74,6 +77,9 @@ PAIR_CHUNK = 8192
 # pairs per partial sum of the pairwise NLL's per-pair rows, in blocks that
 # start at its multiples in the pair list; PAIR_CHUNK is a multiple of it
 SUM_BLOCK = 8192
+# distances per block of rows in the Vecchia plan's neighbour search: 256 KB
+# per 8-byte temporary
+PLAN_BLOCK = 32768
 
 
 class Profile(NamedTuple):
@@ -131,8 +137,13 @@ class VecchiaPlan:
     ``idx[j, :k[j]]``. ``pair_index`` maps each entry to its distinct
     pair in ``pair_dists``, and an entry in a padding row or column past
     the end: to slot ``len(pair_dists)`` off the diagonal, the next on it.
-    The neighbour search and ``pair_dists`` read one n x n ``cdist`` matrix
-    of the locations, held only while the plan is built.
+    The neighbour search reads one n x n ``cdist`` matrix of the
+    locations, a block of rows at a time, and sorts only the entries of a
+    row at or below its w-th smallest earlier distance, w the width of
+    ``idx`` (:func:`_nearest_earlier`). The distinct pairs are marked in an
+    n x n boolean table at their keys; its nonzeros, in key order, pick
+    ``pair_dists`` out of the matrix, which is then freed, and its running
+    count gives each entry's slot.
     """
 
     locations: np.ndarray
@@ -149,33 +160,38 @@ class VecchiaPlan:
         n = locs.shape[0]
         if not np.array_equal(np.sort(order), np.arange(n)):
             raise ValueError(f"order is not a permutation of the {n} locations")
+        if not np.all(np.isfinite(locs)):
+            raise ValueError("non-finite coordinates")
         require_at_least("m", self.m, 1)
         k = np.minimum(np.arange(n), self.m)
         cols = np.arange(min(self.m, n - 1) + 1)
 
-        # row j: the j-th ordered point's distance to each point, columns in
-        # index order; later points and itself sort last, ties to the lowest index
         full = cdist(locs, locs)
-        dist = full[order]
-        dist[np.argsort(order) >= np.arange(n)[:, None]] = np.inf
-        nearest = np.argsort(dist, axis=1, kind="stable")[:, : cols.size]
-        del dist
-        idx = np.where(cols < k[:, None], nearest, order[:, None])
+        idx = np.where(cols < k[:, None], _nearest_earlier(full, order, cols.size), order[:, None])
 
         # blocks share most point pairs, so each distinct pair is kept once;
-        # a pair's key min * n + max is its flat index in the distance matrix
+        # a pair's key min * n + max is its flat index in the distance
+        # matrix, and its rank among the marked keys its slot
         key = np.minimum(idx[:, :, None], idx[:, None, :])
         key *= n
         key += np.maximum(idx[:, :, None], idx[:, None, :])
-        pairs, pair_index = np.unique(key, return_inverse=True)
+        table = np.zeros(n * n, dtype=bool)
+        table[key] = True
+        pair_dists = full.ravel()[np.flatnonzero(table)]
+        del full
+        rank = table.astype(np.intp)
+        del table
+        np.cumsum(rank, out=rank)
+        rank -= 1
+        pair_index = rank[key]
+        del rank, key
         valid = cols <= k[:, None]
-        both = valid[:, :, None] & valid[:, None, :]
-        pair_index = np.where(both, pair_index.reshape(key.shape), pairs.size)
+        pair_index[~(valid[:, :, None] & valid[:, None, :])] = pair_dists.size
         pair_index[:, cols, cols] += ~valid  # the padded diagonal takes the next slot
 
         for name, value in dict(
             locations=locs, order=order, idx=read_only(idx), k=read_only(k), pair_index=read_only(pair_index),
-            pair_dists=read_only(full.ravel()[pairs]),
+            pair_dists=read_only(pair_dists),
         ).items():
             object.__setattr__(self, name, value)
 
@@ -186,6 +202,29 @@ class VecchiaPlan:
     def check_data(self, data: Dataset):
         if data.n != self.n or not np.array_equal(data.locations, self.locations):
             raise ValueError("plan was built for different locations")
+
+
+def _nearest_earlier(dist: np.ndarray, order: np.ndarray, w: int) -> np.ndarray:
+    """Row j: the w points nearest ``order[j]`` by ``dist`` among those
+    ordered before it, nearest first with ties to the lowest index; a row
+    with fewer than w such points ends in later ones. Rows are taken in
+    blocks of about ``PLAN_BLOCK`` distances, and each keeps only its
+    entries at or below its w-th smallest value before it is sorted."""
+    n = order.size
+    position = np.argsort(order)
+    nearest = np.empty((n, w), dtype=np.intp)
+    step = max(1, PLAN_BLOCK // n)
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(lo + step, n))
+        d = np.where(position < rows[:, None], dist[order[rows]], np.inf)
+        kth = np.partition(d, w - 1, axis=1)[:, w - 1 : w]
+        r, c = np.nonzero(d <= kth)
+        # by row, then distance, then index (lexsort is stable and c ascends
+        # within a row); each row holds at least w entries, so its first w
+        # are the w nearest
+        by_dist = c[np.lexsort((d[r, c], r))]
+        nearest[rows] = by_dist[np.searchsorted(r, rows - lo)[:, None] + np.arange(w)]
+    return nearest
 
 
 def nn_conditioning_sets(locs: np.ndarray, order: np.ndarray, m: int) -> VecchiaPlan:

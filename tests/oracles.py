@@ -1,7 +1,8 @@
 """Reference computations the tests check the package against: a central
 finite-difference gradient, the dense observation covariance, a
 farthest-point maximin order, the covariance of the joint Gaussian that a
-Vecchia plan implies, the pairwise-marginal value and profile over the
+Vecchia plan implies, a Vecchia plan's packed arrays by whole-array
+sorts, the pairwise-marginal value and profile over the
 whole pair list, and the Kullback-Leibler divergence between two
 zero-mean Gaussians. None of them runs in the package itself."""
 
@@ -11,7 +12,7 @@ import math
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from isiw import CovParams, ModelParams, Profile, VecchiaPlan
 from isiw._linalg import NotPositiveDefiniteError, cholesky_lower
@@ -65,6 +66,31 @@ def farthest_point_order(locs: np.ndarray) -> list:
         rest = [i for i in range(len(points)) if i not in order]
         order.append(max(rest, key=lambda i: (min(dist(points[i], points[j]) for j in order), -i)))
     return order
+
+
+def vecchia_plan_reference(locs: np.ndarray, order: np.ndarray, m: int) -> dict:
+    """A :class:`VecchiaPlan`'s ``idx``, ``k``, ``pair_index`` and
+    ``pair_dists`` by whole-array sorts: each ordered point's row of the
+    ``cdist`` matrix, later points and itself set to inf, in one full
+    stable ``argsort``, and the distinct pair keys with their inverse from
+    ``np.unique``."""
+    locs = np.atleast_2d(np.asarray(locs, dtype=float))
+    order = np.asarray(order, dtype=int)
+    n = locs.shape[0]
+    k = np.minimum(np.arange(n), m)
+    cols = np.arange(min(m, n - 1) + 1)
+    full = cdist(locs, locs)
+    dist = full[order]
+    dist[np.argsort(order) >= np.arange(n)[:, None]] = np.inf
+    nearest = np.argsort(dist, axis=1, kind="stable")[:, : cols.size]
+    idx = np.where(cols < k[:, None], nearest, order[:, None])
+    key = np.minimum(idx[:, :, None], idx[:, None, :]) * n + np.maximum(idx[:, :, None], idx[:, None, :])
+    pairs, inverse = np.unique(key, return_inverse=True)
+    valid = cols <= k[:, None]
+    both = valid[:, :, None] & valid[:, None, :]
+    pair_index = np.where(both, inverse.reshape(key.shape), pairs.size)
+    pair_index[:, cols, cols] += ~valid
+    return {"idx": idx, "k": k, "pair_index": pair_index, "pair_dists": full.ravel()[pairs]}
 
 
 def vecchia_implied_cov(psi: ModelParams, plan: VecchiaPlan) -> np.ndarray:

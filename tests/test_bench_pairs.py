@@ -65,6 +65,21 @@ def test_parent_spread_wider_than_the_bound_is_unresolved():
     assert got["within_bound"] and not got["resolved"]
 
 
+@pytest.mark.parametrize("metric", [RATE, TIME], ids=["rate", "time"])
+def test_separation_needs_every_change_run_better_than_every_parent_run(metric):
+    # parent runs 0.5-1.5, a spread wider than the bound; the change runs
+    # lie past all of them in the metric's direction, or all but one do,
+    # which still wins its own pair
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    parent = [0.5 + 0.1 * i for i in range(11)]
+    change = [1.0 + sign * (0.6 + 0.01 * i) for i in range(11)]
+    got = summary_of(list(zip(parent, change)), metric)
+    assert got["separated"] and not got["resolved"]
+    change[3] = 1.0 + sign * 0.45
+    got = summary_of(list(zip(parent, change)), metric)
+    assert not got["separated"] and got["change_wins"] == 11
+
+
 def test_record_traces_both_sides_on_the_first_seed(tmp_path, monkeypatch):
     spec = {"workloads": [{"name": "w1"}, {"name": "w2"}], "run_seconds": 5, "end_to_end": [RATE]}
     calls = []

@@ -407,6 +407,19 @@ class TestConfigFormat:
         with pytest.raises(ValueError, match="unknown key"):
             parse_config("no_such_key=1")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("m=5\nm=10", "config line 2: m is also set on line 1"),
+            ("samplers=lgcp\n# thomas too\n\nsamplers = thomas", "config line 4: samplers is also set on line 1"),
+            ("m=5\nreplicates=2\nm=5", "config line 3: m is also set on line 1"),
+        ],
+        ids=["m", "samplers", "same-value"],
+    )
+    def test_repeated_key_rejected(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_config(text)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
             parse_config("methods=gibbs")

@@ -33,7 +33,14 @@ from isiw import (
 import isiw
 from isiw._linalg import NotPositiveDefiniteError, backward_solve_batched, cholesky_lower, forward_solve_batched
 from isiw.likelihood import PAIR_CHUNK, _pair_rows
-from oracles import build_cov_matrix, farthest_point_order, gaussian_kl, pairwise_reference, vecchia_implied_cov
+from oracles import (
+    build_cov_matrix,
+    farthest_point_order,
+    gaussian_kl,
+    pairwise_reference,
+    vecchia_implied_cov,
+    vecchia_plan_reference,
+)
 
 PSI = ModelParams.from_values(4.0, 1.5, 0.15, 0.1)
 LOG_2PI = math.log(2 * math.pi)
@@ -245,6 +252,55 @@ class TestConditioningSets:
         cols = np.broadcast_to(plan.idx[:, None, :], real.shape)[real]
         got = plan.pair_dists[plan.pair_index[real]]
         assert got.tobytes() == cdist(locs, locs)[rows, cols].tobytes()
+
+    @pytest.mark.parametrize("kind", ["uniform", "clustered", "lattice"])
+    @pytest.mark.parametrize("n", [21, 22, 100, 400, 801])
+    def test_packed_arrays_equal_whole_sort_reference(self, n, kind):
+        # dtype, shape and bytes of every packed array against full stable
+        # argsorts and np.unique, in maxmin and random order; m = n - 1 and
+        # n + 2 only up to n = 100, since pair_index holds about n^3 entries
+        rng = np.random.default_rng(n)
+        if kind == "lattice":
+            side = int(math.ceil(math.sqrt(n)))
+            cells = rng.permutation(side * side)[:n]
+            locs = np.column_stack([cells % side, cells // side]) * 0.125
+        else:
+            locs = rng.random((n, 2)) ** (3 if kind == "clustered" else 1)
+        tied = set()
+        for order in (maxmin_order(locs), rng.permutation(n)):
+            earlier = cdist(locs[order], locs[order])
+            earlier[np.triu_indices(n)] = np.inf
+            earlier.sort(axis=1)
+            for m in [1, 20, n - 1, n + 2] if n <= 100 else [1, 20]:
+                if m < n - 1 and np.any(earlier[m + 1 :, m - 1] == earlier[m + 1 :, m]):
+                    tied.add(m)  # some point's m-th and (m+1)-th nearest earlier points tie
+                plan = nn_conditioning_sets(locs, order, m)
+                for name, want in vecchia_plan_reference(locs, order, m).items():
+                    got = getattr(plan, name)
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape), (name, m)
+                    assert got.tobytes() == want.tobytes(), (name, m)
+        if kind == "lattice":
+            assert tied == {m for m in (1, 20) if m < n - 1}
+
+    def test_peak_memory_at_most_four_pair_index_arrays(self):
+        # the whole-row argsort and np.unique peaked at 11.4 MB, eight
+        # pair_index arrays, at n = 400 and m = 20
+        locs = random_dataset(400, 24).locations
+        order = maxmin_order(locs)
+        plan = nn_conditioning_sets(locs, order, 20)  # warm caches and lazy imports
+        tracemalloc.start()
+        try:
+            nn_conditioning_sets(locs, order, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * plan.pair_index.nbytes
+
+    def test_non_finite_location_rejected(self):
+        locs = np.random.default_rng(0).random((5, 2))
+        locs[3, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite coordinates"):
+            nn_conditioning_sets(locs, np.arange(5), m=2)
 
     def test_invalid_order_rejected(self):
         locs = np.random.default_rng(0).random((5, 2))

@@ -24,7 +24,8 @@ workload and end-to-end metric of
 number of pairs the change won (strictly better, in the metric's
 direction), and whether that shows a gain, whether the change stays
 within the metric's bound and whether the parent's spread can resolve
-that bound (see ``summarize``). The exit code is 1 when any run, traced
+that bound, and whether every change run reads better than every parent
+run (see ``summarize``). The exit code is 1 when any run, traced
 or not, fails its correctness gate.
 
 Standard library only; nothing is imported from the package under test.
@@ -105,7 +106,9 @@ def summarize(runs: list, workloads: list, metrics: list) -> dict:
     ``bound`` times the parent's median) and ``resolved`` (the parent's
     quartile spread is at most that allowance, so ``within_bound`` can
     tell a change from noise; an unresolved metric is not shown
-    unchanged)."""
+    unchanged) and ``separated`` (every run of the change reads better
+    than every run of the parent, which shows a difference even where
+    the metric is unresolved)."""
     summary = {}
     for workload in workloads:
         pairs = {}
@@ -139,6 +142,7 @@ def summarize(runs: list, workloads: list, metrics: list) -> dict:
                 "gain_shown": wins >= 0.9 * len(both) and gap > q3 - q1,
                 "within_bound": gap >= -allowance,
                 "resolved": q3 - q1 <= allowance,
+                "separated": min(sign * b for b in change) > max(sign * a for a in parent),
             }
         summary[workload] = table
     return summary
