@@ -6,12 +6,12 @@ krige (data CSV + parameters -> surface CSV), experiment (config file ->
 results CSVs). Each subcommand takes only the flags it reads; any other
 flag is a usage error, and so is a setting flag that the run would not
 read, by the config's rule (``fit --m`` for an exact fit, ``sample
---alpha`` without lgcp). ``fit --method`` takes the experiment's method
-entries (``mle``, ``vecchia``, ``isiw-v:SOURCE``, ``isiw-pm:SOURCE``) and
-fits one through :func:`~isiw.experiment.method_fitter`, as the
-experiment does, except that the ``known`` source, which needs the
-simulated truth, is refused. Exit codes: 0 success, 1 usage error, 2
-numerical failure.
+--parent-rate`` without thomas). ``fit --method`` takes the experiment's
+method entries (``mle``, ``vecchia``, ``isiw-v:SOURCE``,
+``isiw-pm:SOURCE``) and fits one through
+:func:`~isiw.experiment.method_fitter`, as the experiment does, except
+that the ``known`` source, which needs the simulated truth, is refused.
+Exit codes: 0 success, 1 usage error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ _SHARED = {
 # by dest, with their config keys. Each defaults to None, so that a given
 # flag is told from an absent one, which takes the config's default.
 _SETTINGS = {
-    "m": "m", "threshold": "threshold", "cutoff": "pm_cutoff", "alpha": "alpha",
+    "m": "m", "threshold": "threshold", "cutoff": "pm_cutoff",
     "parent_rate": "thomas_parent_rate", "offspring_scale": "thomas_offspring_scale",
 }
 
@@ -141,7 +141,6 @@ def build_parser() -> _Parser:
     p.add_argument("--sampler", default="lgcp", choices=SAMPLER_KINDS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta", type=float, default=_CONFIG.beta)
-    p.add_argument("--alpha", type=float, default=None, help="lgcp only")
     p.add_argument("--parent-rate", type=float, default=None, help="thomas only")
     p.add_argument("--offspring-scale", type=float, default=None, help="thomas only")
     p.add_argument("--out", default="points.csv")
@@ -199,7 +198,7 @@ def _cmd_sample(args) -> int:
     _read_settings(args, unread_settings([args.sampler]))
     fld = io.read_field_csv(args.field)
     spec = SamplerSpec(
-        kind=args.sampler, n=args.n, beta=args.beta, alpha=args.alpha,
+        kind=args.sampler, n=args.n, beta=args.beta,
         parent_rate=args.parent_rate, offspring_scale=args.offspring_scale,
     )
     seed = SeedStream(args.seed)
@@ -217,15 +216,15 @@ def _cmd_intensity(args) -> int:
     grid = _grid(args)
     pts = io.read_points_csv(args.points)
     if args.bandwidth is not None:
-        bw = BandwidthSpec(method="fixed", h=args.bandwidth)
+        bw, selector = BandwidthSpec(h=args.bandwidth), "fixed"
     else:
-        bw = select_bandwidth(args.selector, pts, args.domain)
+        bw, selector = select_bandwidth(args.selector, pts, args.domain), args.selector
     on_grid = estimate_intensity(pts, args.domain, bw, at=grid.cell_centers())
     weights = weights_from_intensity(estimate_intensity(pts, args.domain, bw), args.threshold)
     out = Path(args.out_dir)
     io.write_intensity_csv(out / "intensity.csv", grid, on_grid)
     io.write_weights_csv(out / "weights.csv", pts, weights)
-    print(f"bandwidth={bw.h!r} method={bw.method} -> {out / 'intensity.csv'}, {out / 'weights.csv'}")
+    print(f"bandwidth={bw.h!r} selector={selector} -> {out / 'intensity.csv'}, {out / 'weights.csv'}")
     return 0
 
 

@@ -44,7 +44,9 @@ from .inference import FitConfig, FitResult, default_init, fit
 from .intensity import GRID_METHODS, SCOTT, estimate_intensity, select_bandwidth, weights_from_intensity
 from .io import write_rows
 from .kriging import krige
-from .likelihood import EXACT, PAIRWISE_MARGINAL, VECCHIA, Objective, maxmin_order, nn_conditioning_sets
+from .likelihood import (
+    EXACT, PAIRWISE_MARGINAL, VECCHIA, Objective, check_plan_size, maxmin_order, nn_conditioning_sets,
+)
 from .model import Dataset, Domain, ModelParams, microergodic, require_at_least, require_nonnegative
 from .pointprocess import (
     LGCP,
@@ -224,9 +226,12 @@ class ExperimentConfig:
                 raise ValueError(f"phi: {exc}") from None
         specs = self.method_specs()  # validate early
         check_fit_settings(self.m, self.threshold, self.pm_cutoff)
-        for key, reason in self.unread_settings().items():
+        unread = self.unread_settings()
+        for key, reason in unread.items():
             if getattr(self, key) != getattr(ExperimentConfig, key):  # the field's default
                 raise ValueError(f"{key} {reason}")
+        if "m" not in unread:
+            check_plan_size(max(self.n), self.m)  # the largest plan a cell builds
         twice = sorted({m for m in self.methods if self.methods.count(m) > 1})
         if twice:
             raise ValueError(f"methods lists {', '.join(twice)} more than once")

@@ -14,8 +14,8 @@ the grid-searched ones scan ``SEARCH_GRID_SIZE`` log-spaced candidates, and
 square root of a pilot density; the LSCV ("diggle") and Poisson-likelihood
 ("ppl") criteria have exact integral terms. The criteria are stateless
 functions of (points, domain, candidates). The kernel above is evaluated in
-:func:`_kernel_sum` alone, for the estimate, the pilot, the Campbell
-criterion and the leave-one-out fits. :func:`weights_from_intensity`
+:func:`_kernel_sum` alone, and at the data points, for the pilot and every
+criterion, by :func:`_kernel_fits`. :func:`weights_from_intensity`
 turns intensities into an array of inverse-intensity weights, winsorized
 from below on the n-normalized scale and renormalized to sum to n.
 """
@@ -37,8 +37,6 @@ DIGGLE = "diggle"
 PPL = "ppl"
 CVL = "CvL"
 CVL_ADAPTIVE = "CvL.adaptive"
-FIXED = "fixed"
-BANDWIDTH_METHODS = (SCOTT, DIGGLE, PPL, CVL, CVL_ADAPTIVE, FIXED)
 
 GRID_METHODS = (DIGGLE, PPL, CVL, CVL_ADAPTIVE)
 SEARCH_GRID_SIZE = 64
@@ -52,19 +50,18 @@ class BandwidthSpec:
     ``boundary`` flags a selector whose optimum landed on an end of the
     search grid."""
 
-    method: str
     h: float
     per_point_h: np.ndarray | None = None
     boundary: bool = False
 
     def __post_init__(self):
-        if self.method not in BANDWIDTH_METHODS:
-            raise ValueError(f"unknown bandwidth method {self.method!r}")
         require_positive("bandwidth", self.h)
         if self.per_point_h is not None:
-            object.__setattr__(self, "per_point_h", read_only(np.array(self.per_point_h, dtype=float)))
-            if np.any(self.per_point_h <= 0):
-                raise ValueError("per-point bandwidths must be positive")
+            h = read_only(np.array(self.per_point_h, dtype=float))
+            object.__setattr__(self, "per_point_h", h)
+            bad = np.flatnonzero(~(np.isfinite(h) & (h > 0)))
+            if bad.size:
+                raise ValueError(f"per-point bandwidth {bad[0]} is {h[bad[0]]}, not positive and finite")
 
 
 def _floor_positive(values: np.ndarray) -> np.ndarray:
@@ -106,10 +103,7 @@ def _kernel_sum(d2: np.ndarray, points: np.ndarray, h, domain: Domain, out=None)
 
 
 def estimate_intensity(
-    points: np.ndarray,
-    domain: Domain,
-    bw: BandwidthSpec,
-    at: np.ndarray | None = None,
+    points: np.ndarray, domain: Domain, bw: BandwidthSpec, at: np.ndarray | None = None
 ) -> np.ndarray:
     """Kernel intensity estimate from ``points`` at the rows of ``at``, or
     at the points themselves when ``at`` is None, floored at 1e-12 times
@@ -164,27 +158,28 @@ def integral_sq(points: np.ndarray, domain: Domain, hs: np.ndarray) -> np.ndarra
     return out
 
 
-def _loo_fits(points: np.ndarray, domain: Domain, hs: np.ndarray) -> np.ndarray:
-    """Leave-one-out fit at each point (columns) per bandwidth (rows): the
-    direct sum over the other points, whose kernel at its own point is
-    exp(-inf) = 0. Subtracting a self term instead cancels catastrophically
-    for isolated points at small h."""
+def _kernel_fits(points: np.ndarray, domain: Domain, bandwidths, leave_one_out: bool = False) -> np.ndarray:
+    """Unfloored kernel fit at each point (columns) per candidate (rows), a
+    global h or a per-point array, with one kernel buffer. Left out, a
+    point's own kernel is exp(-inf) = 0: the direct sum over the others, as
+    subtracting a self term cancels catastrophically at small h."""
     d2 = cdist(points, points, "sqeuclidean")
-    np.fill_diagonal(d2, np.inf)
+    if leave_one_out:
+        np.fill_diagonal(d2, np.inf)
     buf = np.empty_like(d2)
-    return np.array([_kernel_sum(d2, points, h, domain, out=buf) for h in hs])
+    return np.array([_kernel_sum(d2, points, h, domain, out=buf) for h in bandwidths])
 
 
 def lscv_criterion(points: np.ndarray, domain: Domain, hs: np.ndarray) -> np.ndarray:
     """Least-squares cross-validation risk per candidate bandwidth: the
     exact integral of lambda^2 minus twice the sum of leave-one-out fits."""
-    return integral_sq(points, domain, hs) - 2.0 * _loo_fits(points, domain, hs).sum(axis=1)
+    return integral_sq(points, domain, hs) - 2.0 * _kernel_fits(points, domain, hs, True).sum(axis=1)
 
 
 def ppl_criterion(points: np.ndarray, domain: Domain, hs: np.ndarray) -> np.ndarray:
     """Leave-one-out Poisson log-likelihood per candidate bandwidth. Its
     integral term, the integral of lambda, is exactly n for every h."""
-    loo = _loo_fits(points, domain, hs)
+    loo = _kernel_fits(points, domain, hs, leave_one_out=True)
     return np.log(np.maximum(loo, 1e-300)).sum(axis=1) - points.shape[0]
 
 
@@ -192,17 +187,14 @@ def cvl_criterion(points: np.ndarray, domain: Domain, bandwidths) -> np.ndarray:
     """Squared gap between the summed inverse intensities and the domain
     area (the Campbell-formula identity the estimate should satisfy; Cronie
     & van Lieshout 2018), per candidate: a global h or a per-point array."""
-    d2 = cdist(points, points, "sqeuclidean")
-    buf = np.empty_like(d2)
-    return np.array(
-        [(np.sum(1.0 / _kernel_sum(d2, points, h, domain, out=buf)) - domain.area) ** 2 for h in bandwidths]
-    )
+    return (np.sum(1.0 / _kernel_fits(points, domain, bandwidths), axis=1) - domain.area) ** 2
 
 
-def _adaptive_bandwidths(pilot_at_points: np.ndarray, h0: float) -> np.ndarray:
+def _adaptive_bandwidths(pilot_at_points: np.ndarray, h0s) -> np.ndarray:
+    """h0 sqrt(g / pilot), g the pilot's geometric mean, per entry of ``h0s``."""
     pilot = np.maximum(pilot_at_points, 1e-300)
     g = math.exp(float(np.mean(np.log(pilot))))
-    return h0 * np.sqrt(g / pilot)
+    return np.multiply.outer(h0s, np.sqrt(g / pilot))
 
 
 def select_bandwidth(method: str, points: np.ndarray, domain: Domain) -> BandwidthSpec:
@@ -220,9 +212,7 @@ def select_bandwidth(method: str, points: np.ndarray, domain: Domain) -> Bandwid
     require_at_least("point count for bandwidth selection", n, 5)
 
     if method == SCOTT:
-        return BandwidthSpec(method=SCOTT, h=scott_bandwidth(points))
-    if method == FIXED:
-        raise ValueError("fixed bandwidths are constructed directly, not selected")
+        return BandwidthSpec(h=scott_bandwidth(points))
     if method not in GRID_METHODS:
         raise ValueError(f"unknown bandwidth method {method!r}")
 
@@ -239,16 +229,11 @@ def select_bandwidth(method: str, points: np.ndarray, domain: Domain) -> Bandwid
         best = int(np.argmax(ppl_criterion(points, domain, hs)))
     elif method == CVL:
         best = int(np.argmin(cvl_criterion(points, domain, hs)))
-    else:  # CvL.adaptive
-        pilot = _kernel_sum(
-            cdist(points, points, "sqeuclidean"), points, scott_bandwidth(points), domain
-        )
-        candidates = [_adaptive_bandwidths(pilot, h0) for h0 in hs]
+    else:  # CvL.adaptive, about a pilot fit at Scott's h
+        candidates = _adaptive_bandwidths(_kernel_fits(points, domain, [scott_bandwidth(points)])[0], hs)
         best = int(np.argmin(cvl_criterion(points, domain, candidates)))
         per_point_h = candidates[best]
-    return BandwidthSpec(
-        method=method, h=float(hs[best]), per_point_h=per_point_h, boundary=best in (0, hs.size - 1)
-    )
+    return BandwidthSpec(h=float(hs[best]), per_point_h=per_point_h, boundary=best in (0, hs.size - 1))
 
 
 def weights_from_intensity(intensity: np.ndarray, threshold: float) -> np.ndarray:

@@ -80,6 +80,8 @@ SUM_BLOCK = 8192
 # distances per block of rows in the Vecchia plan's neighbour search: 256 KB
 # per 8-byte temporary
 PLAN_BLOCK = 32768
+# entries per n x w x w index array of a Vecchia plan, w = min(m, n - 1) + 1: 256 MiB of int64
+PLAN_MAX_ENTRIES = 2**25
 
 
 class Profile(NamedTuple):
@@ -124,6 +126,13 @@ def maxmin_order(locs: np.ndarray) -> np.ndarray:
     return order
 
 
+def check_plan_size(n: int, m: int) -> None:
+    """Refuse a Vecchia plan of n points at ``m`` above ``PLAN_MAX_ENTRIES``."""
+    size = n * (min(m, n - 1) + 1) ** 2
+    if size > PLAN_MAX_ENTRIES:
+        raise ValueError(f"Vecchia plan at n={n}, m={m}: {size} > {PLAN_MAX_ENTRIES} entries per index array")
+
+
 @dataclass(frozen=True, eq=False)
 class VecchiaPlan:
     """An ordering with its nearest-earlier-neighbour conditioning blocks,
@@ -163,6 +172,7 @@ class VecchiaPlan:
         if not np.all(np.isfinite(locs)):
             raise ValueError("non-finite coordinates")
         require_at_least("m", self.m, 1)
+        check_plan_size(n, self.m)
         k = np.minimum(np.arange(n), self.m)
         cols = np.arange(min(self.m, n - 1) + 1)
 

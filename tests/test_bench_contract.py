@@ -7,8 +7,8 @@ run checks either. Both files are loaded by path, as the benchmark itself
 runs them from its own directory.
 
 The config fits at nu=1 because ``traced_replicate`` calls ``default_init``
-without ``nu`` (at nu != 1 the mirror's rows differ). ROADMAP item 4 deletes
-this test together with ``traced_replicate``.
+without ``nu`` (at nu != 1 the mirror's rows differ). ROADMAP item 19
+deletes this test together with ``traced_replicate``.
 """
 
 import importlib.util

@@ -876,6 +876,12 @@ class TestCli:
         assert capsys.readouterr().err == f"isiw: {flags[-2]} {rule}\n"
         assert not out.exists()
 
+    def test_config_refuses_a_plan_over_the_size_bound(self):
+        # the largest n's Vecchia plan, checked at parse: 800 * 205^2 > 2^25
+        with pytest.raises(ValueError, match="^Vecchia plan at n=800, m=204: 33620000 > 33554432 entries"):
+            parse_config("n=100,800\nm=204")
+        assert parse_config("n=100,800\nm=203").m == 203
+
     @pytest.mark.parametrize("command", ["simulate", "intensity", "krige"])
     def test_grid_over_budget_rejected(self, command, dataset_csv, tmp_path, capsys):
         # one cell over fields.EMBED_BUDGET: refused before any grid array exists
@@ -897,7 +903,6 @@ class TestCli:
         *[(command, "threshold", "threshold") for command in ("intensity", "fit")],
         ("simulate", "sigma2", "sigma2"),
         ("sample", "beta", "beta"),
-        ("sample", "alpha", "alpha"),
         ("sample", "parent_rate", "thomas_parent_rate"),
         ("sample", "offspring_scale", "thomas_offspring_scale"),
         ("fit", "m", "m"),
@@ -936,9 +941,8 @@ UNREAD = [
      ["sample", "--sampler", "lgcp", "--parent-rate", "30"]),
     (dict(samplers=("lgcp", "scp"), thomas_offspring_scale=0.2), "thomas_offspring_scale",
      ["sample", "--sampler", "scp", "--offspring-scale", "0.2"]),
-    (dict(samplers=("scp",), alpha=3.0), "alpha", ["sample", "--sampler", "scp", "--alpha", "3"]),
-    (dict(samplers=("thomas",), methods=("mle",), alpha=3.0), "alpha",
-     ["sample", "--sampler", "thomas", "--alpha", "3"]),
+    (dict(samplers=("scp",), alpha=3.0), "alpha", None),
+    (dict(samplers=("thomas",), methods=("mle",), alpha=3.0), "alpha", None),
     (dict(methods=("vecchia",), exact_mle_max_n=50), "exact_mle_max_n", None),
     (dict(methods=("mle",), n=(100,), m=5), "m", ["fit", "--method", "mle", "--m", "5"]),
     (dict(methods=("isiw-pm:CvL",), m=5), "m", ["fit", "--method", "isiw-pm:CvL", "--m", "5"]),
@@ -997,12 +1001,20 @@ class TestUnreadSettings:
 
     @pytest.mark.parametrize("argv", [
         ["sample", "--sampler", "thomas", "--beta", "2", "--parent-rate", "40", "--offspring-scale", "0.05"],
-        ["sample", "--sampler", "lgcp", "--alpha", "3", "--beta", "2"],
+        ["sample", "--sampler", "lgcp", "--beta", "2"],
         ["sample", "--sampler", "scp", "--beta", "2"],
     ], ids=["thomas", "lgcp", "scp"])
     def test_sample_takes_flags_its_sampler_reads(self, argv, field_csv, tmp_path):
         assert cli_main([*argv, "--field", str(field_csv), "--n", "10", "--out-dir", str(tmp_path)]) == 0
         assert len(io.read_points_csv(tmp_path / "points.csv")) == 10
+
+    def test_sample_has_no_alpha_flag(self, field_csv, tmp_path, capsys):
+        # conditioned on n, the lgcp intercept cancels from the sampling
+        # probabilities, so no flag sets it
+        out = tmp_path / "out"
+        assert exit_code(["sample", "--field", str(field_csv), "--n", "10", "--alpha", "1", "--out-dir", str(out)]) == 1
+        assert "unrecognized arguments: --alpha 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fit_takes_m_for_mle_above_exact_max_n(self, tmp_path):
         n = ExperimentConfig.exact_mle_max_n + 1

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +31,7 @@ from isiw.intensity import (
     _edge_mass,
     _exp_in_place,
     _floor_positive,
+    _kernel_fits,
     _kernel_sum,
     bandwidth_search_grid,
     cvl_criterion,
@@ -111,7 +113,7 @@ class TestEstimateIntensity:
         h = 0.02
         grid = GridSpec(UNIT, 10, 10)
         on_grid = estimate_intensity(
-            pts, UNIT, BandwidthSpec(method="fixed", h=h), at=grid.cell_centers()
+            pts, UNIT, BandwidthSpec(h=h), at=grid.cell_centers()
         )
         far_cell = grid.locate(np.array([[0.95, 0.95]]))[0]
         assert on_grid[far_cell] < 1e-6 * on_grid.max()
@@ -120,7 +122,7 @@ class TestEstimateIntensity:
         # lone point at the domain center: edge mass ~ 1, peak = 1/(2 pi h^2)
         h = 0.05
         est = estimate_intensity(
-            np.array([[0.5, 0.5]]), UNIT, BandwidthSpec(method="fixed", h=h)
+            np.array([[0.5, 0.5]]), UNIT, BandwidthSpec(h=h)
         )
         assert est[0] == pytest.approx(1.0 / (2 * math.pi * h * h), rel=1e-6)
 
@@ -128,7 +130,7 @@ class TestEstimateIntensity:
         rng = np.random.default_rng(42)
         pts = rng.random((25, 2))
         h = 0.08
-        est = estimate_intensity(pts, UNIT, BandwidthSpec(method="fixed", h=h))
+        est = estimate_intensity(pts, UNIT, BandwidthSpec(h=h))
         expected = [oracle_lambda(x, pts, h, UNIT) for x in pts]
         np.testing.assert_allclose(est, expected, rtol=1e-10)
 
@@ -137,7 +139,7 @@ class TestEstimateIntensity:
         pts = rng.random((10, 2))
         hs = rng.uniform(0.05, 0.2, 10)
         est = estimate_intensity(
-            pts, UNIT, BandwidthSpec(method="CvL.adaptive", h=0.1, per_point_h=hs)
+            pts, UNIT, BandwidthSpec(h=0.1, per_point_h=hs)
         )
         expected = np.zeros(10)
         for j, s in enumerate(pts):
@@ -147,7 +149,7 @@ class TestEstimateIntensity:
 
     def test_bandwidth_is_frozen_with_a_private_copy(self):
         hs = np.full(3, 0.1)
-        bw = BandwidthSpec(method="CvL.adaptive", h=0.1, per_point_h=hs)
+        bw = BandwidthSpec(h=0.1, per_point_h=hs)
         with pytest.raises(dataclasses.FrozenInstanceError):
             bw.h = 0.2
         with pytest.raises(ValueError, match="assignment destination is read-only"):
@@ -155,9 +157,16 @@ class TestEstimateIntensity:
         hs[0] = 0.3
         assert bw.per_point_h[0] == 0.1
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+    def test_per_point_bandwidths_positive_and_finite(self, bad):
+        # a NaN or infinite bandwidth would give NaN rows in the estimate;
+        # the first bad entry is named
+        with pytest.raises(ValueError, match=f"^per-point bandwidth 1 is {re.escape(str(bad))}, not positive"):
+            BandwidthSpec(h=0.1, per_point_h=[0.2, bad, np.nan])
+
     def test_empty_pattern_rejected(self):
         with pytest.raises(ValueError):
-            estimate_intensity(np.empty((0, 2)), UNIT, BandwidthSpec(method="fixed", h=0.1))
+            estimate_intensity(np.empty((0, 2)), UNIT, BandwidthSpec(h=0.1))
 
     @pytest.mark.parametrize("n,ntargets", [
         (40, 1), (40, TARGET_BLOCK - 1), (40, TARGET_BLOCK), (40, TARGET_BLOCK + 1), (40, TARGET_BLOCK + 3),
@@ -171,7 +180,7 @@ class TestEstimateIntensity:
         pts = rng.random((n, 2))
         at = pts if ntargets is None else rng.random((ntargets, 2))
         h = rng.uniform(0.05, 0.2, n) if adaptive else 0.1
-        bw = BandwidthSpec(method="CvL.adaptive", h=0.1, per_point_h=h) if adaptive else BandwidthSpec("fixed", h)
+        bw = BandwidthSpec(h=0.1, per_point_h=h) if adaptive else BandwidthSpec(h)
         with one_blas_thread():
             whole = _floor_positive(_kernel_sum(cdist(at, pts, "sqeuclidean"), pts, h, UNIT))
             blocked = estimate_intensity(pts, UNIT, bw, at=None if ntargets is None else at)
@@ -185,7 +194,7 @@ class TestEstimateIntensity:
             "from isiw import BandwidthSpec, Domain, GridSpec, estimate_intensity\n"
             "grid = GridSpec(Domain(0, 1, 0, 1), 1448, 1448)\n"
             "pts = np.random.default_rng(0).random((80, 2))\n"
-            "est = estimate_intensity(pts, grid.domain, BandwidthSpec('fixed', 0.1), at=grid.cell_centers())\n"
+            "est = estimate_intensity(pts, grid.domain, BandwidthSpec(0.1), at=grid.cell_centers())\n"
             "assert est.shape == (1448 * 1448,)\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
         )
@@ -198,7 +207,7 @@ class TestEstimateIntensity:
 
     def test_unresolved_bandwidth_rejected(self):
         with pytest.raises(TypeError, match="'h'"):
-            BandwidthSpec(method="diggle")
+            BandwidthSpec()
 
 
 def test_exp_in_place_equals_numpy_exp_bit_for_bit():
@@ -261,6 +270,20 @@ class TestSelectBandwidth:
             want = (np.sum(1.0 / lam) - UNIT.area) ** 2
             assert cvl_criterion(pts, UNIT, [per_h])[0] == pytest.approx(want, rel=1e-8)
 
+    @pytest.mark.parametrize("n", [100, 300])  # one and two target blocks
+    def test_selectors_score_the_estimate_the_weights_use(self, n):
+        # the fits that the pilot (Scott's h) and the Campbell criterion read
+        # are estimate_intensity's values bit for bit, at a global h and at
+        # CvL.adaptive's per-point bandwidths
+        pts = np.random.default_rng(n).random((n, 2)) ** 2
+        with one_blas_thread():
+            for bw in (select_bandwidth("scott", pts, UNIT), select_bandwidth("CvL.adaptive", pts, UNIT)):
+                h = bw.h if bw.per_point_h is None else bw.per_point_h
+                est = estimate_intensity(pts, UNIT, bw)
+                assert est.min() > 1e-12 * est.max()  # the floor does not bind
+                assert np.array_equal(_kernel_fits(pts, UNIT, [h])[0], est)
+                assert cvl_criterion(pts, UNIT, [h])[0] == (np.sum(1.0 / est) - UNIT.area) ** 2
+
     def test_boundary_flag_mechanism(self):
         # on uniform points LSCV runs to the largest candidate, a boundary
         rng = np.random.default_rng(2)
@@ -289,7 +312,7 @@ class TestSelectBandwidth:
         def midpoint(power, nx, ny):
             grid = GridSpec(domain, nx, ny)
             on_grid = estimate_intensity(
-                pts, domain, BandwidthSpec(method="fixed", h=h), at=grid.cell_centers()
+                pts, domain, BandwidthSpec(h=h), at=grid.cell_centers()
             )
             return (on_grid**power).sum() * domain.area / grid.ncells
 
@@ -374,7 +397,7 @@ class TestWeights:
 
     def test_floored_intensity_estimate_accepted(self):
         est = estimate_intensity(
-            np.array([[0.5, 0.5], [0.52, 0.5]]), UNIT, BandwidthSpec(method="fixed", h=0.01)
+            np.array([[0.5, 0.5], [0.52, 0.5]]), UNIT, BandwidthSpec(h=0.01)
         )
         w = weights_from_intensity(est, 1e-2)
         assert abs(w.sum() - 2) < 1e-9

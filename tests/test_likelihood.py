@@ -32,7 +32,7 @@ from isiw import (
 )
 import isiw
 from isiw._linalg import NotPositiveDefiniteError, backward_solve_batched, cholesky_lower, forward_solve_batched
-from isiw.likelihood import PAIR_CHUNK, _pair_rows
+from isiw.likelihood import PAIR_CHUNK, PLAN_MAX_ENTRIES, _pair_rows, check_plan_size
 from oracles import (
     build_cov_matrix,
     farthest_point_order,
@@ -222,6 +222,23 @@ class TestConditioningSets:
         order = np.array([0, 1, 2, 3])
         plan = nn_conditioning_sets(locs, order, m=1)
         assert conditioning_sets(plan) == [[], [0], [1], [2]]
+
+    def test_plan_size_is_bounded(self):
+        # each n x w x w index array, w = min(m, n - 1) + 1, holds at most 2^25
+        # entries (256 MiB of int64); sizes only, no refused plan is built
+        assert PLAN_MAX_ENTRIES == 2**25
+        for n, m in ((800, 203), (400, 288)):
+            check_plan_size(n, m)
+            with pytest.raises(ValueError, match=f"^Vecchia plan at n={n}, m={m + 1}: "):
+                check_plan_size(n, m + 1)
+        check_plan_size(800, 20)  # the default n=800 plan: 352,800 entries
+        locs = np.random.default_rng(0).random((800, 2))
+        tracemalloc.start()
+        with pytest.raises(ValueError, match="^Vecchia plan at n=800, m=799: 512000000 > 33554432 entries"):
+            VecchiaPlan(locs, np.arange(800), 799)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 800 * 800 * 8  # refused before its n x n distance matrix
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(st.data())

@@ -57,7 +57,8 @@ def test_missing_file_is_a_difference(outputs, tmp_path):
     assert output_pairs.first_difference(outputs, change).startswith("ranks.csv: missing")
 
 
-@pytest.mark.parametrize("name", ["headline", "seven_methods", "pairwise_n400", "paper_n800", "thomas", "pm_cutoff"])
+@pytest.mark.parametrize("name", [
+    "headline", "seven_methods", "pairwise_n400", "paper_n800", "thomas", "pm_cutoff", "selectors"])
 def test_committed_config_parses_with_timing_off(name):
     config = parse_config((Path(TOOLS) / "configs" / f"{name}.cfg").read_text())
     assert config.timing is False

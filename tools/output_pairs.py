@@ -16,8 +16,9 @@ The configs in ``tools/configs/`` are the ones it is run on: the
 acceptance headline config, a 7-method config on two samplers at n=100
 and n=250, the Vecchia and pairwise-marginal likelihoods at n=400, the
 default config's n=800 cells (``paper_n800.cfg``), Thomas cluster
-patterns at n=40 and n=100 (``thomas.cfg``), and the isiw-pm pair cutoff
-(``pm_cutoff.cfg``).
+patterns at n=40 and n=100 (``thomas.cfg``), the isiw-pm pair cutoff
+(``pm_cutoff.cfg``), and every estimated weight source under isiw-v at
+n=100 and n=400 (``selectors.cfg``).
 
 Standard library only; nothing is imported from the package under test.
 """
