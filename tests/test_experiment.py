@@ -1012,7 +1012,8 @@ class TestUnreadSettings:
         # conditioned on n, the lgcp intercept cancels from the sampling
         # probabilities, so no flag sets it
         out = tmp_path / "out"
-        assert exit_code(["sample", "--field", str(field_csv), "--n", "10", "--alpha", "1", "--out-dir", str(out)]) == 1
+        argv = ["sample", "--field", str(field_csv), "--n", "10", "--alpha", "1", "--out-dir", str(out)]
+        assert exit_code(argv) == 1
         assert "unrecognized arguments: --alpha 1" in capsys.readouterr().err
         assert not out.exists()
 
