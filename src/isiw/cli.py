@@ -1,14 +1,15 @@
 """Command-line surface.
 
 Subcommands: simulate (field -> CSV), sample (points -> CSV), intensity
-(kernel intensity and weights -> CSV), fit (data CSV -> parameter report),
-krige (data CSV + parameters -> surface CSV), experiment (config file ->
-results CSVs). Each subcommand takes only the flags it reads; any other
-flag is a usage error, and so is a setting flag that the run would not
-read, by the config's rule (``fit --m`` for an exact fit, ``sample
---parent-rate`` without thomas). ``fit --method`` takes the experiment's
-method entries (``mle``, ``vecchia``, ``isiw-v:SOURCE``,
-``isiw-pm:SOURCE``) and fits one through
+(kernel intensity and weights -> CSV), fit (data CSV -> fit CSV), krige
+(data CSV + fit CSV -> surface CSV), experiment (config file -> results
+CSVs). A subcommand that writes one file takes its path as ``--out``, one
+that writes several their directory as ``--out-dir``. Each takes only the
+flags it reads; any other flag is a usage error, and so is a setting flag
+that the run would not read, by the config's rule (``fit --m`` for an
+exact fit, ``sample --parent-rate`` without thomas). ``fit --method``
+takes the experiment's method entries (``mle``, ``vecchia``,
+``isiw-v:SOURCE``, ``isiw-pm:SOURCE``) and fits one through
 :func:`~isiw.experiment.method_fitter`, as the experiment does, except
 that the ``known`` source, which needs the simulated truth, is refused.
 Exit codes: 0 success, 1 usage error, 2 numerical failure.
@@ -44,7 +45,7 @@ from .intensity import (
     weights_from_intensity,
 )
 from .kriging import krige
-from .model import CovParams, ModelParams, microergodic
+from .model import CovParams
 from .pointprocess import SAMPLER_KINDS, THOMAS, SamplerSpec, compute_intensity, sample_conditioned, sample_thomas
 from . import io
 
@@ -128,7 +129,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="isiw", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _subcommand(sub, "simulate", ("seed", "out-dir", "domain", "nu"),
+    p = _subcommand(sub, "simulate", ("seed", "domain", "nu"),
                     help="simulate a Matérn field on a grid")
     p.add_argument("--nx", type=int, default=_CONFIG.grid_nx)
     p.add_argument("--ny", type=int, default=None)
@@ -136,7 +137,7 @@ def build_parser() -> _Parser:
     p.add_argument("--phi", type=float, default=0.15)
     p.add_argument("--out", default="field.csv")
 
-    p = _subcommand(sub, "sample", ("seed", "out-dir"), help="sample a preferential point pattern")
+    p = _subcommand(sub, "sample", ("seed",), help="sample a preferential point pattern")
     p.add_argument("--field", required=True, help="field CSV from 'simulate'")
     p.add_argument("--sampler", default="lgcp", choices=SAMPLER_KINDS)
     p.add_argument("--n", type=int, required=True)
@@ -156,7 +157,7 @@ def build_parser() -> _Parser:
     bandwidth.add_argument("--bandwidth", type=float, default=None,
                            help="fixed kernel bandwidth in place of a selector")
 
-    p = _subcommand(sub, "fit", ("seed", "out-dir", "domain", "threshold", "nu"),
+    p = _subcommand(sub, "fit", ("domain", "threshold", "nu"),
                     help="fit model parameters to a data CSV")
     p.add_argument("--data", required=True, help="data CSV (x,y,value)")
     p.add_argument("--method", type=_argument(_fit_method), default="mle",
@@ -165,15 +166,11 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, default=None, help="max conditioning-set size of a Vecchia fit")
     p.add_argument("--cutoff", type=float, default=None,
                    help="isiw-pm pairwise distance cutoff")
-    p.add_argument("--out", default=None, help="write the report here instead of stdout")
+    p.add_argument("--out", default="fit.csv", help="fit CSV: parameters, kappa and diagnostics")
 
-    p = _subcommand(sub, "krige", ("out-dir", "domain", "nu"),
-                    help="predict a surface from fitted parameters")
+    p = _subcommand(sub, "krige", ("domain",), help="predict a surface from fitted parameters")
     p.add_argument("--data", required=True, help="data CSV (x,y,value)")
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--sigma2", type=float, required=True)
-    p.add_argument("--phi", type=float, required=True)
-    p.add_argument("--tau2", type=float, required=True)
+    p.add_argument("--fit", required=True, help="fit CSV from 'fit', or any one-row mu,sigma2,phi,tau2,nu CSV")
     p.add_argument("--nx", type=int, default=_CONFIG.grid_nx)
     p.add_argument("--ny", type=int, default=None)
     p.add_argument("--out", default="surface.csv")
@@ -189,8 +186,8 @@ def build_parser() -> _Parser:
 def _cmd_simulate(args) -> int:
     grid = _grid(args)
     fld = simulate_field(grid, CovParams(args.sigma2, args.phi, args.nu), SeedStream(args.seed))
-    io.write_field_csv(Path(args.out_dir) / args.out, fld)
-    print(f"wrote {grid.ncells} cells to {Path(args.out_dir) / args.out}")
+    io.write_field_csv(args.out, fld)
+    print(f"wrote {grid.ncells} cells to {args.out}")
     return 0
 
 
@@ -206,8 +203,8 @@ def _cmd_sample(args) -> int:
         pts = sample_thomas(fld, spec, seed)
     else:
         pts = sample_conditioned(fld, compute_intensity(args.sampler, fld, spec), args.n, seed)
-    io.write_points_csv(Path(args.out_dir) / args.out, pts)
-    print(f"wrote {len(pts)} points to {Path(args.out_dir) / args.out}")
+    io.write_points_csv(args.out, pts)
+    print(f"wrote {len(pts)} points to {args.out}")
     return 0
 
 
@@ -224,7 +221,8 @@ def _cmd_intensity(args) -> int:
     out = Path(args.out_dir)
     io.write_intensity_csv(out / "intensity.csv", grid, on_grid)
     io.write_weights_csv(out / "weights.csv", pts, weights)
-    print(f"bandwidth={bw.h!r} selector={selector} -> {out / 'intensity.csv'}, {out / 'weights.csv'}")
+    print(f"bandwidth={bw.h!r} selector={selector} boundary={bw.boundary} -> "
+          f"{out / 'intensity.csv'}, {out / 'weights.csv'}")
     return 0
 
 
@@ -236,28 +234,17 @@ def _cmd_fit(args) -> int:
         data, args.domain, nu=args.nu, m=args.m, threshold=args.threshold,
         pair_cutoff=args.cutoff, exact_mle_max_n=_CONFIG.exact_mle_max_n,
     )
-    res = fit_one(args.method, args.seed)
-    report = res.psi_hat.as_dict()
-    report["kappa"] = microergodic(res.psi_hat.theta)
-    report.update(
-        nll=res.nll, converged=res.converged, iterations=res.iterations,
-        evaluations=res.evaluations, restarts_used=res.restarts_used, phi_capped=res.phi_capped,
-    )
-    text = "\n".join(f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}" for k, v in report.items())
-    if args.out:
-        Path(args.out_dir, args.out).write_text(text + "\n")
-    else:
-        print(text)
+    io.write_fit_csv(args.out, fit_one(args.method, 0))  # restart seed 0, as no measured fit restarts
+    print(f"wrote the fit to {args.out}")
     return 0
 
 
 def _cmd_krige(args) -> int:
     grid = _grid(args)
     data = io.read_dataset_csv(args.data)
-    psi = ModelParams.from_values(args.mu, args.sigma2, args.phi, args.tau2, nu=args.nu)
-    out = krige(psi, data, grid.cell_centers())
-    io.write_surface_csv(Path(args.out_dir) / args.out, out)
-    print(f"wrote {grid.ncells} predictions to {Path(args.out_dir) / args.out}")
+    out = krige(io.read_fit_csv(args.fit), data, grid.cell_centers())
+    io.write_surface_csv(args.out, out)
+    print(f"wrote {grid.ncells} predictions to {args.out}")
     return 0
 
 

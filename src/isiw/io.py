@@ -1,6 +1,6 @@
 """Delimited-text readers and writers for every artifact the toolkit
 exchanges: fields, point patterns, datasets, intensity/weight surfaces,
-prediction surfaces, and experiment results.
+fitted parameters, prediction surfaces, and experiment results.
 
 Floats are written with ``repr`` (shortest round-trip form) so files are
 reproducible byte-for-byte given identical inputs.
@@ -14,8 +14,12 @@ from pathlib import Path
 import numpy as np
 
 from .fields import FieldRealization, GridSpec
+from .inference import FitResult
 from .kriging import KrigingOutput
-from .model import Dataset, Domain
+from .model import Dataset, Domain, ModelParams, microergodic
+
+# the fit's diagnostics, after its parameters and kappa, in a fit CSV
+_FIT_STATS = ("nll", "converged", "iterations", "evaluations", "restarts_used", "phi_capped", "gradient_norm")
 
 
 def _fmt(value) -> str:
@@ -104,6 +108,23 @@ def read_dataset_csv(path) -> Dataset:
     if not len(arr):
         raise ValueError(f"{path}: no observations")
     return Dataset(locations=arr[:, :2], values=arr[:, 2])
+
+
+def write_fit_csv(path, res: FitResult) -> None:
+    """One row: mu, sigma2, phi, tau2, nu, kappa = sigma2 / phi^(2 nu), and
+    the fit's diagnostics."""
+    row = {**res.psi_hat.as_dict(), "kappa": microergodic(res.psi_hat.theta)}
+    row.update((name, getattr(res, name)) for name in _FIT_STATS)
+    write_rows(path, list(row), [row.values()])
+
+
+def read_fit_csv(path) -> ModelParams:
+    """The parameters of a one-row CSV with columns mu, sigma2, phi, tau2
+    and nu, such as ``write_fit_csv`` writes."""
+    arr = _read_columns(path, ("mu", "sigma2", "phi", "tau2", "nu"))
+    if len(arr) != 1:
+        raise ValueError(f"{path}: {len(arr)} rows of parameters, not one")
+    return ModelParams.from_values(*arr[0])
 
 
 def write_intensity_csv(path, grid: GridSpec, values: np.ndarray) -> None:

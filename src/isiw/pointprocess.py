@@ -65,15 +65,16 @@ def compute_intensity(kind: str, field: FieldRealization, spec: SamplerSpec) -> 
 
     The Thomas process is rejected: given only the field there is no
     deterministic cell intensity (it depends on the random parent pattern).
+    ``kind`` must be ``spec.kind``, whose rules the spec checked.
     """
+    if kind != spec.kind:
+        raise ValueError(f"sampler kind {kind!r} differs from its spec's kind {spec.kind!r}")
     s = field.values
     if kind == LGCP:
         return np.exp(spec.alpha + spec.beta * s)
     if kind == SCP:
         return spec.beta / (1.0 + np.exp(-s))
-    if kind == THOMAS:
-        raise ValueError("Thomas process has no deterministic cell intensity")
-    raise ValueError(f"unknown sampler kind {kind!r}")
+    raise ValueError("Thomas process has no deterministic cell intensity")
 
 
 def sample_conditioned(

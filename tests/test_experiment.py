@@ -1,3 +1,5 @@
+import argparse
+import csv
 import dataclasses
 import math
 import os
@@ -36,12 +38,16 @@ from isiw.pointprocess import SampleSizeError
 from isiw import (
     Dataset,
     FitConfig,
+    FitResult,
+    GridSpec,
     Objective,
     default_init,
     estimate_intensity,
     fit,
     io,
+    krige,
     maxmin_order,
+    microergodic,
     nn_conditioning_sets,
     select_bandwidth,
     weights_from_intensity,
@@ -365,7 +371,7 @@ def test_import_leaves_scipy_stats_unloaded():
 def test_simulate_field_independent_of_blas_threads(tmp_path):
     for threads in ("1", "2"):
         run_cli_fresh(
-            "simulate", "--seed", "3", "--out-dir", str(tmp_path), "--out", f"field{threads}.csv",
+            "simulate", "--seed", "3", "--out", str(tmp_path / f"field{threads}.csv"),
             OPENBLAS_NUM_THREADS=threads,
         )
     assert (tmp_path / "field1.csv").read_bytes() == (tmp_path / "field2.csv").read_bytes()
@@ -605,6 +611,29 @@ def exit_code(argv) -> int:
         return exc.code
 
 
+def output_flags(command: str, out: Path) -> list:
+    """The flags that send ``command``'s output under ``out``: the path of
+    its one file, or the directory of its several."""
+    if command in ("intensity", "experiment"):
+        return ["--out-dir", str(out)]
+    return ["--out", str(out / f"{command}.csv")]
+
+
+def read_fit(path) -> dict:
+    """The one row of a fit CSV, by column."""
+    with open(path, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    return row
+
+
+def write_params(path, **changes) -> Path:
+    """A one-row parameter CSV for ``krige --fit``, as a user writes one:
+    mu=4, sigma2=1, phi=0.1, tau2=0.1 and nu=1, updated by ``changes``."""
+    params = {"mu": 4.0, "sigma2": 1.0, "phi": 0.1, "tau2": 0.1, "nu": 1.0, **changes}
+    io.write_rows(path, list(params), [params.values()])
+    return path
+
+
 @pytest.fixture(scope="module")
 def dataset_csv(tmp_path_factory):
     from isiw import CovParams, GridSpec, SeedStream, simulate_field
@@ -627,13 +656,18 @@ def field_csv(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def fit_csv(tmp_path_factory):
+    return write_params(tmp_path_factory.mktemp("krige") / "fit.csv")
+
+
 class TestCli:
     def test_pipeline(self, tmp_path, capsys):
         out = str(tmp_path)
-        assert cli_main(["simulate", "--nx", "12", "--seed", "3", "--out-dir", out]) == 0
+        assert cli_main(["simulate", "--nx", "12", "--seed", "3", "--out", f"{out}/field.csv"]) == 0
         assert cli_main([
             "sample", "--field", f"{out}/field.csv", "--sampler", "lgcp",
-            "--n", "60", "--seed", "4", "--out-dir", out,
+            "--n", "60", "--seed", "4", "--out", f"{out}/points.csv",
         ]) == 0
         assert cli_main([
             "intensity", "--points", f"{out}/points.csv", "--selector", "scott",
@@ -647,25 +681,22 @@ class TestCli:
         io.write_dataset_csv(f"{out}/data.csv", Dataset(locations=pts, values=4.0 + fld.at(pts)))
         assert cli_main([
             "fit", "--data", f"{out}/data.csv", "--method", "vecchia",
-            "--m", "10", "--out-dir", out, "--out", "fit.txt",
+            "--m", "10", "--out", f"{out}/fit.csv",
         ]) == 0
-        report = dict(
-            line.split("=", 1) for line in Path(out, "fit.txt").read_text().splitlines()
-        )
-        assert float(report["sigma2"]) > 0
+        assert float(read_fit(f"{out}/fit.csv")["sigma2"]) > 0
         assert cli_main([
-            "krige", "--data", f"{out}/data.csv", "--mu", report["mu"],
-            "--sigma2", report["sigma2"], "--phi", report["phi"],
-            "--tau2", report["tau2"], "--nx", "12", "--out-dir", out,
+            "krige", "--data", f"{out}/data.csv", "--fit", f"{out}/fit.csv",
+            "--nx", "12", "--out", f"{out}/surface.csv",
         ]) == 0
         surface = np.loadtxt(f"{out}/surface.csv", delimiter=",", skiprows=1)
         assert surface.shape == (144, 4)
         assert np.all(surface[:, 3] >= 0)
 
-    def test_fit_prints_zero_nugget(self, tmp_path, capsys):
+    def test_fit_prints_zero_nugget(self, tmp_path):
         io.write_dataset_csv(tmp_path / "data.csv", no_nugget_dataset())
-        assert cli_main(["fit", "--data", str(tmp_path / "data.csv"), "--method", "mle"]) == 0
-        assert "\ntau2=0.0\n" in capsys.readouterr().out
+        argv = ["fit", "--data", str(tmp_path / "data.csv"), "--method", "mle", "--out", str(tmp_path / "fit.csv")]
+        assert cli_main(argv) == 0
+        assert read_fit(tmp_path / "fit.csv")["tau2"] == "0.0"
 
     def test_experiment_subcommand(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -679,11 +710,8 @@ class TestCli:
 
     @pytest.mark.parametrize("spec", ["mle", "vecchia", "isiw-v:diggle", "isiw-pm:CvL.adaptive"])
     def test_fit_matches_build_objective(self, spec, dataset_csv, tmp_path):
-        assert cli_main([
-            "fit", "--data", str(dataset_csv), "--method", spec, "--seed", "11",
-            "--out-dir", str(tmp_path), "--out", "fit.txt",
-        ]) == 0
-        report = dict(line.split("=", 1) for line in (tmp_path / "fit.txt").read_text().splitlines())
+        assert cli_main(["fit", "--data", str(dataset_csv), "--method", spec, "--out", str(tmp_path / "fit.csv")]) == 0
+        report = read_fit(tmp_path / "fit.csv")
 
         # the objective is built by hand, not through method_fitter, so this
         # checks the runner the CLI and the experiment share
@@ -702,7 +730,7 @@ class TestCli:
             "isiw-pm": lambda: Objective(kind="pairwise-marginal", weights=weights),
         }[method.name]()
         res = fit(objective, data, default_init(data, config.domain, nu=config.nu),
-                  FitConfig(domain=config.domain, restart_seed=11))
+                  FitConfig(domain=config.domain, restart_seed=0))
         expected = {**res.psi_hat.as_dict(), "nll": res.nll}
         for name in ("mu", "sigma2", "phi", "tau2", "nll"):
             assert float(report[name]) == expected[name], name
@@ -732,20 +760,19 @@ class TestCli:
             "experiment": ["--config", str(cfg)],
         }
         out = tmp_path / "out"
-        assert exit_code([*args, *inputs.get(args[0], []), "--out-dir", str(out)]) == 1
+        assert exit_code([*args, *inputs.get(args[0], []), *output_flags(args[0], out)]) == 1
         assert named in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "intensity", "krige"])
-    def test_zero_ny_rejected(self, command, dataset_csv, tmp_path, capsys):
+    def test_zero_ny_rejected(self, command, dataset_csv, fit_csv, tmp_path, capsys):
         inputs = {
             "simulate": [],
             "intensity": ["--points", str(dataset_csv), "--selector", "scott"],
-            "krige": ["--data", str(dataset_csv), "--mu", "4", "--sigma2", "1", "--phi", "0.1",
-                      "--tau2", "0.1"],
+            "krige": ["--data", str(dataset_csv), "--fit", str(fit_csv)],
         }
         out = tmp_path / "out"
-        assert exit_code([command, "--nx", "4", "--ny", "0", *inputs[command], "--out-dir", str(out)]) == 1
+        assert exit_code([command, "--nx", "4", "--ny", "0", *inputs[command], *output_flags(command, out)]) == 1
         assert "got 4x0" in capsys.readouterr().err
         assert not out.exists()
 
@@ -758,7 +785,7 @@ class TestCli:
         path = tmp_path / "in.csv"
         path.write_text("a,y\n0.1,0.2\n0.3,0.4\n")
         extra = ["--n", "5"] if command == "sample" else []
-        assert exit_code([command, flag, str(path), *extra, "--out-dir", str(tmp_path)]) == 1
+        assert exit_code([command, flag, str(path), *extra, *output_flags(command, tmp_path)]) == 1
         assert capsys.readouterr().err == f"isiw: {path}: missing columns {needs}\n"
 
     @pytest.mark.parametrize("cells", [
@@ -772,7 +799,7 @@ class TestCli:
         # garbage in the field, and one column ended in an IndexError
         path = tmp_path / "field.csv"
         path.write_text("x,y,s\n" + "".join(f"{x},{y},{x + y}\n" for x, y in cells))
-        assert exit_code(["sample", "--field", str(path), "--n", "5", "--out-dir", str(tmp_path)]) == 1
+        assert exit_code(["sample", "--field", str(path), "--n", "5", "--out", str(tmp_path / "points.csv")]) == 1
         assert capsys.readouterr().err == (
             f"isiw: {path}: cell centers do not form a regular grid of at least 2 x 2 cells\n"
         )
@@ -821,13 +848,13 @@ class TestCli:
     ])
     def test_domain_error_names_its_reason(self, domain, reason, tmp_path, capsys):
         out = tmp_path / "out"
-        assert exit_code(["simulate", "--domain", domain, "--out-dir", str(out)]) == 1
+        assert exit_code(["simulate", "--domain", domain, "--out", str(out / "field.csv")]) == 1
         assert reason in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("args, message", [
-        (["krige", "--tau2", "nan"], "tau2 must be nonnegative and finite, got nan"),
-        (["krige", "--mu", "nan"], "mu must be finite, got nan"),
+        (["krige", {"tau2": math.nan}], "tau2 must be nonnegative and finite, got nan"),
+        (["krige", {"mu": math.nan}], "mu must be finite, got nan"),
         (["simulate", "--sigma2", "inf"], "sigma2 must be positive and finite, got inf"),
         (["simulate", "--phi", "inf"], "phi must be positive and finite, got inf"),
         (["fit", "--nu", "inf"], "nu must be positive and finite, got inf"),
@@ -839,16 +866,18 @@ class TestCli:
     def test_misused_parameter_names_field_and_value(self, args, message, dataset_csv, field_csv, tmp_path,
                                                      capsys):
         # each subcommand builds the types an experiment cell builds, so it
-        # refuses the values a config refuses, before it writes anything
+        # refuses the values a config refuses, before it writes anything;
+        # krige reads its parameters from the fit CSV
+        if args[0] == "krige":
+            args = ["krige", "--fit", str(write_params(tmp_path / "fit.csv", **args[1]))]
         inputs = {
-            "krige": ["--data", str(dataset_csv), "--mu", "4", "--sigma2", "1", "--phi", "0.1",
-                      "--tau2", "0.1", "--nx", "8"],
+            "krige": ["--data", str(dataset_csv), "--nx", "8"],
             "simulate": ["--nx", "8"],
-            "fit": ["--data", str(dataset_csv), "--out", "fit.txt"],
+            "fit": ["--data", str(dataset_csv)],
             "sample": ["--field", str(field_csv), "--n", "10"],
         }
         out = tmp_path / "out"
-        assert exit_code([args[0], *inputs[args[0]], *args[1:], "--out-dir", str(out)]) == 1
+        assert exit_code([args[0], *inputs[args[0]], *args[1:], *output_flags(args[0], out)]) == 1
         assert capsys.readouterr().err == f"isiw: {message}\n"
         assert not out.exists()
 
@@ -872,7 +901,7 @@ class TestCli:
             parse_config(config)
         assert str(refused.value) == f"{key} {rule}"
         out = tmp_path / "out"
-        assert exit_code(["fit", "--data", str(dataset_csv), *flags, "--out-dir", str(out), "--out", "f"]) == 1
+        assert exit_code(["fit", "--data", str(dataset_csv), *flags, "--out", str(out / "fit.csv")]) == 1
         assert capsys.readouterr().err == f"isiw: {flags[-2]} {rule}\n"
         assert not out.exists()
 
@@ -883,23 +912,23 @@ class TestCli:
         assert parse_config("n=100,800\nm=203").m == 203
 
     @pytest.mark.parametrize("command", ["simulate", "intensity", "krige"])
-    def test_grid_over_budget_rejected(self, command, dataset_csv, tmp_path, capsys):
+    def test_grid_over_budget_rejected(self, command, dataset_csv, fit_csv, tmp_path, capsys):
         # one cell over fields.EMBED_BUDGET: refused before any grid array exists
         inputs = {
             "simulate": [],
             "intensity": ["--points", str(dataset_csv)],
-            "krige": ["--data", str(dataset_csv), "--mu", "4", "--sigma2", "1", "--phi", "0.1",
-                      "--tau2", "0.1"],
+            "krige": ["--data", str(dataset_csv), "--fit", str(fit_csv)],
         }
         out = tmp_path / "out"
-        assert exit_code([command, "--nx", "1449", "--ny", "1449", *inputs[command], "--out-dir", str(out)]) == 1
+        argv = [command, "--nx", "1449", "--ny", "1449", *inputs[command], *output_flags(command, out)]
+        assert exit_code(argv) == 1
         assert capsys.readouterr().err == "isiw: grid of 1449x1449 cells exceeds the budget of 2097152 cells\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command, dest, key", [
         *[(command, "nx", "grid_nx") for command in ("simulate", "intensity", "krige")],
         *[(command, "domain", "domain") for command in ("simulate", "intensity", "fit", "krige")],
-        *[(command, "nu", "nu") for command in ("simulate", "fit", "krige")],
+        *[(command, "nu", "nu") for command in ("simulate", "fit")],
         *[(command, "threshold", "threshold") for command in ("intensity", "fit")],
         ("simulate", "sigma2", "sigma2"),
         ("sample", "beta", "beta"),
@@ -912,7 +941,7 @@ class TestCli:
             "sample": ["--field", "f.csv", "--n", "5"],
             "intensity": ["--points", "p.csv"],
             "fit": ["--data", "d.csv"],
-            "krige": ["--data", "d.csv", "--mu", "0", "--sigma2", "1", "--phi", "0.1", "--tau2", "0"],
+            "krige": ["--data", "d.csv", "--fit", "f.csv"],
         }
         args = build_parser().parse_args([command, *required.get(command, [])])
         _read_settings(args, {})  # what a command does with the flags it was not given
@@ -925,12 +954,134 @@ class TestCli:
 
         data = Dataset(locations=rng.random((30, 2)), values=rng.normal(size=30))
         io.write_dataset_csv(tmp_path / "d.csv", data)
+        params = write_params(tmp_path / "fit.csv", mu=0.0, phi=1e9, tau2=0.0)
         code = cli_main([
-            "krige", "--data", str(tmp_path / "d.csv"), "--mu", "0",
-            "--sigma2", "1.0", "--phi", "1e9", "--tau2", "0",
-            "--nx", "8", "--out-dir", str(tmp_path),
+            "krige", "--data", str(tmp_path / "d.csv"), "--fit", str(params),
+            "--nx", "8", "--out", str(tmp_path / "surface.csv"),
         ])
         assert code == 2
+
+    def test_each_subcommand_takes_its_flags(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {name: sorted(o for a in p._actions for o in a.option_strings if o not in ("-h", "--help"))
+                 for name, p in sub.choices.items()}
+        assert flags == {
+            "simulate": sorted(["--seed", "--domain", "--nu", "--nx", "--ny", "--sigma2", "--phi", "--out"]),
+            "sample": sorted(["--seed", "--field", "--sampler", "--n", "--beta", "--parent-rate",
+                              "--offspring-scale", "--out"]),
+            "intensity": sorted(["--out-dir", "--domain", "--threshold", "--points", "--nx", "--ny",
+                                 "--selector", "--bandwidth"]),
+            "fit": sorted(["--domain", "--threshold", "--nu", "--data", "--method", "--m", "--cutoff", "--out"]),
+            "krige": sorted(["--domain", "--data", "--fit", "--nx", "--ny", "--out"]),
+            "experiment": sorted(["--out-dir", "--config", "--threads", "--seed"]),
+        }
+        assert sum(map(len, flags.values())) == 42
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--out-dir", "x"], ["fit", "--seed", "1"], ["simulate", "--out-dir", "x"],
+        ["krige", "--mu", "4"], ["krige", "--nu", "1.5"],
+    ], ids=["fit-out-dir", "fit-seed", "simulate-out-dir", "krige-mu", "krige-nu"])
+    def test_removed_flag_is_unrecognized(self, argv, dataset_csv, fit_csv, tmp_path, capsys):
+        # one path per output file; krige's parameters come from the fit CSV
+        inputs = {"fit": ["--data", str(dataset_csv)], "krige": ["--data", str(dataset_csv), "--fit", str(fit_csv)]}
+        out = tmp_path / "out"
+        assert exit_code([argv[0], *inputs.get(argv[0], []), *argv[1:], *output_flags(argv[0], out)]) == 1
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sample", "fit", "krige"])
+    def test_out_creates_its_parent_directories(self, command, dataset_csv, field_csv, fit_csv, tmp_path, capsys):
+        inputs = {
+            "simulate": ["--nx", "8"],
+            "sample": ["--field", str(field_csv), "--n", "10"],
+            "fit": ["--data", str(dataset_csv)],
+            "krige": ["--data", str(dataset_csv), "--fit", str(fit_csv), "--nx", "8"],
+        }
+        path = tmp_path / "a" / "b" / f"{command}.csv"
+        assert cli_main([command, *inputs[command], "--out", str(path)]) == 0
+        assert path.is_file()
+        assert capsys.readouterr().out.endswith(f" to {path}\n")
+
+    def test_fit_csv_holds_every_fit_result_field(self, dataset_csv, tmp_path):
+        assert cli_main(["fit", "--data", str(dataset_csv), "--method", "vecchia",
+                         "--out", str(tmp_path / "fit.csv")]) == 0
+        row = read_fit(tmp_path / "fit.csv")
+        assert ",".join(row) == ("mu,sigma2,phi,tau2,nu,kappa,nll,converged,iterations,evaluations,"
+                                 "restarts_used,phi_capped,gradient_norm")
+        config, data = ExperimentConfig(), io.read_dataset_csv(dataset_csv)
+        res = method_fitter(data, config.domain, nu=config.nu, m=config.m, threshold=config.threshold,
+                            pair_cutoff=None, exact_mle_max_n=config.exact_mle_max_n)(parse_method("vecchia"), 0)
+        expected = {**res.psi_hat.as_dict(), "kappa": microergodic(res.psi_hat.theta)}
+        expected.update((f.name, getattr(res, f.name)) for f in dataclasses.fields(FitResult) if f.name != "psi_hat")
+        assert set(row) == set(expected)
+        for name, value in expected.items():
+            if isinstance(value, (bool, np.bool_)):
+                assert row[name] == str(bool(value)), name
+            elif isinstance(value, (int, np.integer)):
+                assert int(row[name]) == value, name
+            else:
+                assert float(row[name]) == value, name
+
+    def test_krige_reads_the_fit_that_fit_writes(self, dataset_csv, tmp_path):
+        # the surface krige writes from the fit CSV is, byte for byte, the
+        # one from the fit held in memory
+        spec = "isiw-v:CvL.adaptive"
+        fit_path, surface = tmp_path / "fit.csv", tmp_path / "surface.csv"
+        assert cli_main(["fit", "--data", str(dataset_csv), "--method", spec, "--out", str(fit_path)]) == 0
+        assert cli_main(["krige", "--data", str(dataset_csv), "--fit", str(fit_path), "--nx", "12",
+                         "--out", str(surface)]) == 0
+        config, data = ExperimentConfig(), io.read_dataset_csv(dataset_csv)
+        res = method_fitter(data, config.domain, nu=config.nu, m=config.m, threshold=config.threshold,
+                            pair_cutoff=None, exact_mle_max_n=config.exact_mle_max_n)(parse_method(spec), 0)
+        assert io.read_fit_csv(fit_path) == res.psi_hat
+        grid = GridSpec(config.domain, 12, 12)
+        io.write_surface_csv(tmp_path / "expected.csv", krige(res.psi_hat, data, grid.cell_centers()))
+        assert surface.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+    def test_krige_takes_nu_from_the_fit_csv(self, dataset_csv, tmp_path):
+        params = write_params(tmp_path / "fit.csv", nu=1.5)
+        surface = tmp_path / "surface.csv"
+        assert cli_main(["krige", "--data", str(dataset_csv), "--fit", str(params), "--nx", "8",
+                         "--out", str(surface)]) == 0
+        psi = ModelParams.from_values(4.0, 1.0, 0.1, 0.1, nu=1.5)
+        grid = GridSpec(ExperimentConfig().domain, 8, 8)
+        io.write_surface_csv(tmp_path / "expected.csv", krige(psi, io.read_dataset_csv(dataset_csv), grid.cell_centers()))
+        assert surface.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+    @pytest.mark.parametrize("text, reason", [
+        ("mu,sigma2,phi,tau2,nu\n", "0 rows of parameters, not one"),
+        ("mu,sigma2,phi,tau2,nu\n4,1,0.1,0.1,1\n4,1,0.2,0.1,1\n", "2 rows of parameters, not one"),
+        ("mu,sigma2,phi,tau2\n4,1,0.1,0.1\n", "missing columns ['nu']"),
+    ], ids=["no-row", "two-rows", "no-nu"])
+    def test_krige_refuses_a_fit_csv_without_one_parameter_row(self, text, reason, dataset_csv, tmp_path, capsys):
+        path = tmp_path / "fit.csv"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert exit_code(["krige", "--data", str(dataset_csv), "--fit", str(path), *output_flags("krige", out)]) == 1
+        assert capsys.readouterr().err == f"isiw: {path}: {reason}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pattern, argv, boundary", [
+        ("uniform", ["--selector", "diggle"], True),
+        ("clustered", ["--selector", "diggle"], False),
+        ("uniform", ["--selector", "scott"], False),
+        ("uniform", ["--bandwidth", "0.1"], False),
+    ], ids=["diggle-uniform", "diggle-clustered", "scott", "fixed"])
+    def test_intensity_prints_whether_the_selector_hit_its_grid_edge(self, pattern, argv, boundary, tmp_path,
+                                                                     capsys):
+        # the point sets of test_intensity's test_boundary_flag_mechanism:
+        # LSCV runs to the top of its grid on uniform points and stops
+        # inside it on five tight clusters; scott and a fixed h search none
+        rng = np.random.default_rng(2)
+        if pattern == "uniform":
+            pts = rng.random((50, 2))
+        else:
+            centers = rng.uniform(0.2, 0.8, (5, 2))
+            pts = np.clip(np.repeat(centers, 10, axis=0) + rng.normal(0, 0.02, (50, 2)), 0, 1)
+        io.write_points_csv(tmp_path / "points.csv", pts)
+        assert cli_main(["intensity", "--points", str(tmp_path / "points.csv"), *argv, "--nx", "8",
+                         "--out-dir", str(tmp_path)]) == 0
+        assert f" boundary={boundary} -> " in capsys.readouterr().out
 
 
 # A setting that the run does not read, set in a config and given to a
@@ -971,7 +1122,7 @@ class TestUnreadSettings:
     def test_subcommand_refuses_unread_flag(self, settings, key, argv, dataset_csv, field_csv, tmp_path, capsys):
         inputs = {"fit": ["--data", str(dataset_csv)], "sample": ["--field", str(field_csv), "--n", "10"]}
         out = tmp_path / "out"
-        assert exit_code([argv[0], *inputs[argv[0]], *argv[1:], "--out-dir", str(out)]) == 1
+        assert exit_code([argv[0], *inputs[argv[0]], *argv[1:], *output_flags(argv[0], out)]) == 1
         assert capsys.readouterr().err.startswith(f"isiw: {argv[-2]} is read only by ")
         assert not out.exists()
 
@@ -1005,14 +1156,14 @@ class TestUnreadSettings:
         ["sample", "--sampler", "scp", "--beta", "2"],
     ], ids=["thomas", "lgcp", "scp"])
     def test_sample_takes_flags_its_sampler_reads(self, argv, field_csv, tmp_path):
-        assert cli_main([*argv, "--field", str(field_csv), "--n", "10", "--out-dir", str(tmp_path)]) == 0
+        assert cli_main([*argv, "--field", str(field_csv), "--n", "10", "--out", str(tmp_path / "points.csv")]) == 0
         assert len(io.read_points_csv(tmp_path / "points.csv")) == 10
 
     def test_sample_has_no_alpha_flag(self, field_csv, tmp_path, capsys):
         # conditioned on n, the lgcp intercept cancels from the sampling
         # probabilities, so no flag sets it
         out = tmp_path / "out"
-        argv = ["sample", "--field", str(field_csv), "--n", "10", "--alpha", "1", "--out-dir", str(out)]
+        argv = ["sample", "--field", str(field_csv), "--n", "10", "--alpha", "1", "--out", str(out / "points.csv")]
         assert exit_code(argv) == 1
         assert "unrecognized arguments: --alpha 1" in capsys.readouterr().err
         assert not out.exists()
@@ -1020,8 +1171,8 @@ class TestUnreadSettings:
     def test_fit_takes_m_for_mle_above_exact_max_n(self, tmp_path):
         n = ExperimentConfig.exact_mle_max_n + 1
         io.write_dataset_csv(tmp_path / "data.csv", random_dataset(n))
-        argv = ["fit", "--data", str(tmp_path / "data.csv"), "--method", "mle", "--out-dir", str(tmp_path)]
-        assert cli_main([*argv, "--m", "5", "--out", "m5.txt"]) == 0
-        assert cli_main([*argv, "--out", "m20.txt"]) == 0
+        argv = ["fit", "--data", str(tmp_path / "data.csv"), "--method", "mle"]
+        assert cli_main([*argv, "--m", "5", "--out", str(tmp_path / "m5.csv")]) == 0
+        assert cli_main([*argv, "--out", str(tmp_path / "m20.csv")]) == 0
         # the Vecchia plan read --m: 5 conditioning points is not the default 20
-        assert (tmp_path / "m5.txt").read_text() != (tmp_path / "m20.txt").read_text()
+        assert (tmp_path / "m5.csv").read_text() != (tmp_path / "m20.csv").read_text()

@@ -49,6 +49,15 @@ class TestComputeIntensity:
         with pytest.raises(ValueError, match="Thomas"):
             compute_intensity("thomas", constant_field(grid), SamplerSpec(kind="thomas", n=10))
 
+    @pytest.mark.parametrize("kind, spec_kind", [("scp", "lgcp"), ("lgcp", "scp"), ("lgpc", "lgcp")])
+    def test_kind_other_than_the_specs_rejected(self, kind, spec_kind):
+        # the spec checked its own kind's rules: an lgcp spec may hold the
+        # negative beta that scp refuses, and scp read it silently
+        spec = SamplerSpec(kind=spec_kind, n=5, beta=-1.0 if spec_kind == "lgcp" else 1.0)
+        message = f"sampler kind {kind!r} differs from its spec's kind {spec_kind!r}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            compute_intensity(kind, constant_field(GridSpec(UNIT, 2, 2)), spec)
+
 
 class TestSampleConditioned:
     def test_exact_count_and_inside_domain(self):
