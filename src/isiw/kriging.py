@@ -1,8 +1,9 @@
 """Plug-in kriging: conditional-mean predictions and variances at target
 locations given (estimated) model parameters.
 
-The data covariance carries the nugget on its diagonal while cross- and
-target-covariances do not, so the predictor targets the smooth surface
+The data covariance is ``model.observation_cov``, the one the exact
+likelihood factors, with the nugget on its diagonal, while cross- and
+target-covariances carry none, so the predictor targets the smooth surface
 mu + S rather than the noisy observations. One Cholesky factorization,
 computed in the buffer of the data covariance, is shared across all
 targets. The n x T cross-covariance is never held whole: it is evaluated
@@ -27,7 +28,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from scipy.spatial.distance import cdist
 
 from ._linalg import cholesky_lower, one_blas_thread, target_blocks
-from .model import CovParams, Dataset, ModelParams, matern_cov, read_only, symmetric_from_condensed
+from .model import CovParams, Dataset, ModelParams, matern_cov, observation_cov, read_only
 
 
 def _cross_blocks(locations: np.ndarray, targets: np.ndarray, theta: CovParams):
@@ -42,22 +43,14 @@ def _cross_blocks(locations: np.ndarray, targets: np.ndarray, theta: CovParams):
 class KrigingOutput:
     """Predictions at ``targets``; ``variances`` is computed on first
     access from the lower Cholesky factor ``chol`` of the data covariance,
-    the data ``locations`` and the covariance parameters ``theta``. Every
-    array is a private read-only copy."""
+    the data ``locations`` and the covariance parameters ``theta``. Only
+    :func:`krige` builds one, from its own arrays, each read-only."""
 
     targets: np.ndarray
     predictions: np.ndarray
     chol: np.ndarray = field(repr=False)
     locations: np.ndarray = field(repr=False)
     theta: CovParams
-
-    def __post_init__(self):
-        for name in ("targets", "predictions", "chol", "locations"):
-            object.__setattr__(self, name, read_only(np.array(getattr(self, name), dtype=float)))
-        if len(self.targets) != self.predictions.size:
-            raise ValueError("mismatched kriging output lengths")
-        if self.chol.shape != (len(self.locations),) * 2:
-            raise ValueError("kriging factor does not match the data locations")
 
     @cached_property
     def variances(self) -> np.ndarray:
@@ -80,15 +73,14 @@ def krige(psi: ModelParams, data: Dataset, targets: np.ndarray) -> KrigingOutput
 
     with c0 the nugget-free cross-covariance.
     """
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    targets = read_only(np.atleast_2d(np.array(targets, dtype=float)))
     if not np.all(np.isfinite(targets)):
         raise ValueError("non-finite target locations")
 
-    diagonal = matern_cov(0.0, psi.theta) + psi.tau2
-    cov = symmetric_from_condensed(matern_cov(data.condensed_distances(), psi.theta), diagonal)
-    chol = cholesky_lower(cov, context="kriging system", overwrite=True)
+    cov = observation_cov(matern_cov(data.condensed_distances(), psi.theta), psi)
+    chol = read_only(cholesky_lower(cov, context="kriging system", overwrite=True))
     alpha = cho_solve((chol, True), data.values - psi.mu, check_finite=False)
     predictions = np.empty(len(targets))
     for block, cross in _cross_blocks(data.locations, targets, psi.theta):
         predictions[block] = psi.mu + cross.T @ alpha
-    return KrigingOutput(targets, predictions, chol, data.locations, psi.theta)
+    return KrigingOutput(targets, read_only(predictions), chol, data.locations, psi.theta)

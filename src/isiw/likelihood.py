@@ -62,8 +62,8 @@ from ._linalg import backward_solve_batched, cholesky_lower, forward_solve_batch
 from .model import (
     Dataset,
     ModelParams,
-    matern_cov,
     matern_cov_and_dlogphi,
+    observation_cov,
     read_only,
     require_at_least,
     symmetric_from_condensed,
@@ -258,7 +258,7 @@ def exact_nll(psi: ModelParams, data: Dataset) -> NllValue:
     psi's sigma2 to the profile's, and dA = sigma2 I along eta."""
     theta, n = psi.theta, data.n
     pair_cov, pair_dcov = matern_cov_and_dlogphi(data.condensed_distances(), theta)
-    cov = symmetric_from_condensed(pair_cov, matern_cov(0.0, theta) + psi.tau2)
+    cov = observation_cov(pair_cov, psi)
     del pair_cov
     chol = cholesky_lower(cov, context="observation covariance", overwrite=True)
     log_det = np.sum(np.log(np.diag(chol)))

@@ -9,9 +9,9 @@ matrices through this module, so the conventions live here: distances are
 Euclidean in raw coordinate units, the smoothness ``nu`` is treated as a
 known constant, and the nugget ``tau2`` sits on the diagonal of the
 observation covariance only. That covariance is built one way, by the
-exact likelihood and by kriging alike: the Matérn of the condensed
-distances d, mirrored by ``symmetric_from_condensed(matern_cov(d),
-matern_cov(0) + tau2)``. ``matern_cov_and_dlogphi`` gives the covariance
+exact likelihood and by kriging alike, by ``observation_cov``: the Matérn
+of the condensed distances d, mirrored by ``symmetric_from_condensed``
+with ``matern_cov(0) + tau2`` on the diagonal. ``matern_cov_and_dlogphi`` gives the covariance
 with its derivative in log phi from one evaluation.
 """
 
@@ -297,6 +297,12 @@ def symmetric_from_condensed(condensed: np.ndarray, diagonal: float) -> np.ndarr
     out = squareform(condensed, checks=False)
     np.fill_diagonal(out, diagonal)
     return out
+
+
+def observation_cov(pair_cov: np.ndarray, psi: ModelParams) -> np.ndarray:
+    """Sigma + tau2 I, n x n, from the condensed Matérn covariances
+    ``pair_cov`` (``pdist`` order) of the observation locations."""
+    return symmetric_from_condensed(pair_cov, matern_cov(0.0, psi.theta) + psi.tau2)
 
 
 def microergodic(theta: CovParams) -> float:

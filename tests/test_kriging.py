@@ -143,6 +143,16 @@ class TestKrigingOutput:
         targets[:] = 0.0
         assert out.targets[0, 0] == 0.2
 
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 2.5, 0.8])
+    @pytest.mark.parametrize("tau2", [0.0, 0.1])
+    def test_factors_the_oracles_observation_covariance(self, nu, tau2):
+        # kriging factors the exact likelihood's Sigma + tau2 I, built one way
+        psi = ModelParams.from_values(4.0, 1.5, 0.15, tau2, nu=nu)
+        data = random_dataset(60, 17)
+        out = krige(psi, data, np.array([[0.5, 0.5]]))
+        assert np.array_equal(out.chol, cholesky_lower(build_cov_matrix(data.locations, psi.theta, psi.tau2)))
+        assert out.locations is data.locations
+
 
 class TestTargetBlocks:
     @pytest.mark.parametrize(
