@@ -51,6 +51,7 @@ from .model import Dataset, Domain, ModelParams, microergodic, require_at_least,
 from .pointprocess import (
     LGCP,
     THOMAS,
+    IntensityOverflowError,
     SampleSizeError,
     SamplerSpec,
     compute_intensity,
@@ -357,21 +358,22 @@ def _failed_row(scenario: Scenario, replicate: int, method: MethodSpec, exc: Exc
 
 def run_replicate(config: ExperimentConfig, scenario: Scenario, replicate: int) -> list:
     """Simulate one dataset and produce one MetricsRow per configured method.
-    A Thomas pattern that cannot reach n gives one failed row per method."""
+    A Thomas pattern that cannot reach n, or a Cox intensity that overflows,
+    gives one failed row per method."""
     root = SeedStream(config.seed)
     grid = config.grid()
     truth = config.truth(scenario.phi)
     fld = simulate_field(grid, truth.theta, root.child(scenario.sid, replicate, 0))
     spec = config.sampler(scenario)
     cell_intensity = None  # the Thomas process has none
-    if scenario.kind == THOMAS:
-        try:
+    try:
+        if scenario.kind == THOMAS:
             locs = sample_thomas(fld, spec, root.child(scenario.sid, replicate, 1))
-        except SampleSizeError as exc:
-            return [_failed_row(scenario, replicate, method, exc) for method in config.method_specs()]
-    else:
-        cell_intensity = compute_intensity(scenario.kind, fld, spec)
-        locs = sample_conditioned(fld, cell_intensity, scenario.n, root.child(scenario.sid, replicate, 1))
+        else:
+            cell_intensity = compute_intensity(scenario.kind, fld, spec)
+            locs = sample_conditioned(fld, cell_intensity, scenario.n, root.child(scenario.sid, replicate, 1))
+    except (SampleSizeError, IntensityOverflowError) as exc:
+        return [_failed_row(scenario, replicate, method, exc) for method in config.method_specs()]
     data = observe(fld, locs, config.mu, config.tau2, root.child(scenario.sid, replicate, 2))
 
     truth_surface = config.mu + fld.values

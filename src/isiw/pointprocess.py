@@ -29,6 +29,12 @@ class SampleSizeError(RuntimeError):
     checked for it before sampling."""
 
 
+class IntensityOverflowError(RuntimeError):
+    """A Cox cell intensity is inf or 0 in double precision, as exp(x) is
+    above x = 709.8 and below x = -745.2. Whether it is depends on the
+    field, so a config cannot be checked for it before sampling."""
+
+
 @dataclass(frozen=True)
 class SamplerSpec:
     """Configuration for one point-pattern sampler.
@@ -65,16 +71,24 @@ def compute_intensity(kind: str, field: FieldRealization, spec: SamplerSpec) -> 
 
     The Thomas process is rejected: given only the field there is no
     deterministic cell intensity (it depends on the random parent pattern).
-    ``kind`` must be ``spec.kind``, whose rules the spec checked.
+    ``kind`` must be ``spec.kind``, whose rules the spec checked. Raises
+    :class:`IntensityOverflowError` where a cell's intensity overflows to
+    inf or underflows to 0, as exp(beta S) does at beta = 200.
     """
     if kind != spec.kind:
         raise ValueError(f"sampler kind {kind!r} differs from its spec's kind {spec.kind!r}")
+    if kind == THOMAS:
+        raise ValueError("Thomas process has no deterministic cell intensity")
     s = field.values
-    if kind == LGCP:
-        return np.exp(spec.alpha + spec.beta * s)
-    if kind == SCP:
-        return spec.beta / (1.0 + np.exp(-s))
-    raise ValueError("Thomas process has no deterministic cell intensity")
+    with np.errstate(over="ignore"):
+        intensity = np.exp(spec.alpha + spec.beta * s) if kind == LGCP else spec.beta / (1.0 + np.exp(-s))
+    outside = np.count_nonzero(~((intensity > 0) & (intensity < np.inf)))
+    if outside:
+        raise IntensityOverflowError(
+            f"{kind} intensity overflows or underflows double precision in {outside} of {s.size} cells "
+            f"(field from {s.min():.4g} to {s.max():.4g}, beta={spec.beta}); lower |beta| or sigma2"
+        )
+    return intensity
 
 
 def sample_conditioned(

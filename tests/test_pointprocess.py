@@ -14,7 +14,7 @@ from isiw import (
     sample_thomas,
     simulate_field,
 )
-from isiw.pointprocess import SampleSizeError
+from isiw.pointprocess import IntensityOverflowError, SampleSizeError
 
 UNIT = Domain(0.0, 1.0, 0.0, 1.0)
 
@@ -57,6 +57,21 @@ class TestComputeIntensity:
         message = f"sampler kind {kind!r} differs from its spec's kind {spec_kind!r}"
         with pytest.raises(ValueError, match=f"^{message}$"):
             compute_intensity(kind, constant_field(GridSpec(UNIT, 2, 2)), spec)
+
+    @pytest.mark.parametrize("kind, value, beta", [("lgcp", 4.0, 200.0), ("lgcp", -4.0, 200.0), ("scp", -800.0, 1.0)])
+    def test_intensity_outside_double_range_raises(self, kind, value, beta):
+        # exp(800) overflows to inf; exp(-800) and 1 / (1 + exp(800)) underflow to 0
+        values = np.array([0.0, 0.0, value, 0.0])
+        fld = FieldRealization(grid=GridSpec(UNIT, 2, 2), values=values)
+        message = f"^{kind} intensity overflows or underflows double precision in 1 of 4 cells"
+        with pytest.raises(IntensityOverflowError, match=message):
+            compute_intensity(kind, fld, SamplerSpec(kind=kind, n=5, beta=beta))
+
+    def test_intensity_near_the_double_range_kept(self):
+        values = np.array([3.5, -3.7, 0.0, 1.0])
+        fld = FieldRealization(grid=GridSpec(UNIT, 2, 2), values=values)
+        lam = compute_intensity("lgcp", fld, SamplerSpec(kind="lgcp", n=5, beta=200.0))
+        assert np.array_equal(lam, np.exp(200.0 * values))
 
 
 class TestSampleConditioned:
