@@ -240,6 +240,20 @@ class TestRunExperiment:
         ]
         assert (tmp_path / "results.csv").read_text().count("thomas-n100") == 4
 
+    @pytest.mark.parametrize("overrides", [dict(beta=200.0), dict(sigma2=100.0, beta=25.0)],
+                             ids=["beta200", "sigma2-100-beta25"])
+    def test_overflowing_lgcp_intensity_fails_its_cell(self, tmp_path, overrides):
+        # exp(beta S) leaves the double range on some field draws and not on
+        # others; RuntimeWarnings are errors here, so none escapes either way
+        config = tiny_config(n=(30,), replicates=4, **overrides)
+        rows, _ = run_experiment(config, tmp_path)
+        failed = [r for r in rows if r.error is not None]
+        assert 0 < len(failed) < len(rows)
+        for r in failed:
+            assert r.error.startswith("IntensityOverflowError: lgcp intensity overflows or underflows")
+            assert math.isnan(r.rmspe)
+        assert all(math.isfinite(r.rmspe) for r in rows if r.error is None)
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_forced_sampling_failure_leaves_other_cells_unchanged(self, tmp_path, monkeypatch, threads):
         # with threads=2 the forked workers inherit the patched sampler
@@ -746,7 +760,10 @@ class TestCli:
         (["simulate", "--method", "mle"], "--method"),
         (["experiment", "--m", "3"], "--m"),
         (["experiment", "--threads", "0"], "threads"),
-        (["intensity", "--selector", "diggle", "--bandwidth", "0.1"], "--bandwidth"),
+        # argparse prints the usage line, which lists --bandwidth, before any
+        # error, so the row checks the mutual-exclusion text itself
+        pytest.param(["intensity", "--selector", "diggle", "--bandwidth", "0.1"],
+                     "argument --bandwidth: not allowed with argument --selector", id="args9---bandwidth"),
         (["simulate", "--seed", "-1"], "seed must be >= 0, got -1"),
         (["experiment", "--seed", "-1"], "seed must be >= 0, got -1"),
     ])
