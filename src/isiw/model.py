@@ -11,8 +11,8 @@ known constant, and the nugget ``tau2`` sits on the diagonal of the
 observation covariance only. That covariance is built one way, by the
 exact likelihood and by kriging alike, by ``observation_cov``: the Matérn
 of the condensed distances d, mirrored by ``symmetric_from_condensed``
-with ``matern_cov(0) + tau2`` on the diagonal. ``matern_cov_and_dlogphi`` gives the covariance
-with its derivative in log phi from one evaluation.
+with ``matern_cov(0) + tau2`` on the diagonal. ``matern_cov_and_dlogphi``
+gives the covariance with its derivative in log phi from one evaluation.
 """
 
 from __future__ import annotations
