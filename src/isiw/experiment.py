@@ -32,6 +32,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields as dataclass_fields
+from itertools import product, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -416,11 +417,6 @@ def run_replicate(config: ExperimentConfig, scenario: Scenario, replicate: int) 
     return rows
 
 
-def _replicate_task(args):
-    config, scenario, replicate = args
-    return run_replicate(config, scenario, replicate)
-
-
 def _worker_pool(workers: int) -> ProcessPoolExecutor:
     """Process pool whose workers each run single-threaded OpenBLAS, so
     ``workers`` processes do not oversubscribe the cores. A worker holds
@@ -437,13 +433,13 @@ def run_experiment(config: ExperimentConfig, out_dir) -> tuple:
     (rows, summary_rows)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(config, sc, rep) for sc in config.scenarios() for rep in range(config.replicates)]
+    scenarios, replicates = zip(*product(config.scenarios(), range(config.replicates)))
 
     if config.threads > 1:
         with _worker_pool(config.threads) as pool:
-            chunks = list(pool.map(_replicate_task, tasks, chunksize=1))
+            chunks = list(pool.map(run_replicate, repeat(config), scenarios, replicates, chunksize=1))
     else:
-        chunks = [_replicate_task(t) for t in tasks]
+        chunks = list(map(run_replicate, repeat(config), scenarios, replicates))
 
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r.scenario, r.replicate, r.method, r.variant))

@@ -57,10 +57,16 @@ def test_missing_file_is_a_difference(outputs, tmp_path):
     assert output_pairs.first_difference(outputs, change).startswith("ranks.csv: missing")
 
 
-@pytest.mark.parametrize("name", [
-    "headline", "seven_methods", "pairwise_n400", "paper_n800", "thomas", "pm_cutoff", "selectors"])
-def test_committed_config_parses_with_timing_off(name):
-    config = parse_config((Path(TOOLS) / "configs" / f"{name}.cfg").read_text())
+def test_file_only_the_change_wrote_is_no_difference(outputs, tmp_path):
+    change = tmp_path / "change"
+    shutil.copytree(outputs, change)
+    (change / "new_output.csv").write_text("a,b\n")
+    assert output_pairs.first_difference(outputs, change) is None
+
+
+@pytest.mark.parametrize("path", sorted(Path(TOOLS, "configs").glob("*.cfg")), ids=lambda path: path.stem)
+def test_committed_config_parses_with_timing_off(path):
+    config = parse_config(path.read_text())
     assert config.timing is False
     # the run_metadata.txt echo of a run parses back to its config
     for c in (config, ExperimentConfig()):

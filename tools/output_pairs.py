@@ -6,19 +6,14 @@ Each ref is exported as ``bench_pairs.py`` does. In each export it runs
 
     python3 -m isiw.cli experiment --config FILE --out-dir DIR
 
-in a fresh process with OpenBLAS on one thread, then compares the five
-files the run writes (``OUTPUTS``) byte for byte, line by line. It prints
-the first difference, naming the file and the line, and exits 1; it exits
-0 when every file is identical. A run that fails, or a config with
+in a fresh process with OpenBLAS on one thread, then compares every file
+the parent's run wrote with the change's, byte for byte, line by line. A
+file that the change's run lacks is a difference; a file that only the
+change's run wrote is not, so a change may add an output. It prints the
+first difference, naming the file and the line, and exits 1; it exits 0
+when every file is identical. A run that fails, or a config with
 ``timing=on`` (whose seconds column differs from run to run), exits 2.
-
-The configs in ``tools/configs/`` are the ones it is run on: the
-acceptance headline config, a 7-method config on two samplers at n=100
-and n=250, the Vecchia and pairwise-marginal likelihoods at n=400, the
-default config's n=800 cells (``paper_n800.cfg``), Thomas cluster
-patterns at n=40 and n=100 (``thomas.cfg``), the isiw-pm pair cutoff
-(``pm_cutoff.cfg``), and every estimated weight source under isiw-v at
-n=100 and n=400 (``selectors.cfg``).
+It is run on every config in ``tools/configs/``.
 
 Standard library only; nothing is imported from the package under test.
 """
@@ -34,9 +29,6 @@ from pathlib import Path
 
 from bench_pairs import export
 
-OUTPUTS = ("results.csv", "summary.csv", "ranks.csv", "params_summary.csv", "run_metadata.txt")
-
-
 def run_experiment(tree: Path, config: Path, out_dir: Path) -> None:
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(tree / "src")}
     subprocess.run(
@@ -46,22 +38,19 @@ def run_experiment(tree: Path, config: Path, out_dir: Path) -> None:
 
 
 def first_difference(parent: Path, change: Path) -> str | None:
-    """The first line at which an output file of ``change`` differs from the
-    same file of ``parent``, as ``file line N`` with both lines; None when
-    all of ``OUTPUTS`` are byte-identical."""
-    for name in OUTPUTS:
-        sides = []
-        for out_dir in (parent, change):
-            path = out_dir / name
-            if not path.exists():
-                return f"{name}: missing from {out_dir}"
-            sides.append(path.read_bytes().splitlines(keepends=True))
-        old, new = sides
+    """The first line at which a file of ``parent``, taken in name order,
+    differs from the file of that name in ``change``, as ``file line N`` with
+    both lines; a file that ``change`` lacks is a difference. None when every
+    file of ``parent`` is byte-identical in ``change``."""
+    for path in sorted(parent.iterdir()):
+        if not (change / path.name).exists():
+            return f"{path.name}: missing from {change}"
+        old, new = (p.read_bytes().splitlines(keepends=True) for p in (path, change / path.name))
         for lineno in range(1, max(len(old), len(new)) + 1):
             a = old[lineno - 1] if lineno <= len(old) else b"<end of file>"
             b = new[lineno - 1] if lineno <= len(new) else b"<end of file>"
             if a != b:
-                return f"{name} line {lineno}\n  parent: {a!r}\n  change: {b!r}"
+                return f"{path.name} line {lineno}\n  parent: {a!r}\n  change: {b!r}"
     return None
 
 
@@ -89,8 +78,9 @@ def main(argv=None) -> int:
         if diff is not None:
             print(f"differs: {diff}")
             return 1
+        names = ", ".join(sorted(path.name for path in outs["parent"].iterdir()))
         rows = len((outs["change"] / "results.csv").read_bytes().splitlines()) - 1
-        print(f"identical: {', '.join(OUTPUTS)} ({rows} result rows)")
+        print(f"identical: {names} ({rows} result rows)")
         return 0
 
 
