@@ -40,7 +40,7 @@ import numpy as np
 import scipy
 
 from ._linalg import blas_threads, set_blas_threads
-from .fields import GridSpec, SeedStream, embedding_root, observe, simulate_field
+from .fields import GridSpec, SeedStream, check_embeddable, embedding_root, observe, simulate_field
 from .inference import FitConfig, FitResult, default_init, fit
 from .intensity import GRID_METHODS, SCOTT, estimate_intensity, select_bandwidth, weights_from_intensity
 from .io import write_rows
@@ -52,9 +52,8 @@ from .model import Dataset, Domain, ModelParams, microergodic, require_at_least,
 from .pointprocess import (
     LGCP,
     THOMAS,
-    IntensityOverflowError,
-    SampleSizeError,
     SamplerSpec,
+    SamplingError,
     compute_intensity,
     sample_conditioned,
     sample_thomas,
@@ -215,7 +214,7 @@ class ExperimentConfig:
             if not getattr(self, key):
                 raise ValueError(f"{key} must list at least one value")
         try:
-            self.grid()
+            check_embeddable(self.grid())
         except ValueError as exc:
             raise ValueError(f"grid_nx, grid_ny: {exc}") from None
         for scenario in self.scenarios()[:: len(self.phi)]:  # phi varies fastest: one per (sampler, n)
@@ -359,8 +358,10 @@ def _failed_row(scenario: Scenario, replicate: int, method: MethodSpec, exc: Exc
 
 def run_replicate(config: ExperimentConfig, scenario: Scenario, replicate: int) -> list:
     """Simulate one dataset and produce one MetricsRow per configured method.
-    A Thomas pattern that cannot reach n, or a Cox intensity that overflows,
-    gives one failed row per method."""
+    A pattern that cannot be sampled from the field draw (a
+    :class:`~isiw.pointprocess.SamplingError`: a Thomas pattern that cannot
+    reach n or is too large to draw or hold, or a Cox intensity that
+    overflows) gives one failed row per method."""
     root = SeedStream(config.seed)
     grid = config.grid()
     truth = config.truth(scenario.phi)
@@ -373,7 +374,7 @@ def run_replicate(config: ExperimentConfig, scenario: Scenario, replicate: int) 
         else:
             cell_intensity = compute_intensity(scenario.kind, fld, spec)
             locs = sample_conditioned(fld, cell_intensity, scenario.n, root.child(scenario.sid, replicate, 1))
-    except (SampleSizeError, IntensityOverflowError) as exc:
+    except SamplingError as exc:
         return [_failed_row(scenario, replicate, method, exc) for method in config.method_specs()]
     data = observe(fld, locs, config.mu, config.tau2, root.child(scenario.sid, replicate, 2))
 

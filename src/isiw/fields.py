@@ -124,15 +124,27 @@ class FieldRealization:
         return self.values[self.grid.locate(locs)]
 
 
+def check_embeddable(spec: GridSpec) -> None:
+    """Refuse a grid whose smallest circulant embedding, the (2 nx) x (2 ny)
+    torus, is already over ``EMBED_BUDGET``, so that no range can fit."""
+    if 4 * spec.ncells > EMBED_BUDGET:
+        raise ValueError(
+            f"no circulant embedding of the {spec.nx}x{spec.ny} grid can fit: its smallest torus, "
+            f"{2 * spec.nx}x{2 * spec.ny}, has {4 * spec.ncells} entries, over the budget of {EMBED_BUDGET}"
+        )
+
+
 def embedding_root(spec: GridSpec, theta: CovParams) -> np.ndarray:
     """Square roots sqrt(lambda / M), as a (2^k ny, 2^k nx) array, of the
     eigenvalues of the smallest circulant embedding, k >= 1, whose negative
     eigenvalues sum to at most 1e-12 sigma2 M. Its first row is the Matérn
     at the torus offsets min(i, M - i) dx, so the circulant matrix
     restricted to the grid is the grid covariance; clipping the negative eigenvalues at 0
-    changes each implied covariance entry by at most their sum over M."""
+    changes each implied covariance entry by at most their sum over M.
+    Raises ValueError when no embedding within ``EMBED_BUDGET`` does, as
+    :func:`check_embeddable` first for the grid alone."""
+    check_embeddable(spec)
     mx, my = 2 * spec.nx, 2 * spec.ny
-    tried = "none"
     while mx * my <= EMBED_BUDGET:
         hx = np.minimum(np.arange(mx), mx - np.arange(mx)) * spec.dx
         hy = np.minimum(np.arange(my), my - np.arange(my)) * spec.dy

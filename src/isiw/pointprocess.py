@@ -21,18 +21,33 @@ SCP = "scp"
 THOMAS = "thomas"
 SAMPLER_KINDS = (LGCP, SCP, THOMAS)
 THOMAS_MAX_RETRIES = 1000
+# offspring one Thomas realization may hold: at 72 bytes each at the peak
+# (centers, offsets, positions and the reflection's temporaries), a
+# realization at the budget takes 288 MiB
+THOMAS_MAX_OFFSPRING = 2**22
+# numpy's Generator.poisson refuses a larger mean: int64 max less ten of
+# its square roots, as numpy sets it
+POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
 
 
-class SampleSizeError(RuntimeError):
-    """A sampler drew fewer points than its target count. Whether a Thomas
-    realization can reach n depends on the field, so a config cannot be
-    checked for it before sampling."""
+class SamplingError(RuntimeError):
+    """A sampler could not draw its pattern from one field realization.
+    Whether it can depends on the field, so a config cannot be checked for
+    it before sampling; the experiment runner records a failed cell."""
 
 
-class IntensityOverflowError(RuntimeError):
+class SampleSizeError(SamplingError):
+    """A sampler drew fewer points than its target count."""
+
+
+class IntensityOverflowError(SamplingError):
     """A Cox cell intensity is inf or 0 in double precision, as exp(x) is
-    above x = 709.8 and below x = -745.2. Whether it is depends on the
-    field, so a config cannot be checked for it before sampling."""
+    above x = 709.8 and below x = -745.2."""
+
+
+class BroodSizeError(SamplingError):
+    """A Thomas brood mean exp(beta S) is above ``POISSON_MEAN_MAX``, or a
+    realization's offspring outnumber ``THOMAS_MAX_OFFSPRING``."""
 
 
 @dataclass(frozen=True)
@@ -66,6 +81,11 @@ class SamplerSpec:
             require_positive("offspring_scale", self.offspring_scale)
 
 
+def _field_range(field: FieldRealization, spec: SamplerSpec) -> str:
+    s = field.values
+    return f"field from {s.min():.4g} to {s.max():.4g}, beta={spec.beta}; lower |beta| or sigma2"
+
+
 def compute_intensity(kind: str, field: FieldRealization, spec: SamplerSpec) -> np.ndarray:
     """Deterministic per-cell sampling intensity for the Cox processes.
 
@@ -86,7 +106,7 @@ def compute_intensity(kind: str, field: FieldRealization, spec: SamplerSpec) -> 
     if outside:
         raise IntensityOverflowError(
             f"{kind} intensity overflows or underflows double precision in {outside} of {s.size} cells "
-            f"(field from {s.min():.4g} to {s.max():.4g}, beta={spec.beta}); lower |beta| or sigma2"
+            f"({_field_range(field, spec)})"
         )
     return intensity
 
@@ -136,7 +156,8 @@ def sample_thomas(field: FieldRealization, spec: SamplerSpec, seed: SeedStream) 
     at most ``THOMAS_MAX_RETRIES`` times, until it holds at least n points,
     then subsampled uniformly without replacement (subsampling keeps the
     clustering structure intact). Raises :class:`SampleSizeError` when no
-    realization does.
+    realization does, and :class:`BroodSizeError` when a brood mean is too
+    large for numpy to draw or a realization's offspring too many to hold.
     """
     if spec.kind != THOMAS:
         raise ValueError(f"sampler kind must be {THOMAS!r}, got {spec.kind!r}")
@@ -153,10 +174,23 @@ def sample_thomas(field: FieldRealization, spec: SamplerSpec, seed: SeedStream) 
                 rng.uniform(dom.y0, dom.y1, n_parents),
             ]
         )
-        broods = rng.poisson(np.exp(spec.beta * field.at(parents)))
-        total = int(broods.sum())
+        with np.errstate(over="ignore"):
+            means = np.exp(spec.beta * field.at(parents))
+        if not means.max() <= POISSON_MEAN_MAX:  # inf included
+            raise BroodSizeError(
+                f"Thomas brood mean exp(beta S) reaches {means.max():.4g}, above {POISSON_MEAN_MAX:.4g}, "
+                f"the largest Poisson mean numpy draws ({_field_range(field, spec)})"
+            )
+        broods = rng.poisson(means)
+        total = broods.sum(dtype=float)  # no int64 wraparound; exact up to 2**53
         if total < spec.n:
             continue
+        if total > THOMAS_MAX_OFFSPRING:
+            raise BroodSizeError(
+                f"Thomas realization of {total:.4g} offspring exceeds the budget of {THOMAS_MAX_OFFSPRING} "
+                f"({_field_range(field, spec)})"
+            )
+        total = int(total)
         centers = np.repeat(parents, broods, axis=0)
         offsets = rng.normal(0.0, spec.offspring_scale, size=(total, 2))
         pts = centers + offsets

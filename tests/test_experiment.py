@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import json
 import math
 import os
 import re
@@ -391,6 +392,42 @@ def test_simulate_field_independent_of_blas_threads(tmp_path):
     assert (tmp_path / "field1.csv").read_bytes() == (tmp_path / "field2.csv").read_bytes()
 
 
+def test_thomas_pattern_too_large_to_hold_fails_its_cell_in_bounded_memory():
+    # brood means exp(3 S) at sigma2=10 reach e^30: without the offspring
+    # budget, 18 of these 39 field draws asked numpy for 329 MiB to 1.35 TiB
+    # and raised MemoryError out of the run. The child may map 1.5 GiB: its
+    # interpreter with numpy and scipy takes about 0.3 GiB, and a realization
+    # at pointprocess.THOMAS_MAX_OFFSPRING another 0.3 GiB at its peak.
+    limit = 3 * 2**29
+    code = f"""
+import json, resource
+resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
+from isiw.experiment import ExperimentConfig, run_replicate
+rows = {{}}
+for seed in range(1, 40):
+    config = ExperimentConfig(
+        replicates=1, n=(20,), phi=(0.15,), samplers=("thomas",), methods=("mle",), sigma2=10.0,
+        beta=3.0, grid_nx=16, grid_ny=16, seed=seed, timing=False,
+    )
+    rows[seed] = [(row.rmspe, row.error) for row in run_replicate(config, config.scenarios()[0], 0)]
+print(json.dumps(rows))
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=fresh_env(OPENBLAS_NUM_THREADS="1"),
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    rows = {int(seed): cell for seed, cell in json.loads(out.stdout).items()}
+    assert sorted(rows) == list(range(1, 40)) and all(len(cell) == 1 for cell in rows.values())
+    failed = set()
+    for seed, [(score, error)] in rows.items():
+        if error is None:
+            assert math.isfinite(score)
+        else:
+            assert math.isnan(score) and error.startswith("BroodSizeError: Thomas realization of ")
+            failed.add(seed)
+    assert failed >= {3, 4, 6, 7, 11, 14, 17, 18, 19, 22, 24, 25, 26, 31, 35, 37, 38, 39}
+    assert len(failed) < len(rows)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_average_ranks_equal_rankdata(seed):
     from scipy.stats import rankdata
@@ -523,11 +560,13 @@ class TestConfigFormat:
          "grid_nx, grid_ny: grid of 1449x1449 cells exceeds the budget of 2097152 cells"),
         ("phi=3.0", "phi: no circulant embedding of the 48x48 grid within 2097152 entries "
                      "is nonnegative definite at phi=3.0"),
+        ("grid_nx=1000\ngrid_ny=1000", "grid_nx, grid_ny: no circulant embedding of the 1000x1000 grid can fit: "
+                                        "its smallest torus, 2000x2000, has 4000000 entries, over the budget of 2097152"),
     ], ids=["negative-phi", "zero-phi", "zero-n", "zero-m", "negative-threshold", "one-column",
             "no-rows", "negative-sigma2", "zero-nu", "negative-tau2", "no-thomas-parents",
             "zero-scp-beta", "negative-scp-beta", "nan-beta", "nan-mu", "negative-pm-cutoff",
             "infinite-threshold", "negative-seed", "zero-replicates", "zero-threads", "oversized-grid",
-            "unembeddable-phi"])
+            "unembeddable-phi", "unembeddable-grid"])
     def test_run_sinking_value_rejected(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_config(text)
@@ -940,6 +979,16 @@ class TestCli:
         argv = [command, "--nx", "1449", "--ny", "1449", *inputs[command], *output_flags(command, out)]
         assert exit_code(argv) == 1
         assert capsys.readouterr().err == "isiw: grid of 1449x1449 cells exceeds the budget of 2097152 cells\n"
+        assert not out.exists()
+
+    def test_simulate_grid_without_an_embedding_rejected(self, tmp_path, capsys):
+        # 1000x1000 cells fit GridSpec, but no torus around them fits EMBED_BUDGET
+        out = tmp_path / "out"
+        assert exit_code(["simulate", "--nx", "1000", *output_flags("simulate", out)]) == 1
+        assert capsys.readouterr().err == (
+            "isiw: no circulant embedding of the 1000x1000 grid can fit: its smallest torus, 2000x2000, "
+            "has 4000000 entries, over the budget of 2097152\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("command, dest, key", [

@@ -14,7 +14,7 @@ from isiw import (
     observe,
     simulate_field,
 )
-from isiw.fields import EMBED_BUDGET, _embedding_root
+from isiw.fields import EMBED_BUDGET, _embedding_root, check_embeddable, embedding_root
 
 UNIT = Domain(0.0, 1.0, 0.0, 1.0)
 THETA = CovParams(1.5, 0.15, 1.0)
@@ -87,6 +87,12 @@ class TestGridSpec:
         for nx, ny in [(1449, 1449), (2, EMBED_BUDGET // 2 + 1)]:
             with pytest.raises(ValueError, match=f"grid of {nx}x{ny} cells exceeds the budget of {EMBED_BUDGET}"):
                 GridSpec(UNIT, nx, ny)
+
+    def test_grid_whose_smallest_torus_is_over_the_budget_rejected(self):
+        check_embeddable(GridSpec(UNIT, 724, 724))  # a 1448x1448 torus fits
+        with pytest.raises(ValueError, match=f"smallest torus, 1450x1448, has 2099600 entries, over the budget "
+                                             f"of {EMBED_BUDGET}$"):
+            embedding_root(GridSpec(UNIT, 725, 724), THETA)
 
 
 class TestFieldRealization:

@@ -14,7 +14,7 @@ from isiw import (
     sample_thomas,
     simulate_field,
 )
-from isiw.pointprocess import IntensityOverflowError, SampleSizeError
+from isiw.pointprocess import POISSON_MEAN_MAX, BroodSizeError, IntensityOverflowError, SampleSizeError
 
 UNIT = Domain(0.0, 1.0, 0.0, 1.0)
 
@@ -160,6 +160,22 @@ class TestSampleThomas:
         pts = sample_thomas(fld, spec, SeedStream(11))
         assert pts.shape == (100, 2)
         assert np.all((pts >= 0.0) & (pts <= 1.0))
+
+    @pytest.mark.parametrize("value, message", [
+        (50.0, r"brood mean exp\(beta S\) reaches 5.185e\+21, above 9.223e\+18, the largest Poisson mean"),
+        (43.0, r"realization of 7.092e\+19 offspring exceeds the budget of 4194304"),  # over int64 max
+        (40.0, r"realization of 3.531e\+18 offspring exceeds the budget of 4194304"),
+    ])
+    def test_brood_too_large_to_draw_or_hold_raises(self, value, message):
+        spec = SamplerSpec(kind="thomas", n=5, beta=1.0)
+        with pytest.raises(BroodSizeError, match=message):
+            sample_thomas(constant_field(GridSpec(UNIT, 8, 8), value), spec, SeedStream(1))
+
+    def test_poisson_mean_max_is_numpys_limit(self):
+        rng = np.random.default_rng(0)
+        rng.poisson(POISSON_MEAN_MAX)
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(np.nextafter(POISSON_MEAN_MAX, np.inf))
 
     def test_unreachable_count_raises_sample_size_error(self):
         grid = GridSpec(UNIT, 8, 8)

@@ -1,19 +1,21 @@
 """Byte-level comparison of the experiment outputs of two commits.
 
-    python3 tools/output_pairs.py PARENT CHANGE --config experiment.cfg
+    python3 tools/output_pairs.py PARENT CHANGE [--config experiment.cfg]
 
-Each ref is exported as ``bench_pairs.py`` does. In each export it runs
+Each ref is exported once, as ``bench_pairs.py`` does. Without ``--config``
+it takes every ``tools/configs/*.cfg`` that PARENT commits, in name order;
+with it, the one file. For each config it runs
 
     python3 -m isiw.cli experiment --config FILE --out-dir DIR
 
-in a fresh process with OpenBLAS on one thread, then compares every file
-the parent's run wrote with the change's, byte for byte, line by line. A
-file that the change's run lacks is a difference; a file that only the
-change's run wrote is not, so a change may add an output. It prints the
-first difference, naming the file and the line, and exits 1; it exits 0
-when every file is identical. A run that fails, or a config with
-``timing=on`` (whose seconds column differs from run to run), exits 2.
-It is run on every config in ``tools/configs/``.
+in each export, in a fresh process with OpenBLAS on one thread, then
+compares every file the parent's run wrote with the change's, byte for
+byte, line by line. A file that the change's run lacks is a difference; a
+file that only the change's run wrote is not, so a change may add an
+output. It prints one line per identical config and exits 0 when all are
+identical; at the first difference it prints the config, the file and the
+line, and exits 1. A run that fails, or a config with ``timing=on`` (whose
+seconds column differs from run to run), exits 2.
 
 Standard library only; nothing is imported from the package under test.
 """
@@ -28,6 +30,9 @@ import tempfile
 from pathlib import Path
 
 from bench_pairs import export
+
+SIDES = ("parent", "change")
+
 
 def run_experiment(tree: Path, config: Path, out_dir: Path) -> None:
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(tree / "src")}
@@ -58,29 +63,35 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", help="parent commit (any git ref)")
     p.add_argument("change", help="changed commit (any git ref)")
-    p.add_argument("--config", required=True, type=Path, help="experiment config, with timing=off")
+    p.add_argument("--config", type=Path,
+                   help="one experiment config, with timing=off (default: every tools/configs/*.cfg of PARENT)")
     args = p.parse_args(argv)
-    config = args.config.resolve()
     with tempfile.TemporaryDirectory(prefix="output_pairs_") as tmp:
-        outs = {}
-        for side, ref in (("parent", args.parent), ("change", args.change)):
-            tree, outs[side] = Path(tmp, side), Path(tmp, f"{side}-out")
-            commit = export(ref, tree)
-            try:
-                run_experiment(tree, config, outs[side])
-            except subprocess.CalledProcessError as exc:
-                print(f"output_pairs: {side} ({commit[:10]}) exited {exc.returncode}", file=sys.stderr)
-                return 2
-            if "timing=on" in (outs[side] / "run_metadata.txt").read_text().splitlines():
-                print("output_pairs: the config must set timing=off", file=sys.stderr)
-                return 2
-        diff = first_difference(outs["parent"], outs["change"])
-        if diff is not None:
-            print(f"differs: {diff}")
-            return 1
-        names = ", ".join(sorted(path.name for path in outs["parent"].iterdir()))
-        rows = len((outs["change"] / "results.csv").read_bytes().splitlines()) - 1
-        print(f"identical: {names} ({rows} result rows)")
+        trees = {side: Path(tmp, side) for side in SIDES}
+        commits = {side: export(ref, trees[side]) for side, ref in zip(SIDES, (args.parent, args.change))}
+        if args.config is not None:
+            configs = [args.config.resolve()]
+        else:
+            configs = sorted((trees["parent"] / "tools" / "configs").glob("*.cfg"))
+        for n, config in enumerate(configs):
+            outs = {side: Path(tmp, f"{side}-out-{n}") for side in SIDES}
+            for side in SIDES:
+                try:
+                    run_experiment(trees[side], config, outs[side])
+                except subprocess.CalledProcessError as exc:
+                    print(f"output_pairs: {config.name}: {side} ({commits[side][:10]}) exited {exc.returncode}",
+                          file=sys.stderr)
+                    return 2
+                if "timing=on" in (outs[side] / "run_metadata.txt").read_text().splitlines():
+                    print(f"output_pairs: {config.name} must set timing=off", file=sys.stderr)
+                    return 2
+            diff = first_difference(outs["parent"], outs["change"])
+            if diff is not None:
+                print(f"{config.name} differs: {diff}")
+                return 1
+            names = ", ".join(sorted(path.name for path in outs["parent"].iterdir()))
+            rows = len((outs["change"] / "results.csv").read_bytes().splitlines()) - 1
+            print(f"{config.name} identical: {names} ({rows} result rows)", flush=True)
         return 0
 
 
