@@ -176,9 +176,10 @@ def sample_thomas(field: FieldRealization, spec: SamplerSpec, seed: SeedStream) 
         )
         with np.errstate(over="ignore"):
             means = np.exp(spec.beta * field.at(parents))
-        if not means.max() <= POISSON_MEAN_MAX:  # inf included
+        top = means.max()
+        if not top <= POISSON_MEAN_MAX:  # inf included
             raise BroodSizeError(
-                f"Thomas brood mean exp(beta S) reaches {means.max():.4g}, above {POISSON_MEAN_MAX:.4g}, "
+                f"Thomas brood mean exp(beta S) reaches {top:.4g}, above {POISSON_MEAN_MAX:.4g}, "
                 f"the largest Poisson mean numpy draws ({_field_range(field, spec)})"
             )
         broods = rng.poisson(means)
