@@ -165,7 +165,7 @@ class TestSampleThomas:
         (50.0, r"brood mean exp\(beta S\) reaches 5.185e\+21, above 9.223e\+18, the largest Poisson mean"),
         (43.0, r"realization of 7.092e\+19 offspring exceeds the budget of 4194304"),  # over int64 max
         (40.0, r"realization of 3.531e\+18 offspring exceeds the budget of 4194304"),
-    ])
+    ], ids=["mean-over-numpys-limit", "total-over-int64", "total-over-budget"])
     def test_brood_too_large_to_draw_or_hold_raises(self, value, message):
         spec = SamplerSpec(kind="thomas", n=5, beta=1.0)
         with pytest.raises(BroodSizeError, match=message):
