@@ -44,15 +44,25 @@ from .model import (
     matern_cov_and_dlogphi,
     microergodic,
 )
-from .pointprocess import SamplerSpec, compute_intensity, sample_conditioned, sample_thomas
+from .pointprocess import (
+    BroodSizeError,
+    IntensityOverflowError,
+    SampleSizeError,
+    SamplerSpec,
+    SamplingError,
+    compute_intensity,
+    sample_conditioned,
+    sample_thomas,
+)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandwidthSpec", "CovParams", "Dataset", "Domain", "ExperimentConfig",
-    "FieldRealization", "FitConfig", "FitResult", "GridSpec",
+    "BandwidthSpec", "BroodSizeError", "CovParams", "Dataset", "Domain", "ExperimentConfig",
+    "FieldRealization", "FitConfig", "FitResult", "GridSpec", "IntensityOverflowError",
     "KrigingOutput", "MetricsRow", "ModelParams",
-    "NllValue", "Objective", "Profile", "SamplerSpec", "Scenario", "SeedStream", "VecchiaPlan",
+    "NllValue", "Objective", "Profile", "SampleSizeError", "SamplerSpec", "SamplingError", "Scenario",
+    "SeedStream", "VecchiaPlan",
     "compute_intensity", "default_init",
     "estimate_intensity", "exact_nll", "fit", "krige", "load_config", "matern_cov", "matern_cov_and_dlogphi",
     "maxmin_order", "microergodic",

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .experiment import (
+    DEFAULTS,
     KNOWN,
     ExperimentConfig,
     check_fit_settings,
@@ -51,7 +52,6 @@ from . import io
 
 USAGE_ERROR = 1
 NUMERICAL_ERROR = 2
-_CONFIG = ExperimentConfig()  # the defaults the CLI shares with the experiment
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,8 +90,8 @@ def _grid(args) -> GridSpec:
 _SHARED = {
     "seed": dict(type=int, default=0, help="root random seed"),
     "out-dir": dict(default=".", help="directory for output files"),
-    "domain": dict(type=_argument(parse_domain), default=_CONFIG.domain, help="study region x0,x1,y0,y1"),
-    "nu": dict(type=float, default=_CONFIG.nu, help="Matérn smoothness (fixed)"),
+    "domain": dict(type=_argument(parse_domain), default=DEFAULTS["domain"], help="study region x0,x1,y0,y1"),
+    "nu": dict(type=float, default=DEFAULTS["nu"], help="Matérn smoothness (fixed)"),
     "threshold": dict(type=float, default=None,
                       help="winsorization lower threshold on normalized intensity"),
 }
@@ -113,7 +113,7 @@ def _read_settings(args, unread: dict) -> None:
         if not hasattr(args, dest):
             continue
         if getattr(args, dest) is None:
-            setattr(args, dest, getattr(_CONFIG, key))
+            setattr(args, dest, DEFAULTS[key])
         elif key in unread:
             raise ValueError(f"--{dest.replace('_', '-')} {unread[key]}")
 
@@ -131,9 +131,9 @@ def build_parser() -> _Parser:
 
     p = _subcommand(sub, "simulate", ("seed", "domain", "nu"),
                     help="simulate a Matérn field on a grid")
-    p.add_argument("--nx", type=int, default=_CONFIG.grid_nx)
+    p.add_argument("--nx", type=int, default=DEFAULTS["grid_nx"])
     p.add_argument("--ny", type=int, default=None)
-    p.add_argument("--sigma2", type=float, default=_CONFIG.sigma2)
+    p.add_argument("--sigma2", type=float, default=DEFAULTS["sigma2"])
     p.add_argument("--phi", type=float, default=0.15)
     p.add_argument("--out", default="field.csv")
 
@@ -141,7 +141,7 @@ def build_parser() -> _Parser:
     p.add_argument("--field", required=True, help="field CSV from 'simulate'")
     p.add_argument("--sampler", default="lgcp", choices=SAMPLER_KINDS)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--beta", type=float, default=_CONFIG.beta)
+    p.add_argument("--beta", type=float, default=DEFAULTS["beta"])
     p.add_argument("--parent-rate", type=float, default=None, help="thomas only")
     p.add_argument("--offspring-scale", type=float, default=None, help="thomas only")
     p.add_argument("--out", default="points.csv")
@@ -149,7 +149,7 @@ def build_parser() -> _Parser:
     p = _subcommand(sub, "intensity", ("out-dir", "domain", "threshold"),
                     help="kernel intensity on a grid plus inverse-intensity weights")
     p.add_argument("--points", required=True, help="points CSV (x,y)")
-    p.add_argument("--nx", type=int, default=_CONFIG.grid_nx, help="evaluation grid resolution")
+    p.add_argument("--nx", type=int, default=DEFAULTS["grid_nx"], help="evaluation grid resolution")
     p.add_argument("--ny", type=int, default=None)
     bandwidth = p.add_mutually_exclusive_group()
     bandwidth.add_argument("--selector", default=SCOTT, choices=[SCOTT, *GRID_METHODS],
@@ -171,7 +171,7 @@ def build_parser() -> _Parser:
     p = _subcommand(sub, "krige", ("domain",), help="predict a surface from fitted parameters")
     p.add_argument("--data", required=True, help="data CSV (x,y,value)")
     p.add_argument("--fit", required=True, help="fit CSV from 'fit', or any one-row mu,sigma2,phi,tau2,nu CSV")
-    p.add_argument("--nx", type=int, default=_CONFIG.grid_nx)
+    p.add_argument("--nx", type=int, default=DEFAULTS["grid_nx"])
     p.add_argument("--ny", type=int, default=None)
     p.add_argument("--out", default="surface.csv")
 
@@ -228,11 +228,11 @@ def _cmd_intensity(args) -> int:
 
 def _cmd_fit(args) -> int:
     data = io.read_dataset_csv(args.data)  # whether mle reads --m depends on the data size
-    _read_settings(args, unread_settings((), [args.method], [data.n], _CONFIG.exact_mle_max_n))
+    _read_settings(args, unread_settings((), [args.method], [data.n], DEFAULTS["exact_mle_max_n"]))
     check_fit_settings(args.m, args.threshold, args.cutoff, ("--m", "--threshold", "--cutoff"))
     fit_one = method_fitter(
         data, args.domain, nu=args.nu, m=args.m, threshold=args.threshold,
-        pair_cutoff=args.cutoff, exact_mle_max_n=_CONFIG.exact_mle_max_n,
+        pair_cutoff=args.cutoff, exact_mle_max_n=DEFAULTS["exact_mle_max_n"],
     )
     io.write_fit_csv(args.out, fit_one(args.method, 0))  # restart seed 0, as no measured fit restarts
     print(f"wrote the fit to {args.out}")
@@ -249,7 +249,7 @@ def _cmd_krige(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    config = load_config(args.config) if args.config else _CONFIG
+    config = load_config(args.config) if args.config else ExperimentConfig()
     overrides = {"threads": args.threads, "seed": args.seed}
     # replace() runs the config's validation again on the overridden values
     config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})

@@ -31,7 +31,7 @@ import hashlib
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields
 from itertools import product, repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -54,6 +54,7 @@ from .pointprocess import (
     THOMAS,
     SamplerSpec,
     SamplingError,
+    check_parent_count,
     compute_intensity,
     sample_conditioned,
     sample_thomas,
@@ -185,7 +186,7 @@ class ExperimentConfig:
     replicates: int = 50
     grid_nx: int = 48
     grid_ny: int = 48
-    domain: Domain = field(default_factory=lambda: Domain(0.0, 1.0, 0.0, 1.0))
+    domain: Domain = Domain(0.0, 1.0, 0.0, 1.0)  # frozen, so one instance serves every config
     mu: float = 4.0
     sigma2: float = 1.5
     nu: float = 1.0
@@ -219,6 +220,11 @@ class ExperimentConfig:
             raise ValueError(f"grid_nx, grid_ny: {exc}") from None
         for scenario in self.scenarios()[:: len(self.phi)]:  # phi varies fastest: one per (sampler, n)
             self.sampler(scenario)
+        if THOMAS in self.samplers:
+            try:
+                check_parent_count(self.thomas_parent_rate, self.domain)
+            except ValueError as exc:
+                raise ValueError(f"thomas_parent_rate: {exc}") from None
         for phi in self.phi:  # uncached, so the first draw still builds the root
             theta = self.truth(phi).theta
             try:
@@ -229,7 +235,7 @@ class ExperimentConfig:
         check_fit_settings(self.m, self.threshold, self.pm_cutoff)
         unread = self.unread_settings()
         for key, reason in unread.items():
-            if getattr(self, key) != getattr(ExperimentConfig, key):  # the field's default
+            if getattr(self, key) != DEFAULTS[key]:
                 raise ValueError(f"{key} {reason}")
         if "m" not in unread:
             check_plan_size(max(self.n), self.m)  # the largest plan a cell builds
@@ -575,7 +581,7 @@ def format_config(config: ExperimentConfig) -> str:
     return "\n".join(parts)
 
 
-_DEFAULTS = {f.name: getattr(ExperimentConfig(), f.name) for f in dataclass_fields(ExperimentConfig)}
+DEFAULTS = {f.name: f.default for f in dataclass_fields(ExperimentConfig)}  # read off the fields: builds no config
 _ON = ("on", "true", "1", "yes")
 _OFF = ("off", "false", "0", "no")
 
@@ -596,7 +602,7 @@ def _convert(key: str, value: str):
     key and ValueError for a value that does not convert."""
     if key == "pm_cutoff":
         return float(value) if value else None
-    default = _DEFAULTS[key]
+    default = DEFAULTS[key]
     if isinstance(default, Domain):
         return parse_domain(value)
     if isinstance(default, tuple):

@@ -80,10 +80,13 @@ def _edge_mass(points: np.ndarray, h, domain: Domain) -> np.ndarray:
 
 def _exp_in_place(x: np.ndarray) -> np.ndarray:
     """``np.exp(x)`` bit for bit, written into ``x``. Below -746 it writes
-    0.0 without calling exp: numpy's exp rounds to exactly 0.0 there (below
-    -745.1332), but leaves its fast path to get it."""
+    0.0 without calling exp on the entry: numpy's exp rounds to exactly 0.0
+    there (below -745.1332), but leaves its fast path to get it. Those
+    entries are zeroed before an unmasked exp, which is faster than a
+    masked one, and zeroed again after it."""
     zero = x < -746.0
-    np.exp(x, out=x, where=~zero)
+    np.copyto(x, 0.0, where=zero)
+    np.exp(x, out=x)
     np.copyto(x, 0.0, where=zero)
     return x
 

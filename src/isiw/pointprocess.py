@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldRealization, SeedStream
-from .model import require_at_least, require_finite, require_positive
+from .model import Domain, require_at_least, require_finite, require_positive
 
 LGCP = "lgcp"
 SCP = "scp"
@@ -23,7 +23,8 @@ SAMPLER_KINDS = (LGCP, SCP, THOMAS)
 THOMAS_MAX_RETRIES = 1000
 # offspring one Thomas realization may hold: at 72 bytes each at the peak
 # (centers, offsets, positions and the reflection's temporaries), a
-# realization at the budget takes 288 MiB
+# realization at the budget takes 288 MiB. It also bounds the mean parent
+# count, at 40 bytes per parent at the peak.
 THOMAS_MAX_OFFSPRING = 2**22
 # numpy's Generator.poisson refuses a larger mean: int64 max less ten of
 # its square roots, as numpy sets it
@@ -79,6 +80,17 @@ class SamplerSpec:
         if self.kind == THOMAS:
             require_positive("parent_rate", self.parent_rate)
             require_positive("offspring_scale", self.offspring_scale)
+
+
+def check_parent_count(parent_rate: float, domain: Domain) -> None:
+    """Refuse a Thomas parent rate whose mean parent count on ``domain`` is
+    over ``THOMAS_MAX_OFFSPRING``, before anything is drawn."""
+    mean = parent_rate * domain.area
+    if not mean <= THOMAS_MAX_OFFSPRING:
+        raise ValueError(
+            f"the mean Thomas parent count, parent_rate {parent_rate:g} times area {domain.area:g} = {mean:.4g}, "
+            f"is over the budget of {THOMAS_MAX_OFFSPRING}"
+        )
 
 
 def _field_range(field: FieldRealization, spec: SamplerSpec) -> str:
@@ -158,10 +170,13 @@ def sample_thomas(field: FieldRealization, spec: SamplerSpec, seed: SeedStream) 
     clustering structure intact). Raises :class:`SampleSizeError` when no
     realization does, and :class:`BroodSizeError` when a brood mean is too
     large for numpy to draw or a realization's offspring too many to hold.
+    Raises ValueError, by :func:`check_parent_count`, for a parent rate
+    whose mean parent count is too large to hold.
     """
     if spec.kind != THOMAS:
         raise ValueError(f"sampler kind must be {THOMAS!r}, got {spec.kind!r}")
     dom = field.grid.domain
+    check_parent_count(spec.parent_rate, dom)
     rng = seed.generator()
 
     for _ in range(THOMAS_MAX_RETRIES):

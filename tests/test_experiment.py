@@ -383,6 +383,28 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_builds_no_config():
+    # the flag defaults and the unread-setting check read experiment.DEFAULTS,
+    # off the dataclass fields: importing the CLI validates no config and
+    # builds no embedding root (it did 24 and 48 of each)
+    code = """
+import os, sys
+from collections import Counter
+calls = Counter()
+def count(frame, event, arg):
+    if event == "call":
+        calls[os.path.basename(frame.f_code.co_filename), frame.f_code.co_name] += 1
+sys.setprofile(count)
+import isiw.cli
+sys.setprofile(None)
+from isiw.experiment import ExperimentConfig
+held = [name for name, value in vars(isiw.cli).items() if isinstance(value, ExperimentConfig)]
+print(calls["experiment.py", "__post_init__"], calls["fields.py", "embedding_root"], held)
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0 0 []"
+
+
 def test_simulate_field_independent_of_blas_threads(tmp_path):
     for threads in ("1", "2"):
         run_cli_fresh(
@@ -426,6 +448,120 @@ print(json.dumps(rows))
             failed.add(seed)
     assert failed >= {3, 4, 6, 7, 11, 14, 17, 18, 19, 22, 24, 25, 26, 31, 35, 37, 38, 39}
     assert len(failed) < len(rows)
+
+
+def test_thomas_parent_count_over_budget_is_refused_before_any_draw():
+    # a mean of 1e10 parents: before the parent-count check, the parent draw
+    # asked numpy for 74.5 GiB and raised MemoryError
+    limit = 3 * 2**29
+    code = f"""
+import resource
+resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
+import numpy as np
+from isiw import Domain, GridSpec, SamplerSpec, SeedStream, sample_thomas
+from isiw.fields import FieldRealization
+grid = GridSpec(Domain(0.0, 1.0, 0.0, 1.0), 8, 8)
+try:
+    sample_thomas(FieldRealization(grid, np.zeros(grid.ncells)), SamplerSpec("thomas", n=20, parent_rate=1e10),
+                  SeedStream(1))
+except Exception as exc:
+    print(f"{{type(exc).__name__}}: {{exc}}")
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=fresh_env(OPENBLAS_NUM_THREADS="1"),
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == (
+        "ValueError: the mean Thomas parent count, parent_rate 1e+10 times area 1 = 1e+10, "
+        "is over the budget of 4194304\n"
+    )
+
+
+# the first failures that a data draw can cause in a cell (ROADMAP item 21)
+FOUND_THOMAS_CONFIG = "samplers=thomas\nmethods=mle\nthomas_parent_rate=1e10\nn=20\nreplicates=1\nphi=0.15\ntiming=off"
+DATA_FAILURE_TEXTS = ("point count for bandwidth selection must be >= 5", "not finite at the initial point")
+
+
+def small_config_texts():
+    """Config texts of one small cell each: n 2-40, grids 8-24 cells a side,
+    sigma2 up to 10, |beta| up to 5, any samplers and method entries (no
+    known source with thomas), and a log-uniform Thomas parent rate up to
+    1e10. Not every text parses."""
+    from hypothesis import strategies as st
+    from isiw.experiment import WEIGHT_SOURCES
+
+    entries = ["mle", "vecchia", *(f"{name}:{source}" for name in ("isiw-v", "isiw-pm") for source in WEIGHT_SOURCES)]
+
+    @st.composite
+    def texts(draw):
+        samplers = draw(st.lists(st.sampled_from(["lgcp", "scp", "thomas"]), min_size=1, unique=True))
+        allowed = [e for e in entries if not ("thomas" in samplers and e.endswith(":known"))]
+        lines = {
+            "samplers": ",".join(samplers),
+            "methods": ",".join(draw(st.lists(st.sampled_from(allowed), min_size=1, max_size=4, unique=True))),
+            "n": draw(st.integers(2, 40)),
+            "grid_nx": draw(st.integers(8, 24)),
+            "grid_ny": draw(st.integers(8, 24)),
+            "phi": draw(st.sampled_from([0.02, 0.15])),
+            "sigma2": draw(st.floats(0.05, 10.0)),
+            "beta": draw(st.floats(-5.0, 5.0)),
+            "seed": draw(st.integers(0, 2**16)),
+        }
+        if "thomas" in samplers:
+            lines["thomas_parent_rate"] = 10.0 ** draw(st.floats(0.0, 10.0))
+        return "\n".join([*(f"{key}={value}" for key, value in lines.items()), "replicates=1", "timing=off"])
+
+    return texts()
+
+
+def run_small_configs() -> int:
+    """Run one cell of every small config that parses, for at least 100
+    examples; every row is a fit or a failed row of a data failure. Returns
+    the number of cells run."""
+    from hypothesis import example, given, reject, settings
+    from isiw import SamplingError
+    from isiw._linalg import NotPositiveDefiniteError
+
+    allowed = tuple(f"{cls.__name__}: " for cls in (*SamplingError.__subclasses__(), NotPositiveDefiniteError))
+    cells = []
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(small_config_texts())
+    @example(FOUND_THOMAS_CONFIG)
+    def one_cell(text):
+        try:
+            config = parse_config(text)
+        except ValueError:
+            reject()
+        for scenario in config.scenarios():
+            rows = run_replicate(config, scenario, 0)
+            assert [(row.method, row.variant) for row in rows] == config.method_specs()
+            for row in rows:
+                if row.error is None:
+                    assert math.isfinite(row.rmspe), text
+                else:
+                    assert row.error.startswith(allowed) or any(t in row.error for t in DATA_FAILURE_TEXTS), (
+                        text, row.error)
+        cells.append(text)
+
+    one_cell()
+    return len(cells)
+
+
+def test_every_small_config_that_parses_runs_its_cell_in_bounded_memory():
+    # the limit of the Thomas test above; a cell that asks for more raises
+    # MemoryError out of run_replicate, and the example fails
+    limit = 3 * 2**29
+    code = f"""
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
+sys.path.insert(0, {str(Path(__file__).parent)!r})
+from test_experiment import run_small_configs
+print(run_small_configs())
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=fresh_env(OPENBLAS_NUM_THREADS="1"),
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) >= 100
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -570,6 +706,19 @@ class TestConfigFormat:
     def test_run_sinking_value_rejected(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_config(text)
+
+    @pytest.mark.parametrize("text, mean", [
+        (FOUND_THOMAS_CONFIG, "parent_rate 1e+10 times area 1 = 1e+10"),
+        ("samplers=thomas\nmethods=mle\ndomain=0,1000,0,1000", "parent_rate 25 times area 1e+06 = 2.5e+07"),
+    ], ids=["high-rate", "large-domain"])
+    def test_thomas_parent_count_over_budget_rejected(self, text, mean):
+        # known before any draw, unlike the brood total
+        with pytest.raises(ValueError) as refused:
+            parse_config(text)
+        assert str(refused.value) == (
+            f"thomas_parent_rate: the mean Thomas parent count, {mean}, is over the budget of 4194304"
+        )
+        assert parse_config("samplers=thomas\nmethods=mle\nthomas_parent_rate=4194304").thomas_parent_rate == 2**22
 
     def test_check_caches_no_embedding_root(self):
         _embedding_root.cache_clear()
@@ -917,8 +1066,10 @@ class TestCli:
         (["sample", "--sampler", "thomas", "--parent-rate", "inf"],
          "parent_rate must be positive and finite, got inf"),
         (["sample", "--sampler", "scp", "--beta", "-1"], "beta must be positive for scp, got -1.0"),
+        (["sample", "--sampler", "thomas", "--parent-rate", "1e10"],
+         "the mean Thomas parent count, parent_rate 1e+10 times area 1 = 1e+10, is over the budget of 4194304"),
     ], ids=["nan-tau2", "nan-mu", "infinite-sigma2", "infinite-phi", "infinite-nu",
-            "infinite-parent-rate", "negative-scp-beta"])
+            "infinite-parent-rate", "negative-scp-beta", "parent-count-over-budget"])
     def test_misused_parameter_names_field_and_value(self, args, message, dataset_csv, field_csv, tmp_path,
                                                      capsys):
         # each subcommand builds the types an experiment cell builds, so it
