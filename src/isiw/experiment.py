@@ -42,7 +42,9 @@ import scipy
 from ._linalg import blas_threads, set_blas_threads
 from .fields import GridSpec, SeedStream, check_embeddable, embedding_root, observe, simulate_field
 from .inference import FitConfig, FitResult, default_init, fit
-from .intensity import GRID_METHODS, SCOTT, estimate_intensity, select_bandwidth, weights_from_intensity
+from .intensity import (
+    GRID_METHODS, SCOTT, SELECT_MIN_POINTS, estimate_intensity, select_bandwidth, weights_from_intensity,
+)
 from .io import write_rows
 from .kriging import krige
 from .likelihood import (
@@ -50,7 +52,6 @@ from .likelihood import (
 )
 from .model import Dataset, Domain, ModelParams, microergodic, require_at_least, require_nonnegative
 from .pointprocess import (
-    LGCP,
     THOMAS,
     SamplerSpec,
     SamplingError,
@@ -119,7 +120,6 @@ def unread_settings(samplers, specs=(), n_values=(), exact_mle_max_n: int = 0) -
     rules = {  # key: (the samplers or methods that read it, as described, and the run's own)
         "thomas_parent_rate": thomas,
         "thomas_offspring_scale": thomas,
-        "alpha": ({LGCP}, f"the {LGCP} sampler", kinds),
         "exact_mle_max_n": ({METHOD_MLE}, f"the {METHOD_MLE} method", fits),
         "m": (
             vecchia_fits,
@@ -194,7 +194,6 @@ class ExperimentConfig:
     phi: tuple = (0.02, 0.15)
     samplers: tuple = ("lgcp",)
     beta: float = 1.0
-    alpha: float = 0.0
     n: tuple = (100, 800)
     methods: tuple = ("mle", "isiw-v:known", "isiw-v:diggle", "isiw-v:CvL.adaptive")
     threshold: float = 0.01
@@ -206,6 +205,8 @@ class ExperimentConfig:
     thomas_parent_rate: float = 25.0
     thomas_offspring_scale: float = 0.1
     timing: bool = True
+    # not a setting: given n, e^alpha cancels; goes with perfbench/mirror.py (ROADMAP items 19 and 20)
+    alpha = 0.0
 
     def __post_init__(self):
         require_at_least("replicates", self.replicates, 1)
@@ -248,6 +249,12 @@ class ExperimentConfig:
                 f"samplers lists {THOMAS}, whose sampling intensity is unknown, "
                 f"but methods lists {', '.join(known)}"
             )
+        estimated = [entry for entry, spec in zip(self.methods, specs) if spec.source not in ("", KNOWN)]
+        if estimated and min(self.n) < SELECT_MIN_POINTS:
+            raise ValueError(
+                f"n must be >= {SELECT_MIN_POINTS} to select a bandwidth for {', '.join(estimated)}, "
+                f"got {min(self.n)}"
+            )
 
     def grid(self) -> GridSpec:
         return GridSpec(self.domain, self.grid_nx, self.grid_ny)
@@ -273,7 +280,7 @@ class ExperimentConfig:
 
     def sampler(self, scenario: Scenario) -> SamplerSpec:
         return SamplerSpec(
-            kind=scenario.kind, n=scenario.n, beta=self.beta, alpha=self.alpha,
+            kind=scenario.kind, n=scenario.n, beta=self.beta,
             parent_rate=self.thomas_parent_rate, offspring_scale=self.thomas_offspring_scale,
         )
 

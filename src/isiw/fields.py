@@ -139,16 +139,21 @@ def embedding_root(spec: GridSpec, theta: CovParams) -> np.ndarray:
     eigenvalues of the smallest circulant embedding, k >= 1, whose negative
     eigenvalues sum to at most 1e-12 sigma2 M. Its first row is the Matérn
     at the torus offsets min(i, M - i) dx, so the circulant matrix
-    restricted to the grid is the grid covariance; clipping the negative eigenvalues at 0
+    restricted to the grid is the grid covariance; the Matérn is evaluated
+    once per distinct offset, on (my/2 + 1) x (mx/2 + 1) of them, and
+    folded onto the torus. Clipping the negative eigenvalues at 0
     changes each implied covariance entry by at most their sum over M.
     Raises ValueError when no embedding within ``EMBED_BUDGET`` does, as
     :func:`check_embeddable` first for the grid alone."""
     check_embeddable(spec)
     mx, my = 2 * spec.nx, 2 * spec.ny
     while mx * my <= EMBED_BUDGET:
-        hx = np.minimum(np.arange(mx), mx - np.arange(mx)) * spec.dx
-        hy = np.minimum(np.arange(my), my - np.arange(my)) * spec.dy
-        lam = np.fft.fft2(matern_cov(np.hypot(hx[None, :], hy[:, None]), theta)).real
+        hx = np.arange(mx // 2 + 1) * spec.dx
+        hy = np.arange(my // 2 + 1) * spec.dy
+        offsets = matern_cov(np.hypot(hx[None, :], hy[:, None]), theta)
+        ix = np.minimum(np.arange(mx), mx - np.arange(mx))
+        iy = np.minimum(np.arange(my), my - np.arange(my))
+        lam = np.fft.fft2(offsets[np.ix_(iy, ix)]).real
         if np.maximum(-lam, 0.0).sum() / lam.size <= 1e-12 * theta.sigma2:
             return read_only(np.sqrt(np.maximum(lam, 0.0) / lam.size))
         tried = f"{mx}x{my}"
@@ -167,7 +172,10 @@ def simulate_field(spec: GridSpec, theta: CovParams, seed: SeedStream) -> FieldR
     """Draw one field from N(0, C_theta) over the grid's cell centers."""
     root = _embedding_root(spec, theta)
     z = seed.generator().standard_normal((2,) + root.shape)
-    draw = np.fft.fft2(root * (z[0] + 1j * z[1]))
+    noise = np.empty(root.shape, dtype=complex)
+    np.multiply(root, z[0], out=noise.real)
+    np.multiply(root, z[1], out=noise.imag)
+    draw = np.fft.fft2(noise)
     return FieldRealization(grid=spec, values=draw[: spec.ny, : spec.nx].real.ravel())
 
 

@@ -40,6 +40,7 @@ CVL_ADAPTIVE = "CvL.adaptive"
 
 GRID_METHODS = (DIGGLE, PPL, CVL, CVL_ADAPTIVE)
 SEARCH_GRID_SIZE = 64
+SELECT_MIN_POINTS = 5  # the fewest points a bandwidth is selected from
 _INTENSITY_FLOOR_REL = 1e-12
 
 
@@ -212,7 +213,7 @@ def select_bandwidth(method: str, points: np.ndarray, domain: Domain) -> Bandwid
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[0]
-    require_at_least("point count for bandwidth selection", n, 5)
+    require_at_least("point count for bandwidth selection", n, SELECT_MIN_POINTS)
 
     if method == SCOTT:
         return BandwidthSpec(h=scott_bandwidth(points))

@@ -483,7 +483,7 @@ except Exception as exc:
 # parsed before the parent-count check, and its cell then stopped the run
 FOUND_THOMAS_CONFIG = "samplers=thomas\nmethods=mle\nthomas_parent_rate=1e10\nn=20\nreplicates=1\nphi=0.15\ntiming=off"
 # failures of the data inside a method that have no type of their own yet (ROADMAP item 14)
-DATA_FAILURE_TEXTS = ("point count for bandwidth selection must be >= 5", "not finite at the initial point")
+DATA_FAILURE_TEXTS = ("not finite at the initial point",)
 METHOD_ENTRIES = ["mle", "vecchia", *(f"{name}:{source}" for name in ("isiw-v", "isiw-pm") for source in WEIGHT_SOURCES)]
 
 
@@ -591,8 +591,13 @@ class TestConfigFormat:
         assert config.timing is False
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown key"):
-            parse_config("no_such_key=1")
+        # alpha is no setting: given n, e^alpha cancels from the sampling probabilities
+        for text in ("no_such_key=1", "alpha=0", "samplers=scp\nalpha=3", "samplers=thomas\nmethods=mle\nalpha=3"):
+            key = text.splitlines()[-1].split("=")[0]
+            with pytest.raises(ValueError, match=f"unknown key '{key}'$"):
+                parse_config(text)
+        with pytest.raises(TypeError, match="alpha"):
+            ExperimentConfig(alpha=0.0)
 
     @pytest.mark.parametrize(
         "text, message",
@@ -663,6 +668,13 @@ class TestConfigFormat:
             ExperimentConfig(samplers=("lgcp", "thomas"),
                              methods=("mle", "isiw-v:known", "isiw-v:diggle", "isiw-pm:known"))
         ExperimentConfig(samplers=("thomas",), methods=("mle", "isiw-v:diggle"))  # accepted
+
+    def test_n_below_the_selection_minimum_rejected_with_an_estimated_source(self):
+        # every row of such a method would fail in bandwidth selection
+        message = "n must be >= 5 to select a bandwidth for isiw-v:scott, isiw-pm:CvL, got 4"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_config("n=4,40\nmethods=mle,isiw-v:known,isiw-v:scott,isiw-pm:CvL")
+        assert parse_config("n=4,40\nmethods=mle,isiw-v:known").n == (4, 40)
 
     @pytest.mark.parametrize("text,message", [
         ("phi=0.15,-1", "phi must be positive and finite, got -1.0"),
@@ -1294,8 +1306,6 @@ UNREAD = [
      ["sample", "--sampler", "lgcp", "--parent-rate", "30"]),
     (dict(samplers=("lgcp", "scp"), thomas_offspring_scale=0.2), "thomas_offspring_scale",
      ["sample", "--sampler", "scp", "--offspring-scale", "0.2"]),
-    (dict(samplers=("scp",), alpha=3.0), "alpha", None),
-    (dict(samplers=("thomas",), methods=("mle",), alpha=3.0), "alpha", None),
     (dict(methods=("vecchia",), exact_mle_max_n=50), "exact_mle_max_n", None),
     (dict(methods=("mle",), n=(100,), m=5), "m", ["fit", "--method", "mle", "--m", "5"]),
     (dict(methods=("isiw-pm:CvL",), m=5), "m", ["fit", "--method", "isiw-pm:CvL", "--m", "5"]),
@@ -1330,18 +1340,18 @@ class TestUnreadSettings:
 
     def test_config_refuses_unread_key_at_its_default(self):
         # only a file can set a key to its default; the built config cannot tell
-        text = "samplers=thomas\nmethods=mle\nalpha=0"
-        with pytest.raises(ValueError, match="^alpha is read only by the lgcp sampler, not by thomas$"):
+        text = "samplers=lgcp,scp\nthomas_offspring_scale=0.1"
+        with pytest.raises(ValueError, match="^thomas_offspring_scale is read only by the thomas sampler, not by lgcp, scp$"):
             parse_config(text)
-        assert ExperimentConfig(samplers=("thomas",), methods=("mle",), alpha=0.0).alpha == 0.0
+        assert ExperimentConfig(samplers=("lgcp", "scp"), thomas_offspring_scale=0.1).thomas_offspring_scale == 0.1
 
     @pytest.mark.parametrize("settings", [
         dict(samplers=("thomas",), methods=("mle",), beta=2.0),
-        dict(samplers=("lgcp", "thomas"), methods=("mle",), alpha=3.0, thomas_parent_rate=30.0),
+        dict(samplers=("lgcp", "thomas"), methods=("mle",), thomas_parent_rate=30.0),
         dict(methods=("mle",), n=(100, 300), m=5),
         dict(methods=("mle",), n=(100,), exact_mle_max_n=50, m=5),
         dict(methods=("isiw-pm:CvL",), threshold=0.5, pm_cutoff=0.3),
-    ], ids=["beta-thomas", "alpha-lgcp", "m-mle-above-max-n", "m-mle-lowered-max-n", "isiw-pm"])
+    ], ids=["beta-thomas", "lgcp-thomas", "m-mle-above-max-n", "m-mle-lowered-max-n", "isiw-pm"])
     def test_read_settings_accepted(self, settings):
         config = parse_config(config_text(settings))
         assert config == ExperimentConfig(**settings)

@@ -52,6 +52,19 @@ def implied_grid_covariance_error(spec, theta):
     return np.max(np.abs(implied - direct)) / theta.sigma2
 
 
+def full_torus_root(spec, theta):
+    """:func:`embedding_root` as it evaluated the Matérn at every one of the
+    M torus offsets, the reference of the folded evaluation."""
+    mx, my = 2 * spec.nx, 2 * spec.ny
+    while True:
+        hx = np.minimum(np.arange(mx), mx - np.arange(mx)) * spec.dx
+        hy = np.minimum(np.arange(my), my - np.arange(my)) * spec.dy
+        lam = np.fft.fft2(matern_cov(np.hypot(hx[None, :], hy[:, None]), theta)).real
+        if np.maximum(-lam, 0.0).sum() / lam.size <= 1e-12 * theta.sigma2:
+            return np.sqrt(np.maximum(lam, 0.0) / lam.size)
+        mx, my = 2 * mx, 2 * my
+
+
 class TestGridSpec:
     def test_axis_centers_lay_out_cell_centers(self):
         grid = GridSpec(Domain(-1.0, 2.0, 0.5, 1.5), 3, 4)
@@ -122,6 +135,20 @@ class TestSimulateField:
     )
     def test_implied_covariance_equals_matern(self, spec, theta):
         assert implied_grid_covariance_error(spec, theta) <= 1e-12
+
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 1.7, 2.5])
+    @pytest.mark.parametrize("phi", [0.02, 0.15, 0.3])
+    @pytest.mark.parametrize("spec", [
+        GridSpec(UNIT, 48, 48), GridSpec(UNIT, 10, 10), GridSpec(Domain(0.0, 1.0, 0.0, 1.5), 24, 40),
+    ], ids=["48x48", "10x10", "24x40"])
+    def test_folded_embedding_and_one_noise_array_keep_the_bits(self, spec, phi, nu):
+        theta = CovParams(1.5, phi, nu)
+        root = embedding_root(spec, theta)
+        assert root.tobytes() == full_torus_root(spec, theta).tobytes()
+        seed = SeedStream(5, (2,))
+        z = seed.generator().standard_normal((2,) + root.shape)
+        draw = np.fft.fft2(root * (z[0] + 1j * z[1]))[: spec.ny, : spec.nx].real.ravel()
+        assert simulate_field(spec, theta, seed).values.tobytes() == draw.tobytes()
 
     def test_first_draw_memory_peak(self):
         _embedding_root.cache_clear()

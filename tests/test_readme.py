@@ -6,6 +6,7 @@ import numpy as np
 
 from isiw import SeedStream, io, observe
 from isiw.cli import main as cli_main
+from isiw.experiment import DEFAULTS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -49,3 +50,10 @@ def test_shell_walkthrough_runs(tmp_path, monkeypatch, capsys):
     assert commands["krige"][commands["krige"].index("--fit") + 1] == fit_csv
     assert Path(fit_csv).is_file() and Path("work/surface.csv").is_file()
     assert Path("results/results.csv").is_file()
+
+
+def test_config_block_names_exactly_the_config_keys():
+    section = README.read_text().split("## Experiment configuration", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, flags=re.S).group(1)
+    named = [key for line in block.splitlines() for key in re.findall(r"(\w+)\s*=", line.split("#", 1)[0])]
+    assert sorted(named) == sorted(DEFAULTS)
