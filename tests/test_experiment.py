@@ -1341,7 +1341,8 @@ class TestUnreadSettings:
     def test_config_refuses_unread_key_at_its_default(self):
         # only a file can set a key to its default; the built config cannot tell
         text = "samplers=lgcp,scp\nthomas_offspring_scale=0.1"
-        with pytest.raises(ValueError, match="^thomas_offspring_scale is read only by the thomas sampler, not by lgcp, scp$"):
+        message = "thomas_offspring_scale is read only by the thomas sampler, not by lgcp, scp"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             parse_config(text)
         assert ExperimentConfig(samplers=("lgcp", "scp"), thomas_offspring_scale=0.1).thomas_offspring_scale == 0.1
 
