@@ -5,12 +5,12 @@ control).
 OpenBLAS threads by default on every core, and its idle threads spin. The
 dense work of a fit or a kriging call is on matrices of at most about a
 thousand rows, where those threads gain little on their own and cost much
-when two processes share the cores. ``inference.fit`` and
-``kriging.krige`` therefore run inside :func:`one_blas_thread`, and process
-pools get their parallelism from ``set_blas_threads(1)`` in each worker.
-The thread entry points of every loaded OpenBLAS are found once, by one
-scan of /proc/self/maps; on a BLAS without them (or without /proc) both
-are no-ops.
+when two processes share the cores. Every replicate cell
+(``experiment.run_replicate``), in process or in a pool worker, therefore
+runs inside :func:`one_blas_thread`, and so do ``inference.fit`` and
+``kriging.krige`` when called alone. The thread entry points of every
+loaded OpenBLAS are found once, by one scan of /proc/self/maps; on a BLAS
+without them (or without /proc) the scope is a no-op.
 """
 
 from __future__ import annotations
@@ -154,15 +154,6 @@ def blas_threads() -> dict:
     return {path: get() for path, (get, _) in _openblas_libraries().items()}
 
 
-def set_blas_threads(n: int) -> None:
-    """Limit every loaded OpenBLAS to ``n`` threads; a no-op for a BLAS
-    without known thread entry points. Process-pool workers call this so
-    that each runs single-threaded BLAS instead of oversubscribing the
-    cores."""
-    for _, set_threads in _openblas_libraries().values():
-        set_threads(n)
-
-
 @contextmanager
 def one_blas_thread():
     """Run the body with every loaded OpenBLAS on one thread, and restore
@@ -171,7 +162,8 @@ def one_blas_thread():
     Thread counts are process-wide: scopes nest, but two Python threads
     must not be inside scopes at once."""
     before = blas_threads()
-    set_blas_threads(1)
+    for _, set_threads in _openblas_libraries().values():
+        set_threads(1)
     try:
         yield
     finally:

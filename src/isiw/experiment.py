@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy
 
-from ._linalg import blas_threads, set_blas_threads
+from ._linalg import blas_threads, one_blas_thread
 from .fields import GridSpec, SeedStream, check_embeddable, embedding_root, observe, simulate_field
 from .inference import FitConfig, FitResult, default_init, fit
 from .intensity import (
@@ -369,12 +369,17 @@ def _failed_row(scenario: Scenario, replicate: int, method: MethodSpec, exc: Exc
     )
 
 
+@one_blas_thread()
 def run_replicate(config: ExperimentConfig, scenario: Scenario, replicate: int) -> list:
     """Simulate one dataset and produce one MetricsRow per configured method.
     A pattern that cannot be sampled from the field draw (a
     :class:`~isiw.pointprocess.SamplingError`: a Thomas pattern that cannot
     reach n or is too large to draw or hold, or a Cox intensity that
-    overflows) gives one failed row per method."""
+    overflows) gives one failed row per method.
+
+    The whole cell, from the field draw to the last kriging call, runs on
+    one OpenBLAS thread, in process and in a pool worker alike, so its rows
+    do not depend on the caller's thread count."""
     root = SeedStream(config.seed)
     grid = config.grid()
     truth = config.truth(scenario.phi)
@@ -431,16 +436,6 @@ def run_replicate(config: ExperimentConfig, scenario: Scenario, replicate: int) 
     return rows
 
 
-def _worker_pool(workers: int) -> ProcessPoolExecutor:
-    """Process pool whose workers each run single-threaded OpenBLAS, so
-    ``workers`` processes do not oversubscribe the cores. A worker holds
-    only the small cached embedding roots of ``simulate_field``, one per
-    phi. The calling process keeps its own thread count; rows do not depend
-    on it, since ``fit`` and ``krige`` run on one thread and field draws use
-    no BLAS."""
-    return ProcessPoolExecutor(max_workers=workers, initializer=set_blas_threads, initargs=(1,))
-
-
 def run_experiment(config: ExperimentConfig, out_dir) -> tuple:
     """Run every scenario x replicate cell, write the per-replicate results
     CSV plus summary, rank, and parameter-error tables, and return
@@ -450,7 +445,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> tuple:
     scenarios, replicates = zip(*product(config.scenarios(), range(config.replicates)))
 
     if config.threads > 1:
-        with _worker_pool(config.threads) as pool:
+        with ProcessPoolExecutor(max_workers=config.threads) as pool:
             chunks = list(pool.map(run_replicate, repeat(config), scenarios, replicates, chunksize=1))
     else:
         chunks = list(map(run_replicate, repeat(config), scenarios, replicates))
@@ -561,7 +556,7 @@ def _write_metadata(config: ExperimentConfig, path: Path, n_rows: int) -> None:
     lines.append("rmspe_convention=predictions scored against mu + S at grid cell centers\n")
     lines.append(f"numpy_version={np.__version__}\n")
     lines.append(f"scipy_version={scipy.__version__}\n")
-    # the calling process's own counts; pool workers and fit/krige run on one
+    # the calling process's own counts; every replicate cell runs on one
     counts = ",".join(f"{path}:{n}" for path, n in blas_threads().items())
     lines.append(f"blas_threads={counts}\n")
     path.write_text("".join(lines))

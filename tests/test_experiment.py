@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,12 +34,12 @@ from isiw.experiment import (
     WEIGHT_SOURCES,
     ExperimentConfig,
     _average_ranks,
-    _worker_pool,
     format_config,
     method_fitter,
     parse_method,
     summarize,
 )
+from isiw import intensity
 from isiw.fields import _embedding_root
 from isiw import (
     Dataset,
@@ -213,6 +214,25 @@ class TestRunReplicate:
         assert Scenario(kind="scp", n=800, phi=0.02).label == "scp-n800-phi0.02"
 
 
+def kernel_sum_blas_threads(config, scenario, replicate) -> list:
+    """Run one cell with ``intensity._kernel_sum`` wrapped to record
+    ``blas_threads()`` at each call, and return the records. Module-level,
+    so that a pool worker can run it."""
+    seen = []
+    original = intensity._kernel_sum
+
+    def recording(*args, **kwargs):
+        seen.append(blas_threads())
+        return original(*args, **kwargs)
+
+    intensity._kernel_sum = recording
+    try:
+        run_replicate(config, scenario, replicate)
+    finally:
+        intensity._kernel_sum = original
+    return seen
+
+
 class TestRunExperiment:
     def test_single_cell_summary_equals_row(self, tmp_path):
         config = tiny_config(replicates=1, methods=("mle",))
@@ -347,14 +367,19 @@ class TestRunExperiment:
         csv = lambda run: (tmp_path / run / "results.csv").read_bytes()
         assert csv("threads1") == csv("threads2")
 
-    def test_pool_workers_run_single_threaded_blas(self):
-        parent = blas_threads()
-        if not parent:
-            pytest.skip("this numpy/scipy build loads no OpenBLAS with a thread getter")
-        with _worker_pool(2) as pool:
-            workers = [pool.submit(blas_threads).result() for _ in range(4)]
-        assert all(counts == {path: 1 for path in parent} for counts in workers)
-        assert blas_threads() == parent  # the calling process is never pinned
+    @pytest.mark.parametrize("where", ["in_process", "pool_worker"])
+    def test_every_blas_call_of_a_cell_runs_on_one_thread(self, caller_blas_counts, where):
+        # a cell's only BLAS calls outside fit and krige are the kernel sums
+        # of bandwidth selection and intensity estimation
+        config = tiny_config(replicates=1, methods=("isiw-v:CvL.adaptive",))
+        cell = (config, config.scenarios()[0], 0)
+        if where == "in_process":
+            seen = kernel_sum_blas_threads(*cell)
+        else:
+            with ProcessPoolExecutor(max_workers=1) as pool:
+                seen = pool.submit(kernel_sum_blas_threads, *cell).result()
+        assert seen and all(counts == {path: 1 for path in caller_blas_counts} for counts in seen)
+        assert blas_threads() == caller_blas_counts  # the calling process is never pinned
 
     def test_rank_table_beats_column(self, tmp_path):
         config = tiny_config(replicates=2)

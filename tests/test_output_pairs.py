@@ -37,17 +37,33 @@ def test_identical_outputs_pass(outputs, tmp_path):
     assert output_pairs.first_difference(outputs, change) is None
 
 
-def test_one_flipped_digit_names_the_file_and_line(outputs, tmp_path):
-    change = tmp_path / "change"
+def flipped_digit_copy(outputs, change):
+    """Copy ``outputs`` to ``change`` with the last digit of one rmspe in
+    line 3 of results.csv flipped."""
     shutil.copytree(outputs, change)
     lines = (change / "results.csv").read_text().splitlines(keepends=True)
     fields = lines[2].split(",")
-    rmspe = fields[4]  # flip its last digit
+    rmspe = fields[4]
     fields[4] = rmspe[:-1] + str((int(rmspe[-1]) + 1) % 10)
     lines[2] = ",".join(fields)
     (change / "results.csv").write_text("".join(lines))
-    diff = output_pairs.first_difference(outputs, change)
+
+
+def test_one_flipped_digit_names_the_file_and_line(outputs, tmp_path):
+    flipped_digit_copy(outputs, tmp_path / "change")
+    diff = output_pairs.first_difference(outputs, tmp_path / "change")
     assert diff is not None and diff.startswith("results.csv line 3\n")
+
+
+def test_compare_goes_on_past_a_differing_config(outputs, tmp_path, capsys):
+    flipped_digit_copy(outputs, tmp_path / "flipped")
+    shutil.copytree(outputs, tmp_path / "same")
+    pairs = [("a.cfg", outputs, tmp_path / "flipped"), ("b.cfg", outputs, tmp_path / "same")]
+    assert output_pairs.compare_all(pairs) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "a.cfg differs: results.csv line 3"
+    assert any(line.startswith("b.cfg identical: ") for line in lines)
+    assert output_pairs.compare_all(pairs[1:]) == 0
 
 
 def test_missing_file_is_a_difference(outputs, tmp_path):

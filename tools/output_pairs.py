@@ -12,10 +12,11 @@ in each export, in a fresh process with OpenBLAS on one thread, then
 compares every file the parent's run wrote with the change's, byte for
 byte, line by line. A file that the change's run lacks is a difference; a
 file that only the change's run wrote is not, so a change may add an
-output. It prints one line per identical config and exits 0 when all are
-identical; at the first difference it prints the config, the file and the
-line, and exits 1. A run that fails, or a config with ``timing=on`` (whose
-seconds column differs from run to run), exits 2.
+output. It prints one line per config: that it is identical, or the first
+file and line at which it differs. After the last config it exits 0 when
+all are identical and 1 otherwise. A run that fails, or a config with
+``timing=on`` (whose seconds column differs from run to run), exits 2 at
+once.
 
 Standard library only; nothing is imported from the package under test.
 """
@@ -59,6 +60,44 @@ def first_difference(parent: Path, change: Path) -> str | None:
     return None
 
 
+class RunFailed(Exception):
+    """A run of one side exited nonzero, or its outputs cannot be compared."""
+
+
+def run_pairs(trees: dict, commits: dict, configs: list, tmp: Path):
+    """Run each config in both exports, one config at a time, and yield
+    ``(config name, parent output dir, change output dir)``."""
+    for n, config in enumerate(configs):
+        outs = {side: tmp / f"{side}-out-{n}" for side in SIDES}
+        for side in SIDES:
+            try:
+                run_experiment(trees[side], config, outs[side])
+            except subprocess.CalledProcessError as exc:
+                raise RunFailed(f"{config.name}: {side} ({commits[side][:10]}) exited {exc.returncode}") from exc
+            if "timing=on" in (outs[side] / "run_metadata.txt").read_text().splitlines():
+                raise RunFailed(f"{config.name} must set timing=off")
+        yield config.name, outs["parent"], outs["change"]
+
+
+def compare_all(pairs) -> int:
+    """Compare every ``(config name, parent dir, change dir)`` of ``pairs``,
+    printing one line per config; 1 when any differs, 0 otherwise."""
+    differing = []
+    for name, parent, change in pairs:
+        diff = first_difference(parent, change)
+        if diff is not None:
+            print(f"{name} differs: {diff}", flush=True)
+            differing.append(name)
+            continue
+        names = ", ".join(sorted(path.name for path in parent.iterdir()))
+        rows = len((change / "results.csv").read_bytes().splitlines()) - 1
+        print(f"{name} identical: {names} ({rows} result rows)", flush=True)
+    if differing:
+        print(f"differing configs: {', '.join(differing)}")
+        return 1
+    return 0
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", help="parent commit (any git ref)")
@@ -73,26 +112,11 @@ def main(argv=None) -> int:
             configs = [args.config.resolve()]
         else:
             configs = sorted((trees["parent"] / "tools" / "configs").glob("*.cfg"))
-        for n, config in enumerate(configs):
-            outs = {side: Path(tmp, f"{side}-out-{n}") for side in SIDES}
-            for side in SIDES:
-                try:
-                    run_experiment(trees[side], config, outs[side])
-                except subprocess.CalledProcessError as exc:
-                    print(f"output_pairs: {config.name}: {side} ({commits[side][:10]}) exited {exc.returncode}",
-                          file=sys.stderr)
-                    return 2
-                if "timing=on" in (outs[side] / "run_metadata.txt").read_text().splitlines():
-                    print(f"output_pairs: {config.name} must set timing=off", file=sys.stderr)
-                    return 2
-            diff = first_difference(outs["parent"], outs["change"])
-            if diff is not None:
-                print(f"{config.name} differs: {diff}")
-                return 1
-            names = ", ".join(sorted(path.name for path in outs["parent"].iterdir()))
-            rows = len((outs["change"] / "results.csv").read_bytes().splitlines()) - 1
-            print(f"{config.name} identical: {names} ({rows} result rows)", flush=True)
-        return 0
+        try:
+            return compare_all(run_pairs(trees, commits, configs, Path(tmp)))
+        except RunFailed as exc:
+            print(f"output_pairs: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":
