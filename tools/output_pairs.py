@@ -82,20 +82,17 @@ def run_pairs(trees: dict, commits: dict, configs: list, tmp: Path):
 def compare_all(pairs) -> int:
     """Compare every ``(config name, parent dir, change dir)`` of ``pairs``,
     printing one line per config; 1 when any differs, 0 otherwise."""
-    differing = []
+    status = 0
     for name, parent, change in pairs:
         diff = first_difference(parent, change)
         if diff is not None:
             print(f"{name} differs: {diff}", flush=True)
-            differing.append(name)
+            status = 1
             continue
         names = ", ".join(sorted(path.name for path in parent.iterdir()))
         rows = len((change / "results.csv").read_bytes().splitlines()) - 1
         print(f"{name} identical: {names} ({rows} result rows)", flush=True)
-    if differing:
-        print(f"differing configs: {', '.join(differing)}")
-        return 1
-    return 0
+    return status
 
 
 def main(argv=None) -> int:
