@@ -52,6 +52,7 @@ from .pointprocess import (
     SamplingError,
     compute_intensity,
     sample_conditioned,
+    sample_pattern,
     sample_thomas,
 )
 
@@ -68,6 +69,6 @@ __all__ = [
     "maxmin_order", "microergodic",
     "nn_conditioning_sets", "observe", "pairwise_marginal_nll",
     "param_metrics", "parse_config", "rmspe", "run_experiment",
-    "run_replicate", "sample_conditioned", "sample_thomas",
+    "run_replicate", "sample_conditioned", "sample_pattern", "sample_thomas",
     "select_bandwidth", "simulate_field", "vecchia_nll", "weights_from_intensity",
 ]

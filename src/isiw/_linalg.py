@@ -8,7 +8,20 @@ thousand rows, where those threads gain little on their own and cost much
 when two processes share the cores. Every replicate cell
 (``experiment.run_replicate``), in process or in a pool worker, therefore
 runs inside :func:`one_blas_thread`, and so do ``inference.fit`` and
-``kriging.krige`` when called alone. The thread entry points of every
+``kriging.krige`` when called alone.
+
+``fit``, ``krige`` and ``KrigingOutput.variances`` keep their own scopes
+although a cell's scope already covers them. Their Cholesky factors,
+triangular solves and products change in the last bits with the OpenBLAS
+thread count above about a hundred rows: on a 2-core x86-64 host,
+comparing 1 and 2 threads on six such products at four seeds per n, the
+bits differed in 72 of 72 checks at n = 200, 400 and 800, and agreed in
+24 of 24 at n = 100. The CLI, library callers and the traced mirror of
+``perfbench`` call them outside any cell, and the mirror's rows equal
+``run_replicate``'s bit for bit only because these scopes pin the
+thread count. Scopes nest, and a nested one costs a few ctypes calls.
+
+The thread entry points of every
 loaded OpenBLAS are found once, by one scan of /proc/self/maps; on a BLAS
 without them (or without /proc) the scope is a no-op.
 """

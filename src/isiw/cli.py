@@ -10,15 +10,14 @@ that the run would not read, by the config's rule (``fit --m`` for an
 exact fit, ``sample --parent-rate`` without thomas). ``fit --method``
 takes the experiment's method entries (``mle``, ``vecchia``,
 ``isiw-v:SOURCE``, ``isiw-pm:SOURCE``) and fits one through
-:func:`~isiw.experiment.method_fitter`, as the experiment does, except
-that the ``known`` source, which needs the simulated truth, is refused.
+:func:`~isiw.experiment.method_fitter`, as the experiment does; the runner
+refuses the ``known`` source, which needs the simulated truth.
 Exit codes: 0 success, 1 usage error, 2 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -26,7 +25,6 @@ import numpy as np
 
 from .experiment import (
     DEFAULTS,
-    KNOWN,
     ExperimentConfig,
     check_fit_settings,
     load_config,
@@ -47,7 +45,7 @@ from .intensity import (
 )
 from .kriging import krige
 from .model import CovParams
-from .pointprocess import SAMPLER_KINDS, THOMAS, SamplerSpec, compute_intensity, sample_conditioned, sample_thomas
+from .pointprocess import SAMPLER_KINDS, SamplerSpec, sample_pattern
 from . import io
 
 USAGE_ERROR = 1
@@ -71,16 +69,6 @@ def _argument(parse):
     return convert
 
 
-def _fit_method(text: str):
-    spec = parse_method(text)
-    if spec.source == KNOWN:
-        raise ValueError(
-            f"{text!r}: the known intensity exists only in a simulation; "
-            "use 'isiw experiment' or an estimated source"
-        )
-    return spec
-
-
 def _grid(args) -> GridSpec:
     """The --nx by --ny grid on --domain; --ny is --nx when not given."""
     return GridSpec(args.domain, args.nx, args.nx if args.ny is None else args.ny)
@@ -88,7 +76,7 @@ def _grid(args) -> GridSpec:
 
 # Flags that several subcommands read, each added only where it is read.
 _SHARED = {
-    "seed": dict(type=int, default=0, help="root random seed"),
+    "seed": dict(type=int, default=DEFAULTS["seed"], help="root random seed"),
     "out-dir": dict(default=".", help="directory for output files"),
     "domain": dict(type=_argument(parse_domain), default=DEFAULTS["domain"], help="study region x0,x1,y0,y1"),
     "nu": dict(type=float, default=DEFAULTS["nu"], help="Matérn smoothness (fixed)"),
@@ -160,7 +148,7 @@ def build_parser() -> _Parser:
     p = _subcommand(sub, "fit", ("domain", "threshold", "nu"),
                     help="fit model parameters to a data CSV")
     p.add_argument("--data", required=True, help="data CSV (x,y,value)")
-    p.add_argument("--method", type=_argument(_fit_method), default="mle",
+    p.add_argument("--method", type=_argument(parse_method), default="mle",
                    help="mle, vecchia, isiw-v:SOURCE or isiw-pm:SOURCE; SOURCE is a "
                         "bandwidth selector: scott, diggle, ppl, CvL or CvL.adaptive")
     p.add_argument("--m", type=int, default=None, help="max conditioning-set size of a Vecchia fit")
@@ -177,8 +165,6 @@ def build_parser() -> _Parser:
 
     p = _subcommand(sub, "experiment", ("out-dir",), help="run a replicated comparison")
     p.add_argument("--config", help="experiment config file (key=value lines)")
-    p.add_argument("--threads", type=int, default=None, help="parallel workers; overrides the config")
-    p.add_argument("--seed", type=int, default=None, help="root random seed; overrides the config")
 
     return parser
 
@@ -198,11 +184,7 @@ def _cmd_sample(args) -> int:
         kind=args.sampler, n=args.n, beta=args.beta,
         parent_rate=args.parent_rate, offspring_scale=args.offspring_scale,
     )
-    seed = SeedStream(args.seed)
-    if args.sampler == THOMAS:
-        pts = sample_thomas(fld, spec, seed)
-    else:
-        pts = sample_conditioned(fld, compute_intensity(args.sampler, fld, spec), args.n, seed)
+    pts, _ = sample_pattern(fld, spec, SeedStream(args.seed))
     io.write_points_csv(args.out, pts)
     print(f"wrote {len(pts)} points to {args.out}")
     return 0
@@ -250,9 +232,6 @@ def _cmd_krige(args) -> int:
 
 def _cmd_experiment(args) -> int:
     config = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {"threads": args.threads, "seed": args.seed}
-    # replace() runs the config's validation again on the overridden values
-    config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
     rows, summary = run_experiment(config, args.out_dir)
     print(f"wrote {len(rows)} result rows to {Path(args.out_dir) / 'results.csv'}")
     for scenario, method, variant, mean, sd, count, failures in summary:

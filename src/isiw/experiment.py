@@ -51,15 +51,7 @@ from .likelihood import (
     EXACT, PAIRWISE_MARGINAL, VECCHIA, Objective, check_plan_size, maxmin_order, nn_conditioning_sets,
 )
 from .model import Dataset, Domain, ModelParams, microergodic, require_at_least, require_nonnegative
-from .pointprocess import (
-    THOMAS,
-    SamplerSpec,
-    SamplingError,
-    check_parent_count,
-    compute_intensity,
-    sample_conditioned,
-    sample_thomas,
-)
+from .pointprocess import THOMAS, SamplerSpec, SamplingError, check_parent_count, sample_pattern
 
 RESULTS_HEADER = [
     "replicate", "scenario", "method", "variant", "rmspe",
@@ -158,7 +150,10 @@ def method_fitter(
             bw = select_bandwidth(source, data.locations, domain)
             return weights_from_intensity(estimate_intensity(data.locations, domain, bw), threshold)
         if known_intensity is None:
-            raise ValueError("the known source needs the known intensity at the data points")
+            raise ValueError(
+                f"the {KNOWN} source needs the true sampling intensity at the data points, which exists "
+                "only in a simulation; use 'isiw experiment' or an estimated source"
+            )
         return weights_from_intensity(known_intensity, threshold)
 
     def fit_one(spec: MethodSpec, restart_seed: int) -> FitResult:
@@ -384,14 +379,10 @@ def run_replicate(config: ExperimentConfig, scenario: Scenario, replicate: int) 
     grid = config.grid()
     truth = config.truth(scenario.phi)
     fld = simulate_field(grid, truth.theta, root.child(scenario.sid, replicate, 0))
-    spec = config.sampler(scenario)
-    cell_intensity = None  # the Thomas process has none
     try:
-        if scenario.kind == THOMAS:
-            locs = sample_thomas(fld, spec, root.child(scenario.sid, replicate, 1))
-        else:
-            cell_intensity = compute_intensity(scenario.kind, fld, spec)
-            locs = sample_conditioned(fld, cell_intensity, scenario.n, root.child(scenario.sid, replicate, 1))
+        locs, cell_intensity = sample_pattern(  # cell_intensity is None for Thomas
+            fld, config.sampler(scenario), root.child(scenario.sid, replicate, 1)
+        )
     except SamplingError as exc:
         return [_failed_row(scenario, replicate, method, exc) for method in config.method_specs()]
     data = observe(fld, locs, config.mu, config.tau2, root.child(scenario.sid, replicate, 2))
@@ -500,7 +491,8 @@ def _average_ranks(values) -> np.ndarray:
 
 def rank_table(rows) -> list:
     """Per-scenario (plus pooled "all") rank statistics and the share of
-    replicates beating the unweighted exact fit."""
+    replicates beating ``mle``, the unweighted fit: exact up to
+    ``exact_mle_max_n`` points and Vecchia above."""
     by_cell: dict = {}
     for r in rows:
         if math.isfinite(r.rmspe):

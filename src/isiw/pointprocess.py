@@ -5,6 +5,7 @@ sampling, all conditioned on an exact point count n. For the Cox processes
 conditioning on n turns the inhomogeneous Poisson law into a binomial point
 process with density proportional to the intensity, which is sampled as a
 multinomial over grid cells followed by a uniform jitter within the cell.
+:func:`sample_pattern` draws the pattern of any of the three.
 """
 
 from __future__ import annotations
@@ -219,3 +220,15 @@ def sample_thomas(field: FieldRealization, spec: SamplerSpec, seed: SeedStream) 
         f"Thomas sampler never reached {spec.n} points in {THOMAS_MAX_RETRIES} attempts; "
         "raise parent_rate or lower n"
     )
+
+
+def sample_pattern(field: FieldRealization, spec: SamplerSpec, seed: SeedStream) -> tuple:
+    """The pattern of ``spec`` drawn on ``field`` from ``seed``, as
+    ``(locations, cell_intensity)``: a Thomas pattern by its clusters, with
+    cell intensity None, since it has none; a Cox pattern conditioned on its
+    cell intensity, which comes back with it. Raises what
+    :func:`sample_thomas` or :func:`compute_intensity` raises."""
+    if spec.kind == THOMAS:
+        return sample_thomas(field, spec, seed), None
+    intensity = compute_intensity(spec.kind, field, spec)
+    return sample_conditioned(field, intensity, spec.n, seed), intensity

@@ -189,7 +189,7 @@ class TestRunReplicate:
         def broken_sampler(*args, **kwargs):
             raise TypeError("bug")
 
-        monkeypatch.setattr("isiw.experiment.sample_thomas", broken_sampler)
+        monkeypatch.setattr("isiw.pointprocess.sample_thomas", broken_sampler)
         config = tiny_config(samplers=("thomas",), methods=("mle",))
         with pytest.raises(TypeError, match="bug"):
             run_replicate(config, config.scenarios()[0], 0)
@@ -286,14 +286,14 @@ class TestRunExperiment:
                              threads=threads)
         assert all(r.error is None for r in run_experiment(config, tmp_path / "plain")[0])
         forced = config.scenarios()[1]
-        sample = isiw.experiment.sample_thomas
+        sample = isiw.pointprocess.sample_thomas
 
         def fail_in_one_cell(fld, spec, seed):
             if seed.key == (forced.sid, 1, 1):
                 raise SampleSizeError("forced in one cell")
             return sample(fld, spec, seed)
 
-        monkeypatch.setattr("isiw.experiment.sample_thomas", fail_in_one_cell)
+        monkeypatch.setattr("isiw.pointprocess.sample_thomas", fail_in_one_cell)
         rows, _ = run_experiment(config, tmp_path / "forced")
         failed = [r for r in rows if r.error is not None]
         assert {(r.scenario, r.replicate) for r in failed} == {(forced.label, 1)}
@@ -358,12 +358,10 @@ class TestRunExperiment:
         # each run in a fresh interpreter, so no cache or thread count carries
         # over: threads=1 computes in a process with OpenBLAS at its default
         # thread count, threads=2 in pool workers pinned to one thread
-        (tmp_path / "config.txt").write_text(format_config(tiny_config(**overrides)))
         for threads in (1, 2):
-            run_cli_fresh(
-                "experiment", "--config", str(tmp_path / "config.txt"), "--threads", str(threads),
-                "--out-dir", str(tmp_path / f"threads{threads}"),
-            )
+            config = tmp_path / f"threads{threads}.cfg"
+            config.write_text(format_config(tiny_config(**overrides, threads=threads)))
+            run_cli_fresh("experiment", "--config", str(config), "--out-dir", str(tmp_path / f"threads{threads}"))
         csv = lambda run: (tmp_path / run / "results.csv").read_bytes()
         assert csv("threads1") == csv("threads2")
 
@@ -969,13 +967,11 @@ class TestCli:
         (["fit", "--method", "vecchia", "--cutoff", "0.2"], "--cutoff"),
         (["simulate", "--method", "mle"], "--method"),
         (["experiment", "--m", "3"], "--m"),
-        (["experiment", "--threads", "0"], "threads"),
         # argparse prints the usage line, which lists --bandwidth, before any
         # error, so the row checks the mutual-exclusion text itself
         pytest.param(["intensity", "--selector", "diggle", "--bandwidth", "0.1"],
                      "argument --bandwidth: not allowed with argument --selector", id="args9---bandwidth"),
         (["simulate", "--seed", "-1"], "seed must be >= 0, got -1"),
-        (["experiment", "--seed", "-1"], "seed must be >= 0, got -1"),
     ])
     def test_unread_or_contradictory_flags_rejected(self, args, named, dataset_csv, tmp_path, capsys):
         # every other input is valid, so the flag under test is the only fault
@@ -1037,16 +1033,6 @@ class TestCli:
         path.write_text(f"x,y\n0.5,0.5\n{row}\n")
         assert exit_code(["intensity", "--points", str(path), "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith(f"isiw: {path}: line 3: ")
-
-    def test_experiment_threads_override_config(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(
-            "replicates=1\ngrid_nx=8\ngrid_ny=8\nphi=0.15\nn=20\n"
-            "methods=mle\nseed=2\ntiming=off\nthreads=2\n"
-        )
-        out = tmp_path / "results"
-        assert cli_main(["experiment", "--config", str(cfg), "--threads", "1", "--out-dir", str(out)]) == 0
-        assert "threads=1" in (out / "run_metadata.txt").read_text().splitlines()
 
     def test_usage_error_exit_code(self):
         assert cli_main(["fit", "--data", "/nonexistent.csv"]) == 1
@@ -1174,6 +1160,7 @@ class TestCli:
         ("sample", "parent_rate", "thomas_parent_rate"),
         ("sample", "offspring_scale", "thomas_offspring_scale"),
         ("fit", "m", "m"),
+        *[(command, "seed", "seed") for command in ("simulate", "sample")],
     ])
     def test_default_is_the_config_default(self, command, dest, key):
         required = {
@@ -1212,14 +1199,16 @@ class TestCli:
                                  "--selector", "--bandwidth"]),
             "fit": sorted(["--domain", "--threshold", "--nu", "--data", "--method", "--m", "--cutoff", "--out"]),
             "krige": sorted(["--domain", "--data", "--fit", "--nx", "--ny", "--out"]),
-            "experiment": sorted(["--out-dir", "--config", "--threads", "--seed"]),
+            "experiment": sorted(["--out-dir", "--config"]),
         }
-        assert sum(map(len, flags.values())) == 42
+        assert sum(map(len, flags.values())) == 40
 
     @pytest.mark.parametrize("argv", [
         ["fit", "--out-dir", "x"], ["fit", "--seed", "1"], ["simulate", "--out-dir", "x"],
-        ["krige", "--mu", "4"], ["krige", "--nu", "1.5"],
-    ], ids=["fit-out-dir", "fit-seed", "simulate-out-dir", "krige-mu", "krige-nu"])
+        ["krige", "--mu", "4"], ["krige", "--nu", "1.5"], ["experiment", "--threads", "2"],
+        ["experiment", "--seed", "3"],
+    ], ids=["fit-out-dir", "fit-seed", "simulate-out-dir", "krige-mu", "krige-nu", "experiment-threads",
+            "experiment-seed"])
     def test_removed_flag_is_unrecognized(self, argv, dataset_csv, fit_csv, tmp_path, capsys):
         # one path per output file; krige's parameters come from the fit CSV
         inputs = {"fit": ["--data", str(dataset_csv)], "krige": ["--data", str(dataset_csv), "--fit", str(fit_csv)]}

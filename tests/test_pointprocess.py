@@ -11,6 +11,7 @@ from isiw import (
     SeedStream,
     compute_intensity,
     sample_conditioned,
+    sample_pattern,
     sample_thomas,
     simulate_field,
 )
@@ -219,6 +220,22 @@ class TestSampleThomas:
         spec = SamplerSpec(kind="thomas", n=5000, beta=1.0, parent_rate=1.0)
         with pytest.raises(RuntimeError, match="never reached"):
             sample_thomas(fld, spec, SeedStream(1))
+
+
+class TestSamplePattern:
+    @pytest.mark.parametrize("kind", ["lgcp", "scp", "thomas"])
+    def test_draws_what_the_kinds_sampler_draws(self, kind):
+        fld = simulate_field(GridSpec(UNIT, 16, 16), CovParams(1.5, 0.15, 1.0), SeedStream(5))
+        spec = SamplerSpec(kind=kind, n=40, beta=1.0)
+        locs, intensity = sample_pattern(fld, spec, SeedStream(6, (1,)))
+        if kind == "thomas":
+            expected = sample_thomas(fld, spec, SeedStream(6, (1,)))
+            assert intensity is None
+        else:
+            lam = compute_intensity(kind, fld, spec)
+            expected = sample_conditioned(fld, lam, spec.n, SeedStream(6, (1,)))
+            assert intensity.tobytes() == lam.tobytes()
+        assert locs.tobytes() == expected.tobytes()
 
 
 class TestSamplerSpec:
