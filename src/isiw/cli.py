@@ -80,6 +80,8 @@ _SHARED = {
     "out-dir": dict(default=".", help="directory for output files"),
     "domain": dict(type=_argument(parse_domain), default=DEFAULTS["domain"], help="study region x0,x1,y0,y1"),
     "nu": dict(type=float, default=DEFAULTS["nu"], help="Matérn smoothness (fixed)"),
+    "nx": dict(type=int, default=DEFAULTS["grid_nx"], help="grid cells along x"),
+    "ny": dict(type=int, default=None, help="grid cells along y (default: --nx)"),
     "threshold": dict(type=float, default=None,
                       help="winsorization lower threshold on normalized intensity"),
 }
@@ -117,10 +119,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="isiw", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _subcommand(sub, "simulate", ("seed", "domain", "nu"),
+    p = _subcommand(sub, "simulate", ("seed", "domain", "nu", "nx", "ny"),
                     help="simulate a Matérn field on a grid")
-    p.add_argument("--nx", type=int, default=DEFAULTS["grid_nx"])
-    p.add_argument("--ny", type=int, default=None)
     p.add_argument("--sigma2", type=float, default=DEFAULTS["sigma2"])
     p.add_argument("--phi", type=float, default=0.15)
     p.add_argument("--out", default="field.csv")
@@ -134,11 +134,9 @@ def build_parser() -> _Parser:
     p.add_argument("--offspring-scale", type=float, default=None, help="thomas only")
     p.add_argument("--out", default="points.csv")
 
-    p = _subcommand(sub, "intensity", ("out-dir", "domain", "threshold"),
+    p = _subcommand(sub, "intensity", ("out-dir", "domain", "threshold", "nx", "ny"),
                     help="kernel intensity on a grid plus inverse-intensity weights")
     p.add_argument("--points", required=True, help="points CSV (x,y)")
-    p.add_argument("--nx", type=int, default=DEFAULTS["grid_nx"], help="evaluation grid resolution")
-    p.add_argument("--ny", type=int, default=None)
     bandwidth = p.add_mutually_exclusive_group()
     bandwidth.add_argument("--selector", default=SCOTT, choices=[SCOTT, *GRID_METHODS],
                            help="bandwidth selector")
@@ -156,11 +154,9 @@ def build_parser() -> _Parser:
                    help="isiw-pm pairwise distance cutoff")
     p.add_argument("--out", default="fit.csv", help="fit CSV: parameters, kappa and diagnostics")
 
-    p = _subcommand(sub, "krige", ("domain",), help="predict a surface from fitted parameters")
+    p = _subcommand(sub, "krige", ("domain", "nx", "ny"), help="predict a surface from fitted parameters")
     p.add_argument("--data", required=True, help="data CSV (x,y,value)")
     p.add_argument("--fit", required=True, help="fit CSV from 'fit', or any one-row mu,sigma2,phi,tau2,nu CSV")
-    p.add_argument("--nx", type=int, default=DEFAULTS["grid_nx"])
-    p.add_argument("--ny", type=int, default=None)
     p.add_argument("--out", default="surface.csv")
 
     p = _subcommand(sub, "experiment", ("out-dir",), help="run a replicated comparison")

@@ -30,9 +30,11 @@ import functools
 import hashlib
 import math
 import time
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
 from itertools import product, repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -465,17 +467,28 @@ def run_experiment(config: ExperimentConfig, out_dir) -> tuple:
     return rows, summary
 
 
-def summarize(rows) -> list:
-    """Mean and sd of RMSPE per (scenario, method, variant)."""
+def _grouped(rows, key) -> list:
+    """``(key(row), group)`` pairs in key order, each group the rows of
+    that key in the order of ``rows``."""
     groups: dict = {}
-    for r in rows:
-        groups.setdefault((r.scenario, r.method, r.variant), []).append(r.rmspe)
+    for row in rows:
+        groups.setdefault(key(row), []).append(row)
+    return sorted(groups.items())
+
+
+_BY_SCENARIO_METHOD = attrgetter("scenario", "method", "variant")
+
+
+def summarize(rows) -> list:
+    """Mean and sd of RMSPE per (scenario, method, variant), over its
+    finite values. ``n`` counts every row of the group and ``failures``
+    the rows whose RMSPE is not finite."""
     out = []
-    for (scenario, method, variant), vals in sorted(groups.items()):
-        ok = np.array([v for v in vals if math.isfinite(v)])
+    for key, group in _grouped(rows, _BY_SCENARIO_METHOD):
+        ok = np.array([r.rmspe for r in group if math.isfinite(r.rmspe)])
         mean = float(np.mean(ok)) if ok.size else math.nan
         sd = float(np.std(ok, ddof=1)) if ok.size > 1 else 0.0
-        out.append((scenario, method, variant, mean, sd, len(vals), len(vals) - ok.size))
+        out.append((*key, mean, sd, len(group), len(group) - ok.size))
     return out
 
 
@@ -489,56 +502,47 @@ def _average_ranks(values) -> np.ndarray:
     return below + (tied + 1) / 2.0
 
 
+# a finite row of rank_table, with its rank in its cell and the cell's mle RMSPE (None without an mle row)
+_Ranked = namedtuple("_Ranked", "scenario method variant rmspe rank mle_rmspe")
+
+
 def rank_table(rows) -> list:
-    """Per-scenario (plus pooled "all") rank statistics and the share of
-    replicates beating ``mle``, the unweighted fit: exact up to
-    ``exact_mle_max_n`` points and Vecchia above."""
-    by_cell: dict = {}
-    for r in rows:
-        if math.isfinite(r.rmspe):
-            by_cell.setdefault((r.scenario, r.replicate), []).append(r)
+    """Median and mean RMSPE rank per (scenario, method, variant), and the
+    share of its replicates with lower RMSPE than ``mle``, the unweighted
+    fit: exact up to ``exact_mle_max_n`` points and Vecchia above.
 
-    def stats(scenario_filter):
-        ranks: dict = {}
-        beats: dict = {}
-        for (scenario, _rep), cell in by_cell.items():
-            if scenario_filter is not None and scenario != scenario_filter:
-                continue
-            vals = _average_ranks([r.rmspe for r in cell])
-            mle = next((r.rmspe for r in cell if r.method == METHOD_MLE), None)
-            for r, rank in zip(cell, vals):
-                key = (r.method, r.variant)
-                ranks.setdefault(key, []).append(rank)
-                if mle is not None and r.method != METHOD_MLE:
-                    beats.setdefault(key, []).append(r.rmspe < mle)
-        label = scenario_filter if scenario_filter is not None else "all"
-        out = []
-        for key in sorted(ranks):
-            rk = np.array(ranks[key])
-            pct = 100.0 * np.mean(beats[key]) if key in beats else math.nan
-            out.append((label, key[0], key[1], float(np.median(rk)), float(np.mean(rk)), float(pct)))
-        return out
-
-    scenarios = sorted({s for s, _ in by_cell})
+    Each replicate cell is ranked once, among its finite rows, tied values
+    sharing their mean rank. When the rows hold more than one scenario,
+    rows labelled ``all`` follow, pooling every cell's ranks per (method,
+    variant). The share is NaN for ``mle`` itself and for a method with no
+    ``mle`` row in any of its cells."""
+    ranked = []
+    finite = [r for r in rows if math.isfinite(r.rmspe)]
+    for _cell, group in _grouped(finite, attrgetter("scenario", "replicate")):
+        mle = next((r.rmspe for r in group if r.method == METHOD_MLE), None)
+        ranks = _average_ranks([r.rmspe for r in group])
+        ranked.extend(_Ranked(r.scenario, r.method, r.variant, r.rmspe, rank, mle) for r, rank in zip(group, ranks))
+    groups = _grouped(ranked, _BY_SCENARIO_METHOD)
+    if len({r.scenario for r in ranked}) > 1:
+        groups += [(("all", *key), group) for key, group in _grouped(ranked, attrgetter("method", "variant"))]
     table = []
-    for scenario in scenarios:
-        table.extend(stats(scenario))
-    if len(scenarios) > 1:
-        table.extend(stats(None))
+    for key, group in groups:
+        ranks = np.array([r.rank for r in group])
+        beats = [r.rmspe < r.mle_rmspe for r in group if r.mle_rmspe is not None and r.method != METHOD_MLE]
+        pct = 100.0 * np.mean(beats) if beats else math.nan
+        table.append((*key, float(np.median(ranks)), float(np.mean(ranks)), float(pct)))
     return table
 
 
 def _param_table(config, rows) -> list:
+    """Relative bias and RMSE of each parameter per (scenario, method,
+    variant), over the rows with a fit."""
     phi_by_label = {sc.label: sc.phi for sc in config.scenarios()}
-    groups: dict = {}
-    for r in rows:
-        if r.psi_hat is not None:
-            groups.setdefault((r.scenario, r.method, r.variant), []).append(r.psi_hat)
+    fitted = [r for r in rows if r.psi_hat is not None]
     out = []
-    for (scenario, method, variant), fits in sorted(groups.items()):
-        metrics = param_metrics(fits, config.truth(phi_by_label[scenario]))
-        for name, (bias, rms) in metrics.items():
-            out.append((scenario, method, variant, name, bias, rms))
+    for (scenario, method, variant), group in _grouped(fitted, _BY_SCENARIO_METHOD):
+        metrics = param_metrics([r.psi_hat for r in group], config.truth(phi_by_label[scenario]))
+        out.extend((scenario, method, variant, name, bias, rms) for name, (bias, rms) in metrics.items())
     return out
 
 
@@ -592,17 +596,19 @@ def parse_domain(text: str) -> Domain:
 def _convert(key: str, value: str):
     """The typed value of the config entry ``key=value``, of the type of
     the key's default in :class:`ExperimentConfig` (``pm_cutoff``, whose
-    default is None, is a float or empty); raises KeyError for an unknown
-    key and ValueError for a value that does not convert."""
+    default is None, is a float or empty; an empty list value is the empty
+    tuple); raises KeyError for an unknown key and ValueError for a value
+    that does not convert, a list with an empty entry included."""
     if key == "pm_cutoff":
         return float(value) if value else None
     default = DEFAULTS[key]
     if isinstance(default, Domain):
         return parse_domain(value)
     if isinstance(default, tuple):
-        if isinstance(default[0], str):
-            return tuple(v.strip() for v in value.split(",") if v.strip())
-        return tuple(type(default[0])(v) for v in value.split(","))
+        entries = [v.strip() for v in value.split(",")] if value.strip() else []
+        if "" in entries:
+            raise ValueError(f"empty entry in {value!r}")
+        return tuple(map(type(default[0]), entries))
     if isinstance(default, bool):
         flag = value.lower()
         if flag not in _ON + _OFF:

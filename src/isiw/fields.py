@@ -186,7 +186,13 @@ def observe(
     tau2: float,
     seed: SeedStream,
 ) -> Dataset:
-    """Noisy observations Y_i = mu + S(x_i) + eps_i, eps_i ~ N(0, tau2)."""
+    """Noisy observations Y_i = mu + S(x_i) + eps_i, eps_i ~ N(0, tau2).
+
+    S(x_i) is S at the centre of the grid cell holding x_i, since
+    :meth:`FieldRealization.at` is a nearest-cell lookup, while x_i itself
+    is jittered uniformly within its cell (the Cox samplers) or lies
+    anywhere in the domain (Thomas). So points that share a cell share S,
+    while the fits and ``krige`` treat them as distinct locations."""
     require_nonnegative("nugget", tau2)
     locs = np.atleast_2d(np.asarray(locs, dtype=float))
     s_at = field.at(locs)

@@ -33,12 +33,16 @@ from isiw.experiment import (
     RESULTS_HEADER,
     WEIGHT_SOURCES,
     ExperimentConfig,
+    MetricsRow,
     _average_ranks,
+    _param_table,
     format_config,
     method_fitter,
     parse_method,
+    rank_table,
     summarize,
 )
+from isiw import experiment
 from isiw import intensity
 from isiw.fields import _embedding_root
 from isiw import (
@@ -592,6 +596,112 @@ def test_average_ranks_equal_rankdata(seed):
     assert np.array_equal(_average_ranks(distinct), rankdata(distinct))
 
 
+# Hand-built rows of two scenarios, two replicates each. In phi0.02, isiw-v
+# and vecchia tie in replicate 0 and vecchia fails in replicate 1; in
+# phi0.15, both mle rows fail, so no cell of that scenario has mle, and
+# isiw-v and vecchia tie in replicate 1.
+TABLE_CONFIG = dict(phi=(0.02, 0.15), methods=("mle", "isiw-v:known", "vecchia"))
+A, B = "lgcp-n40-phi0.02", "lgcp-n40-phi0.15"
+TABLE_RMSPE = {
+    (A, 0): {"mle": 1.0, "isiw-v:known": 0.8, "vecchia": 0.8},
+    (A, 1): {"mle": 0.9, "isiw-v:known": 1.2, "vecchia": math.nan},
+    (B, 0): {"mle": math.nan, "isiw-v:known": 0.5, "vecchia": 0.6},
+    (B, 1): {"mle": math.nan, "isiw-v:known": 0.7, "vecchia": 0.7},
+}
+
+
+def table_rows(rmspe_by_cell=TABLE_RMSPE) -> list:
+    rows = []
+    for (scenario, replicate), cell in rmspe_by_cell.items():
+        for entry, score in cell.items():
+            spec = parse_method(entry)
+            fitted = math.isfinite(score)
+            psi = ModelParams.from_values(4.0 + score, 1.5 - score, 0.1 + score / 10, 0.1) if fitted else None
+            rows.append(MetricsRow(replicate, scenario, spec.name, spec.source, score, psi, 0.0, fitted))
+    return rows
+
+
+def test_summarize_counts_every_row_and_averages_the_finite_ones():
+    by_key = {row[:3]: row[3:] for row in summarize(table_rows())}
+    assert list(by_key) == sorted(by_key)
+    expected = {
+        (A, "isiw-v", "known"): (1.0, float(np.std([0.8, 1.2], ddof=1)), 2, 0),
+        (A, "mle", ""): (0.95, float(np.std([1.0, 0.9], ddof=1)), 2, 0),
+        (A, "vecchia", ""): (0.8, 0.0, 2, 1),
+        (B, "isiw-v", "known"): (0.6, float(np.std([0.5, 0.7], ddof=1)), 2, 0),
+        (B, "mle", ""): (math.nan, 0.0, 2, 2),
+        (B, "vecchia", ""): (0.65, float(np.std([0.6, 0.7], ddof=1)), 2, 0),
+    }
+    assert by_key.keys() == expected.keys()
+    for key, (mean, sd, count, failures) in expected.items():
+        assert by_key[key] == (pytest.approx(mean, nan_ok=True), pytest.approx(sd), count, failures), key
+
+
+def test_rank_table_ranks_each_cell_among_its_finite_rows():
+    from scipy.stats import rankdata
+
+    ranks, beats = {}, {}  # by (scenario, method, variant), pooled under "all" too
+    for (scenario, _), cell in TABLE_RMSPE.items():
+        finite = {entry: score for entry, score in cell.items() if math.isfinite(score)}
+        for (entry, score), rank in zip(finite.items(), rankdata(list(finite.values()))):
+            spec = parse_method(entry)
+            for label in (scenario, "all"):
+                ranks.setdefault((label, *spec), []).append(rank)
+                if "mle" in finite and spec.name != "mle":
+                    beats.setdefault((label, *spec), []).append(score < finite["mle"])
+    table = rank_table(table_rows())
+    assert [row[:3] for row in table] == [
+        (A, "isiw-v", "known"), (A, "mle", ""), (A, "vecchia", ""),
+        (B, "isiw-v", "known"), (B, "vecchia", ""),  # no finite mle row in B
+        ("all", "isiw-v", "known"), ("all", "mle", ""), ("all", "vecchia", ""),
+    ]
+    for *key, median, mean, pct in table:
+        assert (median, mean) == (np.median(ranks[tuple(key)]), pytest.approx(np.mean(ranks[tuple(key)]))), key
+        if tuple(key) in beats:
+            assert pct == pytest.approx(100.0 * np.mean(beats[tuple(key)])), key
+        else:
+            assert math.isnan(pct), key
+    pct = {tuple(row[:3]): row[5] for row in table}
+    assert (pct[A, "isiw-v", "known"], pct[A, "vecchia", ""], pct["all", "vecchia", ""]) == (50.0, 100.0, 100.0)
+    assert all(math.isnan(pct[key]) for key in [(A, "mle", ""), ("all", "mle", ""), (B, "isiw-v", "known")])
+
+    # one scenario and no mle: no "all" rows, and no share anywhere
+    without_mle = {cell: {e: v for e, v in scores.items() if e != "mle"}
+                   for cell, scores in TABLE_RMSPE.items() if cell[0] == A}
+    table = rank_table(table_rows(without_mle))
+    assert [row[:3] for row in table] == [(A, "isiw-v", "known"), (A, "vecchia", "")]
+    assert all(math.isnan(row[5]) for row in table)
+
+
+def test_rank_table_ranks_each_cell_once(monkeypatch):
+    calls = []
+
+    def counted(values):
+        calls.append(list(values))
+        return _average_ranks(values)
+
+    monkeypatch.setattr(experiment, "_average_ranks", counted)
+    rank_table(table_rows())
+    assert len(calls) == len(TABLE_RMSPE)  # 4 cells in 2 scenarios, the pooled rows included
+
+
+def test_param_table_skips_failed_rows():
+    config = tiny_config(**TABLE_CONFIG)
+    rows = table_rows()
+    table = _param_table(config, rows)
+    expected = []
+    for scenario, phi in ((A, 0.02), (B, 0.15)):
+        for method, variant in (("isiw-v", "known"), ("mle", ""), ("vecchia", "")):
+            fits = [r.psi_hat for r in rows if (r.scenario, r.method, r.variant) == (scenario, method, variant)
+                    and math.isfinite(r.rmspe)]
+            if fits:
+                metrics = param_metrics(fits, config.truth(phi))
+                expected += [(scenario, method, variant, name, *pair) for name, pair in metrics.items()]
+    assert [row[:4] for row in table] == [row[:4] for row in expected]
+    assert np.allclose([row[4:] for row in table], [row[4:] for row in expected], equal_nan=True)
+    assert (B, "mle", "") not in {row[:3] for row in table}  # both of its rows failed
+
+
 class TestConfigFormat:
     def test_round_trip(self):
         config = tiny_config(pm_cutoff=0.3, samplers=("lgcp", "scp"), methods=("mle", "isiw-pm:CvL"))
@@ -660,7 +770,12 @@ class TestConfigFormat:
         ("seed=3\nn=100,1.5", "config line 2: n: invalid literal for int"),
         ("domain=0,1,0", "config line 1: domain: must be x0,x1,y0,y1, got '0,1,0'"),
         ("replicates=", "config line 1: replicates: invalid literal for int"),
-    ], ids=["float", "int-list", "domain", "empty-int"])
+        ("methods=mle,,isiw-v:CvL", "config line 1: methods: empty entry in 'mle,,isiw-v:CvL'"),
+        ("seed=3\nsamplers=lgcp,", "config line 2: samplers: empty entry in 'lgcp,'"),
+        ("n=100,", "config line 1: n: empty entry in '100,'"),
+        ("phi=0.02, ,0.15", "config line 1: phi: empty entry in '0.02, ,0.15'"),
+    ], ids=["float", "int-list", "domain", "empty-int", "empty-method-entry", "empty-sampler-entry",
+            "empty-int-entry", "blank-float-entry"])
     def test_bad_value_names_line_and_key(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_config(text)
@@ -755,6 +870,8 @@ class TestConfigFormat:
     def test_empty_scenario_list_rejected(self, key):
         with pytest.raises(ValueError, match=f"{key} must list at least one value"):
             ExperimentConfig(**{key: ()})
+        with pytest.raises(ValueError, match=f"^{key} must list at least one value$"):
+            parse_config(f"{key}=")
 
 
 class TestMethodVocabulary:
