@@ -206,11 +206,10 @@ def _cmd_intensity(args) -> int:
 
 def _cmd_fit(args) -> int:
     data = io.read_dataset_csv(args.data)  # whether mle reads --m depends on the data size
-    _read_settings(args, unread_settings((), [args.method], [data.n], DEFAULTS["exact_mle_max_n"]))
+    _read_settings(args, unread_settings((), [args.method], [data.n]))
     check_fit_settings(args.m, args.threshold, args.cutoff, ("--m", "--threshold", "--cutoff"))
     fit_one = method_fitter(
-        data, args.domain, nu=args.nu, m=args.m, threshold=args.threshold,
-        pair_cutoff=args.cutoff, exact_mle_max_n=DEFAULTS["exact_mle_max_n"],
+        data, args.domain, nu=args.nu, m=args.m, threshold=args.threshold, pair_cutoff=args.cutoff,
     )
     io.write_fit_csv(args.out, fit_one(args.method, 0))  # restart seed 0, as no measured fit restarts
     print(f"wrote the fit to {args.out}")

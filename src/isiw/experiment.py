@@ -15,7 +15,9 @@ CvL.adaptive. ``known`` reads the true sampling intensity off the
 simulated surface; the others estimate it from the point pattern.
 :func:`parse_method` reads an entry and the runner of
 :func:`method_fitter` fits it to a dataset; ``isiw fit --method`` uses
-both too, so one entry means one fit everywhere.
+both too, so one entry means one fit everywhere. The one exception is a
+fit that restarts: ``isiw fit`` seeds its restarts with 0, an experiment
+from its seed, cell and method, so only such a fit can differ.
 
 Every row is reproducible from (seed, scenario, replicate): streams are
 keyed by a hash of the scenario label plus the replicate id, fits are
@@ -65,6 +67,7 @@ METHOD_MLE = "mle"
 METHOD_VECCHIA = "vecchia"
 METHOD_ISIW_V = "isiw-v"
 METHOD_ISIW_PM = "isiw-pm"
+EXACT_MLE_MAX_N = 200  # mle fits the exact likelihood up to this many points and unweighted Vecchia above
 
 
 class MethodSpec(NamedTuple):
@@ -98,27 +101,26 @@ def check_fit_settings(m: int, threshold: float, pair_cutoff, names=("m", "thres
         raise ValueError(f"{names[2]} must be positive, got {pair_cutoff}")
 
 
-def unread_settings(samplers, specs=(), n_values=(), exact_mle_max_n: int = 0) -> dict:
+def unread_settings(samplers, specs=(), n_values=()) -> dict:
     """The settings that a run of ``samplers``, the method entries ``specs``
     (parsed) and the pattern sizes ``n_values`` does not read, each mapped
     to the reason. Every other setting is read by every run. ``mle`` fits
-    the Vecchia likelihood above ``exact_mle_max_n`` points, so it reads
-    ``m`` when some n is larger."""
+    the Vecchia likelihood above :data:`EXACT_MLE_MAX_N` points, so it
+    reads ``m`` when some n is larger."""
     present = {*samplers, *(spec.name for spec in specs)}  # no sampler kind is a method name
     kinds = ", ".join(dict.fromkeys(samplers))
     fits = ", ".join(dict.fromkeys(spec.name for spec in specs))
     vecchia_fits = {METHOD_VECCHIA, METHOD_ISIW_V}
-    if any(n > exact_mle_max_n for n in n_values):
+    if any(n > EXACT_MLE_MAX_N for n in n_values):
         vecchia_fits.add(METHOD_MLE)
     thomas = ({THOMAS}, f"the {THOMAS} sampler", kinds)
     rules = {  # key: (the samplers or methods that read it, as described, and the run's own)
         "thomas_parent_rate": thomas,
         "thomas_offspring_scale": thomas,
-        "exact_mle_max_n": ({METHOD_MLE}, f"the {METHOD_MLE} method", fits),
         "m": (
             vecchia_fits,
             f"a Vecchia fit ({METHOD_VECCHIA}, {METHOD_ISIW_V}, or {METHOD_MLE} above "
-            f"exact_mle_max_n={exact_mle_max_n} points)",
+            f"{EXACT_MLE_MAX_N} points)",
             f"{fits} at n={','.join(str(n) for n in n_values)}",
         ),
         "threshold": ({METHOD_ISIW_V, METHOD_ISIW_PM}, f"the {METHOD_ISIW_V} and {METHOD_ISIW_PM} methods", fits),
@@ -133,11 +135,11 @@ def unread_settings(samplers, specs=(), n_values=(), exact_mle_max_n: int = 0) -
 
 def method_fitter(
     data: Dataset, domain: Domain, *, nu: float, m: int, threshold: float,
-    pair_cutoff: float | None, exact_mle_max_n: int, known_intensity=None,
+    pair_cutoff: float | None, known_intensity=None,
 ):
     """The method runner of ``data``: ``fit_one(spec, restart_seed)`` returns
     the :class:`~isiw.inference.FitResult` of the method entry ``spec``.
-    ``mle`` is the exact likelihood up to ``exact_mle_max_n`` points and
+    ``mle`` is the exact likelihood up to :data:`EXACT_MLE_MAX_N` points and
     unweighted Vecchia above. The start point, the Vecchia plan (max-min
     order, up to ``m`` nearest earlier neighbours) and each source's
     inverse-intensity weights are built on first use and shared by every
@@ -159,7 +161,7 @@ def method_fitter(
         return weights_from_intensity(known_intensity, threshold)
 
     def fit_one(spec: MethodSpec, restart_seed: int) -> FitResult:
-        if spec.name == METHOD_MLE and data.n <= exact_mle_max_n:
+        if spec.name == METHOD_MLE and data.n <= EXACT_MLE_MAX_N:
             objective = Objective(kind=EXACT)
         elif spec.name in (METHOD_MLE, METHOD_VECCHIA):
             objective = Objective(kind=VECCHIA, plan=plan())
@@ -198,12 +200,13 @@ class ExperimentConfig:
     pm_cutoff: float | None = None
     seed: int = 1
     threads: int = 1
-    exact_mle_max_n: int = 200
     thomas_parent_rate: float = 25.0
     thomas_offspring_scale: float = 0.1
     timing: bool = True
-    # not a setting: given n, e^alpha cancels; goes with perfbench/mirror.py (ROADMAP items 19 and 20)
+    # not settings, read by perfbench/mirror.py, so they go with it (ROADMAP item 19): given n, e^alpha
+    # cancels (item 20), and mle's exact/Vecchia switch is the constant EXACT_MLE_MAX_N
     alpha = 0.0
+    exact_mle_max_n = EXACT_MLE_MAX_N
 
     def __post_init__(self):
         require_at_least("replicates", self.replicates, 1)
@@ -262,7 +265,7 @@ class ExperimentConfig:
     def unread_settings(self) -> dict:
         """The settings this run does not read, by :func:`unread_settings`;
         each holds its default."""
-        return unread_settings(self.samplers, self.method_specs(), self.n, self.exact_mle_max_n)
+        return unread_settings(self.samplers, self.method_specs(), self.n)
 
     def scenarios(self) -> list:
         out = []
@@ -393,7 +396,7 @@ def run_replicate(config: ExperimentConfig, scenario: Scenario, replicate: int) 
     centers = grid.cell_centers()
     fit_one = method_fitter(
         data, config.domain, nu=config.nu, m=config.m, threshold=config.threshold,
-        pair_cutoff=config.pm_cutoff, exact_mle_max_n=config.exact_mle_max_n,
+        pair_cutoff=config.pm_cutoff,
         known_intensity=None if cell_intensity is None else cell_intensity[fld.grid.locate(locs)],
     )
 
@@ -509,7 +512,7 @@ _Ranked = namedtuple("_Ranked", "scenario method variant rmspe rank mle_rmspe")
 def rank_table(rows) -> list:
     """Median and mean RMSPE rank per (scenario, method, variant), and the
     share of its replicates with lower RMSPE than ``mle``, the unweighted
-    fit: exact up to ``exact_mle_max_n`` points and Vecchia above.
+    fit: exact up to :data:`EXACT_MLE_MAX_N` points and Vecchia above.
 
     Each replicate cell is ranked once, among its finite rows, tied values
     sharing their mean rank. When the rows hold more than one scenario,

@@ -9,6 +9,9 @@ runs them from its own directory.
 The config fits at nu=1 because ``traced_replicate`` calls ``default_init``
 without ``nu`` (at nu != 1 the mirror's rows differ). ROADMAP item 19
 deletes this test together with ``traced_replicate``.
+
+The two pattern sizes straddle ``EXACT_MLE_MAX_N``, so the mirror is
+checked on both likelihoods that ``mle`` fits: exact and Vecchia.
 """
 
 import importlib.util
@@ -19,6 +22,7 @@ import numpy as np
 import pytest
 
 from isiw import Dataset, ExperimentConfig, run_replicate
+from isiw.experiment import EXACT_MLE_MAX_N
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -34,20 +38,19 @@ def _load(name):
 mirror = _load("mirror")
 bench = _load("run")
 
-# exact_mle_max_n sits between the two n, so mle fits the exact likelihood
-# at n=25 and the Vecchia one at n=40
+# EXACT_MLE_MAX_N (200) sits between the two n, so mle fits the exact
+# likelihood at n=25 and the Vecchia one at n=201
 CONFIG = ExperimentConfig(
     replicates=1,
     grid_nx=16,
     grid_ny=16,
     nu=1.0,
     phi=(0.15,),
-    n=(25, 40),
+    n=(25, 201),
     methods=(
         "mle", "vecchia", "isiw-v:known", "isiw-v:diggle", "isiw-v:CvL.adaptive",
         "isiw-pm:CvL.adaptive",
     ),
-    exact_mle_max_n=30,
     seed=3,
     threads=1,
     timing=False,
@@ -60,7 +63,7 @@ def test_traced_rows_equal_run_replicate(scenario):
     ref = run_replicate(CONFIG, scenario, 0)
     assert [r.error for r in ref] == [None] * len(CONFIG.methods)
     assert [mirror.fingerprint(r) for r in rows] == [mirror.fingerprint(r) for r in ref]
-    mle_kind = "exact" if scenario.n <= CONFIG.exact_mle_max_n else "vecchia"
+    mle_kind = "exact" if scenario.n <= EXACT_MLE_MAX_N else "vecchia"
     assert set(stats.nll) == {mle_kind, "vecchia", "pairwise-marginal"}
 
 

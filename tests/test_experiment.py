@@ -30,6 +30,7 @@ from isiw import (
 )
 from isiw._linalg import NotPositiveDefiniteError, blas_threads
 from isiw.experiment import (
+    EXACT_MLE_MAX_N,
     RESULTS_HEADER,
     WEIGHT_SOURCES,
     ExperimentConfig,
@@ -724,13 +725,17 @@ class TestConfigFormat:
         assert config.timing is False
 
     def test_unknown_key_rejected(self):
-        # alpha is no setting: given n, e^alpha cancels from the sampling probabilities
-        for text in ("no_such_key=1", "alpha=0", "samplers=scp\nalpha=3", "samplers=thomas\nmethods=mle\nalpha=3"):
+        # alpha is no setting: given n, e^alpha cancels from the sampling probabilities;
+        # nor is exact_mle_max_n: mle switches to Vecchia above the constant EXACT_MLE_MAX_N
+        for text in ("no_such_key=1", "alpha=0", "samplers=scp\nalpha=3", "samplers=thomas\nmethods=mle\nalpha=3",
+                     "exact_mle_max_n=200"):
             key = text.splitlines()[-1].split("=")[0]
             with pytest.raises(ValueError, match=f"unknown key '{key}'$"):
                 parse_config(text)
         with pytest.raises(TypeError, match="alpha"):
             ExperimentConfig(alpha=0.0)
+        with pytest.raises(TypeError, match="exact_mle_max_n"):
+            ExperimentConfig(exact_mle_max_n=200)
 
     @pytest.mark.parametrize(
         "text, message",
@@ -883,15 +888,11 @@ class TestMethodVocabulary:
             with pytest.raises(ValueError, match=message):
                 parse_method(entry)
 
-    @pytest.mark.parametrize("n,kind", [(ExperimentConfig.exact_mle_max_n, "exact"),
-                                        (ExperimentConfig.exact_mle_max_n + 1, "vecchia")])
+    @pytest.mark.parametrize("n,kind", [(EXACT_MLE_MAX_N, "exact"), (EXACT_MLE_MAX_N + 1, "vecchia")])
     def test_mle_switches_to_vecchia_above_exact_max_n(self, n, kind, monkeypatch):
         objectives = []
         monkeypatch.setattr("isiw.experiment.fit", lambda objective, *_: objectives.append(objective))
-        fit_one = method_fitter(
-            random_dataset(n), UNIT_DOMAIN, nu=1.0, m=5, threshold=0.01, pair_cutoff=None,
-            exact_mle_max_n=ExperimentConfig.exact_mle_max_n,
-        )
+        fit_one = method_fitter(random_dataset(n), UNIT_DOMAIN, nu=1.0, m=5, threshold=0.01, pair_cutoff=None)
         fit_one(parse_method("mle"), 0)
         [objective] = objectives
         assert objective.kind == kind and objective.weights is None
@@ -899,7 +900,7 @@ class TestMethodVocabulary:
 
 class TestMethodRunner:
     def test_dataset_work_is_done_once_and_shared(self, monkeypatch):
-        # n above exact_mle_max_n, so mle needs the Vecchia plan too; diggle
+        # n above EXACT_MLE_MAX_N, so mle needs the Vecchia plan too; diggle
         # is the one selector the four methods use
         calls, objectives = [], []
         for name in ("default_init", "nn_conditioning_sets", "select_bandwidth"):
@@ -909,8 +910,7 @@ class TestMethodRunner:
             monkeypatch.setattr(isiw.experiment, name, counted)
         monkeypatch.setattr("isiw.experiment.fit", lambda objective, *_: objectives.append(objective))
         fit_one = method_fitter(
-            random_dataset(ExperimentConfig.exact_mle_max_n + 1), UNIT_DOMAIN, nu=1.0, m=5,
-            threshold=0.01, pair_cutoff=None, exact_mle_max_n=ExperimentConfig.exact_mle_max_n,
+            random_dataset(EXACT_MLE_MAX_N + 1), UNIT_DOMAIN, nu=1.0, m=5, threshold=0.01, pair_cutoff=None,
         )
         for mi, entry in enumerate(["mle", "vecchia", "isiw-v:diggle", "isiw-pm:diggle"]):
             fit_one(parse_method(entry), mi)
@@ -1056,7 +1056,7 @@ class TestCli:
         # checks the runner the CLI and the experiment share
         config = ExperimentConfig()
         data = io.read_dataset_csv(dataset_csv)
-        assert data.n <= config.exact_mle_max_n  # so mle is the exact likelihood
+        assert data.n <= EXACT_MLE_MAX_N  # so mle is the exact likelihood
         method, locs = parse_method(spec), data.locations
         plan = nn_conditioning_sets(locs, maxmin_order(locs), config.m)
         if method.source:
@@ -1355,7 +1355,7 @@ class TestCli:
                                  "restarts_used,phi_capped,gradient_norm")
         config, data = ExperimentConfig(), io.read_dataset_csv(dataset_csv)
         res = method_fitter(data, config.domain, nu=config.nu, m=config.m, threshold=config.threshold,
-                            pair_cutoff=None, exact_mle_max_n=config.exact_mle_max_n)(parse_method("vecchia"), 0)
+                            pair_cutoff=None)(parse_method("vecchia"), 0)
         expected = {**res.psi_hat.as_dict(), "kappa": microergodic(res.psi_hat.theta)}
         expected.update((f.name, getattr(res, f.name)) for f in dataclasses.fields(FitResult) if f.name != "psi_hat")
         assert set(row) == set(expected)
@@ -1377,7 +1377,7 @@ class TestCli:
                          "--out", str(surface)]) == 0
         config, data = ExperimentConfig(), io.read_dataset_csv(dataset_csv)
         res = method_fitter(data, config.domain, nu=config.nu, m=config.m, threshold=config.threshold,
-                            pair_cutoff=None, exact_mle_max_n=config.exact_mle_max_n)(parse_method(spec), 0)
+                            pair_cutoff=None)(parse_method(spec), 0)
         assert io.read_fit_csv(fit_path) == res.psi_hat
         grid = GridSpec(config.domain, 12, 12)
         io.write_surface_csv(tmp_path / "expected.csv", krige(res.psi_hat, data, grid.cell_centers()))
@@ -1437,7 +1437,6 @@ UNREAD = [
      ["sample", "--sampler", "lgcp", "--parent-rate", "30"]),
     (dict(samplers=("lgcp", "scp"), thomas_offspring_scale=0.2), "thomas_offspring_scale",
      ["sample", "--sampler", "scp", "--offspring-scale", "0.2"]),
-    (dict(methods=("vecchia",), exact_mle_max_n=50), "exact_mle_max_n", None),
     (dict(methods=("mle",), n=(100,), m=5), "m", ["fit", "--method", "mle", "--m", "5"]),
     (dict(methods=("isiw-pm:CvL",), m=5), "m", ["fit", "--method", "isiw-pm:CvL", "--m", "5"]),
     (dict(methods=("mle", "vecchia"), threshold=0.5), "threshold",
@@ -1481,9 +1480,8 @@ class TestUnreadSettings:
         dict(samplers=("thomas",), methods=("mle",), beta=2.0),
         dict(samplers=("lgcp", "thomas"), methods=("mle",), thomas_parent_rate=30.0),
         dict(methods=("mle",), n=(100, 300), m=5),
-        dict(methods=("mle",), n=(100,), exact_mle_max_n=50, m=5),
         dict(methods=("isiw-pm:CvL",), threshold=0.5, pm_cutoff=0.3),
-    ], ids=["beta-thomas", "lgcp-thomas", "m-mle-above-max-n", "m-mle-lowered-max-n", "isiw-pm"])
+    ], ids=["beta-thomas", "lgcp-thomas", "m-mle-above-max-n", "isiw-pm"])
     def test_read_settings_accepted(self, settings):
         config = parse_config(config_text(settings))
         assert config == ExperimentConfig(**settings)
@@ -1513,10 +1511,13 @@ class TestUnreadSettings:
         assert not out.exists()
 
     def test_fit_takes_m_for_mle_above_exact_max_n(self, tmp_path):
-        n = ExperimentConfig.exact_mle_max_n + 1
-        io.write_dataset_csv(tmp_path / "data.csv", random_dataset(n))
+        io.write_dataset_csv(tmp_path / "data.csv", random_dataset(EXACT_MLE_MAX_N + 1))
         argv = ["fit", "--data", str(tmp_path / "data.csv"), "--method", "mle"]
         assert cli_main([*argv, "--m", "5", "--out", str(tmp_path / "m5.csv")]) == 0
         assert cli_main([*argv, "--out", str(tmp_path / "m20.csv")]) == 0
         # the Vecchia plan read --m: 5 conditioning points is not the default 20
         assert (tmp_path / "m5.csv").read_text() != (tmp_path / "m20.csv").read_text()
+        # above the switch, mle is the unweighted Vecchia fit
+        assert cli_main(["fit", "--data", str(tmp_path / "data.csv"), "--method", "vecchia",
+                         "--out", str(tmp_path / "vecchia.csv")]) == 0
+        assert (tmp_path / "m20.csv").read_bytes() == (tmp_path / "vecchia.csv").read_bytes()

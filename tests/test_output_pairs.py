@@ -34,7 +34,7 @@ def outputs(tmp_path_factory):
 def test_identical_outputs_pass(outputs, tmp_path):
     change = tmp_path / "change"
     shutil.copytree(outputs, change)
-    assert output_pairs.first_difference(outputs, change) is None
+    assert output_pairs.differences(outputs, change) == []
 
 
 def flipped_digit_copy(outputs, change):
@@ -51,8 +51,20 @@ def flipped_digit_copy(outputs, change):
 
 def test_one_flipped_digit_names_the_file_and_line(outputs, tmp_path):
     flipped_digit_copy(outputs, tmp_path / "change")
-    diff = output_pairs.first_difference(outputs, tmp_path / "change")
-    assert diff is not None and diff.startswith("results.csv line 3\n")
+    [diff] = output_pairs.differences(outputs, tmp_path / "change")
+    assert diff.startswith("results.csv line 3\n")
+
+
+def test_every_differing_file_is_named(outputs, tmp_path, capsys):
+    change = tmp_path / "change"
+    flipped_digit_copy(outputs, change)
+    metadata = (change / "run_metadata.txt").read_text().splitlines(keepends=True)
+    (change / "run_metadata.txt").write_text("".join(metadata[:2] + metadata[3:]))
+    diffs = output_pairs.differences(outputs, change)
+    assert [diff.split("\n")[0] for diff in diffs] == ["results.csv line 3", "run_metadata.txt line 3"]
+    assert output_pairs.compare_all([("a.cfg", outputs, change)]) == 1
+    lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("  ")]
+    assert lines == ["a.cfg differs: results.csv line 3", "a.cfg differs: run_metadata.txt line 3"]
 
 
 def test_compare_goes_on_past_a_differing_config(outputs, tmp_path, capsys):
@@ -70,14 +82,15 @@ def test_missing_file_is_a_difference(outputs, tmp_path):
     change = tmp_path / "change"
     shutil.copytree(outputs, change)
     (change / "ranks.csv").unlink()
-    assert output_pairs.first_difference(outputs, change).startswith("ranks.csv: missing")
+    [diff] = output_pairs.differences(outputs, change)
+    assert diff.startswith("ranks.csv: missing")
 
 
 def test_file_only_the_change_wrote_is_no_difference(outputs, tmp_path):
     change = tmp_path / "change"
     shutil.copytree(outputs, change)
     (change / "new_output.csv").write_text("a,b\n")
-    assert output_pairs.first_difference(outputs, change) is None
+    assert output_pairs.differences(outputs, change) == []
 
 
 @pytest.mark.parametrize("path", sorted(Path(TOOLS, "configs").glob("*.cfg")), ids=lambda path: path.stem)

@@ -12,8 +12,9 @@ in each export, in a fresh process with OpenBLAS on one thread, then
 compares every file the parent's run wrote with the change's, byte for
 byte, line by line. A file that the change's run lacks is a difference; a
 file that only the change's run wrote is not, so a change may add an
-output. It prints one line per config: that it is identical, or the first
-file and line at which it differs. After the last config it exits 0 when
+output. For each config it prints that it is identical, or, for each
+differing file in name order, the first line at which it differs, each on a
+line of its own. After the last config it exits 0 when
 all are identical and 1 otherwise. A run that fails, or a config with
 ``timing=on`` (whose seconds column differs from run to run), exits 2 at
 once.
@@ -43,21 +44,28 @@ def run_experiment(tree: Path, config: Path, out_dir: Path) -> None:
     )
 
 
-def first_difference(parent: Path, change: Path) -> str | None:
-    """The first line at which a file of ``parent``, taken in name order,
-    differs from the file of that name in ``change``, as ``file line N`` with
-    both lines; a file that ``change`` lacks is a difference. None when every
-    file of ``parent`` is byte-identical in ``change``."""
-    for path in sorted(parent.iterdir()):
-        if not (change / path.name).exists():
-            return f"{path.name}: missing from {change}"
-        old, new = (p.read_bytes().splitlines(keepends=True) for p in (path, change / path.name))
-        for lineno in range(1, max(len(old), len(new)) + 1):
-            a = old[lineno - 1] if lineno <= len(old) else b"<end of file>"
-            b = new[lineno - 1] if lineno <= len(new) else b"<end of file>"
-            if a != b:
-                return f"{path.name} line {lineno}\n  parent: {a!r}\n  change: {b!r}"
+def first_difference(path: Path, other: Path) -> str | None:
+    """The first line at which the file ``path`` differs from ``other``, as
+    ``file line N`` with both lines, or that ``other`` is missing; None when
+    the two are byte-identical."""
+    if not other.exists():
+        return f"{path.name}: missing from {other.parent}"
+    old, new = (p.read_bytes().splitlines(keepends=True) for p in (path, other))
+    for lineno in range(1, max(len(old), len(new)) + 1):
+        a = old[lineno - 1] if lineno <= len(old) else b"<end of file>"
+        b = new[lineno - 1] if lineno <= len(new) else b"<end of file>"
+        if a != b:
+            return f"{path.name} line {lineno}\n  parent: {a!r}\n  change: {b!r}"
     return None
+
+
+def differences(parent: Path, change: Path) -> list:
+    """The :func:`first_difference` of each file of ``parent`` that differs
+    from the file of that name in ``change``, in name order; a file that
+    ``change`` lacks is a difference. Empty when every file of ``parent`` is
+    byte-identical in ``change``."""
+    diffs = (first_difference(path, change / path.name) for path in sorted(parent.iterdir()))
+    return [diff for diff in diffs if diff is not None]
 
 
 class RunFailed(Exception):
@@ -81,12 +89,14 @@ def run_pairs(trees: dict, commits: dict, configs: list, tmp: Path):
 
 def compare_all(pairs) -> int:
     """Compare every ``(config name, parent dir, change dir)`` of ``pairs``,
-    printing one line per config; 1 when any differs, 0 otherwise."""
+    printing that a config is identical or each of its differing files; 1
+    when any differs, 0 otherwise."""
     status = 0
     for name, parent, change in pairs:
-        diff = first_difference(parent, change)
-        if diff is not None:
-            print(f"{name} differs: {diff}", flush=True)
+        diffs = differences(parent, change)
+        if diffs:
+            for diff in diffs:
+                print(f"{name} differs: {diff}", flush=True)
             status = 1
             continue
         names = ", ".join(sorted(path.name for path in parent.iterdir()))
