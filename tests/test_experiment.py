@@ -1468,6 +1468,14 @@ class TestUnreadSettings:
         assert capsys.readouterr().err.startswith(f"isiw: {argv[-2]} is read only by ")
         assert not out.exists()
 
+    def test_config_refuses_m_for_mle_at_exact_max_n(self):
+        # at EXACT_MLE_MAX_N points mle is still exact, as method_fitter's switch has it
+        settings = dict(methods=("mle",), n=(EXACT_MLE_MAX_N,), m=5)
+        message = f"^m is read only by .* not by mle at n={EXACT_MLE_MAX_N}$"
+        for refuse in (lambda: parse_config(config_text(settings)), lambda: ExperimentConfig(**settings)):
+            with pytest.raises(ValueError, match=message):
+                refuse()
+
     def test_config_refuses_unread_key_at_its_default(self):
         # only a file can set a key to its default; the built config cannot tell
         text = "samplers=lgcp,scp\nthomas_offspring_scale=0.1"
@@ -1480,8 +1488,9 @@ class TestUnreadSettings:
         dict(samplers=("thomas",), methods=("mle",), beta=2.0),
         dict(samplers=("lgcp", "thomas"), methods=("mle",), thomas_parent_rate=30.0),
         dict(methods=("mle",), n=(100, 300), m=5),
+        dict(methods=("mle",), n=(EXACT_MLE_MAX_N + 1,), m=5),
         dict(methods=("isiw-pm:CvL",), threshold=0.5, pm_cutoff=0.3),
-    ], ids=["beta-thomas", "lgcp-thomas", "m-mle-above-max-n", "isiw-pm"])
+    ], ids=["beta-thomas", "lgcp-thomas", "m-mle-above-max-n", "m-mle-just-above-max-n", "isiw-pm"])
     def test_read_settings_accepted(self, settings):
         config = parse_config(config_text(settings))
         assert config == ExperimentConfig(**settings)
