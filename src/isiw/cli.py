@@ -211,7 +211,7 @@ def _cmd_fit(args) -> int:
     fit_one = method_fitter(
         data, args.domain, nu=args.nu, m=args.m, threshold=args.threshold, pair_cutoff=args.cutoff,
     )
-    io.write_fit_csv(args.out, fit_one(args.method, 0))  # restart seed 0, as no measured fit restarts
+    io.write_fit_csv(args.out, fit_one(args.method))
     print(f"wrote the fit to {args.out}")
     return 0
 

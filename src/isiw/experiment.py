@@ -13,17 +13,17 @@ Method entries are ``mle``, ``vecchia``, or ``isiw-v:SOURCE`` /
 ``isiw-pm:SOURCE`` with SOURCE one of known, scott, diggle, ppl, CvL,
 CvL.adaptive. ``known`` reads the true sampling intensity off the
 simulated surface; the others estimate it from the point pattern.
-:func:`parse_method` reads an entry and the runner of
-:func:`method_fitter` fits it to a dataset; ``isiw fit --method`` uses
-both too, so one entry means one fit everywhere. The one exception is a
-fit that restarts: ``isiw fit`` seeds its restarts with 0, an experiment
-from its seed, cell and method, so only such a fit can differ.
+:func:`parse_method` reads an entry, :func:`fitted_likelihood` says which
+likelihood it fits to n points, and the runner of :func:`method_fitter`
+fits it to a dataset; ``isiw fit --method`` uses all three too, so one
+entry means one fit everywhere.
 
 Every row is reproducible from (seed, scenario, replicate): streams are
 keyed by a hash of the scenario label plus the replicate id, fits are
-deterministic, and rows are sorted before writing. Wall-clock timing is the
-one nondeterministic field; set ``timing=off`` to zero it for byte-level
-reproducibility audits.
+deterministic and take no seed from the cell, so no row depends on the
+order of ``methods``, and rows are sorted before writing. Wall-clock
+timing is the one nondeterministic field; set ``timing=off`` to zero it
+for byte-level reproducibility audits.
 """
 
 from __future__ import annotations
@@ -101,50 +101,56 @@ def check_fit_settings(m: int, threshold: float, pair_cutoff, names=("m", "thres
         raise ValueError(f"{names[2]} must be positive, got {pair_cutoff}")
 
 
+def fitted_likelihood(spec: MethodSpec, n: int) -> str:
+    """The likelihood that the method entry ``spec`` fits to ``n`` points:
+    ``isiw-pm`` the pairwise marginal, ``mle`` the exact likelihood up to
+    :data:`EXACT_MLE_MAX_N` points, and every other fit Vecchia."""
+    if spec.name == METHOD_ISIW_PM:
+        return PAIRWISE_MARGINAL
+    if spec.name == METHOD_MLE and n <= EXACT_MLE_MAX_N:
+        return EXACT
+    return VECCHIA
+
+
 def unread_settings(samplers, specs=(), n_values=()) -> dict:
     """The settings that a run of ``samplers``, the method entries ``specs``
     (parsed) and the pattern sizes ``n_values`` does not read, each mapped
-    to the reason. Every other setting is read by every run. ``mle`` fits
-    the Vecchia likelihood above :data:`EXACT_MLE_MAX_N` points, so it
-    reads ``m`` when some n is larger."""
-    present = {*samplers, *(spec.name for spec in specs)}  # no sampler kind is a method name
+    to the reason. Every other setting is read by every run. As
+    :func:`method_fitter` reads them, ``m`` and ``pm_cutoff`` are read when
+    :func:`fitted_likelihood` of some entry at some n is Vecchia or
+    pairwise, and ``threshold`` when some entry has a weight source."""
+    likelihoods = {fitted_likelihood(spec, n) for spec in specs for n in n_values}
     kinds = ", ".join(dict.fromkeys(samplers))
     fits = ", ".join(dict.fromkeys(spec.name for spec in specs))
-    vecchia_fits = {METHOD_VECCHIA, METHOD_ISIW_V}
-    if any(n > EXACT_MLE_MAX_N for n in n_values):
-        vecchia_fits.add(METHOD_MLE)
-    thomas = ({THOMAS}, f"the {THOMAS} sampler", kinds)
-    rules = {  # key: (the samplers or methods that read it, as described, and the run's own)
+    thomas = (THOMAS in samplers, f"the {THOMAS} sampler", kinds)
+    rules = {  # key: (whether the run reads it, its readers as described, and the run)
         "thomas_parent_rate": thomas,
         "thomas_offspring_scale": thomas,
         "m": (
-            vecchia_fits,
+            VECCHIA in likelihoods,
             f"a Vecchia fit ({METHOD_VECCHIA}, {METHOD_ISIW_V}, or {METHOD_MLE} above "
             f"{EXACT_MLE_MAX_N} points)",
             f"{fits} at n={','.join(str(n) for n in n_values)}",
         ),
-        "threshold": ({METHOD_ISIW_V, METHOD_ISIW_PM}, f"the {METHOD_ISIW_V} and {METHOD_ISIW_PM} methods", fits),
-        "pm_cutoff": ({METHOD_ISIW_PM}, f"the {METHOD_ISIW_PM} methods", fits),
+        "threshold": (any(spec.source for spec in specs), f"the {METHOD_ISIW_V} and {METHOD_ISIW_PM} methods", fits),
+        "pm_cutoff": (PAIRWISE_MARGINAL in likelihoods, f"the {METHOD_ISIW_PM} methods", fits),
     }
-    return {
-        key: f"is read only by {readers}, not by {run}"
-        for key, (read_by, readers, run) in rules.items()
-        if read_by.isdisjoint(present)
-    }
+    return {key: f"is read only by {readers}, not by {run}" for key, (read, readers, run) in rules.items() if not read}
 
 
 def method_fitter(
     data: Dataset, domain: Domain, *, nu: float, m: int, threshold: float,
     pair_cutoff: float | None, known_intensity=None,
 ):
-    """The method runner of ``data``: ``fit_one(spec, restart_seed)`` returns
-    the :class:`~isiw.inference.FitResult` of the method entry ``spec``.
-    ``mle`` is the exact likelihood up to :data:`EXACT_MLE_MAX_N` points and
-    unweighted Vecchia above. The start point, the Vecchia plan (max-min
-    order, up to ``m`` nearest earlier neighbours) and each source's
-    inverse-intensity weights are built on first use and shared by every
-    fit. The ``known`` source weights ``known_intensity``, the true sampling
-    intensity at the data points; the others select a kernel bandwidth."""
+    """The method runner of ``data``: ``fit_one(spec)`` returns the
+    :class:`~isiw.inference.FitResult` of the method entry ``spec``, a fit
+    of :func:`fitted_likelihood` at ``data.n``. Only a Vecchia fit reads
+    the plan (max-min order, up to ``m`` nearest earlier neighbours), only
+    a pairwise one ``pair_cutoff``, and an entry with a source its
+    inverse-intensity weights. The start point, the plan and each source's
+    weights are built on first use and shared by every fit. The ``known``
+    source weights ``known_intensity``, the true sampling intensity at the
+    data points; the others select a kernel bandwidth."""
     init = functools.cache(lambda: default_init(data, domain, nu=nu))
     plan = functools.cache(lambda: nn_conditioning_sets(data.locations, maxmin_order(data.locations), m))
 
@@ -160,16 +166,15 @@ def method_fitter(
             )
         return weights_from_intensity(known_intensity, threshold)
 
-    def fit_one(spec: MethodSpec, restart_seed: int) -> FitResult:
-        if spec.name == METHOD_MLE and data.n <= EXACT_MLE_MAX_N:
-            objective = Objective(kind=EXACT)
-        elif spec.name in (METHOD_MLE, METHOD_VECCHIA):
-            objective = Objective(kind=VECCHIA, plan=plan())
-        elif spec.name == METHOD_ISIW_V:
-            objective = Objective(kind=VECCHIA, plan=plan(), weights=weights(spec.source))
-        else:
-            objective = Objective(kind=PAIRWISE_MARGINAL, weights=weights(spec.source), pair_cutoff=pair_cutoff)
-        return fit(objective, data, init(), FitConfig(domain=domain, restart_seed=restart_seed))
+    def fit_one(spec: MethodSpec) -> FitResult:
+        kind = fitted_likelihood(spec, data.n)
+        objective = Objective(
+            kind=kind,
+            plan=plan() if kind == VECCHIA else None,
+            weights=weights(spec.source) if spec.source else None,
+            pair_cutoff=pair_cutoff if kind == PAIRWISE_MARGINAL else None,
+        )
+        return fit(objective, data, init(), FitConfig(domain=domain))
 
     return fit_one
 
@@ -401,13 +406,10 @@ def run_replicate(config: ExperimentConfig, scenario: Scenario, replicate: int) 
     )
 
     rows = []
-    for mi, method in enumerate(config.method_specs()):
+    for method in config.method_specs():
         start = time.perf_counter()
         try:
-            res = fit_one(
-                method,
-                (config.seed * 2654435761 + scenario.sid * 7919 + replicate * 104729 + mi) % (2**63),
-            )
+            res = fit_one(method)
             surface = krige(res.psi_hat, data, centers)
             score = rmspe(surface.predictions, truth_surface)
             rel = param_metrics([res.psi_hat], truth)

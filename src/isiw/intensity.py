@@ -209,7 +209,8 @@ def select_bandwidth(method: str, points: np.ndarray, domain: Domain) -> Bandwid
     search is capped at a quarter of the domain's shorter side: past that
     scale the edge-corrected estimator flattens toward n/|D|, the Campbell
     gap vanishes identically, and the criterion degenerates to ever-larger
-    bandwidths that carry no information.
+    bandwidths that carry no information. A domain too narrow for two
+    candidates under the cap raises ``ValueError``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[0]
@@ -223,8 +224,12 @@ def select_bandwidth(method: str, points: np.ndarray, domain: Domain) -> Bandwid
     hs = bandwidth_search_grid(domain, n)
     if method in (CVL, CVL_ADAPTIVE):
         cap = min(domain.x1 - domain.x0, domain.y1 - domain.y0) / 4.0
-        capped = hs[hs <= cap]
-        hs = capped if capped.size >= 2 else hs[:2]
+        if hs[1] > cap:
+            raise ValueError(
+                f"{method} searches bandwidths up to a quarter of the domain's shorter side, {cap:g}, "
+                f"and needs two candidates there; the smallest two are {hs[0]:g} and {hs[1]:g}"
+            )
+        hs = hs[hs <= cap]
 
     per_point_h = None
     if method == DIGGLE:

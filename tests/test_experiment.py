@@ -37,12 +37,15 @@ from isiw.experiment import (
     MetricsRow,
     _average_ranks,
     _param_table,
+    fitted_likelihood,
     format_config,
     method_fitter,
     parse_method,
     rank_table,
     summarize,
+    unread_settings,
 )
+from isiw.likelihood import PAIRWISE_MARGINAL
 from isiw import experiment
 from isiw import intensity
 from isiw.fields import _embedding_root
@@ -212,6 +215,19 @@ class TestRunReplicate:
         for i, rows in enumerate(runs):
             io.write_rows(tmp_path / f"{i}.csv", RESULTS_HEADER, rows)
         assert (tmp_path / "0.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+
+    def test_rows_do_not_depend_on_method_order_when_fits_restart(self, monkeypatch):
+        # one iteration per attempt: every attempt ends unconverged, so every
+        # fit runs all its restarts, whose starts draw from the restart seed
+        monkeypatch.setattr("isiw.inference.MAX_ITER", 1)
+        methods = ("mle", "vecchia", "isiw-v:CvL", "isiw-pm:scott")
+        rows = {}
+        for order in (methods, methods[::-1]):
+            config = tiny_config(replicates=1, grid_nx=12, grid_ny=12, n=(30,), methods=order)
+            cell = run_replicate(config, config.scenarios()[0], 0)
+            rows[order] = sorted(repr(row.csv_row()) for row in cell)
+        assert not any("True" in row for row in rows[methods])  # no fit converged
+        assert rows[methods] == rows[methods[::-1]]
 
     def test_scenario_labels(self):
         sc = Scenario(kind="lgcp", n=100, phi=0.15)
@@ -893,7 +909,7 @@ class TestMethodVocabulary:
         objectives = []
         monkeypatch.setattr("isiw.experiment.fit", lambda objective, *_: objectives.append(objective))
         fit_one = method_fitter(random_dataset(n), UNIT_DOMAIN, nu=1.0, m=5, threshold=0.01, pair_cutoff=None)
-        fit_one(parse_method("mle"), 0)
+        fit_one(parse_method("mle"))
         [objective] = objectives
         assert objective.kind == kind and objective.weights is None
 
@@ -912,13 +928,28 @@ class TestMethodRunner:
         fit_one = method_fitter(
             random_dataset(EXACT_MLE_MAX_N + 1), UNIT_DOMAIN, nu=1.0, m=5, threshold=0.01, pair_cutoff=None,
         )
-        for mi, entry in enumerate(["mle", "vecchia", "isiw-v:diggle", "isiw-pm:diggle"]):
-            fit_one(parse_method(entry), mi)
+        for entry in ["mle", "vecchia", "isiw-v:diggle", "isiw-pm:diggle"]:
+            fit_one(parse_method(entry))
         assert sorted(calls) == ["default_init", "nn_conditioning_sets", "select_bandwidth"]
         mle, vecchia, isiw_v, isiw_pm = objectives
         assert [o.kind for o in objectives] == ["vecchia", "vecchia", "vecchia", "pairwise-marginal"]
         assert mle.plan is vecchia.plan is isiw_v.plan
         np.testing.assert_array_equal(isiw_v.weights, isiw_pm.weights)
+
+    @pytest.mark.parametrize("n", [EXACT_MLE_MAX_N, EXACT_MLE_MAX_N + 1])
+    @pytest.mark.parametrize("entry", ["mle", "vecchia", "isiw-v:scott", "isiw-pm:scott"])
+    def test_unread_settings_are_what_the_objective_lacks(self, entry, n, monkeypatch):
+        objectives = []
+        monkeypatch.setattr("isiw.experiment.fit", lambda objective, *_: objectives.append(objective))
+        spec = parse_method(entry)
+        method_fitter(random_dataset(n), UNIT_DOMAIN, nu=1.0, m=5, threshold=0.01, pair_cutoff=0.3)(spec)
+        [objective] = objectives
+        assert objective.kind == fitted_likelihood(spec, n)
+        unread = unread_settings((), [spec], [n])
+        assert ("m" in unread) == (objective.plan is None)
+        assert ("threshold" in unread) == (objective.weights is None)
+        assert ("pm_cutoff" in unread) == (objective.pair_cutoff is None)
+        assert ("pm_cutoff" in unread) == (objective.kind != PAIRWISE_MARGINAL)
 
 
 class TestIoRoundTrips:
@@ -1355,7 +1386,7 @@ class TestCli:
                                  "restarts_used,phi_capped,gradient_norm")
         config, data = ExperimentConfig(), io.read_dataset_csv(dataset_csv)
         res = method_fitter(data, config.domain, nu=config.nu, m=config.m, threshold=config.threshold,
-                            pair_cutoff=None)(parse_method("vecchia"), 0)
+                            pair_cutoff=None)(parse_method("vecchia"))
         expected = {**res.psi_hat.as_dict(), "kappa": microergodic(res.psi_hat.theta)}
         expected.update((f.name, getattr(res, f.name)) for f in dataclasses.fields(FitResult) if f.name != "psi_hat")
         assert set(row) == set(expected)
@@ -1377,11 +1408,37 @@ class TestCli:
                          "--out", str(surface)]) == 0
         config, data = ExperimentConfig(), io.read_dataset_csv(dataset_csv)
         res = method_fitter(data, config.domain, nu=config.nu, m=config.m, threshold=config.threshold,
-                            pair_cutoff=None)(parse_method(spec), 0)
+                            pair_cutoff=None)(parse_method(spec))
         assert io.read_fit_csv(fit_path) == res.psi_hat
         grid = GridSpec(config.domain, 12, 12)
         io.write_surface_csv(tmp_path / "expected.csv", krige(res.psi_hat, data, grid.cell_centers()))
         assert surface.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+    def test_fit_reproduces_the_experiment_row(self, tmp_path, monkeypatch):
+        # each cell's data, recorded as the cell draws it from its own streams
+        datasets, real_observe = [], experiment.observe
+
+        def recording_observe(*args, **kwargs):
+            datasets.append(real_observe(*args, **kwargs))
+            return datasets[-1]
+
+        monkeypatch.setattr(experiment, "observe", recording_observe)
+        methods = ("mle", "vecchia", "isiw-v:CvL", "isiw-pm:scott")
+        # mle is exact at 40 points and Vecchia at EXACT_MLE_MAX_N + 1
+        config = tiny_config(replicates=1, grid_nx=12, grid_ny=12, n=(40, EXACT_MLE_MAX_N + 1), methods=methods)
+        run_experiment(config, tmp_path / "run")
+        with open(tmp_path / "run" / "results.csv", newline="") as fh:
+            results = {(rec["scenario"], rec["method"], rec["variant"]): rec for rec in csv.DictReader(fh)}
+        for scenario, data in zip(config.scenarios(), datasets, strict=True):
+            io.write_dataset_csv(tmp_path / "data.csv", data)
+            for spec in config.method_specs():
+                entry = f"{spec.name}:{spec.source}" if spec.source else spec.name
+                fit_path = tmp_path / f"{scenario.label}-{entry}.csv"
+                assert cli_main(["fit", "--data", str(tmp_path / "data.csv"), "--method", entry,
+                                 "--out", str(fit_path)]) == 0
+                row, fitted = results[(scenario.label, spec.name, spec.source)], read_fit(fit_path)
+                for name in ("mu", "sigma2", "phi", "tau2"):
+                    assert fitted[name] == row[name], (scenario.label, entry, name)
 
     def test_krige_takes_nu_from_the_fit_csv(self, dataset_csv, tmp_path):
         params = write_params(tmp_path / "fit.csv", nu=1.5)

@@ -297,6 +297,22 @@ class TestSelectBandwidth:
         clustered = np.clip(np.repeat(centers, 10, axis=0) + rng.normal(0, 0.02, (50, 2)), 0, 1)
         assert not select_bandwidth("diggle", clustered, UNIT).boundary
 
+    @pytest.mark.parametrize("method", ["CvL", "CvL.adaptive"])
+    def test_cvl_cap_below_two_candidates_refused(self, method):
+        # on a 100 x 1 strip the cap is 0.25 and every candidate lies above
+        # it; the search used to fall back to the two smallest, h = 0.538
+        domain = Domain(0.0, 100.0, 0.0, 1.0)
+        pts = np.random.default_rng(0).random((100, 2)) * [100.0, 1.0]
+        hs = bandwidth_search_grid(domain, 100)
+        message = f"^{re.escape(method)} searches bandwidths up to .*, 0.25, .* the smallest two are {hs[0]:g} "
+        with pytest.raises(ValueError, match=message):
+            select_bandwidth(method, pts, domain)
+
+    def test_cvl_cap_leaves_the_unit_square_search_whole(self):
+        # the second candidate is under the cap at every n, so the search
+        # always runs on the candidates up to the cap
+        assert max(bandwidth_search_grid(UNIT, n)[1] for n in range(5, 5000)) < 0.25
+
     def test_integrals_match_fine_midpoint_quadrature(self):
         # On a lattice of spacing d the midpoint rule errs by c d^2 + O(d^4),
         # so Q(d) - Q(d/2) = (3/4) c d^2 and Q(d/2) - exact is

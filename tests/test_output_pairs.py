@@ -93,6 +93,16 @@ def test_file_only_the_change_wrote_is_no_difference(outputs, tmp_path):
     assert output_pairs.differences(outputs, change) == []
 
 
+def test_source_lines_counts_the_package_python_files(tmp_path):
+    package = tmp_path / "src" / "isiw"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "sub" / "b.py").write_text("z = 3\n")
+    (package / "notes.txt").write_text("not python\n")
+    (tmp_path / "tools.py").write_text("outside the package\n")
+    assert output_pairs.source_lines(tmp_path) == 3
+
+
 @pytest.mark.parametrize("path", sorted(Path(TOOLS, "configs").glob("*.cfg")), ids=lambda path: path.stem)
 def test_committed_config_parses_with_timing_off(path):
     config = parse_config(path.read_text())

@@ -2,7 +2,9 @@
 
     python3 tools/output_pairs.py PARENT CHANGE [--config experiment.cfg]
 
-Each ref is exported once, as ``bench_pairs.py`` does. Without ``--config``
+Each ref is exported once, as ``bench_pairs.py`` does, and the line count of
+each export's ``src/isiw`` Python files (as ``wc -l`` counts them) is printed
+before the first config. Without ``--config``
 it takes every ``tools/configs/*.cfg`` that PARENT commits, in name order;
 with it, the one file. For each config it runs
 
@@ -42,6 +44,12 @@ def run_experiment(tree: Path, config: Path, out_dir: Path) -> None:
         [sys.executable, "-m", "isiw.cli", "experiment", "--config", str(config), "--out-dir", str(out_dir)],
         cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL,
     )
+
+
+def source_lines(tree: Path) -> int:
+    """The lines of every Python file under ``tree/src/isiw``, counted as
+    ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "isiw").rglob("*.py"))
 
 
 def first_difference(path: Path, other: Path) -> str | None:
@@ -115,6 +123,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="output_pairs_") as tmp:
         trees = {side: Path(tmp, side) for side in SIDES}
         commits = {side: export(ref, trees[side]) for side, ref in zip(SIDES, (args.parent, args.change))}
+        for side in SIDES:
+            print(f"{side} {commits[side][:10]}: src/isiw has {source_lines(trees[side])} lines of Python", flush=True)
         if args.config is not None:
             configs = [args.config.resolve()]
         else:
